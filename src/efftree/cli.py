@@ -1,6 +1,9 @@
 """Command-line front end: fit trees from CSV, predict, run simulations.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 fit failure.
+Exit codes: 0 success, 2 configuration error, 3 data error (including a
+categorical column with too many levels to split on), 4 fit failure
+(including a bootstrap that drops every replicate and a simulation whose
+every replicate fails).
 JSON artifacts go to files or stdout; logs and progress go to stderr.
 """
 
@@ -16,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_csv
+from .data import DataError, load_csv, text_blocks
 from .estimators import NuisanceScope, VarianceMethod
 from .glm import FitError
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
+from .search import CategoricalCardinalityError
 from .select import bootstrap_effects, select_final
 from .simulate import SimSetting, make_config, run_experiment
 from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
@@ -170,6 +174,8 @@ def cmd_fit(args) -> int:
         else:
             final, trace = select_final(sequence, data.take(build_rows), args.lam, config)
             logger.warning("no held-out rows; selection reused the training rows")
+    except CategoricalCardinalityError as err:
+        raise CliError(f"bad data: {err}", EXIT_DATA)
     except (FitError, RuntimeError) as err:
         raise CliError(f"fit failed: {err}", EXIT_FIT)
 
@@ -182,8 +188,11 @@ def cmd_fit(args) -> int:
     )
 
     if args.bootstrap > 0:
-        intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
-                                      seed=args.seed, config=config)
+        try:
+            intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
+                                          seed=args.seed, config=config)
+        except RuntimeError as err:
+            raise CliError(f"bootstrap failed: {err}", EXIT_FIT)
         payload = [
             {
                 "terminal": iv.node_id,
@@ -222,25 +231,15 @@ def cmd_predict(args) -> int:
         raise CliError(f"schema mismatch or bad data: {err}", EXIT_DATA)
 
     terminal = tree.route(data)
-    effects = {t: tree.node(t).effect.effect for t in tree.terminal_ids()}
+    effect_text = {t: repr(float(tree.node(t).effect.effect)) for t in tree.terminal_ids()}
     writer = csv.writer(sys.stdout)
     names = list(tree.schema.covariate_names)
     writer.writerow(names + [tree.schema.treatment, tree.schema.outcome, "effect", "terminal_id"])
-    from .data import Continuous
-
-    for i in range(data.n):
-        row = []
-        for name in names:
-            kind = tree.schema.kind_of(name)
-            if isinstance(kind, Continuous):
-                row.append(repr(float(data.covariates[name][i])))
-            else:
-                row.append(kind.levels[data.covariates[name][i]])
-        row.append(str(int(data.treatment[i])))
-        row.append(repr(float(data.outcome[i])))
-        row.append(repr(float(effects[int(terminal[i])])))
-        row.append(str(int(terminal[i])))
-        writer.writerow(row)
+    for start, stop, columns in text_blocks(data):
+        reached = terminal[start:stop].tolist()
+        columns.append([effect_text[t] for t in reached])
+        columns.append(list(map(str, reached)))
+        writer.writerows(zip(*columns))
     return 0
 
 
@@ -287,8 +286,11 @@ def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise CliError("--reps must be >= 1", EXIT_CONFIG)
 
-    summary = run_experiment(setting, config, args.reps, args.seed,
-                             lam=args.lam, threads=args.threads)
+    try:
+        summary = run_experiment(setting, config, args.reps, args.seed,
+                                 lam=args.lam, threads=args.threads)
+    except RuntimeError as err:
+        raise CliError(f"simulation failed: {err}", EXIT_FIT)
 
     header = (
         f"{'setting':>12} {'algo':>22} {'MSE':>8} {'Correct':>8} {'Noise':>6} "

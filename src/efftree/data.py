@@ -4,7 +4,8 @@ A dataset holds n observations of covariates X (continuous, categorical, or
 ordinal columns), a binary treatment indicator A, and a numeric outcome Y.
 Categorical and ordinal cells are stored as integer codes into the declared
 level lists. Datasets are immutable after construction and safe to share
-across threads.
+across threads; the only state added later is a memo of matrices derived
+from the rows (see ``Dataset.derived``).
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ class Dataset:
 
     Continuous columns are stored as float64 arrays; categorical and ordinal
     columns as integer code arrays indexing their level list.
+
+    ``derived`` memoizes read-only matrices computed from every row, keyed
+    by what they were computed from (the model-design module keys root
+    designs by spec). The rows never change, so entries never go stale, and
+    a dataset made by ``take`` starts with an empty memo.
     """
 
     def __init__(
@@ -140,6 +146,7 @@ class Dataset:
         self.treatment.setflags(write=False)
         self.outcome = outcome
         self.outcome.setflags(write=False)
+        self.derived: dict = {}
 
     def column(self, name: str) -> np.ndarray:
         return self.covariates[name]
@@ -182,15 +189,14 @@ class SubgroupMask:
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SubgroupMask":
+        if not isinstance(indices, np.ndarray):
+            indices = np.fromiter(indices, dtype=np.intp)
         bits = np.zeros(n, dtype=bool)
-        bits[np.asarray(list(indices), dtype=np.int64)] = True
+        bits[indices.astype(np.intp, copy=False)] = True
         return cls(bits)
 
     def complement(self) -> "SubgroupMask":
         return SubgroupMask(~self.bits)
-
-    def intersect(self, other: "SubgroupMask") -> "SubgroupMask":
-        return SubgroupMask(self.bits & other.bits)
 
     def indices(self) -> np.ndarray:
         return np.nonzero(self.bits)[0]
@@ -204,28 +210,33 @@ def subgroup_count(mask: SubgroupMask) -> int:
     return mask.size
 
 
-def _parse_cell(token: str, kind: CovariateKind, column: str, line: int):
-    if isinstance(kind, Continuous):
-        try:
-            value = float(token)
-        except ValueError:
-            raise DataError(f"line {line}: unparseable value {token!r} for continuous column {column!r}")
-        if not math.isfinite(value):
-            raise DataError(f"line {line}: non-finite value in column {column!r}")
-        return value
+def _parse_continuous(token: str, column: str, line: int) -> float:
     try:
-        return kind.levels.index(token)
+        value = float(token)
     except ValueError:
-        raise DataError(f"line {line}: unknown level {token!r} for column {column!r}")
+        raise DataError(f"line {line}: unparseable value {token!r} for continuous column {column!r}")
+    if not math.isfinite(value):
+        raise DataError(f"line {line}: non-finite value in column {column!r}")
+    return value
+
+
+def _level_parser(levels):
+    def parse(token: str, column: str, line: int) -> int:
+        try:
+            return levels.index(token)
+        except ValueError:
+            raise DataError(f"line {line}: unknown level {token!r} for column {column!r}")
+    return parse
 
 
 def load_csv(path, schema: Schema, missing_policy: str = "drop_rows") -> Dataset:
     """Load and validate a CSV file against a schema.
 
-    The file must carry a header naming every schema column (order free,
-    extra columns rejected). Cells equal to one of ``MISSING_TOKENS`` count
-    as missing; under ``drop_rows`` such rows are removed (count logged),
-    under ``reject`` any missing cell raises :class:`DataError`.
+    The file must carry a header naming every schema column once (order
+    free; extra or repeated columns rejected). Cells equal to one of
+    ``MISSING_TOKENS`` count as missing; under ``drop_rows`` such rows are
+    removed (count logged), under ``reject`` any missing cell raises
+    :class:`DataError`.
     """
     if missing_policy not in ("reject", "drop_rows"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
@@ -240,6 +251,9 @@ def _load_csv_stream(fh, schema: Schema, missing_policy: str) -> Dataset:
     except StopIteration:
         raise DataError("empty CSV file")
     expected = set(schema.covariate_names) | {schema.treatment, schema.outcome}
+    duplicated = sorted({name for name in header if header.count(name) > 1})
+    if duplicated:
+        raise DataError(f"duplicated header column(s) {duplicated!r}")
     if set(header) != expected:
         raise DataError(f"header {header!r} does not match schema columns {sorted(expected)!r}")
     pos = {name: header.index(name) for name in expected}
@@ -251,27 +265,36 @@ def _load_csv_stream(fh, schema: Schema, missing_policy: str) -> Dataset:
     }
     treatment = array.array("b")
     outcome = array.array("d")
+    # per-column dispatch decided once, not per cell
+    a_pos, y_pos = pos[schema.treatment], pos[schema.outcome]
+    cells = [
+        (pos[name], columns[name].append,
+         _parse_continuous if isinstance(kind, Continuous) else _level_parser(kind.levels), name)
+        for name, kind in schema.columns
+    ]
     n_dropped = 0
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise DataError(f"line {line_no}: expected {len(header)} fields, found {len(row)}")
-        if any(row[pos[name]].strip() in MISSING_TOKENS for name in expected):
+        # the header check makes every cell a schema column, so all are checked
+        row = [token.strip() for token in row]
+        if not MISSING_TOKENS.isdisjoint(row):
             if missing_policy == "reject":
                 raise DataError(f"line {line_no}: missing cell")
             n_dropped += 1
             continue
-        a_token = row[pos[schema.treatment]].strip()
+        a_token = row[a_pos]
         if a_token not in ("0", "1"):
             raise DataError(f"line {line_no}: invalid treatment value {a_token!r}")
         treatment.append(int(a_token))
-        y_token = row[pos[schema.outcome]].strip()
+        y_token = row[y_pos]
         try:
             y = float(y_token)
         except ValueError:
             raise DataError(f"line {line_no}: unparseable outcome {y_token!r}")
         outcome.append(y)
-        for name, kind in schema.columns:
-            columns[name].append(_parse_cell(row[pos[name]].strip(), kind, name, line_no))
+        for p, append, parse, name in cells:
+            append(parse(row[p], name, line_no))
 
     if n_dropped:
         logger.info("dropped %d rows with missing cells", n_dropped)
@@ -282,20 +305,34 @@ def _load_csv_stream(fh, schema: Schema, missing_policy: str) -> Dataset:
     return Dataset(schema, arrays, np.asarray(treatment), np.asarray(outcome))
 
 
+def text_blocks(dataset: Dataset, block: int = 256):
+    """Yield ``(start, stop, columns)`` for consecutive row blocks.
+
+    ``columns`` holds the CSV text of rows ``[start, stop)``, one list per
+    column in ``write_csv`` header order (covariates, treatment, outcome):
+    the same text a per-cell ``repr(float(x))`` / level lookup gives, built
+    a column at a time. Working in blocks bounds how many of those strings
+    are alive at once.
+    """
+    for start in range(0, dataset.n, block):
+        stop = min(start + block, dataset.n)
+        columns = []
+        for name, kind in dataset.schema.columns:
+            values = dataset.covariates[name][start:stop].tolist()
+            if isinstance(kind, Continuous):
+                columns.append(list(map(repr, values)))
+            else:
+                columns.append([kind.levels[code] for code in values])
+        columns.append(list(map(str, dataset.treatment[start:stop].tolist())))
+        columns.append(list(map(repr, dataset.outcome[start:stop].tolist())))
+        yield start, stop, columns
+
+
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset back to CSV; loading the result reproduces the dataset."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         names = list(dataset.schema.covariate_names)
         writer.writerow(names + [dataset.schema.treatment, dataset.schema.outcome])
-        for i in range(dataset.n):
-            row = []
-            for name in names:
-                kind = dataset.schema.kind_of(name)
-                if isinstance(kind, Continuous):
-                    row.append(repr(float(dataset.covariates[name][i])))
-                else:
-                    row.append(kind.levels[dataset.covariates[name][i]])
-            row.append(str(int(dataset.treatment[i])))
-            row.append(repr(float(dataset.outcome[i])))
-            writer.writerow(row)
+        for _, _, columns in text_blocks(dataset):
+            writer.writerows(zip(*columns))

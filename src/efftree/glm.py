@@ -14,6 +14,8 @@ treatment interaction. The intercept is implicit when ``1`` is omitted.
 Categorical factors expand to reference-coded dummies (first declared level
 is the reference); ``in(col,L1,L2)`` is a single membership indicator.
 
+A subgroup's model matrix is a row slice of one treatment-free root design
+per (dataset, spec), with the treatment-involving columns scaled by A.
 Fitting uses column-pivoted QR so that rank-deficient designs drop columns
 deterministically instead of failing.
 """
@@ -27,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .data import Continuous, Dataset, Schema, SubgroupMask
+from .data import Continuous, Dataset, SubgroupMask
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
@@ -157,21 +159,19 @@ def parse_spec(text: str, treatment_name: str) -> DesignSpec:
     return DesignSpec(tuple(terms))
 
 
-def _factor_columns(
-    factor: Factor, data: Dataset, rows: np.ndarray
-) -> tuple[np.ndarray, list[str]]:
-    """Column block (rows x k) and labels for one factor on the given rows."""
+def _factor_columns(factor: Factor, data: Dataset) -> tuple[np.ndarray, list[str]]:
+    """Column block (n x k) and labels for one factor on every dataset row."""
     schema = data.schema
     if factor.column not in data.covariates:
         raise ValueError(f"unknown column {factor.column!r} in spec")
     kind = schema.kind_of(factor.column)
-    values = data.covariates[factor.column][rows]
+    values = data.covariates[factor.column]
     if factor.transform == "main":
         if isinstance(kind, Continuous):
             return values[:, None], [factor.label()]
         # reference coding: first declared level is the baseline
         k = len(kind.levels)
-        block = np.zeros((len(rows), k - 1))
+        block = np.zeros((data.n, k - 1))
         for j in range(1, k):
             block[:, j - 1] = values == j
         labels = [f"{factor.column}[{lv}]" for lv in kind.levels[1:]]
@@ -204,6 +204,42 @@ def _require_continuous(kind, factor: Factor) -> None:
         raise ValueError(f"{factor.transform}() requires a continuous column: {factor.label()}")
 
 
+def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """Treatment-free design of every dataset row, built once per (dataset, spec).
+
+    Every transform works row by row, so a subgroup's design is a row slice
+    of this matrix. The treatment column holds 1 and each treatment
+    interaction column holds its factor; ``treated`` marks those columns,
+    which a subgroup's design scales by A. Returns ``(F, labels, treated)``,
+    memoized read-only in ``data.derived``.
+    """
+    cached = data.derived.get(spec)
+    if cached is not None:
+        return cached
+    blocks: list[np.ndarray] = []
+    labels: list[str] = []
+    treated: list[bool] = []
+    for term in spec.terms:
+        if term.kind in ("intercept", "treatment"):
+            blocks.append(np.ones((data.n, 1)))
+            labels.append("1" if term.kind == "intercept" else data.schema.treatment)
+            treated.append(term.kind == "treatment")
+        else:
+            block, labs = _factor_columns(term.factor, data)
+            blocks.append(block)
+            if term.kind == "interaction":
+                labs = [f"{data.schema.treatment}:{lab}" for lab in labs]
+            labels.extend(labs)
+            treated.extend([term.kind == "interaction"] * len(labs))
+    F = np.hstack(blocks)
+    treated_cols = np.array(treated)
+    F.setflags(write=False)
+    treated_cols.setflags(write=False)
+    cached = (F, tuple(labels), treated_cols)
+    data.derived[spec] = cached
+    return cached
+
+
 def build_design(
     data: Dataset,
     mask: SubgroupMask,
@@ -215,29 +251,14 @@ def build_design(
     ``treatment_override`` substitutes a constant A=a in the treatment main
     effect and every treatment interaction, leaving other columns unchanged.
     """
+    F, labels, treated = _root_design(data, spec)
     rows = mask.indices()
+    Z = F[rows]
     if treatment_override is None:
-        a = data.treatment[rows].astype(np.float64)
-    else:
-        a = np.full(len(rows), float(treatment_override))
-    blocks: list[np.ndarray] = []
-    labels: list[str] = []
-    for term in spec.terms:
-        if term.kind == "intercept":
-            blocks.append(np.ones((len(rows), 1)))
-            labels.append("1")
-        elif term.kind == "treatment":
-            blocks.append(a[:, None])
-            labels.append(data.schema.treatment)
-        elif term.kind == "factor":
-            block, labs = _factor_columns(term.factor, data, rows)
-            blocks.append(block)
-            labels.extend(labs)
-        else:
-            block, labs = _factor_columns(term.factor, data, rows)
-            blocks.append(block * a[:, None])
-            labels.extend(f"{data.schema.treatment}:{lab}" for lab in labs)
-    return np.hstack(blocks), labels
+        Z[:, treated] *= data.treatment[rows].astype(np.float64)[:, None]
+    elif treatment_override != 1:
+        Z[:, treated] *= float(treatment_override)
+    return Z, list(labels)
 
 
 def build_design_difference(
@@ -248,27 +269,11 @@ def build_design_difference(
     Only treatment-involving columns are nonzero, so the difference is exact
     (no floating-point cancellation) and cheap.
     """
+    F, _, treated = _root_design(data, spec)
     rows = mask.indices()
-    blocks: list[np.ndarray] = []
-    for term in spec.terms:
-        if term.kind in ("intercept", "factor"):
-            width = 1
-            if term.kind == "factor":
-                width = _factor_width(term.factor, data.schema)
-            blocks.append(np.zeros((len(rows), width)))
-        elif term.kind == "treatment":
-            blocks.append(np.ones((len(rows), 1)))
-        else:
-            block, _ = _factor_columns(term.factor, data, rows)
-            blocks.append(block)
-    return np.hstack(blocks)
-
-
-def _factor_width(factor: Factor, schema: Schema) -> int:
-    kind = schema.kind_of(factor.column)
-    if factor.transform == "main" and not isinstance(kind, Continuous):
-        return len(kind.levels) - 1
-    return 1
+    D = np.zeros((len(rows), F.shape[1]))
+    D[:, treated] = F[np.ix_(rows, np.flatnonzero(treated))]
+    return D
 
 
 @dataclass
@@ -301,36 +306,34 @@ class LogisticFit:
 AnyFit = Union[LinearFit, LogisticFit]
 
 
-def _pivoted_rank(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Kept/dropped column indices from a column-pivoted QR of Z."""
-    _, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+def _pivoted_qr(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Column-pivoted economic QR of Z, ``Z[:, piv] = Q R``, and its numerical rank.
+
+    The first ``rank`` pivots are the kept columns; the rest are dropped.
+    """
+    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
     if len(diag) == 0 or diag[0] == 0.0:
         raise FitError("design matrix is identically zero")
     tol = diag[0] * max(Z.shape) * np.finfo(np.float64).eps
-    rank = int(np.sum(diag > tol))
-    kept = np.sort(piv[:rank])
-    dropped = np.sort(piv[rank:])
-    return kept, dropped
+    return Q, R, piv, int(np.sum(diag > tol))
 
 
 def fit_ols(data: Dataset, mask: SubgroupMask, spec: DesignSpec) -> LinearFit:
     """Least squares of the outcome on the spec's design over the masked rows.
 
     Rank-deficient columns are dropped deterministically (pivoted QR); their
-    coefficients are zero in the returned full-width vector.
+    coefficients are zero in the returned full-width vector. The kept
+    coefficients are solved from the same factorization.
     """
     Z, labels = build_design(data, mask, spec)
     y = data.outcome[mask.indices()]
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
-    kept, dropped = _pivoted_rank(Z)
-    if Z.shape[0] < len(kept):
-        raise FitError("insufficient data")
-    beta_kept, *_ = np.linalg.lstsq(Z[:, kept], y, rcond=None)
+    Q, R, piv, rank = _pivoted_qr(Z)
     beta = np.zeros(Z.shape[1])
-    beta[kept] = beta_kept
-    return LinearFit(spec, beta, len(kept), kept, dropped, labels)
+    beta[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ y)
+    return LinearFit(spec, beta, rank, np.sort(piv[:rank]), np.sort(piv[rank:]), labels)
 
 
 def fit_logistic(
@@ -352,7 +355,8 @@ def fit_logistic(
     Z, labels = build_design(data, mask, spec)
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
-    kept, dropped = _pivoted_rank(Z)
+    _, _, piv, rank = _pivoted_qr(Z)
+    kept, dropped = np.sort(piv[:rank]), np.sort(piv[rank:])
     Zk = Z[:, kept]
     beta = np.zeros(len(kept))
     converged = False
@@ -397,9 +401,3 @@ def predict_mean(
     if fit.family == "binomial":
         return 1.0 / (1.0 + np.exp(-np.clip(eta, -_LINPRED_CLIP, _LINPRED_CLIP)))
     return eta
-
-
-def linear_predictor(fit: AnyFit, data: Dataset, mask: SubgroupMask,
-                     treatment_override: Optional[int] = None) -> np.ndarray:
-    Z, _ = build_design(data, mask, fit.spec, treatment_override)
-    return Z @ fit.coefficients

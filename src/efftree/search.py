@@ -6,8 +6,13 @@ function of left-child aggregates of a small set of per-row quantities.
 Those aggregates come from cumulative sums along each covariate's sort order
 (or per-level sums for categorical covariates), so a node with n rows and C
 candidates costs O(n log n + C) for the influence variance and
-O(n q + C q^2) for the sandwich variances (q = design width), instead of
-O(n C).
+O(n log n + n q^2 + C q^2) for the sandwich variances (q = design width),
+instead of O(n C). For the sandwich variances the node factors its q x q
+information matrix I once (a singular I raises InadmissibleSplitError)
+and precomputes I^-1 and I^-1 S I^-1, S the outer product of the per-row
+scores. Each candidate batch then needs two (C x q)(q x q) matrix products,
+c = d I^-1 and the quadratic form d I^-1 S I^-1 d', with d the candidates'
+differences of child-mean gradients, and no solve per candidate.
 
 Child-scope fitting cannot be batched (each candidate refits its own
 models); that path loops over candidates and scores each one via
@@ -107,14 +112,15 @@ class _CovariateBlock:
         return [self.make_rule(j) for j in range(self.n_rules)]
 
 
-def _categorical_subsets(present: list[int]) -> list[tuple[int, ...]]:
+def _categorical_subsets(present: list[int], column: str) -> list[tuple[int, ...]]:
     """Canonical left-side subsets: every unordered binary partition of the
     present levels exactly once, smaller side (ties: the side holding the
     first present level) on the left, ordered by size then level indices."""
     k = len(present)
     if k > MAX_CATEGORICAL_LEVELS:
         raise CategoricalCardinalityError(
-            f"{k} levels present; subset enumeration capped at {MAX_CATEGORICAL_LEVELS}"
+            f"categorical column {column!r} has {k} levels present; "
+            f"subset enumeration is capped at {MAX_CATEGORICAL_LEVELS}"
         )
     subsets: list[tuple[int, ...]] = []
     for size in range(1, k // 2 + 1):
@@ -152,7 +158,7 @@ def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_Covariat
             if len(present) < 2:
                 continue
             if isinstance(kind, Categorical):
-                subsets = _categorical_subsets(present)
+                subsets = _categorical_subsets(present, name)
                 sel = np.zeros((len(subsets), len(kind.levels)))
                 for j, left in enumerate(subsets):
                     sel[j, list(left)] = 1.0
@@ -208,17 +214,21 @@ class BestSplit:
 
 @dataclass
 class _NodeTables:
-    """Per-row quantities entering every candidate statistic at one node."""
+    """Per-row quantities entering every candidate statistic at one node,
+    plus the node-level sums and matrices every candidate batch reuses."""
 
     delta: np.ndarray              # per-row effect contribution
     treated: np.ndarray            # A as float
     grad: Optional[np.ndarray]     # rows whose child means form the projected vector
     score: Optional[np.ndarray]    # per-row model score
-    info_factor: Optional[tuple]   # Cholesky factor of the information matrix
-    score_outer: Optional[np.ndarray]
+    info_inv: Optional[np.ndarray]        # I^-1, inverse information matrix
+    sandwich_form: Optional[np.ndarray]   # I^-1 S I^-1, S the score outer product
     score_total: Optional[np.ndarray]
     dscore_total: Optional[np.ndarray]
     grad_total: Optional[np.ndarray]
+    total_treated: float
+    total_delta: float
+    total_delta_sq: float
     corr_sign: float
     centered: bool                 # center the base influence within children
     msq: float                     # mean(delta^2), degeneracy scale
@@ -238,13 +248,15 @@ def node_tables(
     if kind in (EstimatorKind.IPW, EstimatorKind.DR):
         e = truncated_propensity(models, data, mask)
     if kind in (EstimatorKind.GFORMULA, EstimatorKind.DR):
-        g1 = predict_mean(models.outcome, data, mask, treatment_override=1)
-        g0 = predict_mean(models.outcome, data, mask, treatment_override=0)
-        if models.outcome.family != "binomial":
+        outcome = models.outcome
+        if kind == EstimatorKind.DR or outcome.family == "binomial":
+            g1 = predict_mean(outcome, data, mask, treatment_override=1)
+            g0 = predict_mean(outcome, data, mask, treatment_override=0)
+        if outcome.family != "binomial":
             # computed from the design difference so that specs without
             # treatment interactions give an exactly constant contrast
-            zdiff = build_design_difference(data, mask, models.outcome.spec)[:, models.outcome.kept]
-            gdelta = zdiff @ models.outcome.coefficients[models.outcome.kept]
+            zdiff = build_design_difference(data, mask, outcome.spec)[:, outcome.kept]
+            gdelta = zdiff @ outcome.coefficients[outcome.kept]
         else:
             gdelta = g1 - g0
 
@@ -255,7 +267,7 @@ def node_tables(
     else:
         delta = gdelta + A * (Y - g1) / e - (1.0 - A) * (Y - g0) / (1.0 - e)
 
-    grad = score = info_factor = score_outer = score_total = None
+    grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
     if variance_method == VarianceMethod.POOLED_SANDWICH:
         if kind == EstimatorKind.IPW:
@@ -277,7 +289,7 @@ def node_tables(
                 info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / len(rows)
                 resid = Y - ghat
             else:
-                grad = build_design_difference(data, mask, fit.spec)[:, fit.kept]
+                grad = zdiff
                 info = Z.T @ Z / len(rows)
                 resid = Y - Z @ fit.coefficients[fit.kept]
             score = resid[:, None] * Z
@@ -286,22 +298,29 @@ def node_tables(
             info_factor = scipy.linalg.cho_factor(info)
         except scipy.linalg.LinAlgError:
             raise InadmissibleSplitError("singular information matrix")
-        score_outer = score.T @ score
+        # Precomputed once per node so that each candidate batch needs only
+        # two GEMMs: c = d I^-1 and the quadratic form d I^-1 S I^-1 d.
+        info_inv = scipy.linalg.cho_solve(info_factor, np.eye(len(info)))
+        sandwich_form = info_inv @ (score.T @ score) @ info_inv
         score_total = score.sum(axis=0)
 
+    delta_sq = delta**2
     return _NodeTables(
         delta=delta,
         treated=A,
         grad=grad,
         score=score,
-        info_factor=info_factor,
-        score_outer=score_outer,
+        info_inv=info_inv,
+        sandwich_form=sandwich_form,
         score_total=score_total,
         dscore_total=(score * delta[:, None]).sum(axis=0) if score is not None else None,
         grad_total=grad.sum(axis=0) if grad is not None else None,
+        total_treated=float(A.sum()),
+        total_delta=float(delta.sum()),
+        total_delta_sq=float(delta_sq.sum()),
         corr_sign=corr_sign,
         centered=(kind != EstimatorKind.IPW),
-        msq=float(np.mean(delta**2)),
+        msq=float(np.mean(delta_sq)),
     )
 
 
@@ -334,9 +353,9 @@ def candidate_statistics(
     left_delta = left_agg[:, 2]
     left_delta_sq = left_agg[:, 3]
 
-    total_treated = float(tables.treated.sum())
-    total_delta = float(tables.delta.sum())
-    total_delta_sq = float(np.sum(tables.delta**2))
+    total_treated = tables.total_treated
+    total_delta = tables.total_delta
+    total_delta_sq = tables.total_delta_sq
 
     n_l = left_counts
     n_r = n_p - n_l
@@ -366,9 +385,17 @@ def candidate_statistics(
         else:
             left_grad = left_agg[:, 4:4 + q]
             left_dscore = left_agg[:, 4 + q:4 + 2 * q]
-            d_diff = left_grad / n_l[:, None] - (tables.grad_total[None, :] - left_grad) / n_r[:, None]
-            c = scipy.linalg.cho_solve(tables.info_factor, d_diff.T).T  # (C, q)
-            corr_sq = np.einsum("cq,qk,ck->c", c, tables.score_outer, c)
+            # The (C, q) arrays are updated in place to save temporaries;
+            # the operations and their order are those of the expression in
+            # each comment, so the rounding is too.
+            d_diff = left_grad / n_l[:, None]
+            work = tables.grad_total - left_grad
+            work /= n_r[:, None]
+            d_diff -= work  # left mean gradient - right mean gradient
+            c = d_diff @ tables.info_inv
+            np.matmul(d_diff, tables.sandwich_form, out=work)
+            corr_sq = np.einsum("cq,cq->c", work, d_diff)  # c S c', row by row
+            np.subtract(tables.dscore_total, left_dscore, out=work)  # right dscore
             if tables.centered:
                 # base influence centered within each child: nonnegative
                 # mean of squares, no explicit centering subtraction
@@ -377,12 +404,16 @@ def candidate_statistics(
                     + ((total_delta_sq - left_delta_sq) - n_r * t_r**2) / p_r**2
                 )
                 left_score = left_agg[:, 4 + 2 * q:4 + 3 * q]
-                right_score = tables.score_total[None, :] - left_score
-                base_score = (
-                    (left_dscore - t_l[:, None] * left_score) / p_l[:, None]
-                    - ((tables.dscore_total[None, :] - left_dscore) - t_r[:, None] * right_score)
-                    / p_r[:, None]
-                )
+                # (left dscore - t_l left score) / p_l
+                #   - (right dscore - t_r right score) / p_r
+                right_score = tables.score_total - left_score
+                right_score *= t_r[:, None]
+                work -= right_score
+                work /= p_r[:, None]
+                base_score = t_l[:, None] * left_score
+                np.subtract(left_dscore, base_score, out=base_score)
+                base_score /= p_l[:, None]
+                base_score -= work
                 cross = np.einsum("cq,cq->c", base_score, c)
                 variance = (base_sq + 2.0 * tables.corr_sign * cross + corr_sq) / n_p / n_p
             else:
@@ -394,11 +425,11 @@ def candidate_statistics(
                     + 2.0 * t_hat * (total_delta - left_delta) / p_r
                     + n_r * t_hat**2
                 )
-                base_score = (
-                    left_dscore / p_l[:, None]
-                    - (tables.dscore_total[None, :] - left_dscore) / p_r[:, None]
-                    - t_hat[:, None] * tables.score_total[None, :]
-                )
+                # left dscore / p_l - right dscore / p_r - t_hat score total
+                work /= p_r[:, None]
+                base_score = left_dscore / p_l[:, None]
+                base_score -= work
+                base_score -= t_hat[:, None] * tables.score_total[None, :]
                 cross = np.einsum("cq,cq->c", base_score, c)
                 sum_sq = base_sq + 2.0 * tables.corr_sign * cross + corr_sq
                 variance = (sum_sq / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
@@ -464,7 +495,7 @@ def find_best_split(
     # partition, so the stored values match the partition exactly even if a
     # midpoint threshold rounded onto a data value.
     left_local = rule.goes_left(data, rows)
-    left_agg = _packed_matrix(tables, sandwich)[left_local].sum(axis=0)[None, :]
+    left_agg = mat[left_local].sum(axis=0)[None, :]
     stats, adm, t_hats, variances = candidate_statistics(
         tables, left_agg, n_p, min_node, min_per_arm, variance_method,
     )

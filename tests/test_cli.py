@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from efftree.cli import main
-from efftree.data import write_csv
+from efftree.data import Categorical, Continuous, Dataset, Schema, write_csv
 from efftree.simulate import SimSetting, generate
 from efftree.tree import schema_to_dict
 
@@ -71,6 +71,40 @@ def test_fit_bad_data_path(heterog_csv, tmp_path):
     code = run_cli(["fit", "--data", tmp_path / "missing.csv", "--schema", schema_path,
                     "--estimator", "g", "--outcome-spec", "1 + A", "--out", tmp_path])
     assert code == 3
+
+
+def test_fit_too_many_categorical_levels_is_a_data_error(tmp_path, capsys):
+    levels = tuple(f"L{i}" for i in range(16))
+    schema = Schema((("x1", Continuous()), ("site", Categorical(levels))),
+                    treatment="A", outcome="Y")
+    rng = np.random.default_rng(7)
+    n = 160
+    data = Dataset(schema, {"x1": rng.standard_normal(n), "site": np.arange(n) % 16},
+                   np.arange(n) % 2, rng.standard_normal(n))
+    csv_path = tmp_path / "wide.csv"
+    write_csv(data, csv_path)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema_to_dict(schema)), encoding="utf-8")
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,
+                    "--estimator", "g", "--outcome-spec", "1 + A + x1", "--out", tmp_path])
+    assert code == 3
+    assert "'site'" in capsys.readouterr().err
+
+
+def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsys):
+    # Two-row terminals with one row per arm: every resample leaves some
+    # terminal without an arm, so every replicate is dropped.
+    data, _ = generate(SimSetting("heterogeneous", n=200, seed=51))
+    csv_path = tmp_path / "small.csv"
+    write_csv(data, csv_path)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema_to_dict(data.schema)), encoding="utf-8")
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,
+                    "--estimator", "ipw", "--propensity-spec", "1",
+                    "--min-node", 2, "--min-per-arm", 1, "--lambda", 0, "--train-frac", 1,
+                    "--bootstrap", 2, "--out", tmp_path])
+    assert code == 4
+    assert "all bootstrap replicates were dropped" in capsys.readouterr().err
 
 
 def test_fit_deterministic_artifacts(heterog_csv, tmp_path):
@@ -139,6 +173,14 @@ def test_simulate_single_replicate(capsys):
     assert payload["results"]["replications"] == 1
     assert "mean_fit_seconds" not in payload["results"]
     assert 0.0 <= payload["results"]["correct_tree_prop"] <= 1.0
+
+
+def test_simulate_all_replicates_failing_is_a_fit_failure(capsys):
+    # 40 build rows cannot hold a 100-row root, so every replicate fails
+    code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 2,
+                    "--n", 50, "--min-node", 100, "--threads", 1])
+    assert code == 4
+    assert "all replicates failed" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unknown_setting():

@@ -11,6 +11,7 @@ from efftree.data import (
     SubgroupMask,
     load_csv,
     subgroup_count,
+    text_blocks,
     write_csv,
 )
 
@@ -73,6 +74,13 @@ def test_load_csv_header_mismatch(tmp_path):
         load_csv(path, schema_simple())
 
 
+def test_load_csv_rejects_duplicated_header_column(tmp_path):
+    # the header's column set matches the schema, but x1 appears twice
+    path = write(tmp_path, "x1,x1,color,A,Y\n1.0,2.0,red,1,1.0\n")
+    with pytest.raises(DataError, match="duplicated header column.*x1"):
+        load_csv(path, schema_simple())
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     n = 40
@@ -91,6 +99,46 @@ def test_csv_round_trip(tmp_path):
     write_csv(data, path)
     again = load_csv(path, schema)
     assert again == data
+
+
+def test_text_blocks_match_per_cell_text_across_block_edges():
+    rng = np.random.default_rng(5)
+    n = 11
+    schema = Schema(
+        (("x1", Continuous()), ("color", Categorical(("red", "green", "blue"))),
+         ("grade", Ordinal(("low", "mid", "high")))),
+        treatment="A",
+        outcome="Y",
+    )
+    data = Dataset(
+        schema,
+        {"x1": rng.standard_normal(n) * 1e3, "color": rng.integers(0, 3, n),
+         "grade": rng.integers(0, 3, n)},
+        rng.integers(0, 2, n),
+        rng.standard_normal(n) / 7.0,
+    )
+    expected = [
+        [repr(float(data.covariates["x1"][i])),
+         schema.kind_of("color").levels[data.covariates["color"][i]],
+         schema.kind_of("grade").levels[data.covariates["grade"][i]],
+         str(int(data.treatment[i])), repr(float(data.outcome[i]))]
+        for i in range(n)
+    ]
+    got, spans = [], []
+    for start, stop, columns in text_blocks(data, block=4):
+        spans.append((start, stop))
+        got.extend(list(row) for row in zip(*columns))
+    assert spans == [(0, 4), (4, 8), (8, 11)]
+    assert got == expected
+
+
+def test_load_csv_strips_cells_and_drops_padded_missing(tmp_path):
+    path = write(tmp_path, "x1,color,A,Y\n 1.5 , red ,1, 2.0\n2.0,green,0, NA \n")
+    data = load_csv(path, schema_simple())
+    assert data.n == 1
+    assert data.covariates["x1"][0] == 1.5
+    assert data.covariates["color"][0] == 0
+    assert data.treatment[0] == 1 and data.outcome[0] == 2.0
 
 
 def test_dataset_rejects_bad_treatment():
@@ -140,3 +188,14 @@ def test_dataset_immutable():
         data.outcome[0] = 5.0
     with pytest.raises(ValueError):
         data.column("x1")[0] = 5.0
+
+
+def test_mask_from_indices_accepts_arrays_and_iterables():
+    expected = np.array([False, True, False, True, True])
+    for indices in (np.array([1, 3, 4]), np.array([4, 1, 3], dtype=np.int32), [1, 3, 4],
+                    (1, 3, 4), (i for i in (1, 3, 4))):
+        mask = SubgroupMask.from_indices(5, indices)
+        assert np.array_equal(mask.bits, expected)
+        assert mask.size == 3
+    assert SubgroupMask.from_indices(5, np.array([], dtype=np.int64)).size == 0
+    assert SubgroupMask.from_indices(5, []).size == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from efftree.data import Continuous, Dataset, Schema, SubgroupMask
+from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
 from efftree.glm import (
     FitError,
     build_design,
@@ -253,3 +253,71 @@ def test_treatment_override_changes_only_treatment_columns():
     assert np.allclose(diff[:, 1], 0)  # x1 main effect
     assert np.allclose(diff[:, 2], 1)  # treatment main effect
     assert np.allclose(diff[:, 3], x1)  # interaction carries the factor
+
+
+ROOT_DESIGN_SPEC = (
+    "1 + A + x1 + c + g + exp(x2) + cube(x1) + gt(x2,0.1) + lt(x1,-0.2) + in(c,B,D)"
+    " + in(g,hi) + A:x2 + A:c + A:exp(x1) + A:cube(x2) + A:gt(x1,0) + A:lt(x2,0.3)"
+    " + A:in(c,A,C)"
+)
+
+
+def mixed_design_data(n=80, seed=14):
+    rng = np.random.default_rng(seed)
+    schema = Schema(
+        (("x1", Continuous()), ("x2", Continuous()),
+         ("c", Categorical(("A", "B", "C", "D"))), ("g", Ordinal(("lo", "mid", "hi")))),
+        treatment="A", outcome="Y",
+    )
+    covariates = {"x1": rng.standard_normal(n), "x2": rng.standard_normal(n),
+                  "c": rng.integers(0, 4, n), "g": rng.integers(0, 3, n)}
+    return Dataset(schema, covariates, rng.integers(0, 2, n), rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("override", [None, 0, 1])
+def test_subgroup_design_equals_design_of_taken_rows(override):
+    # A subgroup's design is a row slice of the dataset's root design; a
+    # dataset made of just those rows builds its own root design, so the two
+    # must agree exactly, for every transform and treatment override.
+    data = mixed_design_data()
+    spec = parse_spec(ROOT_DESIGN_SPEC, "A")
+    rng = np.random.default_rng(15)
+    for size in (1, 17, data.n):
+        rows = np.sort(rng.choice(data.n, size=size, replace=False))
+        sub = data.take(rows)
+        Z, labels = build_design(data, SubgroupMask.from_indices(data.n, rows), spec, override)
+        Z_sub, labels_sub = build_design(sub, full(sub), spec, override)
+        assert np.array_equal(Z, Z_sub)
+        assert labels == labels_sub
+    assert labels[:3] == ["1", "A", "x1"]
+    assert "c[B]" in labels and "A:c[D]" in labels and "A:in(c,A,C)" in labels
+
+
+def test_design_columns_match_transforms_of_raw_columns():
+    data = mixed_design_data()
+    spec = parse_spec(ROOT_DESIGN_SPEC, "A")
+    rows = np.arange(5, 60, 3)
+    Z, labels = build_design(data, SubgroupMask.from_indices(data.n, rows), spec)
+    col = dict(zip(labels, Z.T))
+    x1, x2 = data.covariates["x1"][rows], data.covariates["x2"][rows]
+    c, g = data.covariates["c"][rows], data.covariates["g"][rows]
+    a = data.treatment[rows].astype(float)
+    assert np.array_equal(col["A"], a)
+    assert np.array_equal(col["exp(x2)"], np.exp(x2))
+    assert np.array_equal(col["cube(x1)"], x1**3)
+    assert np.array_equal(col["gt(x2,0.1)"], (x2 > 0.1).astype(float))
+    assert np.array_equal(col["in(c,B,D)"], np.isin(c, [1, 3]).astype(float))
+    assert np.array_equal(col["in(g,hi)"], (g == 2).astype(float))
+    assert np.array_equal(col["g[mid]"], (g == 1).astype(float))
+    assert np.array_equal(col["A:x2"], x2 * a)
+    assert np.array_equal(col["A:c[C]"], (c == 2) * a)
+    assert np.array_equal(col["A:lt(x2,0.3)"], (x2 < 0.3) * a)
+
+
+def test_design_difference_is_exact_difference_of_overrides():
+    data = mixed_design_data()
+    spec = parse_spec(ROOT_DESIGN_SPEC, "A")
+    mask = SubgroupMask(np.arange(data.n) % 3 != 1)
+    Z1, _ = build_design(data, mask, spec, treatment_override=1)
+    Z0, _ = build_design(data, mask, spec, treatment_override=0)
+    assert np.array_equal(build_design_difference(data, mask, spec), Z1 - Z0)

@@ -156,6 +156,9 @@ def cmd_fit(args) -> int:
         raise CliError(f"data file not found: {args.data}", EXIT_DATA)
     except DataError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
+    if config.outcome_family == "binomial" and not np.isin(data.outcome, (0.0, 1.0)).all():
+        raise CliError(f"bad data: outcome column {schema.outcome!r} must hold only 0 and 1 "
+                       "with --outcome-family binomial", EXIT_DATA)
 
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     perm = rng.permutation(data.n)
@@ -179,6 +182,16 @@ def cmd_fit(args) -> int:
     except (FitError, RuntimeError) as err:
         raise CliError(f"fit failed: {err}", EXIT_FIT)
 
+    intervals = None
+    if args.bootstrap > 0:
+        try:
+            intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
+                                          seed=args.seed, config=config)
+        except RuntimeError as err:
+            raise CliError(f"bootstrap failed: {err}", EXIT_FIT)
+
+    # Written only once every step has succeeded, so a failed fit leaves no
+    # complete-looking output behind.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "tree.json").write_text(final.to_json(indent=2) + "\n", encoding="utf-8")
@@ -186,13 +199,7 @@ def cmd_fit(args) -> int:
     (out_dir / "selection.json").write_text(
         json.dumps(trace.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-
-    if args.bootstrap > 0:
-        try:
-            intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
-                                          seed=args.seed, config=config)
-        except RuntimeError as err:
-            raise CliError(f"bootstrap failed: {err}", EXIT_FIT)
+    if intervals is not None:
         payload = [
             {
                 "terminal": iv.node_id,

@@ -9,11 +9,20 @@ Three estimators of the pair (mu1, mu0) inside a subgroup w are provided:
 * doubly robust: augments the g-formula predictions with inverse-weighted
   residuals, consistent when either nuisance model is correct.
 
+All three write their per-row terms in one place, ``contributions``.
+
 A candidate split of a parent into children (l, r) is scored by the squared
 standardized contrast  statistic = t_hat^2 / var_hat  where t_hat is the
 difference of the two child effects. Variances come either from sandwich
 (M-estimation) formulas that account for nuisance estimation, or from the
 empirical variance of pooled per-observation influence contributions.
+
+For whole and parent scope, growth and validation score splits with the
+batched kernel in ``search``. The scalar functions here (``split_contrast``,
+``ipw_variance_pooled``, ``g_variance_pooled``, ``if_variance`` and
+``ipw_variance_per_child``) score one split at a time; they are the
+reference the kernel is tested against, and child scope, whose models are
+refit per child, scores with them.
 """
 
 from __future__ import annotations
@@ -128,31 +137,93 @@ class SplitContrast:
     statistic: float
 
 
-def truncated_propensity(models: NuisanceModels, data: Dataset, mask: SubgroupMask) -> np.ndarray:
-    """Fitted treated-arm propensity on the masked rows, clipped to [eps, 1-eps]."""
-    if models.propensity is None:
-        raise ValueError("propensity model required")
-    e = predict_mean(models.propensity, data, mask)
-    return np.clip(e, models.epsilon, 1.0 - models.epsilon)
+@dataclass(frozen=True)
+class Contributions:
+    """Per-row terms of a subgroup estimate, one entry per masked row.
+
+    ``d1`` and ``d0`` are the per-row terms whose means are mu1 and mu0, and
+    ``delta`` is the per-row effect contribution. ``e`` is the truncated
+    propensity (IPW, DR), ``g1``/``g0`` the outcome predictions at A=1 and
+    A=0 (g-formula, DR), and ``zdiff`` the kept columns of a gaussian
+    outcome model's design difference Z(A=1) - Z(A=0); each is None where
+    it does not apply.
+    """
+
+    A: np.ndarray
+    Y: np.ndarray
+    e: Optional[np.ndarray]
+    g1: Optional[np.ndarray]
+    g0: Optional[np.ndarray]
+    zdiff: Optional[np.ndarray]
+    d1: np.ndarray
+    d0: np.ndarray
+    delta: np.ndarray
 
 
-def _node_effect(kind: EstimatorKind, mask: SubgroupMask, A: np.ndarray,
-                 d1: np.ndarray, d0: np.ndarray) -> NodeEffect:
-    mu1 = float(d1.mean())
-    mu0 = float(d0.mean())
+def contributions(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
+                  models: NuisanceModels) -> Contributions:
+    """The estimator's per-row terms on the masked rows.
+
+    The g-formula contrast of a gaussian outcome model is taken from the
+    design difference, so a spec without treatment interactions gives an
+    exactly constant delta; the doubly robust delta adds the two
+    inverse-weighted residuals to that contrast.
+    """
+    if mask.size == 0:
+        raise ValueError("empty subgroup")
+    rows = mask.indices()
+    A = data.treatment[rows].astype(np.float64)
+    Y = data.outcome[rows]
+    e = g1 = g0 = zdiff = None
+    if kind != EstimatorKind.GFORMULA:
+        if models.propensity is None:
+            raise ValueError("propensity model required")
+        e = np.clip(predict_mean(models.propensity, data, mask),
+                    models.epsilon, 1.0 - models.epsilon)
+    if kind != EstimatorKind.IPW:
+        outcome = models.outcome
+        if outcome is None:
+            raise ValueError("outcome model required")
+        g1 = predict_mean(outcome, data, mask, treatment_override=1)
+        g0 = predict_mean(outcome, data, mask, treatment_override=0)
+        if outcome.family == "binomial":
+            gdelta = g1 - g0
+        else:
+            zdiff = build_design_difference(data, mask, outcome.spec)[:, outcome.kept]
+            gdelta = zdiff @ outcome.coefficients[outcome.kept]
+
+    if kind == EstimatorKind.IPW:
+        d1 = A * Y / e
+        d0 = (1.0 - A) * Y / (1.0 - e)
+        delta = d1 - d0
+    elif kind == EstimatorKind.GFORMULA:
+        d1, d0, delta = g1, g0, gdelta
+    else:
+        r1 = A * (Y - g1) / e
+        r0 = (1.0 - A) * (Y - g0) / (1.0 - e)
+        d1 = g1 + r1
+        d0 = g0 + r0
+        delta = gdelta + r1 - r0
+    return Contributions(A, Y, e, g1, g0, zdiff, d1, d0, delta)
+
+
+def _estimate(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
+              models: NuisanceModels) -> NodeEffect:
+    c = contributions(kind, data, mask, models)
+    mu1 = float(c.d1.mean())
+    mu0 = float(c.d0.mean())
     effect = mu1 - mu0
-    delta = d1 - d0
-    n_treated = int(A.sum())
+    n_treated = int(c.A.sum())
     return NodeEffect(
         mu1=mu1,
         mu0=mu0,
         effect=effect,
-        influence=delta - effect,
+        influence=c.delta - effect,
         kind=kind,
         n=mask.size,
         n_treated=n_treated,
         n_control=mask.size - n_treated,
-        second_moment=float(np.mean(delta**2)),
+        second_moment=float(np.mean(c.delta**2)),
     )
 
 
@@ -160,47 +231,19 @@ def estimate_ipw(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> N
     """Inverse-probability-weighted subgroup means: each arm's outcomes are
     weighted by the inverse truncated propensity and averaged over the whole
     subgroup."""
-    if mask.size == 0:
-        raise ValueError("empty subgroup")
-    rows = mask.indices()
-    A = data.treatment[rows].astype(np.float64)
-    Y = data.outcome[rows]
-    e1 = truncated_propensity(models, data, mask)
-    d1 = A * Y / e1
-    d0 = (1.0 - A) * Y / (1.0 - e1)
-    return _node_effect(EstimatorKind.IPW, mask, A, d1, d0)
+    return _estimate(EstimatorKind.IPW, data, mask, models)
 
 
 def estimate_g(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> NodeEffect:
     """G-formula subgroup means: outcome-model predictions at A=1 and A=0
     averaged over the subgroup's covariates."""
-    if mask.size == 0:
-        raise ValueError("empty subgroup")
-    if models.outcome is None:
-        raise ValueError("outcome model required")
-    rows = mask.indices()
-    A = data.treatment[rows].astype(np.float64)
-    g1 = predict_mean(models.outcome, data, mask, treatment_override=1)
-    g0 = predict_mean(models.outcome, data, mask, treatment_override=0)
-    return _node_effect(EstimatorKind.GFORMULA, mask, A, g1, g0)
+    return _estimate(EstimatorKind.GFORMULA, data, mask, models)
 
 
 def estimate_dr(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> NodeEffect:
     """Doubly robust subgroup means: g-formula predictions augmented with
     inverse-weighted residuals of the observed arm."""
-    if mask.size == 0:
-        raise ValueError("empty subgroup")
-    if models.outcome is None:
-        raise ValueError("outcome model required")
-    rows = mask.indices()
-    A = data.treatment[rows].astype(np.float64)
-    Y = data.outcome[rows]
-    e1 = truncated_propensity(models, data, mask)
-    g1 = predict_mean(models.outcome, data, mask, treatment_override=1)
-    g0 = predict_mean(models.outcome, data, mask, treatment_override=0)
-    d1 = g1 + A * (Y - g1) / e1
-    d0 = g0 + (1.0 - A) * (Y - g0) / (1.0 - e1)
-    return _node_effect(EstimatorKind.DR, mask, A, d1, d0)
+    return _estimate(EstimatorKind.DR, data, mask, models)
 
 
 ESTIMATE = {
@@ -264,10 +307,6 @@ def ipw_variance_pooled(
     union = SubgroupMask(mask_l.bits | mask_r.bits)
     rows = union.indices()
     in_l = mask_l.bits[rows]
-    A = data.treatment[rows].astype(np.float64)
-    Y = data.outcome[rows]
-    X = _design_kept(fit, data, union)
-    e = np.clip(predict_mean(fit, data, union), epsilon, 1.0 - epsilon)
 
     n_p = union.size
     n_l = int(in_l.sum())
@@ -276,9 +315,10 @@ def ipw_variance_pooled(
         raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, n_r / n_p
 
-    w1 = A * Y / e
-    w0 = (1.0 - A) * Y / (1.0 - e)
-    delta = w1 - w0
+    terms = contributions(EstimatorKind.IPW, data, union,
+                          NuisanceModels(propensity=fit, epsilon=epsilon))
+    A, Y, e, delta = terms.A, terms.Y, terms.e, terms.delta
+    X = _design_kept(fit, data, union)
     t_l = float(delta[in_l].mean())
     t_r = float(delta[~in_l].mean())
     t_hat = t_l - t_r
@@ -325,15 +365,13 @@ def ipw_variance_per_child(
     corr_parts = {}
     delta_parts = {}
     for name, mask, fit in (("l", mask_l, fit_l), ("r", mask_r, fit_r)):
-        rows = mask.indices()
-        A = data.treatment[rows].astype(np.float64)
-        Y = data.outcome[rows]
+        terms = contributions(EstimatorKind.IPW, data, mask,
+                              NuisanceModels(propensity=fit, epsilon=epsilon))
+        A, Y, e, delta = terms.A, terms.Y, terms.e, terms.delta
         X = _design_kept(fit, data, mask)
-        e = np.clip(predict_mean(fit, data, mask), epsilon, 1.0 - epsilon)
-        delta = A * Y / e - (1.0 - A) * Y / (1.0 - e)
         h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
         H = (h[:, None] * X).mean(axis=0)
-        info = (X * (e * (1.0 - e))[:, None]).T @ X / len(rows)
+        info = (X * (e * (1.0 - e))[:, None]).T @ X / mask.size
         try:
             c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), H)
         except scipy.linalg.LinAlgError:
@@ -371,9 +409,6 @@ def g_variance_pooled(
     union = SubgroupMask(mask_l.bits | mask_r.bits)
     rows = union.indices()
     in_l = mask_l.bits[rows]
-    Y = data.outcome[rows]
-    Z = _design_kept(fit, data, union)
-    beta = fit.coefficients[fit.kept]
 
     n_p = union.size
     n_l = int(in_l.sum())
@@ -382,10 +417,10 @@ def g_variance_pooled(
         raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, n_r / n_p
 
+    terms = contributions(EstimatorKind.GFORMULA, data, union, NuisanceModels(outcome=fit))
+    Y, g1, g0, delta = terms.Y, terms.g1, terms.g0, terms.delta
+    Z = _design_kept(fit, data, union)
     if fit.family == "binomial":
-        g1 = predict_mean(fit, data, union, treatment_override=1)
-        g0 = predict_mean(fit, data, union, treatment_override=0)
-        delta = g1 - g0
         ghat = predict_mean(fit, data, union)
         Z1, _ = build_design(data, union, fit.spec, treatment_override=1)
         Z0, _ = build_design(data, union, fit.spec, treatment_override=0)
@@ -393,11 +428,9 @@ def g_variance_pooled(
         info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / n_p
         resid = Y - ghat
     else:
-        zdiff = build_design_difference(data, union, fit.spec)[:, fit.kept]
-        delta = zdiff @ beta
-        ddiff = zdiff
+        ddiff = terms.zdiff
         info = Z.T @ Z / n_p
-        resid = Y - Z @ beta
+        resid = Y - Z @ fit.coefficients[fit.kept]
 
     t_l = float(delta[in_l].mean())
     t_r = float(delta[~in_l].mean())
@@ -457,7 +490,12 @@ def split_contrast(
     whole_models: Optional[NuisanceModels] = None,
     min_per_arm: int = 1,
 ) -> SplitContrast:
-    """Score one candidate split; raises InadmissibleSplitError when it cannot be scored."""
+    """Score one candidate split; raises InadmissibleSplitError when it cannot be scored.
+
+    Production reaches this only for child scope; whole and parent scope
+    are scored by ``search.candidate_statistics``, which tests compare
+    against this function.
+    """
     if (mask_l.bits & mask_r.bits).any():
         raise ValueError("child masks must be disjoint")
     if mask_l.size == 0 or mask_r.size == 0:

@@ -13,6 +13,9 @@ and precomputes I^-1 and I^-1 S I^-1, S the outer product of the per-row
 scores. Each candidate batch then needs two (C x q)(q x q) matrix products,
 c = d I^-1 and the quadratic form d I^-1 S I^-1 d', with d the candidates'
 differences of child-mean gradients, and no solve per candidate.
+A realized partition, such as the winner of a search or a split of a
+fitted tree recomputed on validation rows, is scored as a 1-candidate batch
+(``score_partition``).
 
 Child-scope fitting cannot be batched (each candidate refits its own
 models); that path loops over candidates and scores each one via
@@ -36,10 +39,10 @@ from .estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
+    contributions,
     split_contrast,
-    truncated_propensity,
 )
-from .glm import build_design, build_design_difference, predict_mean
+from .glm import build_design, predict_mean
 
 MAX_CATEGORICAL_LEVELS = 15
 
@@ -217,10 +220,10 @@ class _NodeTables:
     """Per-row quantities entering every candidate statistic at one node,
     plus the node-level sums and matrices every candidate batch reuses."""
 
-    delta: np.ndarray              # per-row effect contribution
-    treated: np.ndarray            # A as float
-    grad: Optional[np.ndarray]     # rows whose child means form the projected vector
-    score: Optional[np.ndarray]    # per-row model score
+    # per row: 1, A, delta, delta^2, then for the sandwich the gradient,
+    # score * delta and (centered only) the score; left-child column sums
+    # of this matrix drive every statistic
+    packed: np.ndarray
     info_inv: Optional[np.ndarray]        # I^-1, inverse information matrix
     sandwich_form: Optional[np.ndarray]   # I^-1 S I^-1, S the score outer product
     score_total: Optional[np.ndarray]
@@ -242,30 +245,8 @@ def node_tables(
     models: NuisanceModels,
 ) -> _NodeTables:
     mask = SubgroupMask.from_indices(data.n, rows)
-    A = data.treatment[rows].astype(np.float64)
-    Y = data.outcome[rows]
-
-    if kind in (EstimatorKind.IPW, EstimatorKind.DR):
-        e = truncated_propensity(models, data, mask)
-    if kind in (EstimatorKind.GFORMULA, EstimatorKind.DR):
-        outcome = models.outcome
-        if kind == EstimatorKind.DR or outcome.family == "binomial":
-            g1 = predict_mean(outcome, data, mask, treatment_override=1)
-            g0 = predict_mean(outcome, data, mask, treatment_override=0)
-        if outcome.family != "binomial":
-            # computed from the design difference so that specs without
-            # treatment interactions give an exactly constant contrast
-            zdiff = build_design_difference(data, mask, outcome.spec)[:, outcome.kept]
-            gdelta = zdiff @ outcome.coefficients[outcome.kept]
-        else:
-            gdelta = g1 - g0
-
-    if kind == EstimatorKind.IPW:
-        delta = A * Y / e - (1.0 - A) * Y / (1.0 - e)
-    elif kind == EstimatorKind.GFORMULA:
-        delta = gdelta
-    else:
-        delta = gdelta + A * (Y - g1) / e - (1.0 - A) * (Y - g0) / (1.0 - e)
+    terms = contributions(kind, data, mask, models)
+    A, Y, e, g1, g0, delta = terms.A, terms.Y, terms.e, terms.g1, terms.g0, terms.delta
 
     grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
@@ -289,7 +270,7 @@ def node_tables(
                 info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / len(rows)
                 resid = Y - ghat
             else:
-                grad = zdiff
+                grad = terms.zdiff
                 info = Z.T @ Z / len(rows)
                 resid = Y - Z @ fit.coefficients[fit.kept]
             score = resid[:, None] * Z
@@ -305,35 +286,26 @@ def node_tables(
         score_total = score.sum(axis=0)
 
     delta_sq = delta**2
+    centered = kind != EstimatorKind.IPW
+    columns = [np.ones(len(rows)), A, delta, delta_sq]
+    dscore = None
+    if score is not None:
+        dscore = score * delta[:, None]
+        columns += [grad, dscore, score] if centered else [grad, dscore]
     return _NodeTables(
-        delta=delta,
-        treated=A,
-        grad=grad,
-        score=score,
+        packed=np.column_stack(columns),
         info_inv=info_inv,
         sandwich_form=sandwich_form,
         score_total=score_total,
-        dscore_total=(score * delta[:, None]).sum(axis=0) if score is not None else None,
+        dscore_total=dscore.sum(axis=0) if dscore is not None else None,
         grad_total=grad.sum(axis=0) if grad is not None else None,
         total_treated=float(A.sum()),
         total_delta=float(delta.sum()),
         total_delta_sq=float(delta_sq.sum()),
         corr_sign=corr_sign,
-        centered=(kind != EstimatorKind.IPW),
+        centered=centered,
         msq=float(np.mean(delta_sq)),
     )
-
-
-def _packed_matrix(tables: _NodeTables, sandwich: bool) -> np.ndarray:
-    """Per-row matrix whose left-child column sums drive every statistic."""
-    n = len(tables.delta)
-    cols = [np.ones(n), tables.treated, tables.delta, tables.delta**2]
-    if sandwich:
-        parts = cols + [tables.grad, tables.score * tables.delta[:, None]]
-        if tables.centered:
-            parts.append(tables.score)
-        return np.column_stack(parts)
-    return np.column_stack(cols)
 
 
 def candidate_statistics(
@@ -346,7 +318,7 @@ def candidate_statistics(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(statistic, admissible, t_hat, variance) arrays for one candidate batch."""
     sandwich = variance_method != VarianceMethod.INFLUENCE
-    q = tables.grad.shape[1] if sandwich else 0
+    q = len(tables.grad_total) if sandwich else 0
 
     left_counts = left_agg[:, 0]
     left_treated = left_agg[:, 1]
@@ -468,16 +440,19 @@ def find_best_split(
         )
 
     n_p = len(rows)
-    tables = node_tables(data, rows, kind, variance_method, models)
-    sandwich = variance_method != VarianceMethod.INFLUENCE
-    mat = _packed_matrix(tables, sandwich)
+    try:
+        tables = node_tables(data, rows, kind, variance_method, models)
+    except InadmissibleSplitError:
+        # e.g. the information matrix on the node's rows is singular for
+        # the whole-scope model's columns: the node stays terminal
+        return None
 
-    best = None  # (stat, rule, t_hat, var)
+    best = None  # (stat, rule)
     n_cand = 0
     n_adm = 0
     for block in iter_candidate_blocks(data, rows):
-        left_agg = block.aggregate(mat)
-        stats, adm, t_hats, variances = candidate_statistics(
+        left_agg = block.aggregate(tables.packed)
+        stats, adm, _, _ = candidate_statistics(
             tables, left_agg, n_p, min_node, min_per_arm, variance_method,
         )
         n_cand += block.n_rules
@@ -486,30 +461,39 @@ def find_best_split(
             continue
         j = int(np.argmax(stats))
         if stats[j] > 0.0 and (best is None or stats[j] > best[0]):
-            best = (float(stats[j]), block.make_rule(j), float(t_hats[j]), float(variances[j]))
+            best = (float(stats[j]), block.make_rule(j))
     if best is None:
         return None
 
-    stat, rule, t_hat, variance = best
+    rule = best[1]
     # Rebuild the winner from its rule and rescore from the realized
     # partition, so the stored values match the partition exactly even if a
     # midpoint threshold rounded onto a data value.
     left_local = rule.goes_left(data, rows)
-    left_agg = mat[left_local].sum(axis=0)[None, :]
-    stats, adm, t_hats, variances = candidate_statistics(
-        tables, left_agg, n_p, min_node, min_per_arm, variance_method,
-    )
-    if not adm[0] or stats[0] <= 0.0:
+    scored = score_partition(tables, left_local, min_node, min_per_arm, variance_method)
+    if scored is None or scored[0] <= 0.0:
         return None
-    return BestSplit(
-        rule=rule,
-        statistic=float(stats[0]),
-        t_hat=float(t_hats[0]),
-        variance=float(variances[0]),
-        left_local=left_local,
-        n_candidates=n_cand,
-        n_admissible=n_adm,
+    statistic, t_hat, variance = scored
+    return BestSplit(rule, statistic, t_hat, variance, left_local, n_cand, n_adm)
+
+
+def score_partition(
+    tables: _NodeTables,
+    left_local: np.ndarray,
+    min_node: int,
+    min_per_arm: int,
+    variance_method: VarianceMethod,
+) -> Optional[tuple[float, float, float]]:
+    """(statistic, t_hat, variance) of one realized partition of the node's
+    rows (``left_local`` is left membership over them), scored as a
+    1-candidate batch; None when the partition is inadmissible."""
+    left_agg = tables.packed[left_local].sum(axis=0)[None, :]
+    stats, adm, t_hats, variances = candidate_statistics(
+        tables, left_agg, len(left_local), min_node, min_per_arm, variance_method,
     )
+    if not adm[0]:
+        return None
+    return float(stats[0]), float(t_hats[0]), float(variances[0])
 
 
 def _find_best_split_childfit(

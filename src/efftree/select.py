@@ -3,7 +3,9 @@
 Each candidate subtree is scored by recomputing its internal-node splitting
 statistics from validation rows routed down the tree and penalizing the
 internal-node count; the candidate maximizing this validation split
-complexity wins, ties going to the smaller tree. Bootstrap intervals
+complexity wins, ties going to the smaller tree. Under whole and parent
+scope a node's validation statistic comes from the same batched kernel that
+scored it during growth (``search.score_partition``). Bootstrap intervals
 re-estimate terminal effects on resamples while keeping the structure fixed.
 """
 
@@ -20,13 +22,12 @@ from .estimators import (
     EstimatorKind,
     FitError,
     InadmissibleSplitError,
-    NuisanceModels,
     NuisanceScope,
-    VarianceMethod,
     fit_nuisance,
     split_contrast,
 )
 from .prune import PruneSequence
+from .search import node_tables, score_partition
 from .tree import GrowConfig, Tree
 
 __all__ = [
@@ -39,45 +40,25 @@ __all__ = [
 ]
 
 
-def _route_rows_per_node(tree: Tree, data: Dataset) -> dict[int, np.ndarray]:
-    """Row indices of `data` reaching each node of the tree."""
-    reach: dict[int, np.ndarray] = {tree.root_id: np.arange(data.n)}
-    order = [tree.root_id]
-    for node_id in order:
-        nd = tree.node(node_id)
-        if nd.is_terminal:
-            continue
-        rows = reach[node_id]
-        left = nd.rule.goes_left(data, rows)
-        known = nd.rule.is_known(data, rows)
-        if not known.all():
-            bigger_left = tree.node(nd.left).n >= tree.node(nd.right).n
-            left = np.where(known, left, bigger_left)
-        reach[nd.left] = rows[left]
-        reach[nd.right] = rows[~left]
-        order.extend([nd.left, nd.right])
-    return reach
-
-
 def validation_statistics(
     tree: Tree,
     validation: Dataset,
     config: Optional[GrowConfig] = None,
-    whole_models: Optional[NuisanceModels] = None,
-    reuse_training_fits: bool = False,
 ) -> dict[int, float]:
     """Splitting statistic of each internal node recomputed on validation rows.
 
     Nuisance models are refit on the validation rows per the configured
-    scope unless ``reuse_training_fits`` is set, in which case each node's
-    training-time models are used to score validation rows. A node whose
-    statistic cannot be computed (empty child arm, failed fit, degenerate
-    variance) contributes 0.
+    scope: one fit on all of them (whole), one on the rows reaching the node
+    (parent), or one per child (child). Whole and parent scope score each
+    node's realized partition with the batched kernel; child scope with
+    ``split_contrast``. Every child and arm needs one row. A node whose
+    statistic cannot be computed (empty child or arm, failed fit,
+    degenerate variance) contributes 0.
     """
     config = config or tree.config
-    reach = _route_rows_per_node(tree, validation)
-    stats: dict[int, float] = {}
-    if config.scope == NuisanceScope.WHOLE and whole_models is None and not reuse_training_fits:
+    reach = tree.rows_by_node(validation)
+    whole_models = None
+    if config.scope == NuisanceScope.WHOLE:
         try:
             whole_models = fit_nuisance(
                 validation, SubgroupMask.full(validation.n), config.estimator,
@@ -85,8 +66,9 @@ def validation_statistics(
                 config.outcome_family,
             )
         except FitError:
-            whole_models = None
+            return dict.fromkeys(tree.internal_ids(), 0.0)
 
+    stats: dict[int, float] = {}
     for node_id in tree.internal_ids():
         nd = tree.node(node_id)
         rows = reach[node_id]
@@ -95,55 +77,36 @@ def validation_statistics(
         if len(left_rows) == 0 or len(right_rows) == 0:
             stats[node_id] = 0.0
             continue
-        mask_l = SubgroupMask.from_indices(validation.n, left_rows)
-        mask_r = SubgroupMask.from_indices(validation.n, right_rows)
         try:
-            if reuse_training_fits:
-                contrast = _contrast_with_models(
-                    validation, mask_l, mask_r, config, nd.models or whole_models
-                )
-            else:
-                contrast = split_contrast(
-                    validation, mask_l, mask_r, config.estimator, config.scope,
+            if config.scope == NuisanceScope.CHILD:
+                stats[node_id] = split_contrast(
+                    validation,
+                    SubgroupMask.from_indices(validation.n, left_rows),
+                    SubgroupMask.from_indices(validation.n, right_rows),
+                    config.estimator, config.scope,
                     propensity_spec=config.propensity_spec,
                     outcome_spec=config.outcome_spec,
                     epsilon=config.epsilon,
                     variance_method=config.variance_method,
                     outcome_family=config.outcome_family,
-                    whole_models=whole_models,
                     min_per_arm=1,
-                )
-            stats[node_id] = contrast.statistic
-        except (InadmissibleSplitError, FitError, ValueError):
+                ).statistic
+            else:
+                models = whole_models
+                if models is None:
+                    models = fit_nuisance(
+                        validation, SubgroupMask.from_indices(validation.n, rows),
+                        config.estimator, config.propensity_spec, config.outcome_spec,
+                        config.epsilon, config.outcome_family,
+                    )
+                tables = node_tables(validation, rows, config.estimator,
+                                     config.variance_method, models)
+                scored = score_partition(tables, np.isin(rows, left_rows), 1, 1,
+                                         config.variance_method)
+                stats[node_id] = 0.0 if scored is None else scored[0]
+        except (InadmissibleSplitError, FitError):
             stats[node_id] = 0.0
     return stats
-
-
-def _contrast_with_models(validation, mask_l, mask_r, config, models):
-    """Validation statistic from stored training-time models."""
-    from .estimators import (
-        SplitContrast,
-        g_variance_pooled,
-        if_variance,
-        ipw_variance_pooled,
-    )
-
-    if models is None:
-        raise InadmissibleSplitError("no stored models for node")
-    effect_l = ESTIMATE[config.estimator](validation, mask_l, models)
-    effect_r = ESTIMATE[config.estimator](validation, mask_r, models)
-    if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR):
-        if effect_l.arm_empty or effect_r.arm_empty:
-            raise InadmissibleSplitError("empty child arm")
-    t_hat = effect_l.effect - effect_r.effect
-    n_union = mask_l.size + mask_r.size
-    if config.variance_method == VarianceMethod.INFLUENCE or config.estimator == EstimatorKind.DR:
-        variance = if_variance(effect_l, effect_r, n_union)
-    elif config.estimator == EstimatorKind.IPW:
-        variance = ipw_variance_pooled(validation, mask_l, mask_r, models.propensity, config.epsilon)
-    else:
-        variance = g_variance_pooled(validation, mask_l, mask_r, models.outcome)
-    return SplitContrast(t_hat=t_hat, variance=variance, statistic=t_hat**2 / variance)
 
 
 def validation_complexity(
@@ -151,10 +114,9 @@ def validation_complexity(
     validation: Dataset,
     lam: float,
     config: Optional[GrowConfig] = None,
-    reuse_training_fits: bool = False,
 ) -> float:
     """Validation-set split complexity: recomputed statistics minus lam per internal node."""
-    stats = validation_statistics(tree, validation, config, reuse_training_fits=reuse_training_fits)
+    stats = validation_statistics(tree, validation, config)
     return sum(stats.values()) - lam * len(stats)
 
 
@@ -181,7 +143,6 @@ def select_final(
     validation: Dataset,
     lam: float,
     config: Optional[GrowConfig] = None,
-    reuse_training_fits: bool = False,
 ) -> tuple[Tree, SelectionTrace]:
     """Candidate maximizing validation split complexity; ties prefer fewer internal nodes.
 
@@ -191,9 +152,7 @@ def select_final(
     """
     if not sequence.trees:
         raise ValueError("empty prune sequence")
-    full_stats = validation_statistics(
-        sequence.trees[0], validation, config, reuse_training_fits=reuse_training_fits
-    )
+    full_stats = validation_statistics(sequence.trees[0], validation, config)
     complexities = [
         sum(full_stats[i] for i in t.internal_ids()) - lam * t.n_internal()
         for t in sequence.trees
@@ -279,7 +238,7 @@ def bootstrap_effects(
 def _terminal_effects(tree: Tree, sample: Dataset, config: GrowConfig,
                       terminal_ids: list[int]) -> Optional[dict[int, float]]:
     """Terminal effects on one bootstrap sample, or None if the replicate is unusable."""
-    reach = _route_rows_per_node(tree, sample)
+    reach = tree.rows_by_node(sample)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:

@@ -22,6 +22,7 @@ import numpy as np
 from .data import Categorical, Continuous, Dataset, Schema, SubgroupMask
 from .estimators import EstimatorKind, NuisanceScope
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
+from .search import SplitRule
 from .select import select_final
 from .tree import GrowConfig, Tree, grow_max_tree
 
@@ -274,6 +275,15 @@ def mse(tree: Tree, test: Dataset, oracle: TruthOracle) -> float:
     return float(np.mean((pred - oracle.true_cate(test)) ** 2))
 
 
+def _level_partition(rule: SplitRule, levels: tuple[str, ...]) -> frozenset:
+    """The unordered pair of level sets a categorical or ordinal split makes."""
+    if rule.kind == "subset":
+        left = frozenset(rule.left_levels)
+    else:
+        left = frozenset(levels[: rule.cut + 1])
+    return frozenset([left, frozenset(levels) - left])
+
+
 def _tree_split_summary(tree: Tree) -> tuple[dict[str, int], dict[str, list[frozenset]]]:
     continuous: dict[str, int] = {}
     categorical: dict[str, list[frozenset]] = {}
@@ -283,12 +293,7 @@ def _tree_split_summary(tree: Tree) -> tuple[dict[str, int], dict[str, list[froz
         if isinstance(kind, Continuous):
             continuous[rule.column] = continuous.get(rule.column, 0) + 1
         else:
-            if rule.kind == "subset":
-                left = frozenset(rule.left_levels)
-            else:
-                left = frozenset(kind.levels[: rule.cut + 1])
-            partition = frozenset([left, frozenset(kind.levels) - left])
-            categorical.setdefault(rule.column, []).append(partition)
+            categorical.setdefault(rule.column, []).append(_level_partition(rule, kind.levels))
     return continuous, categorical
 
 
@@ -327,13 +332,8 @@ def correct_first_split(max_tree: Tree, oracle: TruthOracle) -> bool:
     if oracle.categorical_splits:
         if rule.column not in oracle.categorical_splits:
             return False
-        kind = max_tree.schema.kind_of(rule.column)
-        if rule.kind == "subset":
-            left = frozenset(rule.left_levels)
-        else:
-            left = frozenset(kind.levels[: rule.cut + 1])
-        partition = frozenset([left, frozenset(kind.levels) - left])
-        return partition in oracle.categorical_splits[rule.column]
+        levels = max_tree.schema.kind_of(rule.column).levels
+        return _level_partition(rule, levels) in oracle.categorical_splits[rule.column]
     return False
 
 

@@ -108,7 +108,6 @@ class TreeNode:
     right: Optional[int] = None
     # training-time attachments, not serialized
     rows: Optional[np.ndarray] = None
-    models: Optional[NuisanceModels] = None
     n_candidates: int = 0
     n_admissible: int = 0
 
@@ -170,41 +169,46 @@ class Tree:
             nodes[i] = nd
         return Tree(nodes, self.root_id, self.config, self.schema)
 
-    def route(self, data: Dataset, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """Terminal node id reached by each row.
+    def rows_by_node(self, data: Dataset) -> dict[int, np.ndarray]:
+        """Ascending indices of the rows of ``data`` reaching each node.
 
-        Rows with a categorical level unseen at the split are sent to the
+        Rows with a categorical level unseen at a split are sent to the
         child with the larger training membership.
         """
         if data.schema != self.schema:
             raise ValueError("dataset schema does not match the tree's schema")
-        if rows is None:
-            rows = np.arange(data.n)
-        out = np.empty(len(rows), dtype=np.int64)
-        self._route_into(self.root_id, data, rows, np.arange(len(rows)), out)
+        reach = {self.root_id: np.arange(data.n)}
+        order = [self.root_id]
+        for node_id in order:
+            nd = self.nodes[node_id]
+            if nd.is_terminal:
+                continue
+            rows = reach[node_id]
+            left = nd.rule.goes_left(data, rows)
+            known = nd.rule.is_known(data, rows)
+            if not known.all():
+                bigger_left = self.nodes[nd.left].n >= self.nodes[nd.right].n
+                logger.info(
+                    "%d rows with unseen level for %s routed to the larger child",
+                    int((~known).sum()), nd.rule.column,
+                )
+                left = np.where(known, left, bigger_left)
+            reach[nd.left] = rows[left]
+            reach[nd.right] = rows[~left]
+            order.extend([nd.left, nd.right])
+        return reach
+
+    def route(self, data: Dataset) -> np.ndarray:
+        """Terminal node id reached by each row (see ``rows_by_node``)."""
+        reach = self.rows_by_node(data)
+        out = np.empty(data.n, dtype=np.int64)
+        for node_id in self.terminal_ids():
+            out[reach[node_id]] = node_id
         return out
 
-    def _route_into(self, node_id, data, rows, positions, out):
-        nd = self.nodes[node_id]
-        if nd.is_terminal:
-            out[positions] = node_id
-            return
-        sub = rows[positions]
-        left = nd.rule.goes_left(data, sub)
-        known = nd.rule.is_known(data, sub)
-        if not known.all():
-            bigger_left = self.nodes[nd.left].n >= self.nodes[nd.right].n
-            logger.info(
-                "%d rows with unseen level for %s routed to the larger child",
-                int((~known).sum()), nd.rule.column,
-            )
-            left = np.where(known, left, bigger_left)
-        self._route_into(nd.left, data, rows, positions[left], out)
-        self._route_into(nd.right, data, rows, positions[~left], out)
-
-    def predict(self, data: Dataset, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    def predict(self, data: Dataset) -> np.ndarray:
         """Estimated subgroup effect of the terminal node reached by each row."""
-        terminal = self.route(data, rows)
+        terminal = self.route(data)
         effects = {i: self.nodes[i].effect.effect for i in self.terminal_ids()}
         return np.vectorize(effects.get, otypes=[np.float64])(terminal)
 
@@ -414,7 +418,7 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         effect = ESTIMATE[config.estimator](data, node_mask, effect_models)
         node = TreeNode(
             id=node_id, depth=depth, n=len(node_rows), effect=effect,
-            rows=node_rows, models=effect_models,
+            rows=node_rows,
         )
         nodes[node_id] = node
 

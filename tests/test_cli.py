@@ -105,6 +105,16 @@ def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsy
                     "--bootstrap", 2, "--out", tmp_path])
     assert code == 4
     assert "all bootstrap replicates were dropped" in capsys.readouterr().err
+    assert not (tmp_path / "tree.json").exists()
+
+
+def test_fit_binomial_family_rejects_non_binary_outcome(heterog_csv, tmp_path, capsys):
+    base, csv_path, schema_path, _ = heterog_csv
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,
+                    "--estimator", "g", "--outcome-spec", "1 + A + x1",
+                    "--outcome-family", "binomial", "--out", tmp_path])
+    assert code == 3
+    assert "'Y'" in capsys.readouterr().err
 
 
 def test_fit_deterministic_artifacts(heterog_csv, tmp_path):

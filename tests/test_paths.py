@@ -1,6 +1,5 @@
 """Coverage for the less-traveled configuration paths: binomial-family
-g-formula sandwich, child-scope growth, training-fit reuse in selection, and
-the installed console script."""
+g-formula sandwich, child-scope growth, and the installed console script."""
 
 import shutil
 import subprocess
@@ -18,8 +17,6 @@ from efftree.estimators import (
     split_contrast,
 )
 from efftree.glm import build_design, fit_logistic, parse_spec, predict_mean
-from efftree.prune import weakest_link_sequence
-from efftree.select import select_final, validation_statistics
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, grow_max_tree
 
@@ -114,25 +111,6 @@ def test_child_scope_growth_small():
     assert config_ipw.variance_method == VarianceMethod.PER_CHILD_SANDWICH
     tree_ipw = grow_max_tree(data, SubgroupMask.full(data.n), config_ipw)
     assert tree_ipw.n_internal() <= 1
-
-
-def test_reuse_training_fits_selection():
-    setting = SimSetting("heterogeneous", n=1000, seed=87)
-    data, _ = generate(setting)
-    config = make_config(setting, "dr")
-    build = SubgroupMask(np.arange(data.n) < 800)
-    validation = data.take(np.arange(800, 1000))
-    tree = grow_max_tree(data, build, config)
-    seq = weakest_link_sequence(tree)
-    refit = validation_statistics(tree, validation, config)
-    reused = validation_statistics(tree, validation, config, reuse_training_fits=True)
-    assert set(refit) == set(reused)
-    # both ways the strong first split keeps a large statistic
-    root_id = tree.root_id
-    assert refit[root_id] > 3.84
-    assert reused[root_id] > 3.84
-    final, _ = select_final(seq, validation, 3.84, config, reuse_training_fits=True)
-    assert final.n_internal() >= 1
 
 
 def test_console_script_entry_point():

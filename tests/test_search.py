@@ -16,7 +16,6 @@ from efftree.search import (
     find_best_split,
     iter_candidate_blocks,
     node_tables,
-    _packed_matrix,
 )
 
 
@@ -61,11 +60,10 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance):
     rows = np.arange(data.n)
     models = fit_nuisance(data, SubgroupMask.full(data.n), kind, P_SPEC, O_SPEC, 0.01)
     tables = node_tables(data, rows, kind, variance, models)
-    mat = _packed_matrix(tables, variance != VarianceMethod.INFLUENCE)
 
     checked = 0
     for block in iter_candidate_blocks(data, rows):
-        left_agg = block.aggregate(mat)
+        left_agg = block.aggregate(tables.packed)
         stats, adm, t_hats, variances = candidate_statistics(
             tables, left_agg, data.n, 20, 5, variance
         )

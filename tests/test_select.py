@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from efftree import select
 from efftree.data import SubgroupMask
-from efftree.estimators import InadmissibleSplitError, split_contrast
+from efftree.estimators import InadmissibleSplitError, NuisanceScope, fit_nuisance, split_contrast
 from efftree.prune import DEFAULT_LAMBDA, PruneSequence, weakest_link_sequence
 from efftree.select import (
     bootstrap_effects,
@@ -42,13 +43,22 @@ def test_validation_complexity_arithmetic_once_statistic_known():
     assert got == pytest.approx(stat - 3.84)
 
 
-def test_validation_statistics_match_route_and_recompute_oracle():
-    data, validation, config, tree, seq = fit_sequence(n=900, seed=11)
+@pytest.mark.parametrize("scope", ["whole", "parent"])
+@pytest.mark.parametrize("estimator", ["ipw", "g", "dr"])
+def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope):
+    data, validation, config, tree, seq = fit_sequence(
+        n=900, seed=11, estimator=estimator, scope=NuisanceScope(scope))
     candidate = seq.trees[0]
     stats = validation_statistics(candidate, validation, config)
+    whole_models = None
+    if config.scope == NuisanceScope.WHOLE:
+        whole_models = fit_nuisance(
+            validation, SubgroupMask.full(validation.n), config.estimator,
+            config.propensity_spec, config.outcome_spec, config.epsilon, config.outcome_family,
+        )
 
     # oracle: walk the tree, routing validation rows and recomputing each
-    # internal statistic independently
+    # internal statistic independently with the scalar split contrast
     def assign(node_id, rows, out):
         node = candidate.node(node_id)
         if node.is_terminal:
@@ -75,12 +85,26 @@ def test_validation_statistics_match_route_and_recompute_oracle():
                 outcome_spec=config.outcome_spec,
                 epsilon=config.epsilon,
                 variance_method=config.variance_method,
+                outcome_family=config.outcome_family,
+                whole_models=whole_models,
                 min_per_arm=1,
             )
             expected = contrast.statistic
         except InadmissibleSplitError:
             expected = 0.0
         assert stats[node_id] == pytest.approx(expected, rel=1e-8)
+
+
+def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
+    data, validation, config, tree, seq = fit_sequence(n=600, seed=7)
+    assert tree.n_internal() >= 1
+
+    def broken_fit(*args, **kwargs):
+        raise ValueError("bad configuration")
+
+    monkeypatch.setattr(select, "fit_nuisance", broken_fit)
+    with pytest.raises(ValueError, match="bad configuration"):
+        validation_statistics(tree, validation, config)
 
 
 def test_incomputable_node_counts_in_penalty():

@@ -9,10 +9,11 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
+    fit_nuisance,
     split_contrast,
 )
 from efftree.glm import parse_spec
-from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits
+from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits, node_tables
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree, tree_from_dict
 
@@ -187,6 +188,29 @@ def test_equal_statistics_tie_break_to_first_column():
     assert root.rule.column == "x1"
 
 
+def test_whole_scope_singular_child_information_leaves_node_terminal():
+    # gt(x1,2.5) is zero on every row of some nodes, so the root-fitted
+    # model's information matrix is singular there; those nodes stay
+    # terminal instead of aborting growth
+    data, _ = generate(SimSetting("heterogeneous", n=1000, seed=1))
+    config = GrowConfig.from_strings(
+        "g", "A", outcome="1 + A + x1 + gt(x1,2.5) + A:x2",
+        scope=NuisanceScope.WHOLE, variance_method=VarianceMethod.POOLED_SANDWICH,
+    )
+    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    assert tree.n_internal() >= 1
+    whole = fit_nuisance(data, SubgroupMask.full(data.n), config.estimator, None,
+                         config.outcome_spec, config.epsilon)
+    singular = []
+    for node_id in tree.terminal_ids():
+        try:
+            node_tables(data, tree.node(node_id).rows, config.estimator,
+                        config.variance_method, whole)
+        except InadmissibleSplitError:
+            singular.append(node_id)
+    assert singular
+
+
 def test_internal_nodes_carry_positive_statistic():
     data, _, config = grow_setting(n=800, seed=19)
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
@@ -288,9 +312,12 @@ def test_predict_matches_hand_traced_paths():
         assert pred[i] == expected
 
 
-def test_route_unseen_level_goes_to_larger_child():
-    kinds = {"c": Categorical(("A", "B", "C"))}
-    data = make_data({"c": [0, 1, 0, 1]}, [0, 1, 0, 1], [0.0] * 4, kinds)
+UNSEEN_KINDS = {"c": Categorical(("A", "B", "C"))}
+
+
+def unseen_level_tree():
+    """Split on c in {A} vs {B}: level C was unseen at the split."""
+    data = make_data({"c": [0, 1, 0, 1]}, [0, 1, 0, 1], [0.0] * 4, UNSEEN_KINDS)
     config = GrowConfig(estimator=EstimatorKind.GFORMULA,
                         outcome_spec=parse_spec("1 + A", "A"),
                         min_node=2, min_per_arm=1)
@@ -301,10 +328,25 @@ def test_route_unseen_level_goes_to_larger_child():
         1: TreeNode(id=1, depth=1, n=20, effect=leaf_effect(1.0, 20)),
         2: TreeNode(id=2, depth=1, n=10, effect=leaf_effect(9.0, 10)),
     }
-    tree = Tree(nodes, 0, config, data.schema)
-    scoring = make_data({"c": [2, 2]}, [0, 1], [0.0, 0.0], kinds)  # level C unseen at the split
+    return Tree(nodes, 0, config, data.schema)
+
+
+def test_route_unseen_level_goes_to_larger_child():
+    tree = unseen_level_tree()
+    scoring = make_data({"c": [2, 2]}, [0, 1], [0.0, 0.0], UNSEEN_KINDS)
     pred = tree.predict(scoring)
     assert np.allclose(pred, 1.0)  # larger child is the left one
+
+
+def test_rows_by_node_match_route():
+    tree = unseen_level_tree()
+    scoring = make_data({"c": [1, 2, 0, 2, 1]}, [0, 1, 0, 1, 1], [0.0] * 5, UNSEEN_KINDS)
+    reach = tree.rows_by_node(scoring)
+    terminal = tree.route(scoring)
+    np.testing.assert_array_equal(reach[0], np.arange(5))
+    for node_id in tree.terminal_ids():
+        np.testing.assert_array_equal(reach[node_id], np.nonzero(terminal == node_id)[0])
+    np.testing.assert_array_equal(reach[1], [1, 2, 3])  # unseen C rows join the larger child
 
 
 # ---------------------------------------------------------------- serialization

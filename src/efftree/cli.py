@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, load_csv, text_blocks
+from .data import DataError, SubgroupMask, load_csv, text_blocks
 from .estimators import NuisanceScope, VarianceMethod
 from .glm import FitError
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
@@ -27,7 +27,6 @@ from .search import CategoricalCardinalityError
 from .select import bootstrap_effects, select_final
 from .simulate import SimSetting, make_config, run_experiment
 from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
-from .data import SubgroupMask
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3

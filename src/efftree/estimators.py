@@ -207,9 +207,9 @@ def contributions(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
     return Contributions(A, Y, e, g1, g0, zdiff, d1, d0, delta)
 
 
-def _estimate(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
-              models: NuisanceModels) -> NodeEffect:
-    c = contributions(kind, data, mask, models)
+def node_effect(kind: EstimatorKind, c: Contributions) -> NodeEffect:
+    """Subgroup effect estimate from the estimator's per-row terms."""
+    n = len(c.A)
     mu1 = float(c.d1.mean())
     mu0 = float(c.d0.mean())
     effect = mu1 - mu0
@@ -220,11 +220,16 @@ def _estimate(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
         effect=effect,
         influence=c.delta - effect,
         kind=kind,
-        n=mask.size,
+        n=n,
         n_treated=n_treated,
-        n_control=mask.size - n_treated,
+        n_control=n - n_treated,
         second_moment=float(np.mean(c.delta**2)),
     )
+
+
+def _estimate(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
+              models: NuisanceModels) -> NodeEffect:
+    return node_effect(kind, contributions(kind, data, mask, models))
 
 
 def estimate_ipw(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> NodeEffect:

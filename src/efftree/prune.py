@@ -4,10 +4,15 @@ The split complexity of a tree is the sum of its internal-node statistics
 minus a penalty per internal node. Weakest-link pruning repeatedly removes
 the branch whose internal nodes have the smallest mean statistic, producing
 a nested sequence of candidate subtrees that ends at the root-only tree.
+The sequence is a prune order (the max tree and the node pruned at each
+step), built with O(K depth) updates of bottom-up branch sums for K
+internal nodes (Breiman et al. 1984) and no tree copy; selection
+materializes only the chosen candidate.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -27,46 +32,69 @@ def split_complexity(tree: Tree, lam: float,
     return total - lam * len(internal)
 
 
-def branch_mean_statistic(tree: Tree, node_id: int) -> float:
-    """Mean statistic over the internal nodes of the branch rooted at node_id."""
-    ids = tree.branch_internal(node_id)
-    return sum(tree.node(i).statistic for i in ids) / len(ids)
-
-
 @dataclass
 class PruneSequence:
-    """Nested candidate subtrees from the full tree down to root-only."""
+    """Nested candidate subtrees from the max tree down to root-only.
 
-    trees: list[Tree]
+    ``seq[k]`` is a copy of the max tree with the first k nodes of
+    ``pruned_node_per_step`` made terminal; ``seq[0]`` is the max tree itself.
+    """
+
+    tree: Tree
     pruned_node_per_step: list[int]
 
     def __len__(self) -> int:
-        return len(self.trees)
+        return len(self.pruned_node_per_step) + 1
 
-    def to_dict(self) -> dict:
-        return {
-            "trees": [tree.to_dict() for tree in self.trees],
-            "pruned_node_per_step": list(self.pruned_node_per_step),
-        }
+    def __getitem__(self, k: int) -> Tree:
+        if not -len(self) <= k < len(self):
+            raise IndexError("prune sequence index out of range")
+        k %= len(self)
+        return self.tree.prune_at(*self.pruned_node_per_step[:k]) if k else self.tree
 
 
 def weakest_link_sequence(tree: Tree) -> PruneSequence:
-    """Candidate subtree sequence by repeatedly dropping the weakest branch.
+    """Prune order by repeatedly dropping the weakest branch.
 
     At each step the internal node h minimizing the branch mean statistic
     g(h) loses all its descendants (keeping its own effect estimate); ties
-    prefer the smaller node id. The sequence starts at the input tree and
-    ends at the root-only tree.
+    prefer the smaller node id. Each node's branch statistic sum and
+    internal count are kept and, after a prune, taken off its ancestors.
     """
-    trees = [tree]
+    parent: dict[int, int] = {}
+    total: dict[int, float] = {}
+    count: dict[int, int] = {}  # only internal nodes have a count
+
+    def visit(h: int) -> None:  # post-order
+        nd = tree.node(h)
+        if not nd.is_terminal:
+            for child in (nd.left, nd.right):
+                parent[child] = h
+                visit(child)
+            total[h] = nd.statistic + total.get(nd.left, 0.0) + total.get(nd.right, 0.0)
+            count[h] = 1 + count.get(nd.left, 0) + count.get(nd.right, 0)
+
+    visit(tree.root_id)
+
+    # A heap entry is current while its node is internal (still in count)
+    # with the count it was pushed with; every prune below a node lowers it.
+    heap = [(total[h] / count[h], h, count[h]) for h in count]
+    heapq.heapify(heap)
     pruned: list[int] = []
-    current = tree
-    while current.n_internal() > 0:
-        best_id = min(
-            current.internal_ids(),
-            key=lambda h: (branch_mean_statistic(current, h), h),
-        )
-        current = current.prune_at(best_id)
-        trees.append(current)
-        pruned.append(best_id)
-    return PruneSequence(trees, pruned)
+    while heap:
+        _, h, c = heapq.heappop(heap)
+        if count.get(h) != c:
+            continue
+        pruned.append(h)
+        below = [h]
+        while below:  # h and its internal descendants stop being internal
+            d = below.pop()
+            if count.pop(d, None) is not None:
+                below += (tree.node(d).left, tree.node(d).right)
+        a = parent.get(h)
+        while a is not None:
+            total[a] -= total[h]
+            count[a] -= c
+            heapq.heappush(heap, (total[a] / count[a], a, count[a]))
+            a = parent.get(a)
+    return PruneSequence(tree, pruned)

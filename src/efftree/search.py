@@ -34,12 +34,12 @@ import scipy.linalg
 from .data import Categorical, Continuous, Dataset, SubgroupMask
 from .estimators import (
     REL_VAR_TOL,
+    Contributions,
     EstimatorKind,
     InadmissibleSplitError,
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
-    contributions,
     split_contrast,
 )
 from .glm import build_design, predict_mean
@@ -243,14 +243,15 @@ def node_tables(
     kind: EstimatorKind,
     variance_method: VarianceMethod,
     models: NuisanceModels,
+    terms: Contributions,
 ) -> _NodeTables:
-    mask = SubgroupMask.from_indices(data.n, rows)
-    terms = contributions(kind, data, mask, models)
+    """Tables of the node's rows from their per-row ``terms`` under ``models``."""
     A, Y, e, g1, g0, delta = terms.A, terms.Y, terms.e, terms.g1, terms.g0, terms.delta
 
     grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
     if variance_method == VarianceMethod.POOLED_SANDWICH:
+        mask = SubgroupMask.from_indices(data.n, rows)
         if kind == EstimatorKind.IPW:
             fit = models.propensity
             X = build_design(data, mask, fit.spec)[0][:, fit.kept]
@@ -420,7 +421,7 @@ def find_best_split(
     kind: EstimatorKind,
     scope: NuisanceScope,
     variance_method: VarianceMethod,
-    models: Optional[NuisanceModels],
+    tables: Optional[_NodeTables],
     min_node: int,
     min_per_arm: int,
     propensity_spec=None,
@@ -430,6 +431,8 @@ def find_best_split(
 ) -> Optional[BestSplit]:
     """Best admissible candidate split of the node, or None.
 
+    Whole and parent scope score candidates from the node's ``tables``;
+    child scope refits per candidate and reads none.
     Ties on the statistic keep the earlier candidate in enumeration order
     (column order, then threshold / canonical subset / cut order).
     """
@@ -440,13 +443,6 @@ def find_best_split(
         )
 
     n_p = len(rows)
-    try:
-        tables = node_tables(data, rows, kind, variance_method, models)
-    except InadmissibleSplitError:
-        # e.g. the information matrix on the node's rows is singular for
-        # the whole-scope model's columns: the node stays terminal
-        return None
-
     best = None  # (stat, rule)
     n_cand = 0
     n_adm = 0

@@ -23,10 +23,11 @@ from .estimators import (
     FitError,
     InadmissibleSplitError,
     NuisanceScope,
+    contributions,
     fit_nuisance,
     split_contrast,
 )
-from .prune import PruneSequence
+from .prune import PruneSequence, split_complexity
 from .search import node_tables, score_partition
 from .tree import GrowConfig, Tree
 
@@ -92,15 +93,16 @@ def validation_statistics(
                     min_per_arm=1,
                 ).statistic
             else:
+                mask = SubgroupMask.from_indices(validation.n, rows)
                 models = whole_models
                 if models is None:
                     models = fit_nuisance(
-                        validation, SubgroupMask.from_indices(validation.n, rows),
-                        config.estimator, config.propensity_spec, config.outcome_spec,
-                        config.epsilon, config.outcome_family,
+                        validation, mask, config.estimator, config.propensity_spec,
+                        config.outcome_spec, config.epsilon, config.outcome_family,
                     )
+                terms = contributions(config.estimator, validation, mask, models)
                 tables = node_tables(validation, rows, config.estimator,
-                                     config.variance_method, models)
+                                     config.variance_method, models, terms)
                 scored = score_partition(tables, np.isin(rows, left_rows), 1, 1,
                                          config.variance_method)
                 stats[node_id] = 0.0 if scored is None else scored[0]
@@ -116,8 +118,7 @@ def validation_complexity(
     config: Optional[GrowConfig] = None,
 ) -> float:
     """Validation-set split complexity: recomputed statistics minus lam per internal node."""
-    stats = validation_statistics(tree, validation, config)
-    return sum(stats.values()) - lam * len(stats)
+    return split_complexity(tree, lam, validation_statistics(tree, validation, config))
 
 
 @dataclass
@@ -148,23 +149,23 @@ def select_final(
 
     A node's validation statistic is the same in every candidate that
     contains it (pruning preserves ancestors), so the statistics are
-    computed once on the full tree and summed per candidate.
+    computed once on the max tree and summed in ascending id order, as in
+    ``split_complexity``, over each candidate's internal nodes, which follow
+    from the prune order. Only the chosen candidate is materialized.
     """
-    if not sequence.trees:
-        raise ValueError("empty prune sequence")
-    full_stats = validation_statistics(sequence.trees[0], validation, config)
-    complexities = [
-        sum(full_stats[i] for i in t.internal_ids()) - lam * t.n_internal()
-        for t in sequence.trees
-    ]
-    sizes = [t.n_internal() for t in sequence.trees]
-    chosen = 0
-    for i in range(1, len(sequence.trees)):
-        better = complexities[i] > complexities[chosen]
-        tie_smaller = complexities[i] == complexities[chosen] and sizes[i] < sizes[chosen]
-        if better or tie_smaller:
-            chosen = i
-    return sequence.trees[chosen], SelectionTrace(sizes, complexities, chosen)
+    max_tree = sequence[0]
+    stats = validation_statistics(max_tree, validation, config)
+    kept = max_tree.internal_ids()
+    sizes: list[int] = []
+    complexities: list[float] = []
+    for h in sequence.pruned_node_per_step + [None]:
+        sizes.append(len(kept))
+        complexities.append(sum(stats[i] for i in kept) - lam * len(kept))
+        if h is not None:
+            gone = set(max_tree.branch_internal(h))
+            kept = [i for i in kept if i not in gone]
+    chosen = max(range(len(sizes)), key=lambda k: (complexities[k], -sizes[k]))
+    return sequence[chosen], SelectionTrace(sizes, complexities, chosen)
 
 
 @dataclass

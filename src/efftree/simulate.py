@@ -207,17 +207,7 @@ def preset_specs(setting: SimSetting, propensity_variant: str, outcome_variant: 
             "mis-func": "1 + exp(x1) + exp(x2) + exp(x3) + x4 + x5 + x6",
             "unmeasured-cov": "1 + x1 + x3 + x4 + x5 + x6",
         }[propensity_variant]
-        if outcome_variant == "true":
-            if setting.homogeneous:
-                out = "1 + A + x2 + in(x4,B,D)"
-            else:
-                out = "1 + A + x2 + A:in(x4,B,D)"
-        elif outcome_variant == "mis-func":
-            covs = [f"x{j}" for j in range(1, 7)]
-            out = "1 + A + " + " + ".join(covs) + " + " + " + ".join(f"A:{c}" for c in covs)
-        else:
-            covs = [f"x{j}" for j in (1, 3, 4, 5, 6)]
-            out = "1 + A + " + " + ".join(covs) + " + " + " + ".join(f"A:{c}" for c in covs)
+        true_out = "1 + A + x2 + {}in(x4,B,D)"
         family = "binomial"
     else:
         prop = {
@@ -225,18 +215,15 @@ def preset_specs(setting: SimSetting, propensity_variant: str, outcome_variant: 
             "mis-func": "1 + " + " + ".join(f"exp(x{j})" for j in range(1, 7)),
             "unmeasured-cov": "1 + x1 + x3 + x4 + x5 + x6",
         }[propensity_variant]
-        if outcome_variant == "true":
-            if setting.homogeneous:
-                out = "1 + A + lt(x1,0) + exp(x2) + gt(x4,0) + cube(x5)"
-            else:
-                out = "1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)"
-        elif outcome_variant == "mis-func":
-            covs = [f"x{j}" for j in range(1, 7)]
-            out = "1 + A + " + " + ".join(covs) + " + " + " + ".join(f"A:{c}" for c in covs)
-        else:
-            covs = [f"x{j}" for j in (1, 3, 4, 5, 6)]
-            out = "1 + A + " + " + ".join(covs) + " + " + " + ".join(f"A:{c}" for c in covs)
+        true_out = "1 + A + lt(x1,0) + exp(x2) + {}gt(x4,0) + cube(x5)"
         family = "gaussian"
+    if outcome_variant == "true":
+        # the effect modifier enters with A only in the heterogeneous design
+        out = true_out.format("" if setting.homogeneous else "A:")
+    else:
+        kept = range(1, 7) if outcome_variant == "mis-func" else (1, 3, 4, 5, 6)
+        covs = [f"x{j}" for j in kept]
+        out = "1 + A + " + " + ".join(covs) + " + " + " + ".join(f"A:{c}" for c in covs)
     return {"propensity": prop, "outcome": out, "outcome_family": family}
 
 
@@ -249,11 +236,7 @@ def make_config(
 ) -> GrowConfig:
     """GrowConfig with preset nuisance specs for a simulation design."""
     specs = preset_specs(setting, propensity_variant, outcome_variant)
-    kwargs = dict(
-        scope=NuisanceScope.PARENT,
-        outcome_family=specs["outcome_family"],
-    )
-    kwargs.update(overrides)
+    kwargs = {"scope": NuisanceScope.PARENT, "outcome_family": specs["outcome_family"], **overrides}
     return GrowConfig.from_strings(
         estimator=EstimatorKind(estimator).value,
         treatment_name="A",

@@ -19,18 +19,20 @@ import numpy as np
 
 from .data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
 from .estimators import (
-    ESTIMATE,
     EstimatorKind,
     FitError,
+    InadmissibleSplitError,
     NodeEffect,
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
+    contributions,
     default_variance_method,
     fit_nuisance,
+    node_effect,
 )
 from .glm import DesignSpec, parse_spec
-from .search import SplitRule, find_best_split
+from .search import SplitRule, find_best_split, node_tables
 
 logger = logging.getLogger(__name__)
 
@@ -138,35 +140,32 @@ class Tree:
     def n_internal(self) -> int:
         return sum(1 for nd in self.nodes.values() if not nd.is_terminal)
 
-    def descendants(self, node_id: int) -> list[int]:
-        """Strict descendants of a node, preorder."""
+    def branch_internal(self, node_id: int) -> list[int]:
+        """Internal nodes of the subtree rooted at node_id, itself included, preorder."""
         out: list[int] = []
-        nd = self.nodes[node_id]
-        for child in (nd.left, nd.right):
-            if child is not None:
-                out.append(child)
-                out.extend(self.descendants(child))
+        stack = [node_id]
+        while stack:
+            i = stack.pop()
+            nd = self.nodes[i]
+            if not nd.is_terminal:
+                out.append(i)
+                stack += (nd.right, nd.left)
         return out
 
-    def branch_internal(self, node_id: int) -> list[int]:
-        """Internal nodes of the subtree rooted at node_id, itself included."""
-        return [i for i in [node_id] + self.descendants(node_id) if not self.nodes[i].is_terminal]
-
-    def prune_at(self, node_id: int) -> "Tree":
-        """Copy of the tree with all descendants of node_id removed; the node
-        keeps its effect estimate and becomes terminal."""
-        drop = set(self.descendants(node_id))
+    def prune_at(self, *node_ids: int) -> "Tree":
+        """Copy of the tree with all descendants of each given node removed;
+        those nodes keep their effect estimates and become terminal."""
+        cut = set(node_ids)
         nodes = {}
-        for i, nd in self.nodes.items():
-            if i in drop:
+        order = [self.root_id]
+        for i in order:
+            nd = self.nodes[i]
+            if i in cut:
+                nodes[i] = replace(nd, rule=None, statistic=None, left=None, right=None)
                 continue
-            nd = replace(nd)
-            if i == node_id:
-                nd.rule = None
-                nd.statistic = None
-                nd.left = None
-                nd.right = None
-            nodes[i] = nd
+            nodes[i] = replace(nd)
+            if not nd.is_terminal:
+                order += (nd.left, nd.right)
         return Tree(nodes, self.root_id, self.config, self.schema)
 
     def rows_by_node(self, data: Dataset) -> dict[int, np.ndarray]:
@@ -321,25 +320,16 @@ def config_to_dict(config: GrowConfig, treatment_name: str) -> dict:
     }
 
 
-def tree_from_dict(payload: dict, treatment_name: Optional[str] = None) -> Tree:
+def tree_from_dict(payload: dict) -> Tree:
     """Rebuild a tree from its JSON document (effects only, no models)."""
     if payload.get("format") != TREE_FORMAT:
         raise ValueError(f"unsupported tree format {payload.get('format')!r}")
     schema = schema_from_dict(payload["schema"])
-    treat = schema.treatment
     cfg = payload["config"]
-    config = GrowConfig(
-        estimator=EstimatorKind(cfg["estimator"]),
-        propensity_spec=parse_spec(cfg["propensity_spec"], treat) if cfg["propensity_spec"] else None,
-        outcome_spec=parse_spec(cfg["outcome_spec"], treat) if cfg["outcome_spec"] else None,
-        scope=NuisanceScope(cfg["scope"]),
-        variance_method=VarianceMethod(cfg["variance_method"]),
-        min_node=cfg["min_node"],
-        min_per_arm=cfg["min_per_arm"],
-        max_depth=cfg["max_depth"],
-        epsilon=cfg["epsilon"],
-        seed=cfg["seed"],
-        outcome_family=cfg["outcome_family"],
+    config = GrowConfig.from_strings(
+        cfg["estimator"], schema.treatment, cfg["propensity_spec"], cfg["outcome_spec"],
+        **{key: cfg[key] for key in ("scope", "variance_method", "min_node", "min_per_arm",
+                                     "max_depth", "epsilon", "seed", "outcome_family")},
     )
     nodes: dict[int, TreeNode] = {}
     for nd in payload["nodes"]:
@@ -371,26 +361,6 @@ def tree_from_dict(payload: dict, treatment_name: Optional[str] = None) -> Tree:
 # growth
 
 
-def _node_models(data: Dataset, rows: np.ndarray, config: GrowConfig,
-                 whole_models: Optional[NuisanceModels],
-                 parent_models: Optional[NuisanceModels]) -> Optional[NuisanceModels]:
-    """Models used for a node's own effect and (parent scope) its split search.
-
-    Returns None when the node's own fit fails; the caller then falls back
-    to the parent's models for the effect and stops splitting the node.
-    """
-    if config.scope == NuisanceScope.WHOLE:
-        return whole_models
-    try:
-        return fit_nuisance(
-            data, SubgroupMask.from_indices(data.n, rows), config.estimator,
-            config.propensity_spec, config.outcome_spec, config.epsilon,
-            config.outcome_family,
-        )
-    except FitError:
-        return None
-
-
 def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree:
     """Grow the maximum-sized tree by repeatedly taking the largest-statistic split."""
     rows = mask.indices()
@@ -410,12 +380,19 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
               parent_models: Optional[NuisanceModels]) -> int:
         node_id = counter[0]
         counter[0] += 1
-        models = _node_models(data, node_rows, config, whole_models, parent_models)
+        node_mask = SubgroupMask.from_indices(data.n, node_rows)
+        models = whole_models
+        if config.scope != NuisanceScope.WHOLE:
+            try:
+                models = fit_nuisance(data, node_mask, config.estimator, config.propensity_spec,
+                                      config.outcome_spec, config.epsilon, config.outcome_family)
+            except FitError:
+                models = None  # the effect uses the parent's models; parent scope stops here
         effect_models = models if models is not None else parent_models
         if effect_models is None:
             raise FitError("cannot fit nuisance models on the root node")
-        node_mask = SubgroupMask.from_indices(data.n, node_rows)
-        effect = ESTIMATE[config.estimator](data, node_mask, effect_models)
+        terms = contributions(config.estimator, data, node_mask, effect_models)
+        effect = node_effect(config.estimator, terms)
         node = TreeNode(
             id=node_id, depth=depth, n=len(node_rows), effect=effect,
             rows=node_rows,
@@ -432,12 +409,21 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         if not can_split:
             return node_id
 
+        tables = None
+        if config.scope != NuisanceScope.CHILD:
+            try:
+                tables = node_tables(data, node_rows, config.estimator,
+                                     config.variance_method, models, terms)
+            except InadmissibleSplitError:
+                return node_id  # e.g. a singular information matrix on the node's rows
+        del terms  # neither the terms nor the tables may stay alive while children grow
         best = find_best_split(
             data, node_rows, config.estimator, config.scope, config.variance_method,
-            models, config.min_node, config.min_per_arm,
+            tables, config.min_node, config.min_per_arm,
             propensity_spec=config.propensity_spec, outcome_spec=config.outcome_spec,
             epsilon=config.epsilon, outcome_family=config.outcome_family,
         )
+        del tables
         node.n_candidates = 0 if best is None else best.n_candidates
         node.n_admissible = 0 if best is None else best.n_admissible
         if best is None:

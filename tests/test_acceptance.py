@@ -209,7 +209,7 @@ def test_criterion_6_pruning_brute_force_equivalence():
         if seq.pruned_node_per_step != expected_pruned:
             mismatches += 1
             continue
-        if [sorted(t.nodes) for t in seq.trees] != [sorted(t.nodes) for t in expected_trees]:
+        if [sorted(t.nodes) for t in seq] != [sorted(t.nodes) for t in expected_trees]:
             mismatches += 1
     passed = mismatches == 0
     report("criterion 6 (pruning oracle equivalence)", passed,

@@ -1,53 +1,9 @@
 import numpy as np
 import pytest
 
-from efftree.data import Continuous, Schema
-from efftree.estimators import EstimatorKind, NodeEffect
-from efftree.glm import parse_spec
-from efftree.prune import (
-    DEFAULT_LAMBDA,
-    branch_mean_statistic,
-    split_complexity,
-    weakest_link_sequence,
-)
-from efftree.search import SplitRule
-from efftree.tree import GrowConfig, Tree, TreeNode
+from efftree.prune import DEFAULT_LAMBDA, split_complexity, weakest_link_sequence
 
-
-def leaf_effect(value=1.0):
-    return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      kind=EstimatorKind.DR, n=10, n_treated=5, n_control=5,
-                      second_moment=0.0)
-
-
-def schema():
-    return Schema((("x1", Continuous()),), treatment="A", outcome="Y")
-
-
-def config():
-    return GrowConfig(estimator="g", outcome_spec=parse_spec("1 + A", "A"),
-                      min_node=2, min_per_arm=1)
-
-
-def rule(threshold=0.0):
-    return SplitRule("x1", 0, "threshold", threshold=threshold)
-
-
-def build_tree(statistics: dict[int, float], children: dict[int, tuple[int, int]]) -> Tree:
-    """Tree from an explicit parent -> (left, right) map with given statistics."""
-    ids = set(children) | {c for pair in children.values() for c in pair}
-    if not ids:
-        ids = {0}
-    nodes = {}
-    for i in sorted(ids):
-        if i in children:
-            left, right = children[i]
-            nodes[i] = TreeNode(id=i, depth=0, n=10, effect=leaf_effect(),
-                                rule=rule(), statistic=statistics[i],
-                                left=left, right=right)
-        else:
-            nodes[i] = TreeNode(id=i, depth=0, n=10, effect=leaf_effect())
-    return Tree(nodes, 0, config(), schema())
+from util_trees import brute_force_sequence, build_tree, random_tree
 
 
 def test_split_complexity_root_only():
@@ -76,7 +32,7 @@ def test_sequence_root_only_input():
     seq = weakest_link_sequence(tree)
     assert len(seq) == 1
     assert seq.pruned_node_per_step == []
-    assert seq.trees[0].n_internal() == 0
+    assert seq[0].n_internal() == 0
 
 
 def test_sequence_single_internal_node():
@@ -84,72 +40,29 @@ def test_sequence_single_internal_node():
     seq = weakest_link_sequence(tree)
     assert len(seq) == 2
     assert seq.pruned_node_per_step == [0]
-    assert seq.trees[0].n_internal() == 1
-    assert seq.trees[1].n_internal() == 0
+    assert seq[0].n_internal() == 1
+    assert seq[1].n_internal() == 0
 
 
 def test_sequence_three_internal_hand_oracle():
     # statistics: root 10, left child 2, right child 8
     tree = build_tree({0: 10.0, 1: 2.0, 2: 8.0}, {0: (1, 2), 1: (3, 4), 2: (5, 6)})
-    assert branch_mean_statistic(tree, 0) == pytest.approx(20.0 / 3.0)
-    assert branch_mean_statistic(tree, 1) == pytest.approx(2.0)
-    assert branch_mean_statistic(tree, 2) == pytest.approx(8.0)
     seq = weakest_link_sequence(tree)
     # prune left (g=2), then right (g(root)=9 vs g(right)=8), then root
     assert seq.pruned_node_per_step == [1, 2, 0]
     assert len(seq) == 4
-    assert [t.n_internal() for t in seq.trees] == [3, 2, 1, 0]
+    assert [t.n_internal() for t in seq] == [3, 2, 1, 0]
 
 
 def test_pruned_node_keeps_effect_loses_split():
     tree = build_tree({0: 10.0, 1: 2.0}, {0: (1, 2), 1: (3, 4)})
     seq = weakest_link_sequence(tree)
-    pruned = seq.trees[1]
+    pruned = seq[1]
     assert pruned.node(1).is_terminal
     assert pruned.node(1).effect.effect == tree.node(1).effect.effect
     assert 3 not in pruned.nodes and 4 not in pruned.nodes
     # the original tree is untouched
     assert not tree.node(1).is_terminal
-
-
-def random_tree(rng, max_internal=5) -> Tree:
-    """Random binary tree with random positive statistics."""
-    children = {}
-    statistics = {}
-    next_id = [0]
-
-    def build(depth):
-        node_id = next_id[0]
-        next_id[0] += 1
-        n_internal = len(children)
-        if depth < 4 and n_internal < max_internal and rng.random() < 0.6:
-            statistics[node_id] = float(rng.uniform(0.1, 12.0))
-            left = build(depth + 1)
-            right = build(depth + 1)
-            children[node_id] = (left, right)
-        return node_id
-
-    build(0)
-    return build_tree(statistics, children)
-
-
-def brute_force_sequence(tree: Tree):
-    """Re-derivation scanning all internal nodes for the minimizer each step."""
-    pruned = []
-    trees = [tree]
-    current = tree
-    while current.n_internal() > 0:
-        candidates = []
-        for h in current.internal_ids():
-            ids = current.branch_internal(h)
-            g = sum(current.node(i).statistic for i in ids) / len(ids)
-            candidates.append((g, h))
-        candidates.sort()
-        h_star = candidates[0][1]
-        current = current.prune_at(h_star)
-        pruned.append(h_star)
-        trees.append(current)
-    return trees, pruned
 
 
 def test_sequence_matches_brute_force_on_random_trees():
@@ -159,14 +72,14 @@ def test_sequence_matches_brute_force_on_random_trees():
         seq = weakest_link_sequence(tree)
         expected_trees, expected_pruned = brute_force_sequence(tree)
         assert seq.pruned_node_per_step == expected_pruned
-        assert [sorted(t.nodes) for t in seq.trees] == [sorted(t.nodes) for t in expected_trees]
+        assert [sorted(t.nodes) for t in seq] == [sorted(t.nodes) for t in expected_trees]
 
 
 def test_internal_count_strictly_decreases():
     rng = np.random.default_rng(73)
     for _ in range(20):
         seq = weakest_link_sequence(random_tree(rng))
-        sizes = [t.n_internal() for t in seq.trees]
+        sizes = [t.n_internal() for t in seq]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] == 0
 
@@ -178,9 +91,9 @@ def test_rerunning_from_middle_reproduces_tail():
         if len(seq) < 3:
             continue
         k = len(seq) // 2
-        tail = weakest_link_sequence(seq.trees[k])
+        tail = weakest_link_sequence(seq[k])
         assert tail.pruned_node_per_step == seq.pruned_node_per_step[k:]
-        assert [sorted(t.nodes) for t in tail.trees] == [sorted(t.nodes) for t in seq.trees[k:]]
+        assert [sorted(t.nodes) for t in tail] == [sorted(t.nodes) for t in list(seq)[k:]]
 
 
 def test_ties_prune_smaller_node_id():
@@ -189,9 +102,34 @@ def test_ties_prune_smaller_node_id():
     assert seq.pruned_node_per_step[0] == 1
 
 
-def test_sequence_serializes_with_trace():
-    tree = build_tree({0: 10.0, 1: 2.0}, {0: (1, 2), 1: (3, 4)})
-    payload = weakest_link_sequence(tree).to_dict()
-    assert payload["pruned_node_per_step"] == [1, 0]
-    assert len(payload["trees"]) == 3
-    assert all(t["format"] == "cit-tree/1" for t in payload["trees"])
+def complete_tree(statistics, depth):
+    """Complete binary tree of the given depth, heap-numbered; node i has
+    children 2i+1 and 2i+2."""
+    n_internal = 2**depth - 1
+    children = {i: (2 * i + 1, 2 * i + 2) for i in range(n_internal)}
+    return build_tree({i: statistics(i) for i in range(n_internal)}, children)
+
+
+def test_complete_depth_8_tree_matches_brute_force():
+    rng = np.random.default_rng(83)
+    tree = complete_tree(lambda i: float(rng.uniform(0.1, 12.0)), 8)
+    seq = weakest_link_sequence(tree)
+    expected_trees, expected_pruned = brute_force_sequence(tree)
+    assert tree.n_internal() == 255
+    assert seq.pruned_node_per_step == expected_pruned
+    assert [sorted(t.nodes) for t in seq] == [sorted(t.nodes) for t in expected_trees]
+
+
+def test_complete_depth_10_tree_prunes_every_internal_node():
+    # 1023 internal nodes, the largest tree max_depth=10 allows. Statistics
+    # rise toward the root (random within each depth), so every branch mean
+    # exceeds that of its deepest internal node and each step prunes one node.
+    rng = np.random.default_rng(89)
+    tree = complete_tree(
+        lambda i: 12.0 * (11 - (i + 1).bit_length()) + float(rng.uniform(0.0, 12.0)), 10)
+    seq = weakest_link_sequence(tree)
+    assert len(seq.pruned_node_per_step) == 1023
+    sizes = [t.n_internal() for t in seq]
+    assert sizes[0] == 1023
+    assert all(a - b >= 1 for a, b in zip(sizes, sizes[1:]))
+    assert sizes[-1] == 0

@@ -7,6 +7,7 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
+    contributions,
     fit_nuisance,
     split_contrast,
 )
@@ -59,7 +60,8 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance):
     data = mixed_data()
     rows = np.arange(data.n)
     models = fit_nuisance(data, SubgroupMask.full(data.n), kind, P_SPEC, O_SPEC, 0.01)
-    tables = node_tables(data, rows, kind, variance, models)
+    terms = contributions(kind, data, SubgroupMask.full(data.n), models)
+    tables = node_tables(data, rows, kind, variance, models, terms)
 
     checked = 0
     for block in iter_candidate_blocks(data, rows):
@@ -95,8 +97,10 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
     data = mixed_data(seed=67)
     rows = np.arange(data.n)
     models = fit_nuisance(data, SubgroupMask.full(data.n), kind, P_SPEC, O_SPEC, 0.01)
+    terms = contributions(kind, data, SubgroupMask.full(data.n), models)
     best = find_best_split(
-        data, rows, kind, NuisanceScope.PARENT, variance, models,
+        data, rows, kind, NuisanceScope.PARENT, variance,
+        node_tables(data, rows, kind, variance, models, terms),
         min_node=20, min_per_arm=5,
         propensity_spec=P_SPEC, outcome_spec=O_SPEC,
     )

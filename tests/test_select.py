@@ -4,7 +4,7 @@ import pytest
 from efftree import select
 from efftree.data import SubgroupMask
 from efftree.estimators import InadmissibleSplitError, NuisanceScope, fit_nuisance, split_contrast
-from efftree.prune import DEFAULT_LAMBDA, PruneSequence, weakest_link_sequence
+from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from efftree.select import (
     bootstrap_effects,
     select_final,
@@ -28,14 +28,14 @@ def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overr
 
 def test_validation_complexity_root_only_is_zero():
     data, validation, config, tree, seq = fit_sequence(n=600, seed=7)
-    root_only = seq.trees[-1]
+    root_only = seq[-1]
     assert root_only.n_internal() == 0
     assert validation_complexity(root_only, validation, DEFAULT_LAMBDA, config) == 0.0
 
 
 def test_validation_complexity_arithmetic_once_statistic_known():
     data, validation, config, tree, seq = fit_sequence(n=1000, seed=9, estimator="g")
-    one_split = seq.trees[-2]
+    one_split = seq[-2]
     assert one_split.n_internal() == 1
     stats = validation_statistics(one_split, validation, config)
     (node_id, stat), = stats.items()
@@ -48,7 +48,7 @@ def test_validation_complexity_arithmetic_once_statistic_known():
 def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope):
     data, validation, config, tree, seq = fit_sequence(
         n=900, seed=11, estimator=estimator, scope=NuisanceScope(scope))
-    candidate = seq.trees[0]
+    candidate = seq[0]
     stats = validation_statistics(candidate, validation, config)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
@@ -109,7 +109,7 @@ def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
 
 def test_incomputable_node_counts_in_penalty():
     data, validation, config, tree, seq = fit_sequence(n=800, seed=13)
-    candidate = seq.trees[0]
+    candidate = seq[0]
     if candidate.n_internal() < 2:
         pytest.skip("tree too small for this check")
     stats = validation_statistics(candidate, validation, config)
@@ -120,9 +120,10 @@ def test_incomputable_node_counts_in_penalty():
 
 def test_select_final_single_candidate():
     data, validation, config, tree, seq = fit_sequence(n=400, seed=15)
-    single = PruneSequence([seq.trees[-1]], [])
+    root_only = seq[-1]
+    single = PruneSequence(root_only, [])
     final, trace = select_final(single, validation, DEFAULT_LAMBDA, config)
-    assert final is seq.trees[-1]
+    assert final is root_only
     assert trace.chosen == 0
 
 
@@ -140,8 +141,20 @@ def test_select_final_tie_breaks_toward_smaller_tree():
 def test_select_final_output_is_sequence_element():
     data, validation, config, tree, seq = fit_sequence(n=900, seed=19)
     final, trace = select_final(seq, validation, DEFAULT_LAMBDA, config)
-    assert final in seq.trees
+    expected = seq[trace.chosen]
+    assert sorted(final.nodes) == sorted(expected.nodes)
+    assert all(final.node(i).rule == expected.node(i).rule for i in final.nodes)
     assert trace.n_internal[trace.chosen] == final.n_internal()
+
+
+def test_select_final_complexities_match_split_complexity():
+    data, validation, config, tree, seq = fit_sequence(n=900, seed=19)
+    assert len(seq) >= 3
+    final, trace = select_final(seq, validation, DEFAULT_LAMBDA, config)
+    stats = validation_statistics(seq[0], validation, config)
+    for k, candidate in enumerate(seq):
+        assert trace.complexities[k] == split_complexity(candidate, DEFAULT_LAMBDA, stats)
+        assert trace.n_internal[k] == candidate.n_internal()
 
 
 def test_select_final_heterogeneous_keeps_true_split():
@@ -156,7 +169,7 @@ def test_select_final_heterogeneous_keeps_true_split():
 
 def test_bootstrap_single_replicate_collapses_interval():
     data, validation, config, tree, seq = fit_sequence(n=500, seed=23, estimator="g")
-    final = seq.trees[-2] if len(seq.trees) > 1 else seq.trees[-1]
+    final = seq[-2] if len(seq) > 1 else seq[-1]
     out = bootstrap_effects(final, data, B=1, level=0.95, seed=3, config=config)
     for iv in out:
         assert iv.lower == pytest.approx(iv.upper)
@@ -172,7 +185,7 @@ def test_bootstrap_default_is_1000():
 
 def test_bootstrap_interval_contains_point_estimate():
     data, validation, config, tree, seq = fit_sequence(n=800, seed=25, estimator="g")
-    final = seq.trees[-2] if len(seq.trees) > 1 else seq.trees[-1]
+    final = seq[-2] if len(seq) > 1 else seq[-1]
     out = bootstrap_effects(final, data, B=60, level=0.95, seed=11, config=config)
     for iv in out:
         assert iv.lower - 1e-9 <= iv.point <= iv.upper + 1e-9
@@ -180,7 +193,7 @@ def test_bootstrap_interval_contains_point_estimate():
 
 def test_bootstrap_deterministic_given_seed():
     data, validation, config, tree, seq = fit_sequence(n=500, seed=27, estimator="g")
-    final = seq.trees[-2] if len(seq.trees) > 1 else seq.trees[-1]
+    final = seq[-2] if len(seq) > 1 else seq[-1]
     a = bootstrap_effects(final, data, B=25, seed=5, config=config)
     b = bootstrap_effects(final, data, B=25, seed=5, config=config)
     assert [(iv.lower, iv.upper) for iv in a] == [(iv.lower, iv.upper) for iv in b]
@@ -189,9 +202,9 @@ def test_bootstrap_deterministic_given_seed():
 def test_bootstrap_validates_arguments():
     data, validation, config, tree, seq = fit_sequence(n=400, seed=29, estimator="g")
     with pytest.raises(ValueError):
-        bootstrap_effects(seq.trees[-1], data, B=0, config=config)
+        bootstrap_effects(seq[-1], data, B=0, config=config)
     with pytest.raises(ValueError):
-        bootstrap_effects(seq.trees[-1], data, B=10, level=1.5, config=config)
+        bootstrap_effects(seq[-1], data, B=10, level=1.5, config=config)
 
 
 def test_bootstrap_coverage_of_true_effects():

@@ -9,6 +9,7 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
+    contributions,
     fit_nuisance,
     split_contrast,
 )
@@ -203,9 +204,11 @@ def test_whole_scope_singular_child_information_leaves_node_terminal():
                          config.outcome_spec, config.epsilon)
     singular = []
     for node_id in tree.terminal_ids():
+        rows = tree.node(node_id).rows
+        terms = contributions(config.estimator, data,
+                              SubgroupMask.from_indices(data.n, rows), whole)
         try:
-            node_tables(data, tree.node(node_id).rows, config.estimator,
-                        config.variance_method, whole)
+            node_tables(data, rows, config.estimator, config.variance_method, whole, terms)
         except InadmissibleSplitError:
             singular.append(node_id)
     assert singular

@@ -16,7 +16,6 @@ from .data import (
     Schema,
     SubgroupMask,
     load_csv,
-    subgroup_count,
     write_csv,
 )
 from .estimators import (

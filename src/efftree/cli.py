@@ -174,7 +174,7 @@ def cmd_fit(args) -> int:
             validation = data.take(np.sort(perm[n_build:]))
             final, trace = select_final(sequence, validation, args.lam, config)
         else:
-            final, trace = select_final(sequence, data.take(build_rows), args.lam, config)
+            final, trace = select_final(sequence, data, args.lam, config)
             logger.warning("no held-out rows; selection reused the training rows")
     except CategoricalCardinalityError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)

@@ -6,6 +6,11 @@ Categorical and ordinal cells are stored as integer codes into the declared
 level lists. Datasets are immutable after construction and safe to share
 across threads; the only state added later is a memo of matrices derived
 from the rows (see ``Dataset.derived``).
+
+Inside the package a subgroup is a row-index array: integer indices into
+the dataset's rows, kept in the order given, duplicates allowed (a
+bootstrap replicate is the resampled indices themselves). ``SubgroupMask``
+is only the public entry to ``grow_max_tree``, which takes its indices once.
 """
 
 from __future__ import annotations
@@ -152,7 +157,7 @@ class Dataset:
         return self.covariates[name]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset of the selected rows (used by bootstrap resampling)."""
+        """New dataset of the selected rows, e.g. a held-out validation split."""
         return Dataset(
             self.schema,
             {name: arr[indices] for name, arr in self.covariates.items()},
@@ -173,7 +178,7 @@ class Dataset:
 
 
 class SubgroupMask:
-    """Boolean row membership for a subgroup; `size` is the number of set bits."""
+    """Boolean membership of the rows to grow a tree on; `size` counts them."""
 
     __slots__ = ("bits", "size")
 
@@ -195,19 +200,8 @@ class SubgroupMask:
         bits[indices.astype(np.intp, copy=False)] = True
         return cls(bits)
 
-    def complement(self) -> "SubgroupMask":
-        return SubgroupMask(~self.bits)
-
     def indices(self) -> np.ndarray:
         return np.nonzero(self.bits)[0]
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-def subgroup_count(mask: SubgroupMask) -> int:
-    """Number of observations in the subgroup."""
-    return mask.size
 
 
 def _parse_continuous(token: str, column: str, line: int) -> float:

@@ -10,6 +10,9 @@ Three estimators of the pair (mu1, mu0) inside a subgroup w are provided:
   residuals, consistent when either nuisance model is correct.
 
 All three write their per-row terms in one place, ``contributions``.
+Subgroups are row-index arrays (integer indices into the dataset, order
+kept, duplicates allowed; see ``glm``), so a bootstrap replicate is
+estimated on its resampled indices without copying the data.
 
 A candidate split of a parent into children (l, r) is scored by the squared
 standardized contrast  statistic = t_hat^2 / var_hat  where t_hat is the
@@ -34,7 +37,7 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .data import Dataset, SubgroupMask
+from .data import Dataset
 from .glm import (
     AnyFit,
     DesignSpec,
@@ -42,6 +45,7 @@ from .glm import (
     LogisticFit,
     build_design,
     build_design_difference,
+    check_rows,
     fit_logistic,
     fit_ols,
     predict_mean,
@@ -139,7 +143,7 @@ class SplitContrast:
 
 @dataclass(frozen=True)
 class Contributions:
-    """Per-row terms of a subgroup estimate, one entry per masked row.
+    """Per-row terms of a subgroup estimate, one entry per subgroup row.
 
     ``d1`` and ``d0`` are the per-row terms whose means are mu1 and mu0, and
     ``delta`` is the per-row effect contribution. ``e`` is the truncated
@@ -160,36 +164,35 @@ class Contributions:
     delta: np.ndarray
 
 
-def contributions(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
+def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
                   models: NuisanceModels) -> Contributions:
-    """The estimator's per-row terms on the masked rows.
+    """The estimator's per-row terms on the given rows.
 
     The g-formula contrast of a gaussian outcome model is taken from the
     design difference, so a spec without treatment interactions gives an
     exactly constant delta; the doubly robust delta adds the two
     inverse-weighted residuals to that contrast.
     """
-    if mask.size == 0:
+    if len(rows) == 0:
         raise ValueError("empty subgroup")
-    rows = mask.indices()
     A = data.treatment[rows].astype(np.float64)
     Y = data.outcome[rows]
     e = g1 = g0 = zdiff = None
     if kind != EstimatorKind.GFORMULA:
         if models.propensity is None:
             raise ValueError("propensity model required")
-        e = np.clip(predict_mean(models.propensity, data, mask),
+        e = np.clip(predict_mean(models.propensity, data, rows),
                     models.epsilon, 1.0 - models.epsilon)
     if kind != EstimatorKind.IPW:
         outcome = models.outcome
         if outcome is None:
             raise ValueError("outcome model required")
-        g1 = predict_mean(outcome, data, mask, treatment_override=1)
-        g0 = predict_mean(outcome, data, mask, treatment_override=0)
+        g1 = predict_mean(outcome, data, rows, treatment_override=1)
+        g0 = predict_mean(outcome, data, rows, treatment_override=0)
         if outcome.family == "binomial":
             gdelta = g1 - g0
         else:
-            zdiff = build_design_difference(data, mask, outcome.spec)[:, outcome.kept]
+            zdiff = build_design_difference(data, rows, outcome.spec)[:, outcome.kept]
             gdelta = zdiff @ outcome.coefficients[outcome.kept]
 
     if kind == EstimatorKind.IPW:
@@ -227,28 +230,28 @@ def node_effect(kind: EstimatorKind, c: Contributions) -> NodeEffect:
     )
 
 
-def _estimate(kind: EstimatorKind, data: Dataset, mask: SubgroupMask,
+def _estimate(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
               models: NuisanceModels) -> NodeEffect:
-    return node_effect(kind, contributions(kind, data, mask, models))
+    return node_effect(kind, contributions(kind, data, rows, models))
 
 
-def estimate_ipw(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> NodeEffect:
+def estimate_ipw(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> NodeEffect:
     """Inverse-probability-weighted subgroup means: each arm's outcomes are
     weighted by the inverse truncated propensity and averaged over the whole
     subgroup."""
-    return _estimate(EstimatorKind.IPW, data, mask, models)
+    return _estimate(EstimatorKind.IPW, data, rows, models)
 
 
-def estimate_g(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> NodeEffect:
+def estimate_g(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> NodeEffect:
     """G-formula subgroup means: outcome-model predictions at A=1 and A=0
     averaged over the subgroup's covariates."""
-    return _estimate(EstimatorKind.GFORMULA, data, mask, models)
+    return _estimate(EstimatorKind.GFORMULA, data, rows, models)
 
 
-def estimate_dr(data: Dataset, mask: SubgroupMask, models: NuisanceModels) -> NodeEffect:
+def estimate_dr(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> NodeEffect:
     """Doubly robust subgroup means: g-formula predictions augmented with
     inverse-weighted residuals of the observed arm."""
-    return _estimate(EstimatorKind.DR, data, mask, models)
+    return _estimate(EstimatorKind.DR, data, rows, models)
 
 
 ESTIMATE = {
@@ -290,15 +293,15 @@ def _sandwich_wrap(sum_sq_infl: float, n_p: int, p_l: float, p_r: float,
     return var
 
 
-def _design_kept(fit: AnyFit, data: Dataset, mask: SubgroupMask) -> np.ndarray:
-    Z, _ = build_design(data, mask, fit.spec)
+def _design_kept(fit: AnyFit, data: Dataset, rows: np.ndarray) -> np.ndarray:
+    Z, _ = build_design(data, rows, fit.spec)
     return Z[:, fit.kept]
 
 
 def ipw_variance_pooled(
     data: Dataset,
-    mask_l: SubgroupMask,
-    mask_r: SubgroupMask,
+    rows_l: np.ndarray,
+    rows_r: np.ndarray,
     fit: LogisticFit,
     epsilon: float,
 ) -> float:
@@ -309,21 +312,20 @@ def ipw_variance_pooled(
     projected through the inverse information matrix onto the difference of
     the child-specific outcome-by-score means.
     """
-    union = SubgroupMask(mask_l.bits | mask_r.bits)
-    rows = union.indices()
-    in_l = mask_l.bits[rows]
+    rows = np.union1d(rows_l, rows_r)
+    in_l = np.isin(rows, rows_l)
 
-    n_p = union.size
+    n_p = len(rows)
     n_l = int(in_l.sum())
     n_r = n_p - n_l
     if n_l == 0 or n_r == 0:
         raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, n_r / n_p
 
-    terms = contributions(EstimatorKind.IPW, data, union,
+    terms = contributions(EstimatorKind.IPW, data, rows,
                           NuisanceModels(propensity=fit, epsilon=epsilon))
     A, Y, e, delta = terms.A, terms.Y, terms.e, terms.delta
-    X = _design_kept(fit, data, union)
+    X = _design_kept(fit, data, rows)
     t_l = float(delta[in_l].mean())
     t_r = float(delta[~in_l].mean())
     t_hat = t_l - t_r
@@ -345,8 +347,8 @@ def ipw_variance_pooled(
 
 def ipw_variance_per_child(
     data: Dataset,
-    mask_l: SubgroupMask,
-    mask_r: SubgroupMask,
+    rows_l: np.ndarray,
+    rows_r: np.ndarray,
     fit_l: LogisticFit,
     fit_r: LogisticFit,
     epsilon: float,
@@ -359,7 +361,7 @@ def ipw_variance_per_child(
     children (the child score blocks of the estimating-equation Jacobian
     carry the subgroup shares).
     """
-    n_l, n_r = mask_l.size, mask_r.size
+    n_l, n_r = len(rows_l), len(rows_r)
     n_p = n_l + n_r
     if n_l == 0 or n_r == 0:
         raise InadmissibleSplitError("empty child")
@@ -369,14 +371,14 @@ def ipw_variance_per_child(
     scale_num = 0.0
     corr_parts = {}
     delta_parts = {}
-    for name, mask, fit in (("l", mask_l, fit_l), ("r", mask_r, fit_r)):
-        terms = contributions(EstimatorKind.IPW, data, mask,
+    for name, rows, fit in (("l", rows_l, fit_l), ("r", rows_r, fit_r)):
+        terms = contributions(EstimatorKind.IPW, data, rows,
                               NuisanceModels(propensity=fit, epsilon=epsilon))
         A, Y, e, delta = terms.A, terms.Y, terms.e, terms.delta
-        X = _design_kept(fit, data, mask)
+        X = _design_kept(fit, data, rows)
         h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
         H = (h[:, None] * X).mean(axis=0)
-        info = (X * (e * (1.0 - e))[:, None]).T @ X / mask.size
+        info = (X * (e * (1.0 - e))[:, None]).T @ X / len(rows)
         try:
             c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), H)
         except scipy.linalg.LinAlgError:
@@ -395,8 +397,8 @@ def ipw_variance_per_child(
 
 def g_variance_pooled(
     data: Dataset,
-    mask_l: SubgroupMask,
-    mask_r: SubgroupMask,
+    rows_l: np.ndarray,
+    rows_r: np.ndarray,
     fit: AnyFit,
     epsilon: float = 0.0,
 ) -> float:
@@ -411,24 +413,23 @@ def g_variance_pooled(
     g-formula contrast has little per-row noise relative to the between-
     child separation).
     """
-    union = SubgroupMask(mask_l.bits | mask_r.bits)
-    rows = union.indices()
-    in_l = mask_l.bits[rows]
+    rows = np.union1d(rows_l, rows_r)
+    in_l = np.isin(rows, rows_l)
 
-    n_p = union.size
+    n_p = len(rows)
     n_l = int(in_l.sum())
     n_r = n_p - n_l
     if n_l == 0 or n_r == 0:
         raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, n_r / n_p
 
-    terms = contributions(EstimatorKind.GFORMULA, data, union, NuisanceModels(outcome=fit))
+    terms = contributions(EstimatorKind.GFORMULA, data, rows, NuisanceModels(outcome=fit))
     Y, g1, g0, delta = terms.Y, terms.g1, terms.g0, terms.delta
-    Z = _design_kept(fit, data, union)
+    Z = _design_kept(fit, data, rows)
     if fit.family == "binomial":
-        ghat = predict_mean(fit, data, union)
-        Z1, _ = build_design(data, union, fit.spec, treatment_override=1)
-        Z0, _ = build_design(data, union, fit.spec, treatment_override=0)
+        ghat = predict_mean(fit, data, rows)
+        Z1, _ = build_design(data, rows, fit.spec, treatment_override=1)
+        Z0, _ = build_design(data, rows, fit.spec, treatment_override=0)
         ddiff = (g1 * (1 - g1))[:, None] * Z1[:, fit.kept] - (g0 * (1 - g0))[:, None] * Z0[:, fit.kept]
         info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / n_p
         resid = Y - ghat
@@ -457,34 +458,34 @@ def g_variance_pooled(
 
 def fit_nuisance(
     data: Dataset,
-    mask: SubgroupMask,
+    rows: np.ndarray,
     kind: EstimatorKind,
     propensity_spec: Optional[DesignSpec],
     outcome_spec: Optional[DesignSpec],
     epsilon: float,
     outcome_family: str = "gaussian",
 ) -> NuisanceModels:
-    """Fit the nuisance models an estimator needs on the masked rows."""
+    """Fit the nuisance models an estimator needs on the given rows."""
     propensity = None
     outcome = None
     if kind in (EstimatorKind.IPW, EstimatorKind.DR):
         if propensity_spec is None:
             raise ValueError("propensity spec required for IPW/DR")
-        propensity = fit_logistic(data, mask, propensity_spec)
+        propensity = fit_logistic(data, rows, propensity_spec)
     if kind in (EstimatorKind.GFORMULA, EstimatorKind.DR):
         if outcome_spec is None:
             raise ValueError("outcome spec required for g-formula/DR")
         if outcome_family == "binomial":
-            outcome = fit_logistic(data, mask, outcome_spec, response=data.outcome)
+            outcome = fit_logistic(data, rows, outcome_spec, response=data.outcome)
         else:
-            outcome = fit_ols(data, mask, outcome_spec)
+            outcome = fit_ols(data, rows, outcome_spec)
     return NuisanceModels(propensity=propensity, outcome=outcome, epsilon=epsilon)
 
 
 def split_contrast(
     data: Dataset,
-    mask_l: SubgroupMask,
-    mask_r: SubgroupMask,
+    rows_l: np.ndarray,
+    rows_r: np.ndarray,
     kind: EstimatorKind,
     scope: NuisanceScope,
     propensity_spec: Optional[DesignSpec] = None,
@@ -501,35 +502,35 @@ def split_contrast(
     are scored by ``search.candidate_statistics``, which tests compare
     against this function.
     """
-    if (mask_l.bits & mask_r.bits).any():
-        raise ValueError("child masks must be disjoint")
-    if mask_l.size == 0 or mask_r.size == 0:
+    rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
+    if np.intersect1d(rows_l, rows_r).size:
+        raise ValueError("child rows must be disjoint")
+    if len(rows_l) == 0 or len(rows_r) == 0:
         raise InadmissibleSplitError("empty child")
     variance_method = variance_method or default_variance_method(kind, scope)
-    n_union = mask_l.size + mask_r.size
+    n_union = len(rows_l) + len(rows_r)
 
     try:
         if scope == NuisanceScope.CHILD:
-            models_l = fit_nuisance(data, mask_l, kind, propensity_spec, outcome_spec,
+            models_l = fit_nuisance(data, rows_l, kind, propensity_spec, outcome_spec,
                                     epsilon, outcome_family)
-            models_r = fit_nuisance(data, mask_r, kind, propensity_spec, outcome_spec,
+            models_r = fit_nuisance(data, rows_r, kind, propensity_spec, outcome_spec,
                                     epsilon, outcome_family)
         else:
             if scope == NuisanceScope.WHOLE:
                 models = whole_models
                 if models is None:
-                    models = fit_nuisance(data, SubgroupMask.full(data.n), kind,
+                    models = fit_nuisance(data, np.arange(data.n), kind,
                                           propensity_spec, outcome_spec, epsilon, outcome_family)
             else:
-                union = SubgroupMask(mask_l.bits | mask_r.bits)
-                models = fit_nuisance(data, union, kind, propensity_spec, outcome_spec,
-                                      epsilon, outcome_family)
+                models = fit_nuisance(data, np.union1d(rows_l, rows_r), kind, propensity_spec,
+                                      outcome_spec, epsilon, outcome_family)
             models_l = models_r = models
     except FitError as err:
         raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
 
-    effect_l = ESTIMATE[kind](data, mask_l, models_l)
-    effect_r = ESTIMATE[kind](data, mask_r, models_r)
+    effect_l = ESTIMATE[kind](data, rows_l, models_l)
+    effect_r = ESTIMATE[kind](data, rows_r, models_r)
     if kind in (EstimatorKind.IPW, EstimatorKind.DR) and (effect_l.arm_empty or effect_r.arm_empty):
         raise InadmissibleSplitError("empty child arm")
     for eff in (effect_l, effect_r):
@@ -545,15 +546,15 @@ def split_contrast(
             raise ValueError("per-child sandwich variance applies to the IPW estimator only")
         if scope != NuisanceScope.CHILD:
             raise ValueError("per-child sandwich variance requires child-scope fits")
-        variance = ipw_variance_per_child(data, mask_l, mask_r,
+        variance = ipw_variance_per_child(data, rows_l, rows_r,
                                           models_l.propensity, models_r.propensity, epsilon)
     else:
         if scope == NuisanceScope.CHILD:
             raise ValueError("pooled sandwich variance requires a shared fit (whole or parent scope)")
         if kind == EstimatorKind.IPW:
-            variance = ipw_variance_pooled(data, mask_l, mask_r, models_l.propensity, epsilon)
+            variance = ipw_variance_pooled(data, rows_l, rows_r, models_l.propensity, epsilon)
         elif kind == EstimatorKind.GFORMULA:
-            variance = g_variance_pooled(data, mask_l, mask_r, models_l.outcome)
+            variance = g_variance_pooled(data, rows_l, rows_r, models_l.outcome)
         else:
             # The DR M-estimation variance has no design-matrix correction
             # term; it coincides with the influence-based estimator.

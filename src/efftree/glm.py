@@ -14,8 +14,11 @@ treatment interaction. The intercept is implicit when ``1`` is omitted.
 Categorical factors expand to reference-coded dummies (first declared level
 is the reference); ``in(col,L1,L2)`` is a single membership indicator.
 
-A subgroup's model matrix is a row slice of one treatment-free root design
-per (dataset, spec), with the treatment-involving columns scaled by A.
+Every function taking ``rows`` works on a row-index array: integer indices
+into the dataset, in the order given, duplicates allowed, so a resampled
+index array is a bootstrap replicate's rows. A subgroup's model matrix is
+those rows of one treatment-free root design per (dataset, spec), with the
+treatment-involving columns scaled by A.
 Fitting uses column-pivoted QR so that rank-deficient designs drop columns
 deterministically instead of failing.
 """
@@ -29,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .data import Continuous, Dataset, SubgroupMask
+from .data import Continuous, Dataset
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
@@ -91,10 +94,6 @@ class DesignSpec:
 
     def to_string(self, treatment_name: str) -> str:
         return " + ".join(t.label(treatment_name) for t in self.terms)
-
-    @property
-    def involves_treatment(self) -> bool:
-        return any(t.kind in ("treatment", "interaction") for t in self.terms)
 
 
 def _fmt_num(x: float) -> str:
@@ -240,19 +239,27 @@ def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str
     return cached
 
 
+def check_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows`` as an index array; TypeError for a mask, whose length counts every row."""
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"rows must be an integer index array, not {rows.dtype}")
+    return rows
+
+
 def build_design(
     data: Dataset,
-    mask: SubgroupMask,
+    rows: np.ndarray,
     spec: DesignSpec,
     treatment_override: Optional[int] = None,
 ) -> tuple[np.ndarray, list[str]]:
-    """Model matrix for the masked rows.
+    """Model matrix of the given rows, one matrix row per index.
 
     ``treatment_override`` substitutes a constant A=a in the treatment main
     effect and every treatment interaction, leaving other columns unchanged.
     """
+    rows = check_rows(rows)
     F, labels, treated = _root_design(data, spec)
-    rows = mask.indices()
     Z = F[rows]
     if treatment_override is None:
         Z[:, treated] *= data.treatment[rows].astype(np.float64)[:, None]
@@ -261,16 +268,14 @@ def build_design(
     return Z, list(labels)
 
 
-def build_design_difference(
-    data: Dataset, mask: SubgroupMask, spec: DesignSpec
-) -> np.ndarray:
-    """Rows of design(A=1) - design(A=0).
+def build_design_difference(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> np.ndarray:
+    """design(A=1) - design(A=0) of the given rows.
 
     Only treatment-involving columns are nonzero, so the difference is exact
     (no floating-point cancellation) and cheap.
     """
+    rows = check_rows(rows)
     F, _, treated = _root_design(data, spec)
-    rows = mask.indices()
     D = np.zeros((len(rows), F.shape[1]))
     D[:, treated] = F[np.ix_(rows, np.flatnonzero(treated))]
     return D
@@ -319,15 +324,15 @@ def _pivoted_qr(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     return Q, R, piv, int(np.sum(diag > tol))
 
 
-def fit_ols(data: Dataset, mask: SubgroupMask, spec: DesignSpec) -> LinearFit:
-    """Least squares of the outcome on the spec's design over the masked rows.
+def fit_ols(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> LinearFit:
+    """Least squares of the outcome on the spec's design over the given rows.
 
     Rank-deficient columns are dropped deterministically (pivoted QR); their
     coefficients are zero in the returned full-width vector. The kept
     coefficients are solved from the same factorization.
     """
-    Z, labels = build_design(data, mask, spec)
-    y = data.outcome[mask.indices()]
+    Z, labels = build_design(data, rows, spec)
+    y = data.outcome[rows]
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
     Q, R, piv, rank = _pivoted_qr(Z)
@@ -338,7 +343,7 @@ def fit_ols(data: Dataset, mask: SubgroupMask, spec: DesignSpec) -> LinearFit:
 
 def fit_logistic(
     data: Dataset,
-    mask: SubgroupMask,
+    rows: np.ndarray,
     spec: DesignSpec,
     response: Optional[np.ndarray] = None,
 ) -> LogisticFit:
@@ -346,13 +351,13 @@ def fit_logistic(
 
     Converges when the largest absolute coefficient change falls below 1e-8,
     capped at 50 iterations. Non-convergence (separation) raises FitError;
-    a one-arm response raises FitError("degenerate response").
+    a one-arm response raises FitError("degenerate response"). ``response``,
+    when given, holds one value per dataset row.
     """
-    rows = mask.indices()
     y = (data.treatment[rows] if response is None else np.asarray(response)[rows]).astype(np.float64)
     if y.min(initial=1.0) == y.max(initial=0.0) or len(np.unique(y)) < 2:
         raise FitError("degenerate response: only one class present")
-    Z, labels = build_design(data, mask, spec)
+    Z, labels = build_design(data, rows, spec)
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
     _, _, piv, rank = _pivoted_qr(Z)
@@ -392,11 +397,11 @@ def fit_logistic(
 def predict_mean(
     fit: AnyFit,
     data: Dataset,
-    mask: SubgroupMask,
+    rows: np.ndarray,
     treatment_override: Optional[int] = None,
 ) -> np.ndarray:
-    """Predicted mean per masked row; inverse-logit for logistic fits."""
-    Z, _ = build_design(data, mask, fit.spec, treatment_override)
+    """Predicted mean of each given row; inverse-logit for logistic fits."""
+    Z, _ = build_design(data, rows, fit.spec, treatment_override)
     eta = Z @ fit.coefficients
     if fit.family == "binomial":
         return 1.0 / (1.0 + np.exp(-np.clip(eta, -_LINPRED_CLIP, _LINPRED_CLIP)))

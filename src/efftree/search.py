@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 import scipy.linalg
 
-from .data import Categorical, Continuous, Dataset, SubgroupMask
+from .data import Categorical, Continuous, Dataset
 from .estimators import (
     REL_VAR_TOL,
     Contributions,
@@ -196,10 +196,10 @@ def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_Covariat
                 yield _CovariateBlock(len(cuts), rule_ord, agg_ord)
 
 
-def enumerate_splits(data: Dataset, mask: SubgroupMask) -> list[SplitRule]:
-    """All permissible split rules for the masked rows, in scan order."""
+def enumerate_splits(data: Dataset, rows: np.ndarray) -> list[SplitRule]:
+    """All permissible split rules for the given rows, in scan order."""
     rules: list[SplitRule] = []
-    for block in iter_candidate_blocks(data, mask.indices()):
+    for block in iter_candidate_blocks(data, rows):
         rules.extend(block.rules())
     return rules
 
@@ -251,10 +251,9 @@ def node_tables(
     grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
     if variance_method == VarianceMethod.POOLED_SANDWICH:
-        mask = SubgroupMask.from_indices(data.n, rows)
         if kind == EstimatorKind.IPW:
             fit = models.propensity
-            X = build_design(data, mask, fit.spec)[0][:, fit.kept]
+            X = build_design(data, rows, fit.spec)[0][:, fit.kept]
             h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
             grad = h[:, None] * X
             score = (A - e)[:, None] * X
@@ -262,11 +261,11 @@ def node_tables(
             corr_sign = -1.0
         else:
             fit = models.outcome
-            Z = build_design(data, mask, fit.spec)[0][:, fit.kept]
+            Z = build_design(data, rows, fit.spec)[0][:, fit.kept]
             if fit.family == "binomial":
-                ghat = predict_mean(fit, data, mask)
-                Z1 = build_design(data, mask, fit.spec, treatment_override=1)[0][:, fit.kept]
-                Z0 = build_design(data, mask, fit.spec, treatment_override=0)[0][:, fit.kept]
+                ghat = predict_mean(fit, data, rows)
+                Z1 = build_design(data, rows, fit.spec, treatment_override=1)[0][:, fit.kept]
+                Z0 = build_design(data, rows, fit.spec, treatment_override=0)[0][:, fit.kept]
                 grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
                 info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / len(rows)
                 resid = Y - ghat
@@ -497,7 +496,6 @@ def _find_best_split_childfit(
     propensity_spec, outcome_spec, epsilon, outcome_family,
 ) -> Optional[BestSplit]:
     """Candidate loop with per-child nuisance refits (child scope)."""
-    n = data.n
     best = None
     n_cand = 0
     n_adm = 0
@@ -508,11 +506,9 @@ def _find_best_split_childfit(
             n_l = int(left_local.sum())
             if n_l < min_node or len(rows) - n_l < min_node:
                 continue
-            mask_l = SubgroupMask.from_indices(n, rows[left_local])
-            mask_r = SubgroupMask.from_indices(n, rows[~left_local])
             try:
                 contrast = split_contrast(
-                    data, mask_l, mask_r, kind, NuisanceScope.CHILD,
+                    data, rows[left_local], rows[~left_local], kind, NuisanceScope.CHILD,
                     propensity_spec=propensity_spec, outcome_spec=outcome_spec,
                     epsilon=epsilon, variance_method=variance_method,
                     outcome_family=outcome_family, min_per_arm=min_per_arm,

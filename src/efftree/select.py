@@ -6,7 +6,8 @@ internal-node count; the candidate maximizing this validation split
 complexity wins, ties going to the smaller tree. Under whole and parent
 scope a node's validation statistic comes from the same batched kernel that
 scored it during growth (``search.score_partition``). Bootstrap intervals
-re-estimate terminal effects on resamples while keeping the structure fixed.
+re-estimate terminal effects on resampled row indices, with the structure
+and the routing of the rows fixed and no copy of the data.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, SubgroupMask
+from .data import Dataset
 from .estimators import (
     ESTIMATE,
     EstimatorKind,
@@ -62,7 +63,7 @@ def validation_statistics(
     if config.scope == NuisanceScope.WHOLE:
         try:
             whole_models = fit_nuisance(
-                validation, SubgroupMask.full(validation.n), config.estimator,
+                validation, np.arange(validation.n), config.estimator,
                 config.propensity_spec, config.outcome_spec, config.epsilon,
                 config.outcome_family,
             )
@@ -81,10 +82,7 @@ def validation_statistics(
         try:
             if config.scope == NuisanceScope.CHILD:
                 stats[node_id] = split_contrast(
-                    validation,
-                    SubgroupMask.from_indices(validation.n, left_rows),
-                    SubgroupMask.from_indices(validation.n, right_rows),
-                    config.estimator, config.scope,
+                    validation, left_rows, right_rows, config.estimator, config.scope,
                     propensity_spec=config.propensity_spec,
                     outcome_spec=config.outcome_spec,
                     epsilon=config.epsilon,
@@ -93,14 +91,13 @@ def validation_statistics(
                     min_per_arm=1,
                 ).statistic
             else:
-                mask = SubgroupMask.from_indices(validation.n, rows)
                 models = whole_models
                 if models is None:
                     models = fit_nuisance(
-                        validation, mask, config.estimator, config.propensity_spec,
+                        validation, rows, config.estimator, config.propensity_spec,
                         config.outcome_spec, config.epsilon, config.outcome_family,
                     )
-                terms = contributions(config.estimator, validation, mask, models)
+                terms = contributions(config.estimator, validation, rows, models)
                 tables = node_tables(validation, rows, config.estimator,
                                      config.variance_method, models, terms)
                 scored = score_partition(tables, np.isin(rows, left_rows), 1, 1,
@@ -189,7 +186,8 @@ def bootstrap_effects(
     """Percentile bootstrap intervals for each terminal effect of a fixed tree.
 
     Rows are resampled with replacement; terminal effects are re-estimated
-    with the configured estimator on each resample, structure unchanged. A
+    with the configured estimator on the resampled indices reaching each
+    terminal, in draw order with duplicates, structure unchanged. A
     replicate leaving some terminal with an empty treatment arm (or an
     unfittable model) is redrawn up to 10 times, then dropped and counted.
     Replicate b draws from an independent substream of (seed, b), so results
@@ -201,6 +199,7 @@ def bootstrap_effects(
         raise ValueError("level must lie in (0, 1)")
     config = config or tree.config
     terminal_ids = tree.terminal_ids()
+    terminal = tree.route(data)
     draws: dict[int, list[float]] = {t: [] for t in terminal_ids}
     n_dropped = 0
     for b in range(B):
@@ -208,7 +207,7 @@ def bootstrap_effects(
         effects = None
         for _ in range(10):
             idx = rng.integers(0, data.n, size=data.n)
-            effects = _terminal_effects(tree, data.take(idx), config, terminal_ids)
+            effects = _terminal_effects(data, idx, terminal[idx], config, terminal_ids)
             if effects is not None:
                 break
         if effects is None:
@@ -236,15 +235,15 @@ def bootstrap_effects(
     return out
 
 
-def _terminal_effects(tree: Tree, sample: Dataset, config: GrowConfig,
+def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, config: GrowConfig,
                       terminal_ids: list[int]) -> Optional[dict[int, float]]:
-    """Terminal effects on one bootstrap sample, or None if the replicate is unusable."""
-    reach = tree.rows_by_node(sample)
+    """Terminal effects on the resampled rows ``idx`` of ``data``, ``reached[j]``
+    the terminal that row ``idx[j]`` reaches; None if the replicate is unusable."""
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:
             whole_models = fit_nuisance(
-                sample, SubgroupMask.full(sample.n), config.estimator,
+                data, idx, config.estimator,
                 config.propensity_spec, config.outcome_spec, config.epsilon,
                 config.outcome_family,
             )
@@ -252,21 +251,20 @@ def _terminal_effects(tree: Tree, sample: Dataset, config: GrowConfig,
             return None
     effects: dict[int, float] = {}
     for t in terminal_ids:
-        rows = reach[t]
+        rows = idx[reached == t]
         if len(rows) == 0:
             return None
-        mask = SubgroupMask.from_indices(sample.n, rows)
         if whole_models is not None:
             models = whole_models
         else:
             try:
                 models = fit_nuisance(
-                    sample, mask, config.estimator, config.propensity_spec,
+                    data, rows, config.estimator, config.propensity_spec,
                     config.outcome_spec, config.epsilon, config.outcome_family,
                 )
             except FitError:
                 return None
-        effect = ESTIMATE[config.estimator](sample, mask, models)
+        effect = ESTIMATE[config.estimator](data, rows, models)
         if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and effect.arm_empty:
             return None
         effects[t] = effect.effect

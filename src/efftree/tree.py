@@ -364,12 +364,12 @@ def tree_from_dict(payload: dict) -> Tree:
 def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree:
     """Grow the maximum-sized tree by repeatedly taking the largest-statistic split."""
     rows = mask.indices()
-    if mask.size < config.min_node:
+    if len(rows) < config.min_node:
         raise ValueError("root below min_node")
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         whole_models = fit_nuisance(
-            data, mask, config.estimator, config.propensity_spec,
+            data, rows, config.estimator, config.propensity_spec,
             config.outcome_spec, config.epsilon, config.outcome_family,
         )
 
@@ -380,18 +380,17 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
               parent_models: Optional[NuisanceModels]) -> int:
         node_id = counter[0]
         counter[0] += 1
-        node_mask = SubgroupMask.from_indices(data.n, node_rows)
         models = whole_models
         if config.scope != NuisanceScope.WHOLE:
             try:
-                models = fit_nuisance(data, node_mask, config.estimator, config.propensity_spec,
+                models = fit_nuisance(data, node_rows, config.estimator, config.propensity_spec,
                                       config.outcome_spec, config.epsilon, config.outcome_family)
             except FitError:
                 models = None  # the effect uses the parent's models; parent scope stops here
         effect_models = models if models is not None else parent_models
         if effect_models is None:
             raise FitError("cannot fit nuisance models on the root node")
-        terms = contributions(config.estimator, data, node_mask, effect_models)
+        terms = contributions(config.estimator, data, node_rows, effect_models)
         effect = node_effect(config.estimator, terms)
         node = TreeNode(
             id=node_id, depth=depth, n=len(node_rows), effect=effect,

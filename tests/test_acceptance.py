@@ -109,13 +109,12 @@ def test_criterion_3_null_calibration():
     exceed_ipw = exceed_dr = 0
     for rep in range(R):
         data, _ = generate(SimSetting("homogeneous", 1000, seed=37_000_000 + rep))
-        x4 = data.column("x4")
-        mask_l = SubgroupMask(x4 > 0)
-        mask_r = mask_l.complement()
-        ipw = split_contrast(data, mask_l, mask_r, EstimatorKind.IPW, NuisanceScope.PARENT,
+        in_l = data.column("x4") > 0
+        rows_l, rows_r = np.flatnonzero(in_l), np.flatnonzero(~in_l)
+        ipw = split_contrast(data, rows_l, rows_r, EstimatorKind.IPW, NuisanceScope.PARENT,
                              propensity_spec=p_spec,
                              variance_method=VarianceMethod.POOLED_SANDWICH)
-        dr = split_contrast(data, mask_l, mask_r, EstimatorKind.DR, NuisanceScope.PARENT,
+        dr = split_contrast(data, rows_l, rows_r, EstimatorKind.DR, NuisanceScope.PARENT,
                             propensity_spec=p_spec, outcome_spec=o_spec,
                             variance_method=VarianceMethod.INFLUENCE)
         exceed_ipw += ipw.statistic > 3.84
@@ -135,28 +134,27 @@ def test_criterion_4_variance_estimator_fidelity():
     t_pooled, v_pooled, t_child, v_child = [], [], [], []
     for rep in range(R):
         data, _ = generate(SimSetting("heterogeneous", n, seed=41_000_000 + rep))
-        x4 = data.column("x4")
-        mask_l = SubgroupMask(x4 < 0)
-        mask_r = mask_l.complement()
+        in_l = data.column("x4") < 0
+        rows_l, rows_r = np.flatnonzero(in_l), np.flatnonzero(~in_l)
         A = data.treatment.astype(float)
         Y = data.outcome
 
-        fit = fit_logistic(data, SubgroupMask.full(n), spec)
-        e = np.clip(predict_mean(fit, data, SubgroupMask.full(n)), 0.01, 0.99)
+        fit = fit_logistic(data, np.arange(n), spec)
+        e = np.clip(predict_mean(fit, data, np.arange(n)), 0.01, 0.99)
         delta = A * Y / e - (1 - A) * Y / (1 - e)
-        t_pooled.append(delta[mask_l.bits].mean() - delta[mask_r.bits].mean())
-        v_pooled.append(ipw_variance_pooled(data, mask_l, mask_r, fit, 0.01))
+        t_pooled.append(delta[rows_l].mean() - delta[rows_r].mean())
+        v_pooled.append(ipw_variance_pooled(data, rows_l, rows_r, fit, 0.01))
 
-        fit_l = fit_logistic(data, mask_l, spec)
-        fit_r = fit_logistic(data, mask_r, spec)
-        e_l = np.clip(predict_mean(fit_l, data, mask_l), 0.01, 0.99)
-        e_r = np.clip(predict_mean(fit_r, data, mask_r), 0.01, 0.99)
-        al, yl = A[mask_l.bits], Y[mask_l.bits]
-        ar, yr = A[mask_r.bits], Y[mask_r.bits]
+        fit_l = fit_logistic(data, rows_l, spec)
+        fit_r = fit_logistic(data, rows_r, spec)
+        e_l = np.clip(predict_mean(fit_l, data, rows_l), 0.01, 0.99)
+        e_r = np.clip(predict_mean(fit_r, data, rows_r), 0.01, 0.99)
+        al, yl = A[rows_l], Y[rows_l]
+        ar, yr = A[rows_r], Y[rows_r]
         t_l = (al * yl / e_l - (1 - al) * yl / (1 - e_l)).mean()
         t_r = (ar * yr / e_r - (1 - ar) * yr / (1 - e_r)).mean()
         t_child.append(t_l - t_r)
-        v_child.append(ipw_variance_per_child(data, mask_l, mask_r, fit_l, fit_r, 0.01))
+        v_child.append(ipw_variance_per_child(data, rows_l, rows_r, fit_l, fit_r, 0.01))
 
     ratio_pooled = np.mean(v_pooled) / np.var(t_pooled)
     ratio_child = np.mean(v_child) / np.var(t_child)
@@ -178,8 +176,8 @@ def test_criterion_5_double_robustness():
     dr_tp_mo, dr_mp_to, g_mo = [], [], []
     for rep in range(30):
         data, _ = generate(SimSetting("heterogeneous", 20_000, seed=43_000_000 + rep))
-        node = SubgroupMask(data.column("x4") > 0)
-        full = SubgroupMask.full(data.n)
+        node = np.flatnonzero(data.column("x4") > 0)
+        full = np.arange(data.n)
         f_tp = fit_logistic(data, full, true_p)
         f_mp = fit_logistic(data, full, mis_p)
         f_to = fit_ols(data, full, true_o)

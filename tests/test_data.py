@@ -10,7 +10,6 @@ from efftree.data import (
     Schema,
     SubgroupMask,
     load_csv,
-    subgroup_count,
     text_blocks,
     write_csv,
 )
@@ -165,20 +164,6 @@ def test_kind_level_validation():
         Categorical(())
     with pytest.raises(DataError):
         Ordinal(("a", "a"))
-
-
-def test_subgroup_count_examples():
-    assert subgroup_count(SubgroupMask(np.ones(5, dtype=bool))) == 5
-    assert subgroup_count(SubgroupMask(np.zeros(4, dtype=bool))) == 0
-    assert subgroup_count(SubgroupMask(np.array([True, False, True, False]))) == 2
-
-
-def test_mask_complement_partitions():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(1, 80))
-        mask = SubgroupMask(rng.random(n) < rng.random())
-        assert subgroup_count(mask) + subgroup_count(mask.complement()) == n
 
 
 def test_dataset_immutable():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efftree.data import Continuous, Dataset, Schema, SubgroupMask
+from efftree.data import Continuous, Dataset, Schema
 from efftree.estimators import (
     EstimatorKind,
     InadmissibleSplitError,
@@ -28,7 +28,7 @@ def make_data(x: dict, A, Y) -> Dataset:
 
 
 def full(data):
-    return SubgroupMask.full(data.n)
+    return np.arange(data.n)
 
 
 class ConstantPropensity:
@@ -190,7 +190,7 @@ def test_dr_matches_augmented_formula_oracle():
 
 def test_estimators_reject_empty_subgroup():
     data = make_data({"x1": [1.0]}, [1], [1.0])
-    empty = SubgroupMask(np.zeros(1, dtype=bool))
+    empty = np.flatnonzero(np.zeros(1, dtype=bool))
     with pytest.raises(ValueError, match="empty"):
         estimate_ipw(data, empty, constant_models())
 
@@ -236,19 +236,19 @@ def fixture_40(seed=31):
     A = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(int)
     Y = 1 + x1 + 2 * A + rng.standard_normal(n)
     data = make_data({"x1": x1, "x2": x2}, A, Y)
-    left = SubgroupMask(x2 < 0)
-    right = SubgroupMask(x2 >= 0)
+    left = np.flatnonzero(x2 < 0)
+    right = np.flatnonzero(x2 >= 0)
     return data, left, right
 
 
-def theorem_pooled_variance_oracle(data, mask_l, mask_r, fit, epsilon):
+def theorem_pooled_variance_oracle(data, rows_l, rows_r, fit, epsilon):
     """From-scratch pooled sandwich evaluation with explicit loops."""
-    rows = np.nonzero(mask_l.bits | mask_r.bits)[0]
-    X = build_design(data, SubgroupMask(mask_l.bits | mask_r.bits), fit.spec)[0][:, fit.kept]
-    e = np.clip(predict_mean(fit, data, SubgroupMask(mask_l.bits | mask_r.bits)), epsilon, 1 - epsilon)
+    rows = np.union1d(rows_l, rows_r)
+    X = build_design(data, rows, fit.spec)[0][:, fit.kept]
+    e = np.clip(predict_mean(fit, data, rows), epsilon, 1 - epsilon)
     A = data.treatment[rows].astype(float)
     Y = data.outcome[rows]
-    in_l = mask_l.bits[rows]
+    in_l = np.isin(rows, rows_l)
     n_p = len(rows)
     n_l, n_r = in_l.sum(), n_p - in_l.sum()
     p_l, p_r = n_l / n_p, n_r / n_p
@@ -299,13 +299,12 @@ def test_ipw_pooled_variance_swap_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def theorem_per_child_variance_oracle(data, mask_l, mask_r, fit_l, fit_r, epsilon):
+def theorem_per_child_variance_oracle(data, rows_l, rows_r, fit_l, fit_r, epsilon):
     """From-scratch per-child sandwich evaluation with explicit loops."""
     sides = {}
-    for name, mask, fit in (("l", mask_l, fit_l), ("r", mask_r, fit_r)):
-        rows = mask.indices()
-        X = build_design(data, mask, fit.spec)[0][:, fit.kept]
-        e = np.clip(predict_mean(fit, data, mask), epsilon, 1 - epsilon)
+    for name, rows, fit in (("l", rows_l, fit_l), ("r", rows_r, fit_r)):
+        X = build_design(data, rows, fit.spec)[0][:, fit.kept]
+        e = np.clip(predict_mean(fit, data, rows), epsilon, 1 - epsilon)
         A = data.treatment[rows].astype(float)
         Y = data.outcome[rows]
         n_s = len(rows)
@@ -353,16 +352,15 @@ def test_ipw_per_child_variance_swap_invariant():
     assert a == pytest.approx(b, rel=1e-12)
 
 
-def g_pooled_variance_oracle(data, mask_l, mask_r, fit):
+def g_pooled_variance_oracle(data, rows_l, rows_r, fit):
     """From-scratch g-formula sandwich evaluation with explicit loops."""
-    union = SubgroupMask(mask_l.bits | mask_r.bits)
-    rows = union.indices()
-    Z = build_design(data, union, fit.spec)[0][:, fit.kept]
-    Z1 = build_design(data, union, fit.spec, treatment_override=1)[0][:, fit.kept]
-    Z0 = build_design(data, union, fit.spec, treatment_override=0)[0][:, fit.kept]
+    rows = np.union1d(rows_l, rows_r)
+    Z = build_design(data, rows, fit.spec)[0][:, fit.kept]
+    Z1 = build_design(data, rows, fit.spec, treatment_override=1)[0][:, fit.kept]
+    Z0 = build_design(data, rows, fit.spec, treatment_override=0)[0][:, fit.kept]
     beta = fit.coefficients[fit.kept]
     Y = data.outcome[rows]
-    in_l = mask_l.bits[rows]
+    in_l = np.isin(rows, rows_l)
     n_p = len(rows)
     n_l = in_l.sum()
     n_r = n_p - n_l
@@ -417,9 +415,9 @@ def test_split_contrast_identical_children_zero_statistic():
     A = np.array([1, 0, 1, 0] * 2)
     Y = np.array([2.0, 1.0, 4.0, 3.0] * 2)
     data = make_data({"x1": x}, A, Y)
-    left = SubgroupMask(np.arange(8) < 4)
+    left = np.arange(8) < 4
     contrast = split_contrast(
-        data, left, left.complement(), EstimatorKind.IPW, NuisanceScope.PARENT,
+        data, np.flatnonzero(left), np.flatnonzero(~left), EstimatorKind.IPW, NuisanceScope.PARENT,
         propensity_spec=parse_spec("1", "A"), variance_method=VarianceMethod.POOLED_SANDWICH,
     )
     assert contrast.t_hat == pytest.approx(0.0, abs=1e-12)
@@ -478,14 +476,22 @@ def test_split_contrast_rejects_overlapping_children():
                        propensity_spec=parse_spec("1", "A"))
 
 
+def test_split_contrast_rejects_boolean_rows():
+    data, left, right = fixture_40(seed=40)
+    in_l = np.isin(np.arange(data.n), left)
+    with pytest.raises(TypeError, match="integer index array"):
+        split_contrast(data, in_l, ~in_l, EstimatorKind.IPW, NuisanceScope.PARENT,
+                       propensity_spec=parse_spec("1", "A"))
+
+
 def test_split_contrast_empty_arm_inadmissible():
     x = np.arange(20.0)
     A = (x < 10).astype(int)  # left child all treated
     Y = np.ones(20)
     data = make_data({"x1": x}, A, Y)
-    left = SubgroupMask(x < 10)
+    left = x < 10
     with pytest.raises(InadmissibleSplitError):
-        split_contrast(data, left, left.complement(), EstimatorKind.IPW,
+        split_contrast(data, np.flatnonzero(left), np.flatnonzero(~left), EstimatorKind.IPW,
                        NuisanceScope.PARENT, propensity_spec=parse_spec("1", "A"),
                        min_per_arm=1)
 
@@ -501,9 +507,9 @@ def test_dr_influence_variance_tracks_monte_carlo():
     for rep in range(R):
         data, _ = generate(SimSetting("heterogeneous", 1000, seed=11_000_000 + rep))
         x4 = data.column("x4")
-        mask_l = SubgroupMask(x4 > 0)
         contrast = split_contrast(
-            data, mask_l, mask_l.complement(), EstimatorKind.DR, NuisanceScope.PARENT,
+            data, np.flatnonzero(x4 > 0), np.flatnonzero(x4 <= 0), EstimatorKind.DR,
+            NuisanceScope.PARENT,
             propensity_spec=p_spec, outcome_spec=o_spec,
             variance_method=VarianceMethod.INFLUENCE,
         )

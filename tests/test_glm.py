@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
+from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.glm import (
     FitError,
     build_design,
@@ -27,7 +27,7 @@ def make_data(x: dict, A, Y) -> Dataset:
 
 
 def full(data):
-    return SubgroupMask.full(data.n)
+    return np.arange(data.n)
 
 
 # ---------------------------------------------------------------- grammar
@@ -37,7 +37,8 @@ def test_parse_round_trip():
     text = "1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)"
     spec = parse_spec(text, "A")
     assert spec.to_string("A") == text
-    assert spec.involves_treatment
+    assert [t.kind for t in spec.terms] == [
+        "intercept", "treatment", "factor", "factor", "interaction", "factor"]
 
 
 def test_parse_adds_intercept():
@@ -158,10 +159,17 @@ def test_fit_logistic_degenerate_response():
         fit_logistic(data, full(data), parse_spec("1 + x1", "A"))
 
 
+def test_fit_logistic_rejects_boolean_rows():
+    # a mask where rows are expected would index fine but count every row
+    data = make_data({"x1": [0.5, 1.0, 2.0, 3.0, -1.0]}, [1, 0, 1, 0, 1], np.zeros(5))
+    with pytest.raises(TypeError, match="integer index array"):
+        fit_logistic(data, np.array([True, True, True, True, False]), parse_spec("1", "A"))
+
+
 def test_fit_logistic_recovers_generator_coefficients():
     # consistency check against the heterogeneous-design treatment model
     data, _ = generate(SimSetting("heterogeneous", n=50_000, seed=42))
-    fit = fit_logistic(data, SubgroupMask.full(data.n), parse_spec("1 + x1 + x2 + x3", "A"))
+    fit = fit_logistic(data, full(data), parse_spec("1 + x1 + x2 + x3", "A"))
     assert fit.coefficients[1:] == pytest.approx([0.6, -0.6, 0.6], abs=0.05)
     assert abs(fit.coefficients[0]) < 0.05
 
@@ -187,7 +195,7 @@ def test_logistic_score_equations_hold():
 def test_predict_mean_linear_example():
     data = make_data({"x1": [3.0]}, [0], [0.0])
     fit = fit_ols(make_data({"x1": [0.0, 1.0, 2.0]}, [0, 0, 0], [1.0, 3.0, 5.0]),
-                  SubgroupMask.full(3), parse_spec("1 + x1", "A"))
+                  np.arange(3), parse_spec("1 + x1", "A"))
     pred = predict_mean(fit, data, full(data))
     assert pred[0] == pytest.approx(7.0, abs=1e-10)
 
@@ -195,7 +203,7 @@ def test_predict_mean_linear_example():
 def test_predict_mean_logistic_intercept_zero():
     data = make_data({"x1": [1.0, -1.0, 4.0]}, [0, 1, 0], np.zeros(3))
     base = make_data({"x1": [0.0, 0.0, 0.0, 0.0]}, [1, 0, 1, 0], np.zeros(4))
-    fit = fit_logistic(base, SubgroupMask.full(4), parse_spec("1", "A"))
+    fit = fit_logistic(base, np.arange(4), parse_spec("1", "A"))
     pred = predict_mean(fit, data, full(data))
     assert pred == pytest.approx([0.5, 0.5, 0.5], abs=1e-8)
 
@@ -210,9 +218,8 @@ def test_predict_mean_matches_dot_product_oracle():
     data = make_data({"x1": x1, "x2": x2}, A, y)
     spec = parse_spec("1 + x1 + A + A:x2", "A")
     fit = fit_ols(data, full(data), spec)
-    sub = SubgroupMask(np.arange(n) % 3 == 0)
-    pred = predict_mean(fit, data, sub, treatment_override=1)
-    rows = sub.indices()
+    rows = np.flatnonzero(np.arange(n) % 3 == 0)
+    pred = predict_mean(fit, data, rows, treatment_override=1)
     b = fit.coefficients
     expected = [b[0] + b[1] * x1[i] + b[2] * 1.0 + b[3] * 1.0 * x2[i] for i in rows]
     assert pred == pytest.approx(expected, abs=1e-10)
@@ -226,8 +233,7 @@ def test_predictions_invariant_to_row_order():
     y = x1 + A + rng.standard_normal(n)
     data = make_data({"x1": x1}, A, y)
     fit = fit_ols(data, full(data), parse_spec("1 + x1 + A", "A"))
-    sub = SubgroupMask(np.arange(n) < 10)
-    direct = predict_mean(fit, data, sub)
+    direct = predict_mean(fit, data, np.flatnonzero(np.arange(n) < 10))
     perm = np.concatenate([np.arange(10)[::-1], np.arange(10, n)])
     reordered = Dataset(
         data.schema,
@@ -235,7 +241,7 @@ def test_predictions_invariant_to_row_order():
         A[perm],
         y[perm],
     )
-    flipped = predict_mean(fit, reordered, SubgroupMask(np.arange(n) < 10))
+    flipped = predict_mean(fit, reordered, np.flatnonzero(np.arange(n) < 10))
     assert sorted(direct) == pytest.approx(sorted(flipped), abs=1e-12)
 
 
@@ -285,7 +291,7 @@ def test_subgroup_design_equals_design_of_taken_rows(override):
     for size in (1, 17, data.n):
         rows = np.sort(rng.choice(data.n, size=size, replace=False))
         sub = data.take(rows)
-        Z, labels = build_design(data, SubgroupMask.from_indices(data.n, rows), spec, override)
+        Z, labels = build_design(data, rows, spec, override)
         Z_sub, labels_sub = build_design(sub, full(sub), spec, override)
         assert np.array_equal(Z, Z_sub)
         assert labels == labels_sub
@@ -297,7 +303,7 @@ def test_design_columns_match_transforms_of_raw_columns():
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     rows = np.arange(5, 60, 3)
-    Z, labels = build_design(data, SubgroupMask.from_indices(data.n, rows), spec)
+    Z, labels = build_design(data, rows, spec)
     col = dict(zip(labels, Z.T))
     x1, x2 = data.covariates["x1"][rows], data.covariates["x2"][rows]
     c, g = data.covariates["c"][rows], data.covariates["g"][rows]
@@ -317,7 +323,7 @@ def test_design_columns_match_transforms_of_raw_columns():
 def test_design_difference_is_exact_difference_of_overrides():
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
-    mask = SubgroupMask(np.arange(data.n) % 3 != 1)
-    Z1, _ = build_design(data, mask, spec, treatment_override=1)
-    Z0, _ = build_design(data, mask, spec, treatment_override=0)
-    assert np.array_equal(build_design_difference(data, mask, spec), Z1 - Z0)
+    rows = np.flatnonzero(np.arange(data.n) % 3 != 1)
+    Z1, _ = build_design(data, rows, spec, treatment_override=1)
+    Z0, _ = build_design(data, rows, spec, treatment_override=0)
+    assert np.array_equal(build_design_difference(data, rows, spec), Z1 - Z0)

@@ -24,16 +24,14 @@ from efftree.tree import GrowConfig, grow_max_tree
 def test_binomial_g_sandwich_matches_loop_oracle():
     data, _ = generate(SimSetting("binary-mixed-heterogeneous", n=400, seed=81))
     spec = parse_spec("1 + A + x2 + A:in(x4,B,D)", "A")
-    full = SubgroupMask.full(data.n)
+    full = np.arange(data.n)
     fit = fit_logistic(data, full, spec, response=data.outcome)
     x1 = data.column("x1")
-    mask_l = SubgroupMask(x1 < 0)
-    mask_r = mask_l.complement()
-    got = g_variance_pooled(data, mask_l, mask_r, fit)
+    in_l = x1 < 0
+    got = g_variance_pooled(data, np.flatnonzero(in_l), np.flatnonzero(~in_l), fit)
 
     # loop oracle with the logistic-family score, information, and
     # prediction gradients
-    rows = full.indices()
     Z = build_design(data, full, spec)[0][:, fit.kept]
     Z1 = build_design(data, full, spec, treatment_override=1)[0][:, fit.kept]
     Z0 = build_design(data, full, spec, treatment_override=0)[0][:, fit.kept]
@@ -43,7 +41,6 @@ def test_binomial_g_sandwich_matches_loop_oracle():
     g0 = expit(Z0 @ beta)
     ghat = expit(Z @ beta)
     Y = data.outcome
-    in_l = mask_l.bits
     n_p = data.n
     n_l = in_l.sum()
     n_r = n_p - n_l
@@ -84,10 +81,7 @@ def test_binomial_g_batch_matches_scalar():
     rows = np.arange(data.n)
     left = root.rule.goes_left(data, rows)
     contrast = split_contrast(
-        data,
-        SubgroupMask.from_indices(data.n, rows[left]),
-        SubgroupMask.from_indices(data.n, rows[~left]),
-        config.estimator, config.scope,
+        data, rows[left], rows[~left], config.estimator, config.scope,
         outcome_spec=config.outcome_spec,
         variance_method=config.variance_method,
         outcome_family="binomial",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
+from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.estimators import (
     EstimatorKind,
     InadmissibleSplitError,
@@ -59,8 +59,8 @@ O_SPEC = parse_spec("1 + x1 + A + A:x2 + c", "A")
 def test_batched_statistics_match_scalar_split_contrast(kind, variance):
     data = mixed_data()
     rows = np.arange(data.n)
-    models = fit_nuisance(data, SubgroupMask.full(data.n), kind, P_SPEC, O_SPEC, 0.01)
-    terms = contributions(kind, data, SubgroupMask.full(data.n), models)
+    models = fit_nuisance(data, rows, kind, P_SPEC, O_SPEC, 0.01)
+    terms = contributions(kind, data, rows, models)
     tables = node_tables(data, rows, kind, variance, models, terms)
 
     checked = 0
@@ -75,9 +75,7 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance):
             rule = block.make_rule(int(j))
             left = rule.goes_left(data, rows)
             contrast = split_contrast(
-                data,
-                SubgroupMask.from_indices(data.n, rows[left]),
-                SubgroupMask.from_indices(data.n, rows[~left]),
+                data, rows[left], rows[~left],
                 kind,
                 NuisanceScope.PARENT,
                 propensity_spec=P_SPEC,
@@ -96,8 +94,8 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance):
 def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
     data = mixed_data(seed=67)
     rows = np.arange(data.n)
-    models = fit_nuisance(data, SubgroupMask.full(data.n), kind, P_SPEC, O_SPEC, 0.01)
-    terms = contributions(kind, data, SubgroupMask.full(data.n), models)
+    models = fit_nuisance(data, rows, kind, P_SPEC, O_SPEC, 0.01)
+    terms = contributions(kind, data, rows, models)
     best = find_best_split(
         data, rows, kind, NuisanceScope.PARENT, variance,
         node_tables(data, rows, kind, variance, models, terms),
@@ -108,15 +106,13 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
     from efftree.search import enumerate_splits
 
     top = -np.inf
-    for rule in enumerate_splits(data, SubgroupMask.full(data.n)):
+    for rule in enumerate_splits(data, rows):
         left = rule.goes_left(data, rows)
         if min(left.sum(), (~left).sum()) < 20:
             continue
         try:
             contrast = split_contrast(
-                data,
-                SubgroupMask.from_indices(data.n, rows[left]),
-                SubgroupMask.from_indices(data.n, rows[~left]),
+                data, rows[left], rows[~left],
                 kind, NuisanceScope.PARENT,
                 propensity_spec=P_SPEC, outcome_spec=O_SPEC,
                 variance_method=variance, min_per_arm=5,
@@ -142,9 +138,7 @@ def test_child_scope_search_uses_per_child_fits():
         pytest.skip("no admissible child-scope split on this fixture")
     left = best.rule.goes_left(data, rows)
     contrast = split_contrast(
-        data,
-        SubgroupMask.from_indices(data.n, rows[left]),
-        SubgroupMask.from_indices(data.n, rows[~left]),
+        data, rows[left], rows[~left],
         EstimatorKind.IPW, NuisanceScope.CHILD,
         propensity_spec=parse_spec("1 + x1", "A"),
         variance_method=VarianceMethod.PER_CHILD_SANDWICH,

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from efftree import select
-from efftree.data import SubgroupMask
-from efftree.estimators import InadmissibleSplitError, NuisanceScope, fit_nuisance, split_contrast
+from efftree.data import Continuous, Dataset, Schema, SubgroupMask
+from efftree.estimators import (
+    ESTIMATE,
+    EstimatorKind,
+    FitError,
+    InadmissibleSplitError,
+    NodeEffect,
+    NuisanceScope,
+    fit_nuisance,
+    split_contrast,
+)
 from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from efftree.select import (
     bootstrap_effects,
@@ -11,8 +20,9 @@ from efftree.select import (
     validation_complexity,
     validation_statistics,
 )
+from efftree.search import SplitRule
 from efftree.simulate import SimSetting, generate, make_config
-from efftree.tree import grow_max_tree
+from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree
 
 
 def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overrides):
@@ -53,7 +63,7 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         whole_models = fit_nuisance(
-            validation, SubgroupMask.full(validation.n), config.estimator,
+            validation, np.arange(validation.n), config.estimator,
             config.propensity_spec, config.outcome_spec, config.epsilon, config.outcome_family,
         )
 
@@ -77,10 +87,7 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
             continue
         try:
             contrast = split_contrast(
-                validation,
-                SubgroupMask.from_indices(validation.n, left_rows),
-                SubgroupMask.from_indices(validation.n, right_rows),
-                config.estimator, config.scope,
+                validation, left_rows, right_rows, config.estimator, config.scope,
                 propensity_spec=config.propensity_spec,
                 outcome_spec=config.outcome_spec,
                 epsilon=config.epsilon,
@@ -155,6 +162,16 @@ def test_select_final_complexities_match_split_complexity():
     for k, candidate in enumerate(seq):
         assert trace.complexities[k] == split_complexity(candidate, DEFAULT_LAMBDA, stats)
         assert trace.n_internal[k] == candidate.n_internal()
+
+
+def test_select_final_on_a_dataset_equals_select_final_on_its_full_take():
+    # `efftree fit --train-frac 1` selects on the dataset itself instead of
+    # a copy of all its rows in order; both must give the same selection.
+    data, validation, config, tree, seq = fit_sequence(n=900, seed=19)
+    final, trace = select_final(seq, data, DEFAULT_LAMBDA, config)
+    final_take, trace_take = select_final(seq, data.take(np.arange(data.n)), DEFAULT_LAMBDA, config)
+    assert trace.to_dict() == trace_take.to_dict()
+    assert final.to_json() == final_take.to_json()
 
 
 def test_select_final_heterogeneous_keeps_true_split():
@@ -247,3 +264,127 @@ def test_bootstrap_coverage_of_true_effects():
         coverage = covered[node_id] / outer
         print(f"bootstrap coverage terminal {node_id}: {coverage:.3f}")
         assert 0.90 <= coverage <= 0.99
+
+
+# Reference bootstrap: each replicate copies its resampled rows into a new
+# dataset, routes that copy down the tree and fits on the copy's rows.
+def take_based_bootstrap(tree, data, B, level, seed, config):
+    terminal_ids = tree.terminal_ids()
+    draws = {t: [] for t in terminal_ids}
+    n_dropped = 0
+    for b in range(B):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+        effects = None
+        for _ in range(10):
+            idx = rng.integers(0, data.n, size=data.n)
+            effects = take_based_terminal_effects(tree, data.take(idx), config, terminal_ids)
+            if effects is not None:
+                break
+        if effects is None:
+            n_dropped += 1
+            continue
+        for t in terminal_ids:
+            draws[t].append(effects[t])
+    alpha = (1.0 - level) / 2.0
+    return [
+        (t, float(np.quantile(draws[t], alpha)), float(np.quantile(draws[t], 1.0 - alpha)),
+         len(draws[t]), n_dropped)
+        for t in terminal_ids
+    ]
+
+
+def take_based_terminal_effects(tree, sample, config, terminal_ids):
+    reach = tree.rows_by_node(sample)
+    whole_models = None
+    if config.scope == NuisanceScope.WHOLE:
+        try:
+            whole_models = fit_nuisance(
+                sample, np.arange(sample.n), config.estimator, config.propensity_spec,
+                config.outcome_spec, config.epsilon, config.outcome_family,
+            )
+        except FitError:
+            return None
+    effects = {}
+    for t in terminal_ids:
+        rows = reach[t]
+        if len(rows) == 0:
+            return None
+        if whole_models is not None:
+            models = whole_models
+        else:
+            try:
+                models = fit_nuisance(
+                    sample, rows, config.estimator, config.propensity_spec,
+                    config.outcome_spec, config.epsilon, config.outcome_family,
+                )
+            except FitError:
+                return None
+        effect = ESTIMATE[config.estimator](sample, rows, models)
+        if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and effect.arm_empty:
+            return None
+        effects[t] = effect.effect
+    return effects
+
+
+def assert_bootstrap_matches_take_based(tree, data, B, seed, config):
+    got = bootstrap_effects(tree, data, B=B, level=0.9, seed=seed, config=config)
+    expected = take_based_bootstrap(tree, data, B, 0.9, seed, config)
+    assert [(iv.node_id, iv.lower, iv.upper, iv.n_replicates, iv.n_dropped)
+            for iv in got] == expected
+    return got
+
+
+def test_bootstrap_matches_take_based_reference_dr_binomial_parent_scope():
+    data, _ = generate(SimSetting("binary-mixed-heterogeneous", 2000, seed=31))
+    config = GrowConfig.from_strings(
+        "dr", "A", propensity="1 + x2 + x3 + in(x6,B,C)",
+        outcome="1 + A + x2 + A:in(x4,B,D)", outcome_family="binomial",
+        variance_method="influence", scope="parent", min_node=100, max_depth=2,
+    )
+    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    assert len(tree.terminal_ids()) >= 2
+    assert_bootstrap_matches_take_based(tree, data, B=20, seed=3, config=config)
+
+
+def test_bootstrap_matches_take_based_reference_g_whole_scope():
+    data, _ = generate(SimSetting("heterogeneous", 1000, seed=33))
+    config = GrowConfig.from_strings(
+        "g", "A", outcome="1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)",
+        scope="whole", max_depth=2,
+    )
+    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    assert len(tree.terminal_ids()) >= 2
+    assert_bootstrap_matches_take_based(tree, data, B=20, seed=4, config=config)
+
+
+def test_bootstrap_matches_take_based_reference_with_redraws_and_drops():
+    # Two 2-row terminals, each with one treated and one control row: a
+    # resample keeps both arms of both only about 16% of the time, so
+    # replicates are redrawn and some are dropped after ten tries.
+    n = 200
+    rng = np.random.default_rng(35)
+    A = rng.integers(0, 2, n)
+    A[-4:] = [1, 0, 1, 0]
+    schema = Schema((("x1", Continuous()),), treatment="A", outcome="Y")
+    data = Dataset(schema, {"x1": np.arange(n, dtype=float)}, A, rng.standard_normal(n) + A)
+    config = GrowConfig.from_strings("ipw", "A", propensity="1", scope="parent",
+                                     min_node=2, min_per_arm=1)
+
+    def node(i, depth, rows, **split):
+        eff = NodeEffect(mu1=0.0, mu0=0.0, effect=float(i), influence=np.empty(0),
+                         kind=config.estimator, n=rows, n_treated=1, n_control=1,
+                         second_moment=0.0)
+        return TreeNode(id=i, depth=depth, n=rows, effect=eff, **split)
+
+    nodes = {
+        0: node(0, 0, n, rule=SplitRule("x1", 0, "threshold", threshold=n - 4.5),
+                statistic=1.0, left=1, right=2),
+        1: node(1, 1, n - 4),
+        2: node(2, 1, 4, rule=SplitRule("x1", 0, "threshold", threshold=n - 2.5),
+                statistic=1.0, left=3, right=4),
+        3: node(3, 2, 2),
+        4: node(4, 2, 2),
+    }
+    tree = Tree(nodes, 0, config, schema)
+    got = assert_bootstrap_matches_take_based(tree, data, B=40, seed=6, config=config)
+    assert 0 < got[0].n_dropped < 40

@@ -32,7 +32,7 @@ def make_data(x: dict, A, Y, kinds=None) -> Dataset:
 
 def test_enumerate_continuous_midpoints():
     data = make_data({"x1": [1.0, 2.0, 4.0]}, [0, 1, 0], [0.0, 1.0, 2.0])
-    rules = enumerate_splits(data, SubgroupMask.full(3))
+    rules = enumerate_splits(data, np.arange(3))
     assert [r.threshold for r in rules] == [1.5, 3.0]
     assert all(r.kind == "threshold" for r in rules)
 
@@ -40,7 +40,7 @@ def test_enumerate_continuous_midpoints():
 def test_enumerate_categorical_three_levels():
     kinds = {"c": Categorical(("A", "B", "C"))}
     data = make_data({"c": [0, 1, 2, 0]}, [0, 1, 0, 1], [0.0] * 4, kinds)
-    rules = enumerate_splits(data, SubgroupMask.full(4))
+    rules = enumerate_splits(data, np.arange(4))
     assert [r.left_levels for r in rules] == [("A",), ("B",), ("C",)]
     assert rules[0].right_levels == ("B", "C")
 
@@ -48,7 +48,7 @@ def test_enumerate_categorical_three_levels():
 def test_enumerate_categorical_four_levels_count():
     kinds = {"c": Categorical(("A", "B", "C", "D"))}
     data = make_data({"c": [0, 1, 2, 3]}, [0, 1, 0, 1], [0.0] * 4, kinds)
-    rules = enumerate_splits(data, SubgroupMask.full(4))
+    rules = enumerate_splits(data, np.arange(4))
     assert len(rules) == 7  # 2^(4-1) - 1 unordered partitions
     assert [r.left_levels for r in rules[:4]] == [("A",), ("B",), ("C",), ("D",)]
     assert [r.left_levels for r in rules[4:]] == [("A", "B"), ("A", "C"), ("A", "D")]
@@ -57,14 +57,14 @@ def test_enumerate_categorical_four_levels_count():
 def test_enumerate_ordinal_cuts():
     kinds = {"g": Ordinal(("A", "B", "C", "D"))}
     data = make_data({"g": [0, 1, 2, 3]}, [0, 1, 0, 1], [0.0] * 4, kinds)
-    rules = enumerate_splits(data, SubgroupMask.full(4))
+    rules = enumerate_splits(data, np.arange(4))
     assert len(rules) == 3
     assert [r.cut for r in rules] == [0, 1, 2]
 
 
 def test_enumerate_respects_mask():
     data = make_data({"x1": [1.0, 2.0, 4.0, 9.0]}, [0, 1, 0, 1], [0.0] * 4)
-    rules = enumerate_splits(data, SubgroupMask(np.array([True, True, False, False])))
+    rules = enumerate_splits(data, np.flatnonzero([True, True, False, False]))
     assert [r.threshold for r in rules] == [1.5]
 
 
@@ -73,12 +73,12 @@ def test_enumerate_cardinality_cap():
     kinds = {"c": Categorical(levels)}
     data = make_data({"c": list(range(16))}, [0, 1] * 8, [0.0] * 16, kinds)
     with pytest.raises(CategoricalCardinalityError):
-        enumerate_splits(data, SubgroupMask.full(16))
+        enumerate_splits(data, np.arange(16))
 
 
 def test_enumeration_order_is_by_column_then_value():
     data = make_data({"x1": [1.0, 2.0], "x2": [5.0, 6.0]}, [0, 1], [0.0, 1.0])
-    rules = enumerate_splits(data, SubgroupMask.full(2))
+    rules = enumerate_splits(data, np.arange(2))
     assert [(r.column, r.threshold) for r in rules] == [("x1", 1.5), ("x2", 5.5)]
 
 
@@ -152,15 +152,13 @@ def test_chosen_split_maximizes_statistic_exhaustively():
     assert root.rule is not None
     best = root.statistic
     rows = np.arange(data.n)
-    for rule in enumerate_splits(data, SubgroupMask.full(data.n)):
+    for rule in enumerate_splits(data, rows):
         left = rule.goes_left(data, rows)
         if min(left.sum(), (~left).sum()) < 40:
             continue
-        mask_l = SubgroupMask.from_indices(data.n, rows[left])
-        mask_r = SubgroupMask.from_indices(data.n, rows[~left])
         try:
             contrast = split_contrast(
-                data, mask_l, mask_r, config.estimator, config.scope,
+                data, rows[left], rows[~left], config.estimator, config.scope,
                 propensity_spec=config.propensity_spec, outcome_spec=config.outcome_spec,
                 epsilon=config.epsilon, variance_method=config.variance_method,
                 min_per_arm=config.min_per_arm)
@@ -200,13 +198,12 @@ def test_whole_scope_singular_child_information_leaves_node_terminal():
     )
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
     assert tree.n_internal() >= 1
-    whole = fit_nuisance(data, SubgroupMask.full(data.n), config.estimator, None,
+    whole = fit_nuisance(data, np.arange(data.n), config.estimator, None,
                          config.outcome_spec, config.epsilon)
     singular = []
     for node_id in tree.terminal_ids():
         rows = tree.node(node_id).rows
-        terms = contributions(config.estimator, data,
-                              SubgroupMask.from_indices(data.n, rows), whole)
+        terms = contributions(config.estimator, data, rows, whole)
         try:
             node_tables(data, rows, config.estimator, config.variance_method, whole, terms)
         except InadmissibleSplitError:

@@ -38,7 +38,7 @@ from .estimators import (
 from .glm import DesignSpec, FitError, LinearFit, LogisticFit, fit_logistic, fit_ols, parse_spec, predict_mean
 from .prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from .search import CategoricalCardinalityError, SplitRule, enumerate_splits
-from .select import bootstrap_effects, select_final, validation_complexity
+from .select import bootstrap_effects, select_final
 from .simulate import (
     ExperimentSummary,
     SimSetting,

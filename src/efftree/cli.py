@@ -131,6 +131,10 @@ def cmd_fit(args) -> int:
         raise CliError("--outcome-spec is required with --estimator " + args.estimator, EXIT_CONFIG)
     if not 0.0 < args.train_frac <= 1.0:
         raise CliError("--train-frac must lie in (0, 1]", EXIT_CONFIG)
+    if args.bootstrap < 0:
+        raise CliError("--bootstrap must be >= 0", EXIT_CONFIG)
+    if not 0.0 < args.level < 1.0:
+        raise CliError("--level must lie in (0, 1)", EXIT_CONFIG)
     try:
         config = GrowConfig.from_strings(
             estimator=args.estimator,
@@ -165,17 +169,15 @@ def cmd_fit(args) -> int:
     if n_build < config.min_node:
         raise CliError("training split smaller than --min-node", EXIT_DATA)
     build_rows = np.sort(perm[:n_build])
-    build_mask = SubgroupMask.from_indices(data.n, build_rows)
+    validation_rows = np.sort(perm[n_build:])
+    if n_build == data.n:
+        validation_rows = build_rows
+        logger.warning("no held-out rows; selection reused the training rows")
 
     try:
-        tree = grow_max_tree(data, build_mask, config)
+        tree = grow_max_tree(data, SubgroupMask.from_indices(data.n, build_rows), config)
         sequence = weakest_link_sequence(tree)
-        if n_build < data.n:
-            validation = data.take(np.sort(perm[n_build:]))
-            final, trace = select_final(sequence, validation, args.lam, config)
-        else:
-            final, trace = select_final(sequence, data, args.lam, config)
-            logger.warning("no held-out rows; selection reused the training rows")
+        final, trace = select_final(sequence, data, validation_rows, args.lam, config)
     except CategoricalCardinalityError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
     except (FitError, RuntimeError) as err:
@@ -279,8 +281,8 @@ def cmd_simulate(args) -> int:
     if design is None:
         raise CliError(f"unknown setting {args.setting!r}", EXIT_CONFIG)
     estimator, prop_variant, out_variant = _parse_algo(args.algo)
-    setting = SimSetting(design, n=args.n, seed=args.seed)
     try:
+        setting = SimSetting(design, n=args.n, seed=args.seed)
         config = make_config(
             setting, estimator, prop_variant, out_variant,
             scope=NuisanceScope(args.scope),

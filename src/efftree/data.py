@@ -9,8 +9,9 @@ from the rows (see ``Dataset.derived``).
 
 Inside the package a subgroup is a row-index array: integer indices into
 the dataset's rows, kept in the order given, duplicates allowed (a
-bootstrap replicate is the resampled indices themselves). ``SubgroupMask``
-is only the public entry to ``grow_max_tree``, which takes its indices once.
+bootstrap replicate is the resampled indices themselves, and so are the
+held-out rows that select the final tree). ``SubgroupMask`` is only the
+public entry to ``grow_max_tree``, which takes its indices once.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class Dataset:
     ``derived`` memoizes read-only matrices computed from every row, keyed
     by what they were computed from (the model-design module keys root
     designs by spec). The rows never change, so entries never go stale, and
-    a dataset made by ``take`` starts with an empty memo.
+    growth, selection and the bootstrap, which all index one dataset, share it.
     """
 
     def __init__(
@@ -157,7 +158,8 @@ class Dataset:
         return self.covariates[name]
 
     def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset of the selected rows, e.g. a held-out validation split."""
+        """New dataset holding a copy of the selected rows. The package passes
+        row indices instead; this copy is the reference its tests compare to."""
         return Dataset(
             self.schema,
             {name: arr[indices] for name, arr in self.covariates.items()},

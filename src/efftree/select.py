@@ -1,9 +1,11 @@
-"""Final tree selection on a validation set, and bootstrap intervals for a fixed tree.
+"""Final tree selection on held-out rows, and bootstrap intervals for a fixed tree.
 
 Each candidate subtree is scored by recomputing its internal-node splitting
 statistics from validation rows routed down the tree and penalizing the
 internal-node count; the candidate maximizing this validation split
-complexity wins, ties going to the smaller tree. Under whole and parent
+complexity wins, ties going to the smaller tree. The validation rows are a
+row-index array into the dataset the tree was grown on, so selection copies
+no data and reuses that dataset's root designs. Under whole and parent
 scope a node's validation statistic comes from the same batched kernel that
 scored it during growth (``search.score_partition``). Bootstrap intervals
 re-estimate terminal effects on resampled row indices, with the structure
@@ -28,12 +30,11 @@ from .estimators import (
     fit_nuisance,
     split_contrast,
 )
-from .prune import PruneSequence, split_complexity
+from .prune import PruneSequence
 from .search import node_tables, score_partition
 from .tree import GrowConfig, Tree
 
 __all__ = [
-    "validation_complexity",
     "validation_statistics",
     "select_final",
     "SelectionTrace",
@@ -44,10 +45,11 @@ __all__ = [
 
 def validation_statistics(
     tree: Tree,
-    validation: Dataset,
+    data: Dataset,
+    rows: np.ndarray,
     config: Optional[GrowConfig] = None,
 ) -> dict[int, float]:
-    """Splitting statistic of each internal node recomputed on validation rows.
+    """Splitting statistic of each internal node recomputed on validation ``rows``.
 
     Nuisance models are refit on the validation rows per the configured
     scope: one fit on all of them (whole), one on the rows reaching the node
@@ -58,12 +60,12 @@ def validation_statistics(
     degenerate variance) contributes 0.
     """
     config = config or tree.config
-    reach = tree.rows_by_node(validation)
+    reach = tree.rows_by_node(data, rows)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:
             whole_models = fit_nuisance(
-                validation, np.arange(validation.n), config.estimator,
+                data, rows, config.estimator,
                 config.propensity_spec, config.outcome_spec, config.epsilon,
                 config.outcome_family,
             )
@@ -73,7 +75,7 @@ def validation_statistics(
     stats: dict[int, float] = {}
     for node_id in tree.internal_ids():
         nd = tree.node(node_id)
-        rows = reach[node_id]
+        node_rows = reach[node_id]
         left_rows = reach[nd.left]
         right_rows = reach[nd.right]
         if len(left_rows) == 0 or len(right_rows) == 0:
@@ -82,7 +84,7 @@ def validation_statistics(
         try:
             if config.scope == NuisanceScope.CHILD:
                 stats[node_id] = split_contrast(
-                    validation, left_rows, right_rows, config.estimator, config.scope,
+                    data, left_rows, right_rows, config.estimator, config.scope,
                     propensity_spec=config.propensity_spec,
                     outcome_spec=config.outcome_spec,
                     epsilon=config.epsilon,
@@ -94,28 +96,18 @@ def validation_statistics(
                 models = whole_models
                 if models is None:
                     models = fit_nuisance(
-                        validation, rows, config.estimator, config.propensity_spec,
+                        data, node_rows, config.estimator, config.propensity_spec,
                         config.outcome_spec, config.epsilon, config.outcome_family,
                     )
-                terms = contributions(config.estimator, validation, rows, models)
-                tables = node_tables(validation, rows, config.estimator,
+                terms = contributions(config.estimator, data, node_rows, models)
+                tables = node_tables(data, node_rows, config.estimator,
                                      config.variance_method, models, terms)
-                scored = score_partition(tables, np.isin(rows, left_rows), 1, 1,
+                scored = score_partition(tables, np.isin(node_rows, left_rows), 1, 1,
                                          config.variance_method)
                 stats[node_id] = 0.0 if scored is None else scored[0]
         except (InadmissibleSplitError, FitError):
             stats[node_id] = 0.0
     return stats
-
-
-def validation_complexity(
-    tree: Tree,
-    validation: Dataset,
-    lam: float,
-    config: Optional[GrowConfig] = None,
-) -> float:
-    """Validation-set split complexity: recomputed statistics minus lam per internal node."""
-    return split_complexity(tree, lam, validation_statistics(tree, validation, config))
 
 
 @dataclass
@@ -138,11 +130,12 @@ class SelectionTrace:
 
 def select_final(
     sequence: PruneSequence,
-    validation: Dataset,
+    data: Dataset,
+    rows: np.ndarray,
     lam: float,
     config: Optional[GrowConfig] = None,
 ) -> tuple[Tree, SelectionTrace]:
-    """Candidate maximizing validation split complexity; ties prefer fewer internal nodes.
+    """Candidate maximizing split complexity on validation ``rows``; ties prefer fewer internal nodes.
 
     A node's validation statistic is the same in every candidate that
     contains it (pruning preserves ancestors), so the statistics are
@@ -151,7 +144,7 @@ def select_final(
     from the prune order. Only the chosen candidate is materialized.
     """
     max_tree = sequence[0]
-    stats = validation_statistics(max_tree, validation, config)
+    stats = validation_statistics(max_tree, data, rows, config)
     kept = max_tree.internal_ids()
     sizes: list[int] = []
     complexities: list[float] = []

@@ -424,12 +424,11 @@ def run_replicate(
 
     n_build = int(round(train_fraction * train.n))
     build_mask = SubgroupMask(np.arange(train.n) < n_build)
-    validation = train.take(np.arange(n_build, train.n))
 
     t0 = time.perf_counter()
     max_tree = grow_max_tree(train, build_mask, config)
     sequence = weakest_link_sequence(max_tree)
-    final, _ = select_final(sequence, validation, lam, config)
+    final, _ = select_final(sequence, train, np.arange(n_build, train.n), lam, config)
     fit_seconds = time.perf_counter() - t0
 
     return ReplicateResult(

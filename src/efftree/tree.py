@@ -168,15 +168,16 @@ class Tree:
                 order += (nd.left, nd.right)
         return Tree(nodes, self.root_id, self.config, self.schema)
 
-    def rows_by_node(self, data: Dataset) -> dict[int, np.ndarray]:
-        """Ascending indices of the rows of ``data`` reaching each node.
+    def rows_by_node(self, data: Dataset, rows: np.ndarray) -> dict[int, np.ndarray]:
+        """The indices in ``rows`` of the rows of ``data`` reaching each node,
+        kept in the order given, so ascending ``rows`` give ascending subsets.
 
         Rows with a categorical level unseen at a split are sent to the
         child with the larger training membership.
         """
         if data.schema != self.schema:
             raise ValueError("dataset schema does not match the tree's schema")
-        reach = {self.root_id: np.arange(data.n)}
+        reach = {self.root_id: rows}
         order = [self.root_id]
         for node_id in order:
             nd = self.nodes[node_id]
@@ -199,7 +200,7 @@ class Tree:
 
     def route(self, data: Dataset) -> np.ndarray:
         """Terminal node id reached by each row (see ``rows_by_node``)."""
-        reach = self.rows_by_node(data)
+        reach = self.rows_by_node(data, np.arange(data.n))
         out = np.empty(data.n, dtype=np.int64)
         for node_id in self.terminal_ids():
             out[reach[node_id]] = node_id

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from efftree.cli import main
-from efftree.data import Categorical, Continuous, Dataset, Schema, write_csv
+from efftree.data import Categorical, Continuous, Dataset, Schema, SubgroupMask, load_csv, write_csv
+from efftree.prune import weakest_link_sequence
+from efftree.select import select_final
 from efftree.simulate import SimSetting, generate
-from efftree.tree import schema_to_dict
+from efftree.tree import GrowConfig, grow_max_tree, schema_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +110,33 @@ def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsy
     assert not (tmp_path / "tree.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--bootstrap", 5, "--level", 1.5], ["--bootstrap", -5]])
+def test_fit_rejects_bad_bootstrap_arguments_before_fitting(heterog_csv, tmp_path, flags):
+    base, csv_path, schema_path, _ = heterog_csv
+    out = tmp_path / "out"
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,
+                    "--estimator", "g", "--outcome-spec", "1 + A + x1", "--out", out] + flags)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_fit_train_frac_1_selects_on_every_row(heterog_csv, tmp_path, caplog):
+    base, csv_path, schema_path, generated = heterog_csv
+    spec = "1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)"
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path, "--estimator", "g",
+                    "--outcome-spec", spec, "--train-frac", 1, "--lambda", 2, "--out", tmp_path])
+    assert code == 0
+    assert "no held-out rows" in caplog.text
+
+    data = load_csv(csv_path, generated.schema)
+    config = GrowConfig.from_strings("g", "A", outcome=spec)
+    seq = weakest_link_sequence(grow_max_tree(data, SubgroupMask.full(data.n), config))
+    _, trace = select_final(seq, data, np.arange(data.n), 2.0, config)
+    assert len(trace.complexities) > 1
+    expected = json.dumps(trace.to_dict(), sort_keys=True, indent=2) + "\n"
+    assert (tmp_path / "selection.json").read_text(encoding="utf-8") == expected
+
+
 def test_fit_binomial_family_rejects_non_binary_outcome(heterog_csv, tmp_path, capsys):
     base, csv_path, schema_path, _ = heterog_csv
     code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,
@@ -197,6 +226,12 @@ def test_simulate_rejects_unknown_setting():
     with pytest.raises(SystemExit) as exc:
         run_cli(["simulate", "--setting", "weird", "--algo", "g", "--reps", 1])
     assert exc.value.code == 2
+
+
+def test_simulate_rejects_bad_sample_size(capsys):
+    code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 1, "--n", 0])
+    assert code == 2
+    assert "n must be >= 1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_algo(capsys):

@@ -1,15 +1,25 @@
 """Row-index subgroups: fitting and estimating on ``(data, idx)`` equals
 doing so on the copied rows ``(data.take(idx), arange(len(idx)))``, exactly,
 for any index order and any duplicates. This is what lets the bootstrap
-estimate a replicate on its resampled indices without copying the data."""
+estimate a replicate on its resampled indices without copying the data.
+Likewise routing and selection on ascending validation rows ``(data, rows)``
+equal routing and selection on a copy of those rows, which is what lets
+selection score the held-out rows of the dataset a tree was grown on."""
+
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
-from efftree.estimators import EstimatorKind, NuisanceModels, contributions, node_effect
+from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
+from efftree.estimators import EstimatorKind, NuisanceModels, NuisanceScope, contributions, node_effect
 from efftree.glm import FitError, fit_logistic, fit_ols, parse_spec
+from efftree.prune import weakest_link_sequence
+from efftree.select import select_final, validation_statistics
+from efftree.tree import GrowConfig, grow_max_tree
 
 N = 60
 
@@ -83,3 +93,90 @@ def test_contributions_on_rows_equal_contributions_on_copied_rows(idx, kind):
     assert (ea.mu1, ea.mu0, ea.effect, ea.n, ea.n_treated, ea.second_moment) == (
         eb.mu1, eb.mu0, eb.effect, eb.n, eb.n_treated, eb.second_moment)
     assert np.array_equal(ea.influence, eb.influence)
+
+
+# ---------------------------------------------------------------- selection
+
+M = 600
+LEVEL_D = 3
+
+
+def selection_data():
+    """Effect moderated by c and x1; level D of c is left out of growth, so
+    every split on c meets it unseen in the validation rows."""
+    rng = np.random.default_rng(93)
+    schema = Schema((("x1", Continuous()), ("x2", Continuous()),
+                     ("c", Categorical(("A", "B", "C", "D")))), treatment="A", outcome="Y")
+    x1, x2, c = rng.standard_normal(M), rng.standard_normal(M), rng.integers(0, 4, M)
+    a = (rng.random(M) < 1 / (1 + np.exp(-0.5 * x1))).astype(int)
+    y = x2 + a * (1 + 3 * np.isin(c, (0, 2)) + 2 * (x1 > 0)) + rng.standard_normal(M)
+    return Dataset(schema, {"x1": x1, "x2": x2, "c": c}, a, y)
+
+
+SEL = selection_data()
+
+
+@lru_cache(maxsize=None)
+def grown(estimator, scope):
+    """Config and prune sequence of a depth-3 tree grown on the rows without level D."""
+    config = GrowConfig.from_strings(
+        estimator, "A",
+        propensity=None if estimator == "g" else "1 + x1 + in(c,B,D)",
+        outcome=None if estimator == "ipw" else "1 + A + x1 + x2 + c + A:x1",
+        scope=scope, max_depth=3, min_node=30, min_per_arm=5,
+    )
+    tree = grow_max_tree(SEL, SubgroupMask(SEL.column("c") != LEVEL_D), config)
+    return config, weakest_link_sequence(tree)
+
+
+# Ascending validation rows of every density, down to a few rows, where
+# children empty out and fits fail.
+validation_rows = st.tuples(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0)).map(
+    lambda t: np.flatnonzero(np.random.default_rng(t[0]).random(M) < t[1]))
+
+
+def assert_selection_on_rows_equals_selection_on_copy(sequence, rows, config):
+    copy, copy_rows = SEL.take(rows), np.arange(len(rows))
+    assert (validation_statistics(sequence[0], SEL, rows, config)
+            == validation_statistics(sequence[0], copy, copy_rows, config))
+    final, trace = select_final(sequence, SEL, rows, 3.84, config)
+    final_copy, trace_copy = select_final(sequence, copy, copy_rows, 3.84, config)
+    assert trace.to_dict() == trace_copy.to_dict()
+    assert final.to_json() == final_copy.to_json()
+
+
+@pytest.mark.parametrize("scope", ["whole", "parent"])
+@pytest.mark.parametrize("estimator", ["ipw", "g", "dr"])
+@given(validation_rows)
+@example(np.arange(M))  # every row in order, as `efftree fit --train-frac 1` selects
+@example(np.arange(480, M))
+def test_selection_on_rows_equals_selection_on_copied_rows(estimator, scope, rows):
+    config, sequence = grown(estimator, scope)
+    assert_selection_on_rows_equals_selection_on_copy(sequence, rows, config)
+
+
+def test_child_scope_selection_on_rows_equals_selection_on_copied_rows():
+    # Child-scope growth is slow, so the parent-scope tree is scored with a
+    # child-scope config: selection reads the scope from the config it gets.
+    config, sequence = grown("dr", "parent")
+    rows = np.flatnonzero(np.random.default_rng(5).random(M) < 0.4)
+    assert_selection_on_rows_equals_selection_on_copy(
+        sequence, rows, replace(config, scope=NuisanceScope.CHILD))
+
+
+@given(validation_rows)
+@example(np.arange(M))
+def test_rows_by_node_on_rows_equals_routing_a_copy(rows):
+    tree = grown("dr", "parent")[1][0]
+    root = tree.node(tree.root_id)
+    assert root.rule.kind == "subset" and "D" not in root.rule.left_levels + root.rule.right_levels
+    reach = tree.rows_by_node(SEL, rows)
+    reach_on_copy = tree.rows_by_node(SEL.take(rows), np.arange(len(rows)))
+    assert sorted(reach) == sorted(reach_on_copy) == sorted(tree.nodes)
+    for node_id in tree.nodes:
+        assert np.array_equal(reach[node_id], rows[reach_on_copy[node_id]])
+        assert (np.diff(reach[node_id]) > 0).all()
+    # rows of the level unseen at the root split join its larger child
+    larger = root.left if tree.node(root.left).n >= tree.node(root.right).n else root.right
+    unseen = rows[SEL.column("c")[rows] == LEVEL_D]
+    assert np.isin(unseen, reach[larger]).all()

@@ -17,7 +17,6 @@ from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weake
 from efftree.select import (
     bootstrap_effects,
     select_final,
-    validation_complexity,
     validation_statistics,
 )
 from efftree.search import SplitRule
@@ -31,35 +30,36 @@ def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overr
     config = make_config(setting, estimator, **overrides)
     n_build = int(0.8 * n)
     build = SubgroupMask(np.arange(n) < n_build)
-    validation = data.take(np.arange(n_build, n))
     tree = grow_max_tree(data, build, config)
-    return data, validation, config, tree, weakest_link_sequence(tree)
+    return data, np.arange(n_build, n), config, tree, weakest_link_sequence(tree)
 
 
 def test_validation_complexity_root_only_is_zero():
-    data, validation, config, tree, seq = fit_sequence(n=600, seed=7)
+    data, rows, config, tree, seq = fit_sequence(n=600, seed=7)
     root_only = seq[-1]
     assert root_only.n_internal() == 0
-    assert validation_complexity(root_only, validation, DEFAULT_LAMBDA, config) == 0.0
+    stats = validation_statistics(root_only, data, rows, config)
+    assert split_complexity(root_only, DEFAULT_LAMBDA, stats) == 0.0
 
 
 def test_validation_complexity_arithmetic_once_statistic_known():
-    data, validation, config, tree, seq = fit_sequence(n=1000, seed=9, estimator="g")
+    data, rows, config, tree, seq = fit_sequence(n=1000, seed=9, estimator="g")
     one_split = seq[-2]
     assert one_split.n_internal() == 1
-    stats = validation_statistics(one_split, validation, config)
+    stats = validation_statistics(one_split, data, rows, config)
     (node_id, stat), = stats.items()
-    got = validation_complexity(one_split, validation, 3.84, config)
+    got = split_complexity(one_split, 3.84, stats)
     assert got == pytest.approx(stat - 3.84)
 
 
 @pytest.mark.parametrize("scope", ["whole", "parent"])
 @pytest.mark.parametrize("estimator", ["ipw", "g", "dr"])
 def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope):
-    data, validation, config, tree, seq = fit_sequence(
+    data, rows, config, tree, seq = fit_sequence(
         n=900, seed=11, estimator=estimator, scope=NuisanceScope(scope))
     candidate = seq[0]
-    stats = validation_statistics(candidate, validation, config)
+    stats = validation_statistics(candidate, data, rows, config)
+    validation = data.take(rows)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         whole_models = fit_nuisance(
@@ -67,8 +67,9 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
             config.propensity_spec, config.outcome_spec, config.epsilon, config.outcome_family,
         )
 
-    # oracle: walk the tree, routing validation rows and recomputing each
-    # internal statistic independently with the scalar split contrast
+    # oracle: walk the tree, routing a copy of the validation rows and
+    # recomputing each internal statistic independently with the scalar
+    # split contrast
     def assign(node_id, rows, out):
         node = candidate.node(node_id)
         if node.is_terminal:
@@ -103,7 +104,7 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
 
 
 def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
-    data, validation, config, tree, seq = fit_sequence(n=600, seed=7)
+    data, rows, config, tree, seq = fit_sequence(n=600, seed=7)
     assert tree.n_internal() >= 1
 
     def broken_fit(*args, **kwargs):
@@ -111,34 +112,34 @@ def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
 
     monkeypatch.setattr(select, "fit_nuisance", broken_fit)
     with pytest.raises(ValueError, match="bad configuration"):
-        validation_statistics(tree, validation, config)
+        validation_statistics(tree, data, rows, config)
 
 
 def test_incomputable_node_counts_in_penalty():
-    data, validation, config, tree, seq = fit_sequence(n=800, seed=13)
+    data, rows, config, tree, seq = fit_sequence(n=800, seed=13)
     candidate = seq[0]
     if candidate.n_internal() < 2:
         pytest.skip("tree too small for this check")
-    stats = validation_statistics(candidate, validation, config)
-    complexity = validation_complexity(candidate, validation, DEFAULT_LAMBDA, config)
+    stats = validation_statistics(candidate, data, rows, config)
+    complexity = split_complexity(candidate, DEFAULT_LAMBDA, stats)
     assert complexity == pytest.approx(sum(stats.values()) - DEFAULT_LAMBDA * len(stats))
     assert len(stats) == candidate.n_internal()
 
 
 def test_select_final_single_candidate():
-    data, validation, config, tree, seq = fit_sequence(n=400, seed=15)
+    data, rows, config, tree, seq = fit_sequence(n=400, seed=15)
     root_only = seq[-1]
     single = PruneSequence(root_only, [])
-    final, trace = select_final(single, validation, DEFAULT_LAMBDA, config)
+    final, trace = select_final(single, data, rows, DEFAULT_LAMBDA, config)
     assert final is root_only
     assert trace.chosen == 0
 
 
 def test_select_final_tie_breaks_toward_smaller_tree():
-    data, validation, config, tree, seq = fit_sequence(n=1000, seed=17, estimator="g",
+    data, rows, config, tree, seq = fit_sequence(n=1000, seed=17, estimator="g",
                                                        design="homogeneous")
     # homogeneous truth: all candidates should collapse to the root-only tree
-    final, trace = select_final(seq, validation, DEFAULT_LAMBDA, config)
+    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
     assert final.n_internal() == 0
     best = max(trace.complexities)
     ties = [i for i, c in enumerate(trace.complexities) if c == best]
@@ -146,8 +147,8 @@ def test_select_final_tie_breaks_toward_smaller_tree():
 
 
 def test_select_final_output_is_sequence_element():
-    data, validation, config, tree, seq = fit_sequence(n=900, seed=19)
-    final, trace = select_final(seq, validation, DEFAULT_LAMBDA, config)
+    data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
+    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
     expected = seq[trace.chosen]
     assert sorted(final.nodes) == sorted(expected.nodes)
     assert all(final.node(i).rule == expected.node(i).rule for i in final.nodes)
@@ -155,28 +156,18 @@ def test_select_final_output_is_sequence_element():
 
 
 def test_select_final_complexities_match_split_complexity():
-    data, validation, config, tree, seq = fit_sequence(n=900, seed=19)
+    data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
     assert len(seq) >= 3
-    final, trace = select_final(seq, validation, DEFAULT_LAMBDA, config)
-    stats = validation_statistics(seq[0], validation, config)
+    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
+    stats = validation_statistics(seq[0], data, rows, config)
     for k, candidate in enumerate(seq):
         assert trace.complexities[k] == split_complexity(candidate, DEFAULT_LAMBDA, stats)
         assert trace.n_internal[k] == candidate.n_internal()
 
 
-def test_select_final_on_a_dataset_equals_select_final_on_its_full_take():
-    # `efftree fit --train-frac 1` selects on the dataset itself instead of
-    # a copy of all its rows in order; both must give the same selection.
-    data, validation, config, tree, seq = fit_sequence(n=900, seed=19)
-    final, trace = select_final(seq, data, DEFAULT_LAMBDA, config)
-    final_take, trace_take = select_final(seq, data.take(np.arange(data.n)), DEFAULT_LAMBDA, config)
-    assert trace.to_dict() == trace_take.to_dict()
-    assert final.to_json() == final_take.to_json()
-
-
 def test_select_final_heterogeneous_keeps_true_split():
-    data, validation, config, tree, seq = fit_sequence(n=1000, seed=21, estimator="g")
-    final, _ = select_final(seq, validation, DEFAULT_LAMBDA, config)
+    data, rows, config, tree, seq = fit_sequence(n=1000, seed=21, estimator="g")
+    final, _ = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
     assert final.n_internal() >= 1
     assert final.node(final.root_id).rule.column == "x4"
 
@@ -185,7 +176,7 @@ def test_select_final_heterogeneous_keeps_true_split():
 
 
 def test_bootstrap_single_replicate_collapses_interval():
-    data, validation, config, tree, seq = fit_sequence(n=500, seed=23, estimator="g")
+    data, rows, config, tree, seq = fit_sequence(n=500, seed=23, estimator="g")
     final = seq[-2] if len(seq) > 1 else seq[-1]
     out = bootstrap_effects(final, data, B=1, level=0.95, seed=3, config=config)
     for iv in out:
@@ -201,7 +192,7 @@ def test_bootstrap_default_is_1000():
 
 
 def test_bootstrap_interval_contains_point_estimate():
-    data, validation, config, tree, seq = fit_sequence(n=800, seed=25, estimator="g")
+    data, rows, config, tree, seq = fit_sequence(n=800, seed=25, estimator="g")
     final = seq[-2] if len(seq) > 1 else seq[-1]
     out = bootstrap_effects(final, data, B=60, level=0.95, seed=11, config=config)
     for iv in out:
@@ -209,7 +200,7 @@ def test_bootstrap_interval_contains_point_estimate():
 
 
 def test_bootstrap_deterministic_given_seed():
-    data, validation, config, tree, seq = fit_sequence(n=500, seed=27, estimator="g")
+    data, rows, config, tree, seq = fit_sequence(n=500, seed=27, estimator="g")
     final = seq[-2] if len(seq) > 1 else seq[-1]
     a = bootstrap_effects(final, data, B=25, seed=5, config=config)
     b = bootstrap_effects(final, data, B=25, seed=5, config=config)
@@ -217,7 +208,7 @@ def test_bootstrap_deterministic_given_seed():
 
 
 def test_bootstrap_validates_arguments():
-    data, validation, config, tree, seq = fit_sequence(n=400, seed=29, estimator="g")
+    data, rows, config, tree, seq = fit_sequence(n=400, seed=29, estimator="g")
     with pytest.raises(ValueError):
         bootstrap_effects(seq[-1], data, B=0, config=config)
     with pytest.raises(ValueError):
@@ -294,7 +285,7 @@ def take_based_bootstrap(tree, data, B, level, seed, config):
 
 
 def take_based_terminal_effects(tree, sample, config, terminal_ids):
-    reach = tree.rows_by_node(sample)
+    reach = tree.rows_by_node(sample, np.arange(sample.n))
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:

@@ -399,7 +399,7 @@ def test_binary_mixed_end_to_end_fit():
     build = SubgroupMask(np.arange(data.n) < 800)
     tree = grow_max_tree(data, build, config)
     seq = weakest_link_sequence(tree)
-    final, _ = select_final(seq, data.take(np.arange(800, 1000)), 3.84, config)
+    final, _ = select_final(seq, data, np.arange(800, 1000), 3.84, config)
     # the fitted tree routes and predicts without error
     pred = final.predict(data)
     assert np.isfinite(pred).all()

@@ -341,7 +341,7 @@ def test_route_unseen_level_goes_to_larger_child():
 def test_rows_by_node_match_route():
     tree = unseen_level_tree()
     scoring = make_data({"c": [1, 2, 0, 2, 1]}, [0, 1, 0, 1, 1], [0.0] * 5, UNSEEN_KINDS)
-    reach = tree.rows_by_node(scoring)
+    reach = tree.rows_by_node(scoring, np.arange(scoring.n))
     terminal = tree.route(scoring)
     np.testing.assert_array_equal(reach[0], np.arange(5))
     for node_id in tree.terminal_ids():

@@ -123,18 +123,20 @@ def _load_schema(path: str):
         raise CliError(f"bad schema file {path}: {err}", EXIT_CONFIG)
 
 
+def _check_lambda(lam: float) -> None:
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise CliError("--lambda must be finite and >= 0", EXIT_CONFIG)
+
+
 def cmd_fit(args) -> int:
     schema = _load_schema(args.schema)
-    if args.estimator in ("ipw", "dr") and not args.propensity_spec:
-        raise CliError("--propensity-spec is required with --estimator " + args.estimator, EXIT_CONFIG)
-    if args.estimator in ("g", "dr") and not args.outcome_spec:
-        raise CliError("--outcome-spec is required with --estimator " + args.estimator, EXIT_CONFIG)
     if not 0.0 < args.train_frac <= 1.0:
         raise CliError("--train-frac must lie in (0, 1]", EXIT_CONFIG)
     if args.bootstrap < 0:
         raise CliError("--bootstrap must be >= 0", EXIT_CONFIG)
     if not 0.0 < args.level < 1.0:
         raise CliError("--level must lie in (0, 1)", EXIT_CONFIG)
+    _check_lambda(args.lam)
     try:
         config = GrowConfig.from_strings(
             estimator=args.estimator,
@@ -177,7 +179,7 @@ def cmd_fit(args) -> int:
     try:
         tree = grow_max_tree(data, SubgroupMask.from_indices(data.n, build_rows), config)
         sequence = weakest_link_sequence(tree)
-        final, trace = select_final(sequence, data, validation_rows, args.lam, config)
+        final, trace = select_final(sequence, data, validation_rows, args.lam)
     except CategoricalCardinalityError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
     except (FitError, RuntimeError) as err:
@@ -187,7 +189,7 @@ def cmd_fit(args) -> int:
     if args.bootstrap > 0:
         try:
             intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
-                                          seed=args.seed, config=config)
+                                          seed=args.seed)
         except RuntimeError as err:
             raise CliError(f"bootstrap failed: {err}", EXIT_FIT)
 
@@ -229,7 +231,7 @@ def cmd_predict(args) -> int:
         tree = tree_from_dict(payload)
     except FileNotFoundError:
         raise CliError(f"tree file not found: {args.tree}", EXIT_DATA)
-    except (json.JSONDecodeError, KeyError, ValueError) as err:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"bad tree file: {err}", EXIT_CONFIG)
     try:
         data = load_csv(args.data, tree.schema, args.missing)
@@ -293,6 +295,7 @@ def cmd_simulate(args) -> int:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG)
     if args.reps < 1:
         raise CliError("--reps must be >= 1", EXIT_CONFIG)
+    _check_lambda(args.lam)
 
     try:
         summary = run_experiment(setting, config, args.reps, args.seed,

@@ -25,14 +25,16 @@ batched kernel in ``search``. The scalar functions here (``split_contrast``,
 ``ipw_variance_pooled``, ``g_variance_pooled``, ``if_variance`` and
 ``ipw_variance_per_child``) score one split at a time; they are the
 reference the kernel is tested against, and child scope, whose models are
-refit per child, scores with them.
+refit per child, scores with them. Fitting and scoring take the fit's
+``tree.GrowConfig``, the one place that decides which (estimator, scope,
+variance) combinations are valid.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 import scipy.linalg
@@ -40,7 +42,6 @@ import scipy.linalg
 from .data import Dataset
 from .glm import (
     AnyFit,
-    DesignSpec,
     FitError,
     LogisticFit,
     build_design,
@@ -50,6 +51,9 @@ from .glm import (
     fit_ols,
     predict_mean,
 )
+
+if TYPE_CHECKING:
+    from .tree import GrowConfig
 
 # Relative floor distinguishing true degenerate contrasts (identical
 # contributions, variance exactly zero up to rounding) from genuinely tiny
@@ -73,21 +77,6 @@ class VarianceMethod(str, enum.Enum):
     POOLED_SANDWICH = "pooled-sandwich"
     PER_CHILD_SANDWICH = "per-child-sandwich"
     INFLUENCE = "influence"
-
-
-def default_variance_method(kind: EstimatorKind, scope: NuisanceScope) -> VarianceMethod:
-    """IPW uses the sandwich matching its fitting scope; g-formula uses the
-    pooled sandwich; the doubly robust estimator uses the influence variance
-    (its M-estimation variance carries no design-matrix correction)."""
-    if kind == EstimatorKind.IPW:
-        if scope == NuisanceScope.CHILD:
-            return VarianceMethod.PER_CHILD_SANDWICH
-        return VarianceMethod.POOLED_SANDWICH
-    if kind == EstimatorKind.GFORMULA:
-        if scope == NuisanceScope.CHILD:
-            return VarianceMethod.INFLUENCE
-        return VarianceMethod.POOLED_SANDWICH
-    return VarianceMethod.INFLUENCE
 
 
 class InadmissibleSplitError(RuntimeError):
@@ -121,7 +110,6 @@ class NodeEffect:
     mu0: float
     effect: float
     influence: np.ndarray
-    kind: EstimatorKind
     n: int
     n_treated: int
     n_control: int
@@ -210,7 +198,7 @@ def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
     return Contributions(A, Y, e, g1, g0, zdiff, d1, d0, delta)
 
 
-def node_effect(kind: EstimatorKind, c: Contributions) -> NodeEffect:
+def node_effect(c: Contributions) -> NodeEffect:
     """Subgroup effect estimate from the estimator's per-row terms."""
     n = len(c.A)
     mu1 = float(c.d1.mean())
@@ -222,7 +210,6 @@ def node_effect(kind: EstimatorKind, c: Contributions) -> NodeEffect:
         mu0=mu0,
         effect=effect,
         influence=c.delta - effect,
-        kind=kind,
         n=n,
         n_treated=n_treated,
         n_control=n - n_treated,
@@ -232,7 +219,7 @@ def node_effect(kind: EstimatorKind, c: Contributions) -> NodeEffect:
 
 def _estimate(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
               models: NuisanceModels) -> NodeEffect:
-    return node_effect(kind, contributions(kind, data, rows, models))
+    return node_effect(contributions(kind, data, rows, models))
 
 
 def estimate_ipw(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> NodeEffect:
@@ -298,6 +285,19 @@ def _design_kept(fit: AnyFit, data: Dataset, rows: np.ndarray) -> np.ndarray:
     return Z[:, fit.kept]
 
 
+def _pooled_rows(rows_l: np.ndarray, rows_r: np.ndarray):
+    """The union of two children's rows, left membership over it, its size
+    and the two child shares, for the pooled sandwich estimators."""
+    rows = np.union1d(rows_l, rows_r)
+    in_l = np.isin(rows, rows_l)
+    n_p = len(rows)
+    n_l = int(in_l.sum())
+    n_r = n_p - n_l
+    if n_l == 0 or n_r == 0:
+        raise InadmissibleSplitError("empty child")
+    return rows, in_l, n_p, n_l / n_p, n_r / n_p
+
+
 def ipw_variance_pooled(
     data: Dataset,
     rows_l: np.ndarray,
@@ -312,15 +312,7 @@ def ipw_variance_pooled(
     projected through the inverse information matrix onto the difference of
     the child-specific outcome-by-score means.
     """
-    rows = np.union1d(rows_l, rows_r)
-    in_l = np.isin(rows, rows_l)
-
-    n_p = len(rows)
-    n_l = int(in_l.sum())
-    n_r = n_p - n_l
-    if n_l == 0 or n_r == 0:
-        raise InadmissibleSplitError("empty child")
-    p_l, p_r = n_l / n_p, n_r / n_p
+    rows, in_l, n_p, p_l, p_r = _pooled_rows(rows_l, rows_r)
 
     terms = contributions(EstimatorKind.IPW, data, rows,
                           NuisanceModels(propensity=fit, epsilon=epsilon))
@@ -400,7 +392,6 @@ def g_variance_pooled(
     rows_l: np.ndarray,
     rows_r: np.ndarray,
     fit: AnyFit,
-    epsilon: float = 0.0,
 ) -> float:
     """Sandwich variance of the g-formula contrast with one outcome fit on the union.
 
@@ -413,15 +404,7 @@ def g_variance_pooled(
     g-formula contrast has little per-row noise relative to the between-
     child separation).
     """
-    rows = np.union1d(rows_l, rows_r)
-    in_l = np.isin(rows, rows_l)
-
-    n_p = len(rows)
-    n_l = int(in_l.sum())
-    n_r = n_p - n_l
-    if n_l == 0 or n_r == 0:
-        raise InadmissibleSplitError("empty child")
-    p_l, p_r = n_l / n_p, n_r / n_p
+    rows, in_l, n_p, p_l, p_r = _pooled_rows(rows_l, rows_r)
 
     terms = contributions(EstimatorKind.GFORMULA, data, rows, NuisanceModels(outcome=fit))
     Y, g1, g0, delta = terms.Y, terms.g1, terms.g0, terms.delta
@@ -456,76 +439,52 @@ def g_variance_pooled(
     return var
 
 
-def fit_nuisance(
-    data: Dataset,
-    rows: np.ndarray,
-    kind: EstimatorKind,
-    propensity_spec: Optional[DesignSpec],
-    outcome_spec: Optional[DesignSpec],
-    epsilon: float,
-    outcome_family: str = "gaussian",
-) -> NuisanceModels:
-    """Fit the nuisance models an estimator needs on the given rows."""
+def fit_nuisance(data: Dataset, rows: np.ndarray, config: GrowConfig) -> NuisanceModels:
+    """Fit the nuisance models the configured estimator needs on the given rows."""
     propensity = None
     outcome = None
-    if kind in (EstimatorKind.IPW, EstimatorKind.DR):
-        if propensity_spec is None:
-            raise ValueError("propensity spec required for IPW/DR")
-        propensity = fit_logistic(data, rows, propensity_spec)
-    if kind in (EstimatorKind.GFORMULA, EstimatorKind.DR):
-        if outcome_spec is None:
-            raise ValueError("outcome spec required for g-formula/DR")
-        if outcome_family == "binomial":
-            outcome = fit_logistic(data, rows, outcome_spec, response=data.outcome)
+    if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR):
+        propensity = fit_logistic(data, rows, config.propensity_spec)
+    if config.estimator in (EstimatorKind.GFORMULA, EstimatorKind.DR):
+        if config.outcome_family == "binomial":
+            outcome = fit_logistic(data, rows, config.outcome_spec, response=data.outcome)
         else:
-            outcome = fit_ols(data, rows, outcome_spec)
-    return NuisanceModels(propensity=propensity, outcome=outcome, epsilon=epsilon)
+            outcome = fit_ols(data, rows, config.outcome_spec)
+    return NuisanceModels(propensity=propensity, outcome=outcome, epsilon=config.epsilon)
 
 
 def split_contrast(
     data: Dataset,
     rows_l: np.ndarray,
     rows_r: np.ndarray,
-    kind: EstimatorKind,
-    scope: NuisanceScope,
-    propensity_spec: Optional[DesignSpec] = None,
-    outcome_spec: Optional[DesignSpec] = None,
-    epsilon: float = 0.01,
-    variance_method: Optional[VarianceMethod] = None,
-    outcome_family: str = "gaussian",
-    whole_models: Optional[NuisanceModels] = None,
+    config: GrowConfig,
     min_per_arm: int = 1,
+    whole_models: Optional[NuisanceModels] = None,
 ) -> SplitContrast:
-    """Score one candidate split; raises InadmissibleSplitError when it cannot be scored.
+    """Score one candidate split under ``config``'s estimator, scope and
+    variance method; raises InadmissibleSplitError when it cannot be scored.
 
-    Production reaches this only for child scope; whole and parent scope
-    are scored by ``search.candidate_statistics``, which tests compare
-    against this function.
+    ``GrowConfig`` has already decided that the variance method fits the
+    estimator and scope. Production reaches this only for child scope;
+    whole and parent scope are scored by ``search.candidate_statistics``,
+    which tests compare against this function.
     """
     rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
     if np.intersect1d(rows_l, rows_r).size:
         raise ValueError("child rows must be disjoint")
     if len(rows_l) == 0 or len(rows_r) == 0:
         raise InadmissibleSplitError("empty child")
-    variance_method = variance_method or default_variance_method(kind, scope)
+    kind = config.estimator
     n_union = len(rows_l) + len(rows_r)
 
     try:
-        if scope == NuisanceScope.CHILD:
-            models_l = fit_nuisance(data, rows_l, kind, propensity_spec, outcome_spec,
-                                    epsilon, outcome_family)
-            models_r = fit_nuisance(data, rows_r, kind, propensity_spec, outcome_spec,
-                                    epsilon, outcome_family)
+        if config.scope == NuisanceScope.CHILD:
+            models_l = fit_nuisance(data, rows_l, config)
+            models_r = fit_nuisance(data, rows_r, config)
+        elif config.scope == NuisanceScope.WHOLE:
+            models_l = models_r = whole_models or fit_nuisance(data, np.arange(data.n), config)
         else:
-            if scope == NuisanceScope.WHOLE:
-                models = whole_models
-                if models is None:
-                    models = fit_nuisance(data, np.arange(data.n), kind,
-                                          propensity_spec, outcome_spec, epsilon, outcome_family)
-            else:
-                models = fit_nuisance(data, np.union1d(rows_l, rows_r), kind, propensity_spec,
-                                      outcome_spec, epsilon, outcome_family)
-            models_l = models_r = models
+            models_l = models_r = fit_nuisance(data, np.union1d(rows_l, rows_r), config)
     except FitError as err:
         raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
 
@@ -539,26 +498,15 @@ def split_contrast(
 
     t_hat = effect_l.effect - effect_r.effect
 
-    if variance_method == VarianceMethod.INFLUENCE:
+    if config.variance_method == VarianceMethod.INFLUENCE:
         variance = if_variance(effect_l, effect_r, n_union)
-    elif variance_method == VarianceMethod.PER_CHILD_SANDWICH:
-        if kind != EstimatorKind.IPW:
-            raise ValueError("per-child sandwich variance applies to the IPW estimator only")
-        if scope != NuisanceScope.CHILD:
-            raise ValueError("per-child sandwich variance requires child-scope fits")
-        variance = ipw_variance_per_child(data, rows_l, rows_r,
-                                          models_l.propensity, models_r.propensity, epsilon)
+    elif config.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
+        variance = ipw_variance_per_child(data, rows_l, rows_r, models_l.propensity,
+                                          models_r.propensity, config.epsilon)
+    elif kind == EstimatorKind.IPW:
+        variance = ipw_variance_pooled(data, rows_l, rows_r, models_l.propensity, config.epsilon)
     else:
-        if scope == NuisanceScope.CHILD:
-            raise ValueError("pooled sandwich variance requires a shared fit (whole or parent scope)")
-        if kind == EstimatorKind.IPW:
-            variance = ipw_variance_pooled(data, rows_l, rows_r, models_l.propensity, epsilon)
-        elif kind == EstimatorKind.GFORMULA:
-            variance = g_variance_pooled(data, rows_l, rows_r, models_l.outcome)
-        else:
-            # The DR M-estimation variance has no design-matrix correction
-            # term; it coincides with the influence-based estimator.
-            variance = if_variance(effect_l, effect_r, n_union)
+        variance = g_variance_pooled(data, rows_l, rows_r, models_l.outcome)
 
     statistic = t_hat**2 / variance
     if not np.isfinite(statistic):

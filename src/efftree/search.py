@@ -19,14 +19,15 @@ fitted tree recomputed on validation rows, is scored as a 1-candidate batch
 
 Child-scope fitting cannot be batched (each candidate refits its own
 models); that path loops over candidates and scores each one via
-``split_contrast``.
+``split_contrast``. The search takes the fit's ``tree.GrowConfig``; the
+candidate kernel reads the variance method from the node's tables.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 import scipy.linalg
@@ -43,6 +44,9 @@ from .estimators import (
     split_contrast,
 )
 from .glm import build_design, predict_mean
+
+if TYPE_CHECKING:
+    from .tree import GrowConfig
 
 MAX_CATEGORICAL_LEVELS = 15
 
@@ -240,18 +244,20 @@ class _NodeTables:
 def node_tables(
     data: Dataset,
     rows: np.ndarray,
-    kind: EstimatorKind,
-    variance_method: VarianceMethod,
+    config: GrowConfig,
     models: NuisanceModels,
     terms: Contributions,
 ) -> _NodeTables:
-    """Tables of the node's rows from their per-row ``terms`` under ``models``."""
+    """Tables of the node's rows from their per-row ``terms`` under ``models``.
+
+    Only the pooled sandwich needs the information matrix, so ``info_inv``
+    is None exactly when the variance is the influence one."""
     A, Y, e, g1, g0, delta = terms.A, terms.Y, terms.e, terms.g1, terms.g0, terms.delta
 
     grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
-    if variance_method == VarianceMethod.POOLED_SANDWICH:
-        if kind == EstimatorKind.IPW:
+    if config.variance_method == VarianceMethod.POOLED_SANDWICH:
+        if config.estimator == EstimatorKind.IPW:
             fit = models.propensity
             X = build_design(data, rows, fit.spec)[0][:, fit.kept]
             h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
@@ -286,7 +292,7 @@ def node_tables(
         score_total = score.sum(axis=0)
 
     delta_sq = delta**2
-    centered = kind != EstimatorKind.IPW
+    centered = config.estimator != EstimatorKind.IPW
     columns = [np.ones(len(rows)), A, delta, delta_sq]
     dscore = None
     if score is not None:
@@ -314,10 +320,9 @@ def candidate_statistics(
     n_p: int,
     min_node: int,
     min_per_arm: int,
-    variance_method: VarianceMethod,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(statistic, admissible, t_hat, variance) arrays for one candidate batch."""
-    sandwich = variance_method != VarianceMethod.INFLUENCE
+    sandwich = tables.info_inv is not None
     q = len(tables.grad_total) if sandwich else 0
 
     left_counts = left_agg[:, 0]
@@ -417,16 +422,8 @@ def candidate_statistics(
 def find_best_split(
     data: Dataset,
     rows: np.ndarray,
-    kind: EstimatorKind,
-    scope: NuisanceScope,
-    variance_method: VarianceMethod,
+    config: GrowConfig,
     tables: Optional[_NodeTables],
-    min_node: int,
-    min_per_arm: int,
-    propensity_spec=None,
-    outcome_spec=None,
-    epsilon: float = 0.01,
-    outcome_family: str = "gaussian",
 ) -> Optional[BestSplit]:
     """Best admissible candidate split of the node, or None.
 
@@ -435,21 +432,17 @@ def find_best_split(
     Ties on the statistic keep the earlier candidate in enumeration order
     (column order, then threshold / canonical subset / cut order).
     """
-    if scope == NuisanceScope.CHILD:
-        return _find_best_split_childfit(
-            data, rows, kind, variance_method, min_node, min_per_arm,
-            propensity_spec, outcome_spec, epsilon, outcome_family,
-        )
+    if config.scope == NuisanceScope.CHILD:
+        return _find_best_split_childfit(data, rows, config)
 
+    min_node, min_per_arm = config.min_node, config.min_per_arm
     n_p = len(rows)
     best = None  # (stat, rule)
     n_cand = 0
     n_adm = 0
     for block in iter_candidate_blocks(data, rows):
         left_agg = block.aggregate(tables.packed)
-        stats, adm, _, _ = candidate_statistics(
-            tables, left_agg, n_p, min_node, min_per_arm, variance_method,
-        )
+        stats, adm, _, _ = candidate_statistics(tables, left_agg, n_p, min_node, min_per_arm)
         n_cand += block.n_rules
         n_adm += int(adm.sum())
         if not adm.any():
@@ -465,7 +458,7 @@ def find_best_split(
     # partition, so the stored values match the partition exactly even if a
     # midpoint threshold rounded onto a data value.
     left_local = rule.goes_left(data, rows)
-    scored = score_partition(tables, left_local, min_node, min_per_arm, variance_method)
+    scored = score_partition(tables, left_local, min_node, min_per_arm)
     if scored is None or scored[0] <= 0.0:
         return None
     statistic, t_hat, variance = scored
@@ -477,24 +470,21 @@ def score_partition(
     left_local: np.ndarray,
     min_node: int,
     min_per_arm: int,
-    variance_method: VarianceMethod,
 ) -> Optional[tuple[float, float, float]]:
     """(statistic, t_hat, variance) of one realized partition of the node's
     rows (``left_local`` is left membership over them), scored as a
     1-candidate batch; None when the partition is inadmissible."""
     left_agg = tables.packed[left_local].sum(axis=0)[None, :]
     stats, adm, t_hats, variances = candidate_statistics(
-        tables, left_agg, len(left_local), min_node, min_per_arm, variance_method,
+        tables, left_agg, len(left_local), min_node, min_per_arm,
     )
     if not adm[0]:
         return None
     return float(stats[0]), float(t_hats[0]), float(variances[0])
 
 
-def _find_best_split_childfit(
-    data, rows, kind, variance_method, min_node, min_per_arm,
-    propensity_spec, outcome_spec, epsilon, outcome_family,
-) -> Optional[BestSplit]:
+def _find_best_split_childfit(data: Dataset, rows: np.ndarray,
+                              config: GrowConfig) -> Optional[BestSplit]:
     """Candidate loop with per-child nuisance refits (child scope)."""
     best = None
     n_cand = 0
@@ -504,15 +494,11 @@ def _find_best_split_childfit(
             n_cand += 1
             left_local = rule.goes_left(data, rows)
             n_l = int(left_local.sum())
-            if n_l < min_node or len(rows) - n_l < min_node:
+            if n_l < config.min_node or len(rows) - n_l < config.min_node:
                 continue
             try:
-                contrast = split_contrast(
-                    data, rows[left_local], rows[~left_local], kind, NuisanceScope.CHILD,
-                    propensity_spec=propensity_spec, outcome_spec=outcome_spec,
-                    epsilon=epsilon, variance_method=variance_method,
-                    outcome_family=outcome_family, min_per_arm=min_per_arm,
-                )
+                contrast = split_contrast(data, rows[left_local], rows[~left_local], config,
+                                          min_per_arm=config.min_per_arm)
             except InadmissibleSplitError:
                 continue
             n_adm += 1

@@ -2,18 +2,21 @@
 
 Each candidate subtree is scored by recomputing its internal-node splitting
 statistics from validation rows routed down the tree and penalizing the
-internal-node count; the candidate maximizing this validation split
-complexity wins, ties going to the smaller tree. The validation rows are a
-row-index array into the dataset the tree was grown on, so selection copies
-no data and reuses that dataset's root designs. Under whole and parent
-scope a node's validation statistic comes from the same batched kernel that
-scored it during growth (``search.score_partition``). Bootstrap intervals
-re-estimate terminal effects on resampled row indices, with the structure
-and the routing of the rows fixed and no copy of the data.
+internal-node count (lambda per node, finite and >= 0); the candidate
+maximizing this validation split complexity wins, ties going to the smaller
+tree. Selection and the bootstrap use the tree's own config. The
+validation rows are a row-index array into the dataset the tree was grown
+on, so selection copies no data and reuses that dataset's root designs.
+Under whole and parent scope a node's validation statistic comes from the
+same batched kernel that scored it during growth
+(``search.score_partition``). Bootstrap intervals re-estimate terminal
+effects on resampled row indices, with the structure and the routing of
+the rows fixed and no copy of the data.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,32 +46,23 @@ __all__ = [
 ]
 
 
-def validation_statistics(
-    tree: Tree,
-    data: Dataset,
-    rows: np.ndarray,
-    config: Optional[GrowConfig] = None,
-) -> dict[int, float]:
+def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[int, float]:
     """Splitting statistic of each internal node recomputed on validation ``rows``.
 
-    Nuisance models are refit on the validation rows per the configured
-    scope: one fit on all of them (whole), one on the rows reaching the node
-    (parent), or one per child (child). Whole and parent scope score each
+    Nuisance models are refit on the validation rows per the scope of the
+    tree's config: one fit on all of them (whole), one on the rows reaching
+    the node (parent), or one per child (child). Whole and parent scope score each
     node's realized partition with the batched kernel; child scope with
     ``split_contrast``. Every child and arm needs one row. A node whose
     statistic cannot be computed (empty child or arm, failed fit,
     degenerate variance) contributes 0.
     """
-    config = config or tree.config
+    config = tree.config
     reach = tree.rows_by_node(data, rows)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:
-            whole_models = fit_nuisance(
-                data, rows, config.estimator,
-                config.propensity_spec, config.outcome_spec, config.epsilon,
-                config.outcome_family,
-            )
+            whole_models = fit_nuisance(data, rows, config)
         except FitError:
             return dict.fromkeys(tree.internal_ids(), 0.0)
 
@@ -83,27 +77,14 @@ def validation_statistics(
             continue
         try:
             if config.scope == NuisanceScope.CHILD:
-                stats[node_id] = split_contrast(
-                    data, left_rows, right_rows, config.estimator, config.scope,
-                    propensity_spec=config.propensity_spec,
-                    outcome_spec=config.outcome_spec,
-                    epsilon=config.epsilon,
-                    variance_method=config.variance_method,
-                    outcome_family=config.outcome_family,
-                    min_per_arm=1,
-                ).statistic
+                stats[node_id] = split_contrast(data, left_rows, right_rows, config).statistic
             else:
                 models = whole_models
                 if models is None:
-                    models = fit_nuisance(
-                        data, node_rows, config.estimator, config.propensity_spec,
-                        config.outcome_spec, config.epsilon, config.outcome_family,
-                    )
+                    models = fit_nuisance(data, node_rows, config)
                 terms = contributions(config.estimator, data, node_rows, models)
-                tables = node_tables(data, node_rows, config.estimator,
-                                     config.variance_method, models, terms)
-                scored = score_partition(tables, np.isin(node_rows, left_rows), 1, 1,
-                                         config.variance_method)
+                tables = node_tables(data, node_rows, config, models, terms)
+                scored = score_partition(tables, np.isin(node_rows, left_rows), 1, 1)
                 stats[node_id] = 0.0 if scored is None else scored[0]
         except (InadmissibleSplitError, FitError):
             stats[node_id] = 0.0
@@ -133,9 +114,10 @@ def select_final(
     data: Dataset,
     rows: np.ndarray,
     lam: float,
-    config: Optional[GrowConfig] = None,
 ) -> tuple[Tree, SelectionTrace]:
     """Candidate maximizing split complexity on validation ``rows``; ties prefer fewer internal nodes.
+
+    ``lam`` is the penalty per internal node, finite and >= 0.
 
     A node's validation statistic is the same in every candidate that
     contains it (pruning preserves ancestors), so the statistics are
@@ -143,8 +125,10 @@ def select_final(
     ``split_complexity``, over each candidate's internal nodes, which follow
     from the prune order. Only the chosen candidate is materialized.
     """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
     max_tree = sequence[0]
-    stats = validation_statistics(max_tree, data, rows, config)
+    stats = validation_statistics(max_tree, data, rows)
     kept = max_tree.internal_ids()
     sizes: list[int] = []
     complexities: list[float] = []
@@ -174,12 +158,11 @@ def bootstrap_effects(
     B: int = 1000,
     level: float = 0.95,
     seed: int = 0,
-    config: Optional[GrowConfig] = None,
 ) -> list[TerminalInterval]:
     """Percentile bootstrap intervals for each terminal effect of a fixed tree.
 
     Rows are resampled with replacement; terminal effects are re-estimated
-    with the configured estimator on the resampled indices reaching each
+    with the tree's estimator on the resampled indices reaching each
     terminal, in draw order with duplicates, structure unchanged. A
     replicate leaving some terminal with an empty treatment arm (or an
     unfittable model) is redrawn up to 10 times, then dropped and counted.
@@ -190,7 +173,6 @@ def bootstrap_effects(
         raise ValueError("B must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    config = config or tree.config
     terminal_ids = tree.terminal_ids()
     terminal = tree.route(data)
     draws: dict[int, list[float]] = {t: [] for t in terminal_ids}
@@ -200,7 +182,7 @@ def bootstrap_effects(
         effects = None
         for _ in range(10):
             idx = rng.integers(0, data.n, size=data.n)
-            effects = _terminal_effects(data, idx, terminal[idx], config, terminal_ids)
+            effects = _terminal_effects(data, idx, terminal[idx], tree.config, terminal_ids)
             if effects is not None:
                 break
         if effects is None:
@@ -235,11 +217,7 @@ def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, confi
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:
-            whole_models = fit_nuisance(
-                data, idx, config.estimator,
-                config.propensity_spec, config.outcome_spec, config.epsilon,
-                config.outcome_family,
-            )
+            whole_models = fit_nuisance(data, idx, config)
         except FitError:
             return None
     effects: dict[int, float] = {}
@@ -251,10 +229,7 @@ def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, confi
             models = whole_models
         else:
             try:
-                models = fit_nuisance(
-                    data, rows, config.estimator, config.propensity_spec,
-                    config.outcome_spec, config.epsilon, config.outcome_family,
-                )
+                models = fit_nuisance(data, rows, config)
             except FitError:
                 return None
         effect = ESTIMATE[config.estimator](data, rows, models)

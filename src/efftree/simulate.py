@@ -428,7 +428,7 @@ def run_replicate(
     t0 = time.perf_counter()
     max_tree = grow_max_tree(train, build_mask, config)
     sequence = weakest_link_sequence(max_tree)
-    final, _ = select_final(sequence, train, np.arange(n_build, train.n), lam, config)
+    final, _ = select_final(sequence, train, np.arange(n_build, train.n), lam)
     fit_seconds = time.perf_counter() - t0
 
     return ReplicateResult(

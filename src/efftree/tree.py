@@ -27,7 +27,6 @@ from .estimators import (
     NuisanceScope,
     VarianceMethod,
     contributions,
-    default_variance_method,
     fit_nuisance,
     node_effect,
 )
@@ -43,7 +42,8 @@ TREE_FORMAT = "cit-tree/1"
 class GrowConfig:
     """Everything growth needs: estimator, nuisance specs, scope, variance
     method, stopping limits, truncation bound, and the seed recorded with
-    the tree."""
+    the tree. The only place that decides which (estimator, scope,
+    variance) combinations are valid."""
 
     estimator: EstimatorKind
     propensity_spec: Optional[DesignSpec] = None
@@ -61,9 +61,14 @@ class GrowConfig:
         self.estimator = EstimatorKind(self.estimator)
         self.scope = NuisanceScope(self.scope)
         if self.variance_method is None:
-            self.variance_method = default_variance_method(self.estimator, self.scope)
-        else:
-            self.variance_method = VarianceMethod(self.variance_method)
+            # the pooled sandwich where one fit is shared (DR: see below)
+            if self.scope != NuisanceScope.CHILD:
+                self.variance_method = VarianceMethod.POOLED_SANDWICH
+            elif self.estimator == EstimatorKind.IPW:
+                self.variance_method = VarianceMethod.PER_CHILD_SANDWICH
+            else:
+                self.variance_method = VarianceMethod.INFLUENCE
+        self.variance_method = VarianceMethod(self.variance_method)
         if not (self.min_node >= 2 * self.min_per_arm >= 2):
             raise ValueError("require min_node >= 2*min_per_arm >= 2")
         if self.max_depth < 1:
@@ -109,7 +114,6 @@ class TreeNode:
     left: Optional[int] = None
     right: Optional[int] = None
     # training-time attachments, not serialized
-    rows: Optional[np.ndarray] = None
     n_candidates: int = 0
     n_admissible: int = 0
 
@@ -321,8 +325,39 @@ def config_to_dict(config: GrowConfig, treatment_name: str) -> dict:
     }
 
 
+def _rule_from_dict(r: dict, schema: Schema) -> SplitRule:
+    """A split rule from its JSON form; ValueError unless it names a schema
+    covariate at its index and its kind fits that covariate."""
+    if r["column"] not in schema.covariate_names or \
+            r["column_index"] != schema.column_index(r["column"]):
+        raise ValueError(f"rule column {r['column']!r} at index {r['column_index']!r} "
+                         "is not that schema covariate")
+    rule = SplitRule(
+        column=r["column"],
+        column_index=r["column_index"],
+        kind=r["kind"],
+        threshold=r.get("threshold"),
+        left_levels=tuple(r["left_levels"]) if "left_levels" in r else None,
+        right_levels=tuple(r["right_levels"]) if "right_levels" in r else None,
+        cut=r.get("cut"),
+    )
+    kind = schema.kind_of(rule.column)
+    if rule.kind == "threshold":
+        fits = isinstance(kind, Continuous) and isinstance(rule.threshold, (int, float))
+    elif rule.kind == "subset":
+        fits = (isinstance(kind, Categorical) and None not in (rule.left_levels, rule.right_levels)
+                and set(rule.left_levels + rule.right_levels) <= set(kind.levels))
+    else:
+        fits = (rule.kind == "ordinal_cut" and isinstance(kind, Ordinal)
+                and isinstance(rule.cut, int) and 0 <= rule.cut < len(kind.levels) - 1)
+    if not fits:
+        raise ValueError(f"rule kind {rule.kind!r} does not fit covariate {rule.column!r}")
+    return rule
+
+
 def tree_from_dict(payload: dict) -> Tree:
-    """Rebuild a tree from its JSON document (effects only, no models)."""
+    """Rebuild a tree from its JSON document (effects only, no models);
+    ValueError unless its nodes form one binary tree from the root."""
     if payload.get("format") != TREE_FORMAT:
         raise ValueError(f"unsupported tree format {payload.get('format')!r}")
     schema = schema_from_dict(payload["schema"])
@@ -334,27 +369,30 @@ def tree_from_dict(payload: dict) -> Tree:
     )
     nodes: dict[int, TreeNode] = {}
     for nd in payload["nodes"]:
-        rule = None
-        if nd["rule"] is not None:
-            r = nd["rule"]
-            rule = SplitRule(
-                column=r["column"],
-                column_index=r["column_index"],
-                kind=r["kind"],
-                threshold=r.get("threshold"),
-                left_levels=tuple(r["left_levels"]) if "left_levels" in r else None,
-                right_levels=tuple(r["right_levels"]) if "right_levels" in r else None,
-                cut=r.get("cut"),
-            )
+        if nd["id"] in nodes:
+            raise ValueError(f"duplicate tree node id {nd['id']!r}")
+        rule = None if nd["rule"] is None else _rule_from_dict(nd["rule"], schema)
         effect = NodeEffect(
-            mu1=nd["mu1"], mu0=nd["mu0"], effect=nd["effect"],
-            influence=np.empty(0), kind=config.estimator,
+            mu1=nd["mu1"], mu0=nd["mu0"], effect=nd["effect"], influence=np.empty(0),
             n=nd["n"], n_treated=0, n_control=0, second_moment=0.0,
         )
         nodes[nd["id"]] = TreeNode(
             id=nd["id"], depth=nd["depth"], n=nd["n"], effect=effect,
             rule=rule, statistic=nd["statistic"], left=nd["left"], right=nd["right"],
         )
+    reached = set()
+    order = [payload["root"]]
+    for i in order:
+        if i not in nodes or i in reached:
+            raise ValueError(f"tree node {i!r} is missing or reached twice")
+        reached.add(i)
+        nd = nodes[i]
+        if (nd.left is None, nd.right is None) != (nd.is_terminal, nd.is_terminal):
+            raise ValueError(f"tree node {i!r} must have two children exactly when it has a rule")
+        if not nd.is_terminal:
+            order += (nd.left, nd.right)
+    if len(reached) != len(nodes):
+        raise ValueError("some tree nodes are not reached from the root")
     return Tree(nodes, payload["root"], config, schema)
 
 
@@ -369,10 +407,7 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         raise ValueError("root below min_node")
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
-        whole_models = fit_nuisance(
-            data, rows, config.estimator, config.propensity_spec,
-            config.outcome_spec, config.epsilon, config.outcome_family,
-        )
+        whole_models = fit_nuisance(data, rows, config)
 
     nodes: dict[int, TreeNode] = {}
     counter = [0]
@@ -384,19 +419,15 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         models = whole_models
         if config.scope != NuisanceScope.WHOLE:
             try:
-                models = fit_nuisance(data, node_rows, config.estimator, config.propensity_spec,
-                                      config.outcome_spec, config.epsilon, config.outcome_family)
+                models = fit_nuisance(data, node_rows, config)
             except FitError:
                 models = None  # the effect uses the parent's models; parent scope stops here
         effect_models = models if models is not None else parent_models
         if effect_models is None:
             raise FitError("cannot fit nuisance models on the root node")
         terms = contributions(config.estimator, data, node_rows, effect_models)
-        effect = node_effect(config.estimator, terms)
-        node = TreeNode(
-            id=node_id, depth=depth, n=len(node_rows), effect=effect,
-            rows=node_rows,
-        )
+        effect = node_effect(terms)
+        node = TreeNode(id=node_id, depth=depth, n=len(node_rows), effect=effect)
         nodes[node_id] = node
 
         treated = int(effect.n_treated)
@@ -412,17 +443,11 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         tables = None
         if config.scope != NuisanceScope.CHILD:
             try:
-                tables = node_tables(data, node_rows, config.estimator,
-                                     config.variance_method, models, terms)
+                tables = node_tables(data, node_rows, config, models, terms)
             except InadmissibleSplitError:
                 return node_id  # e.g. a singular information matrix on the node's rows
         del terms  # neither the terms nor the tables may stay alive while children grow
-        best = find_best_split(
-            data, node_rows, config.estimator, config.scope, config.variance_method,
-            tables, config.min_node, config.min_per_arm,
-            propensity_spec=config.propensity_spec, outcome_spec=config.outcome_spec,
-            epsilon=config.epsilon, outcome_family=config.outcome_family,
-        )
+        best = find_best_split(data, node_rows, config, tables)
         del tables
         node.n_candidates = 0 if best is None else best.n_candidates
         node.n_admissible = 0 if best is None else best.n_admissible

@@ -35,7 +35,7 @@ from efftree.simulate import (
     pairwise_similarity_labels,
     run_experiment,
 )
-from efftree.tree import grow_max_tree
+from efftree.tree import GrowConfig, grow_max_tree
 from util_trees import brute_force_sequence, random_tree
 
 ACCEPT_SEED = 2024
@@ -106,17 +106,17 @@ def test_criterion_3_null_calibration():
     p_spec = parse_spec("1 + x1 + x2 + x3", "A")
     o_spec = parse_spec("1 + A + lt(x1,0) + exp(x2) + gt(x4,0) + cube(x5)", "A")
     R = 2000
+    ipw_config = GrowConfig(EstimatorKind.IPW, propensity_spec=p_spec, scope=NuisanceScope.PARENT,
+                            variance_method=VarianceMethod.POOLED_SANDWICH)
+    dr_config = GrowConfig(EstimatorKind.DR, propensity_spec=p_spec, outcome_spec=o_spec,
+                           scope=NuisanceScope.PARENT, variance_method=VarianceMethod.INFLUENCE)
     exceed_ipw = exceed_dr = 0
     for rep in range(R):
         data, _ = generate(SimSetting("homogeneous", 1000, seed=37_000_000 + rep))
         in_l = data.column("x4") > 0
         rows_l, rows_r = np.flatnonzero(in_l), np.flatnonzero(~in_l)
-        ipw = split_contrast(data, rows_l, rows_r, EstimatorKind.IPW, NuisanceScope.PARENT,
-                             propensity_spec=p_spec,
-                             variance_method=VarianceMethod.POOLED_SANDWICH)
-        dr = split_contrast(data, rows_l, rows_r, EstimatorKind.DR, NuisanceScope.PARENT,
-                            propensity_spec=p_spec, outcome_spec=o_spec,
-                            variance_method=VarianceMethod.INFLUENCE)
+        ipw = split_contrast(data, rows_l, rows_r, ipw_config)
+        dr = split_contrast(data, rows_l, rows_r, dr_config)
         exceed_ipw += ipw.statistic > 3.84
         exceed_dr += dr.statistic > 3.84
     rate_ipw = exceed_ipw / R
@@ -260,7 +260,7 @@ def test_criterion_8_relative_fit_speed():
             t0 = time.perf_counter()
             tree = grow_max_tree(data, build, config)
             seq = weakest_link_sequence(tree)
-            select_final(seq, data, validation, 3.84, config)
+            select_final(seq, data, validation, 3.84)
             times.append(time.perf_counter() - t0)
         mean_seconds[name] = float(np.mean(times))
     factor_ipw = mean_seconds["ipw"] / mean_seconds["dr"]

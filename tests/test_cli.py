@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -120,6 +121,26 @@ def test_fit_rejects_bad_bootstrap_arguments_before_fitting(heterog_csv, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "-1"])
+def test_fit_rejects_a_bad_lambda_before_reading_data(heterog_csv, tmp_path, lam, capsys):
+    base, csv_path, schema_path, _ = heterog_csv
+    out = tmp_path / "out"
+    code = run_cli(["fit", "--data", tmp_path / "missing.csv", "--schema", schema_path,
+                    "--estimator", "g", "--outcome-spec", "1 + A + x1", "--lambda", lam,
+                    "--out", out])
+    assert code == 2  # a missing data file would give 3
+    assert "--lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lam", ["nan", "-1"])
+def test_simulate_rejects_a_bad_lambda(lam, capsys):
+    code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 1, "--n", 200,
+                    "--threads", 1, "--lambda", lam])
+    assert code == 2  # simulating first would fail every replicate: 4
+    assert "--lambda" in capsys.readouterr().err
+
+
 def test_fit_train_frac_1_selects_on_every_row(heterog_csv, tmp_path, caplog):
     base, csv_path, schema_path, generated = heterog_csv
     spec = "1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)"
@@ -131,7 +152,7 @@ def test_fit_train_frac_1_selects_on_every_row(heterog_csv, tmp_path, caplog):
     data = load_csv(csv_path, generated.schema)
     config = GrowConfig.from_strings("g", "A", outcome=spec)
     seq = weakest_link_sequence(grow_max_tree(data, SubgroupMask.full(data.n), config))
-    _, trace = select_final(seq, data, np.arange(data.n), 2.0, config)
+    _, trace = select_final(seq, data, np.arange(data.n), 2.0)
     assert len(trace.complexities) > 1
     expected = json.dumps(trace.to_dict(), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "selection.json").read_text(encoding="utf-8") == expected
@@ -188,6 +209,66 @@ def test_predict_round_trip(heterog_csv, tmp_path, capsys):
     expected = tree.predict(data)
     got = np.array([float(line.split(",")[-2]) for line in lines[1:]])
     assert got == pytest.approx(expected)
+
+
+@pytest.fixture(scope="module")
+def fitted_tree(heterog_csv):
+    base, csv_path, schema_path, _ = heterog_csv
+    out = base / "fitted"
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path, "--estimator", "g",
+                    "--outcome-spec", "1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)",
+                    "--seed", 3, "--out", out])
+    assert code == 0
+    return json.loads((out / "tree.json").read_text(encoding="utf-8"))
+
+
+def _split(payload):
+    return next(nd for nd in payload["nodes"] if nd["rule"] is not None)
+
+
+def _leaf(payload):
+    return next(nd for nd in payload["nodes"] if nd["rule"] is None)
+
+
+def _rekind(payload, covariate_kind, **rule):
+    """Declare the first split's covariate ``covariate_kind`` with levels
+    a, b, c and replace that split's rule by ``rule``."""
+    nd = _split(payload)
+    col = next(c for c in payload["schema"]["covariates"] if c["name"] == nd["rule"]["column"])
+    col.update(kind=covariate_kind, levels=["a", "b", "c"])
+    nd["rule"] = {"column": col["name"], "column_index": nd["rule"]["column_index"], **rule}
+
+
+TREE_CORRUPTIONS = {
+    "root-not-a-node": lambda p: p.update(root=999),
+    "child-not-a-node": lambda p: _split(p).update(left=999),
+    "internal-node-without-a-child": lambda p: _split(p).update(right=None),
+    "terminal-node-with-a-child": lambda p: _leaf(p).update(left=p["root"]),
+    "rule-column-not-a-covariate": lambda p: _split(p)["rule"].update(column="nope"),
+    "rule-column-index-wrong": lambda p: _split(p)["rule"].update(
+        column_index=_split(p)["rule"]["column_index"] + 1),
+    "threshold-on-categorical": lambda p: _rekind(p, "categorical", kind="threshold",
+                                                  threshold=0.0),
+    "subset-on-continuous": lambda p: _split(p)["rule"].update(
+        kind="subset", left_levels=["a"], right_levels=["b"]),
+    "subset-with-undeclared-level": lambda p: _rekind(p, "categorical", kind="subset",
+                                                      left_levels=["a"], right_levels=["z"]),
+    "ordinal-cut-on-categorical": lambda p: _rekind(p, "categorical", kind="ordinal_cut", cut=0),
+    "ordinal-cut-outside-levels": lambda p: _rekind(p, "ordinal", kind="ordinal_cut", cut=2),
+}
+
+
+@pytest.mark.parametrize("corrupt", TREE_CORRUPTIONS.values(), ids=TREE_CORRUPTIONS.keys())
+def test_predict_rejects_a_malformed_tree_file(fitted_tree, heterog_csv, tmp_path, corrupt):
+    payload = copy.deepcopy(fitted_tree)
+    corrupt(payload)
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(payload), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "efftree.cli", "predict", "--tree", str(tree_path),
+                             "--data", str(heterog_csv[1])], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "bad tree file" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_predict_schema_mismatch(heterog_csv, tmp_path, capsys):

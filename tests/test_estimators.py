@@ -19,6 +19,7 @@ from efftree.estimators import (
     split_contrast,
 )
 from efftree.glm import build_design, fit_logistic, fit_ols, parse_spec, predict_mean
+from efftree.tree import GrowConfig
 
 
 def make_data(x: dict, A, Y) -> Dataset:
@@ -201,7 +202,7 @@ def test_estimators_reject_empty_subgroup():
 def fake_effect(influence, n, second_moment=1.0):
     influence = np.asarray(influence, dtype=float)
     return NodeEffect(mu1=0.0, mu0=0.0, effect=0.0, influence=influence,
-                      kind=EstimatorKind.DR, n=n, n_treated=max(1, n // 2),
+                      n=n, n_treated=max(1, n // 2),
                       n_control=max(1, n - n // 2), second_moment=second_moment)
 
 
@@ -417,8 +418,9 @@ def test_split_contrast_identical_children_zero_statistic():
     data = make_data({"x1": x}, A, Y)
     left = np.arange(8) < 4
     contrast = split_contrast(
-        data, np.flatnonzero(left), np.flatnonzero(~left), EstimatorKind.IPW, NuisanceScope.PARENT,
-        propensity_spec=parse_spec("1", "A"), variance_method=VarianceMethod.POOLED_SANDWICH,
+        data, np.flatnonzero(left), np.flatnonzero(~left),
+        GrowConfig(EstimatorKind.IPW, propensity_spec=parse_spec("1", "A"),
+                   scope=NuisanceScope.PARENT, variance_method=VarianceMethod.POOLED_SANDWICH),
     )
     assert contrast.t_hat == pytest.approx(0.0, abs=1e-12)
     assert contrast.statistic == pytest.approx(0.0, abs=1e-12)
@@ -432,9 +434,9 @@ def test_split_contrast_statistic_definition():
     # statistic = t^2 / var by construction
     data, left, right = fixture_40(seed=37)
     contrast = split_contrast(
-        data, left, right, EstimatorKind.DR, NuisanceScope.PARENT,
-        propensity_spec=parse_spec("1 + x1", "A"),
-        outcome_spec=parse_spec("1 + x1 + A", "A"),
+        data, left, right,
+        GrowConfig(EstimatorKind.DR, propensity_spec=parse_spec("1 + x1", "A"),
+                   outcome_spec=parse_spec("1 + x1 + A", "A"), scope=NuisanceScope.PARENT),
     )
     assert contrast.statistic == pytest.approx(contrast.t_hat**2 / contrast.variance, rel=1e-12)
 
@@ -443,8 +445,9 @@ def test_split_contrast_matches_manual_pipeline():
     data, left, right = fixture_40(seed=38)
     spec = parse_spec("1 + x1 + x2", "A")
     contrast = split_contrast(
-        data, left, right, EstimatorKind.IPW, NuisanceScope.PARENT,
-        propensity_spec=spec, variance_method=VarianceMethod.POOLED_SANDWICH,
+        data, left, right,
+        GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.PARENT,
+                   variance_method=VarianceMethod.POOLED_SANDWICH),
     )
     fit = fit_logistic(data, full(data), spec)
     models = NuisanceModels(propensity=fit, outcome=None, epsilon=0.01)
@@ -463,8 +466,9 @@ def test_split_contrast_statistic_symmetric_under_relabeling():
         outcome_spec=parse_spec("1 + x1 + A + A:x1", "A"),
     )
     for kind in (EstimatorKind.IPW, EstimatorKind.GFORMULA, EstimatorKind.DR):
-        a = split_contrast(data, left, right, kind, NuisanceScope.PARENT, **kwargs)
-        b = split_contrast(data, right, left, kind, NuisanceScope.PARENT, **kwargs)
+        config = GrowConfig(kind, scope=NuisanceScope.PARENT, **kwargs)
+        a = split_contrast(data, left, right, config)
+        b = split_contrast(data, right, left, config)
         assert a.statistic == pytest.approx(b.statistic, rel=1e-9)
         assert a.t_hat == pytest.approx(-b.t_hat, rel=1e-9)
 
@@ -472,16 +476,16 @@ def test_split_contrast_statistic_symmetric_under_relabeling():
 def test_split_contrast_rejects_overlapping_children():
     data, left, right = fixture_40(seed=40)
     with pytest.raises(ValueError, match="disjoint"):
-        split_contrast(data, left, left, EstimatorKind.IPW, NuisanceScope.PARENT,
-                       propensity_spec=parse_spec("1", "A"))
+        split_contrast(data, left, left, GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                                                    propensity_spec=parse_spec("1", "A")))
 
 
 def test_split_contrast_rejects_boolean_rows():
     data, left, right = fixture_40(seed=40)
     in_l = np.isin(np.arange(data.n), left)
     with pytest.raises(TypeError, match="integer index array"):
-        split_contrast(data, in_l, ~in_l, EstimatorKind.IPW, NuisanceScope.PARENT,
-                       propensity_spec=parse_spec("1", "A"))
+        split_contrast(data, in_l, ~in_l, GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                                                     propensity_spec=parse_spec("1", "A")))
 
 
 def test_split_contrast_empty_arm_inadmissible():
@@ -491,8 +495,9 @@ def test_split_contrast_empty_arm_inadmissible():
     data = make_data({"x1": x}, A, Y)
     left = x < 10
     with pytest.raises(InadmissibleSplitError):
-        split_contrast(data, np.flatnonzero(left), np.flatnonzero(~left), EstimatorKind.IPW,
-                       NuisanceScope.PARENT, propensity_spec=parse_spec("1", "A"),
+        split_contrast(data, np.flatnonzero(left), np.flatnonzero(~left),
+                       GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                                  propensity_spec=parse_spec("1", "A")),
                        min_per_arm=1)
 
 
@@ -503,16 +508,13 @@ def test_dr_influence_variance_tracks_monte_carlo():
     p_spec = parse_spec("1 + x1 + x2 + x3", "A")
     o_spec = parse_spec("1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)", "A")
     R = 2000
+    config = GrowConfig(EstimatorKind.DR, propensity_spec=p_spec, outcome_spec=o_spec,
+                        scope=NuisanceScope.PARENT, variance_method=VarianceMethod.INFLUENCE)
     t_hats, variances = [], []
     for rep in range(R):
         data, _ = generate(SimSetting("heterogeneous", 1000, seed=11_000_000 + rep))
         x4 = data.column("x4")
-        contrast = split_contrast(
-            data, np.flatnonzero(x4 > 0), np.flatnonzero(x4 <= 0), EstimatorKind.DR,
-            NuisanceScope.PARENT,
-            propensity_spec=p_spec, outcome_spec=o_spec,
-            variance_method=VarianceMethod.INFLUENCE,
-        )
+        contrast = split_contrast(data, np.flatnonzero(x4 > 0), np.flatnonzero(x4 <= 0), config)
         t_hats.append(contrast.t_hat)
         variances.append(contrast.variance)
     ratio = np.mean(variances) / np.var(t_hats)
@@ -523,8 +525,7 @@ def test_ipw_whole_scope_reuses_models():
     data, left, right = fixture_40(seed=41)
     spec = parse_spec("1 + x1", "A")
     whole = NuisanceModels(propensity=fit_logistic(data, full(data), spec), epsilon=0.01)
-    a = split_contrast(data, left, right, EstimatorKind.IPW, NuisanceScope.WHOLE,
-                       propensity_spec=spec, whole_models=whole)
-    b = split_contrast(data, left, right, EstimatorKind.IPW, NuisanceScope.WHOLE,
-                       propensity_spec=spec)
+    config = GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.WHOLE)
+    a = split_contrast(data, left, right, config, whole_models=whole)
+    b = split_contrast(data, left, right, config)
     assert a.statistic == pytest.approx(b.statistic, rel=1e-12)

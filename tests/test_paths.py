@@ -80,13 +80,7 @@ def test_binomial_g_batch_matches_scalar():
         pytest.skip("no admissible split on this draw")
     rows = np.arange(data.n)
     left = root.rule.goes_left(data, rows)
-    contrast = split_contrast(
-        data, rows[left], rows[~left], config.estimator, config.scope,
-        outcome_spec=config.outcome_spec,
-        variance_method=config.variance_method,
-        outcome_family="binomial",
-        min_per_arm=config.min_per_arm,
-    )
+    contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=config.min_per_arm)
     assert root.statistic == pytest.approx(contrast.statistic, rel=1e-8)
 
 

@@ -19,7 +19,7 @@ from efftree.estimators import EstimatorKind, NuisanceModels, NuisanceScope, con
 from efftree.glm import FitError, fit_logistic, fit_ols, parse_spec
 from efftree.prune import weakest_link_sequence
 from efftree.select import select_final, validation_statistics
-from efftree.tree import GrowConfig, grow_max_tree
+from efftree.tree import GrowConfig, Tree, grow_max_tree
 
 N = 60
 
@@ -89,7 +89,7 @@ def test_contributions_on_rows_equal_contributions_on_copied_rows(idx, kind):
     for field in ("A", "Y", "e", "g1", "g0", "zdiff", "d1", "d0", "delta"):
         x, y = getattr(a, field), getattr(b, field)
         assert (x is None and y is None) or np.array_equal(x, y), field
-    ea, eb = node_effect(kind, a), node_effect(kind, b)
+    ea, eb = node_effect(a), node_effect(b)
     assert (ea.mu1, ea.mu0, ea.effect, ea.n, ea.n_treated, ea.second_moment) == (
         eb.mu1, eb.mu0, eb.effect, eb.n, eb.n_treated, eb.second_moment)
     assert np.array_equal(ea.influence, eb.influence)
@@ -135,12 +135,12 @@ validation_rows = st.tuples(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0)).map
     lambda t: np.flatnonzero(np.random.default_rng(t[0]).random(M) < t[1]))
 
 
-def assert_selection_on_rows_equals_selection_on_copy(sequence, rows, config):
+def assert_selection_on_rows_equals_selection_on_copy(sequence, rows):
     copy, copy_rows = SEL.take(rows), np.arange(len(rows))
-    assert (validation_statistics(sequence[0], SEL, rows, config)
-            == validation_statistics(sequence[0], copy, copy_rows, config))
-    final, trace = select_final(sequence, SEL, rows, 3.84, config)
-    final_copy, trace_copy = select_final(sequence, copy, copy_rows, 3.84, config)
+    assert (validation_statistics(sequence[0], SEL, rows)
+            == validation_statistics(sequence[0], copy, copy_rows))
+    final, trace = select_final(sequence, SEL, rows, 3.84)
+    final_copy, trace_copy = select_final(sequence, copy, copy_rows, 3.84)
     assert trace.to_dict() == trace_copy.to_dict()
     assert final.to_json() == final_copy.to_json()
 
@@ -152,16 +152,18 @@ def assert_selection_on_rows_equals_selection_on_copy(sequence, rows, config):
 @example(np.arange(480, M))
 def test_selection_on_rows_equals_selection_on_copied_rows(estimator, scope, rows):
     config, sequence = grown(estimator, scope)
-    assert_selection_on_rows_equals_selection_on_copy(sequence, rows, config)
+    assert_selection_on_rows_equals_selection_on_copy(sequence, rows)
 
 
 def test_child_scope_selection_on_rows_equals_selection_on_copied_rows():
-    # Child-scope growth is slow, so the parent-scope tree is scored with a
-    # child-scope config: selection reads the scope from the config it gets.
+    # Child-scope growth is slow, so the parent-scope tree is given a
+    # child-scope config: selection reads the scope from the tree's config.
     config, sequence = grown("dr", "parent")
+    grown_tree = sequence[0]
+    child_tree = Tree(grown_tree.nodes, grown_tree.root_id,
+                      replace(config, scope=NuisanceScope.CHILD), grown_tree.schema)
     rows = np.flatnonzero(np.random.default_rng(5).random(M) < 0.4)
-    assert_selection_on_rows_equals_selection_on_copy(
-        sequence, rows, replace(config, scope=NuisanceScope.CHILD))
+    assert_selection_on_rows_equals_selection_on_copy(replace(sequence, tree=child_tree), rows)
 
 
 @given(validation_rows)

@@ -17,7 +17,9 @@ from efftree.search import (
     find_best_split,
     iter_candidate_blocks,
     node_tables,
+    score_partition,
 )
+from efftree.tree import GrowConfig
 
 
 def mixed_data(n=260, seed=61):
@@ -55,34 +57,30 @@ P_SPEC = parse_spec("1 + x1 + x2", "A")
 O_SPEC = parse_spec("1 + x1 + A + A:x2 + c", "A")
 
 
+def parent_config(kind, variance):
+    return GrowConfig(kind, propensity_spec=P_SPEC, outcome_spec=O_SPEC, scope=NuisanceScope.PARENT,
+                      variance_method=variance, min_node=20, min_per_arm=5)
+
+
 @pytest.mark.parametrize("kind,variance", CASES, ids=lambda v: getattr(v, "value", v))
 def test_batched_statistics_match_scalar_split_contrast(kind, variance):
     data = mixed_data()
     rows = np.arange(data.n)
-    models = fit_nuisance(data, rows, kind, P_SPEC, O_SPEC, 0.01)
+    config = parent_config(kind, variance)
+    models = fit_nuisance(data, rows, config)
     terms = contributions(kind, data, rows, models)
-    tables = node_tables(data, rows, kind, variance, models, terms)
+    tables = node_tables(data, rows, config, models, terms)
 
     checked = 0
     for block in iter_candidate_blocks(data, rows):
         left_agg = block.aggregate(tables.packed)
-        stats, adm, t_hats, variances = candidate_statistics(
-            tables, left_agg, data.n, 20, 5, variance
-        )
+        stats, adm, t_hats, variances = candidate_statistics(tables, left_agg, data.n, 20, 5)
         # sample a handful of admissible candidates per covariate
         idx = np.nonzero(adm)[0]
         for j in idx[:: max(1, len(idx) // 5)]:
             rule = block.make_rule(int(j))
             left = rule.goes_left(data, rows)
-            contrast = split_contrast(
-                data, rows[left], rows[~left],
-                kind,
-                NuisanceScope.PARENT,
-                propensity_spec=P_SPEC,
-                outcome_spec=O_SPEC,
-                variance_method=variance,
-                min_per_arm=5,
-            )
+            contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=5)
             assert stats[j] == pytest.approx(contrast.statistic, rel=1e-8), rule.describe()
             assert t_hats[j] == pytest.approx(contrast.t_hat, rel=1e-8)
             assert variances[j] == pytest.approx(contrast.variance, rel=1e-8)
@@ -94,14 +92,10 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance):
 def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
     data = mixed_data(seed=67)
     rows = np.arange(data.n)
-    models = fit_nuisance(data, rows, kind, P_SPEC, O_SPEC, 0.01)
+    config = parent_config(kind, variance)
+    models = fit_nuisance(data, rows, config)
     terms = contributions(kind, data, rows, models)
-    best = find_best_split(
-        data, rows, kind, NuisanceScope.PARENT, variance,
-        node_tables(data, rows, kind, variance, models, terms),
-        min_node=20, min_per_arm=5,
-        propensity_spec=P_SPEC, outcome_spec=O_SPEC,
-    )
+    best = find_best_split(data, rows, config, node_tables(data, rows, config, models, terms))
     assert best is not None
     from efftree.search import enumerate_splits
 
@@ -111,12 +105,7 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
         if min(left.sum(), (~left).sum()) < 20:
             continue
         try:
-            contrast = split_contrast(
-                data, rows[left], rows[~left],
-                kind, NuisanceScope.PARENT,
-                propensity_spec=P_SPEC, outcome_spec=O_SPEC,
-                variance_method=variance, min_per_arm=5,
-            )
+            contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=5)
         except InadmissibleSplitError:
             continue
         top = max(top, contrast.statistic)
@@ -126,22 +115,41 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
 def test_child_scope_search_uses_per_child_fits():
     data = mixed_data(n=150, seed=71)
     rows = np.arange(data.n)
-    best = find_best_split(
-        data, rows, EstimatorKind.IPW, NuisanceScope.CHILD,
-        VarianceMethod.PER_CHILD_SANDWICH, None,
-        min_node=40, min_per_arm=8,
-        propensity_spec=parse_spec("1 + x1", "A"),
-    )
+    config = GrowConfig(EstimatorKind.IPW, propensity_spec=parse_spec("1 + x1", "A"),
+                        scope=NuisanceScope.CHILD,
+                        variance_method=VarianceMethod.PER_CHILD_SANDWICH,
+                        min_node=40, min_per_arm=8)
+    best = find_best_split(data, rows, config, None)
     # per-child refits may fail on small children; when a split is found its
     # statistic must match the scalar child-scope evaluation
     if best is None:
         pytest.skip("no admissible child-scope split on this fixture")
     left = best.rule.goes_left(data, rows)
-    contrast = split_contrast(
-        data, rows[left], rows[~left],
-        EstimatorKind.IPW, NuisanceScope.CHILD,
-        propensity_spec=parse_spec("1 + x1", "A"),
-        variance_method=VarianceMethod.PER_CHILD_SANDWICH,
-        min_per_arm=8,
-    )
+    contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=8)
     assert best.statistic == pytest.approx(contrast.statistic, rel=1e-10)
+
+
+@pytest.mark.parametrize("variance", [None, *VarianceMethod], ids=lambda v: getattr(v, "value", v))
+@pytest.mark.parametrize("scope", list(NuisanceScope), ids=lambda v: v.value)
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda v: v.value)
+def test_grow_config_alone_decides_which_combinations_are_valid(kind, scope, variance):
+    # Every (estimator, scope, variance) is either refused by GrowConfig or
+    # scored by split_contrast without a ValueError; whole and parent scope
+    # score the same partition with the batched kernel too.
+    try:
+        config = GrowConfig(kind, propensity_spec=P_SPEC, outcome_spec=O_SPEC, scope=scope,
+                            variance_method=variance, min_node=20, min_per_arm=5)
+    except ValueError:
+        return
+    data = mixed_data()
+    rows = np.arange(data.n)
+    left = data.column("x1") < 0
+    contrast = split_contrast(data, rows[left], rows[~left], config)
+    if scope == NuisanceScope.CHILD:
+        return
+    models = fit_nuisance(data, rows, config)
+    tables = node_tables(data, rows, config, models, contributions(kind, data, rows, models))
+    statistic, t_hat, var = score_partition(tables, left, 1, 1)
+    assert statistic == pytest.approx(contrast.statistic, rel=1e-8)
+    assert t_hat == pytest.approx(contrast.t_hat, rel=1e-8)
+    assert var == pytest.approx(contrast.variance, rel=1e-8)

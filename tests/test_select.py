@@ -38,7 +38,7 @@ def test_validation_complexity_root_only_is_zero():
     data, rows, config, tree, seq = fit_sequence(n=600, seed=7)
     root_only = seq[-1]
     assert root_only.n_internal() == 0
-    stats = validation_statistics(root_only, data, rows, config)
+    stats = validation_statistics(root_only, data, rows)
     assert split_complexity(root_only, DEFAULT_LAMBDA, stats) == 0.0
 
 
@@ -46,7 +46,7 @@ def test_validation_complexity_arithmetic_once_statistic_known():
     data, rows, config, tree, seq = fit_sequence(n=1000, seed=9, estimator="g")
     one_split = seq[-2]
     assert one_split.n_internal() == 1
-    stats = validation_statistics(one_split, data, rows, config)
+    stats = validation_statistics(one_split, data, rows)
     (node_id, stat), = stats.items()
     got = split_complexity(one_split, 3.84, stats)
     assert got == pytest.approx(stat - 3.84)
@@ -58,14 +58,11 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
     data, rows, config, tree, seq = fit_sequence(
         n=900, seed=11, estimator=estimator, scope=NuisanceScope(scope))
     candidate = seq[0]
-    stats = validation_statistics(candidate, data, rows, config)
+    stats = validation_statistics(candidate, data, rows)
     validation = data.take(rows)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
-        whole_models = fit_nuisance(
-            validation, np.arange(validation.n), config.estimator,
-            config.propensity_spec, config.outcome_spec, config.epsilon, config.outcome_family,
-        )
+        whole_models = fit_nuisance(validation, np.arange(validation.n), config)
 
     # oracle: walk the tree, routing a copy of the validation rows and
     # recomputing each internal statistic independently with the scalar
@@ -87,16 +84,8 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
             assert stats[node_id] == 0.0
             continue
         try:
-            contrast = split_contrast(
-                validation, left_rows, right_rows, config.estimator, config.scope,
-                propensity_spec=config.propensity_spec,
-                outcome_spec=config.outcome_spec,
-                epsilon=config.epsilon,
-                variance_method=config.variance_method,
-                outcome_family=config.outcome_family,
-                whole_models=whole_models,
-                min_per_arm=1,
-            )
+            contrast = split_contrast(validation, left_rows, right_rows, config,
+                                      min_per_arm=1, whole_models=whole_models)
             expected = contrast.statistic
         except InadmissibleSplitError:
             expected = 0.0
@@ -112,7 +101,7 @@ def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
 
     monkeypatch.setattr(select, "fit_nuisance", broken_fit)
     with pytest.raises(ValueError, match="bad configuration"):
-        validation_statistics(tree, data, rows, config)
+        validation_statistics(tree, data, rows)
 
 
 def test_incomputable_node_counts_in_penalty():
@@ -120,7 +109,7 @@ def test_incomputable_node_counts_in_penalty():
     candidate = seq[0]
     if candidate.n_internal() < 2:
         pytest.skip("tree too small for this check")
-    stats = validation_statistics(candidate, data, rows, config)
+    stats = validation_statistics(candidate, data, rows)
     complexity = split_complexity(candidate, DEFAULT_LAMBDA, stats)
     assert complexity == pytest.approx(sum(stats.values()) - DEFAULT_LAMBDA * len(stats))
     assert len(stats) == candidate.n_internal()
@@ -130,16 +119,23 @@ def test_select_final_single_candidate():
     data, rows, config, tree, seq = fit_sequence(n=400, seed=15)
     root_only = seq[-1]
     single = PruneSequence(root_only, [])
-    final, trace = select_final(single, data, rows, DEFAULT_LAMBDA, config)
+    final, trace = select_final(single, data, rows, DEFAULT_LAMBDA)
     assert final is root_only
     assert trace.chosen == 0
+
+
+def test_select_final_rejects_a_non_finite_or_negative_lambda():
+    data, rows, config, tree, seq = fit_sequence(n=400, seed=15)
+    for lam in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="lambda"):
+            select_final(seq, data, rows, lam)
 
 
 def test_select_final_tie_breaks_toward_smaller_tree():
     data, rows, config, tree, seq = fit_sequence(n=1000, seed=17, estimator="g",
                                                        design="homogeneous")
     # homogeneous truth: all candidates should collapse to the root-only tree
-    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
+    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA)
     assert final.n_internal() == 0
     best = max(trace.complexities)
     ties = [i for i, c in enumerate(trace.complexities) if c == best]
@@ -148,7 +144,7 @@ def test_select_final_tie_breaks_toward_smaller_tree():
 
 def test_select_final_output_is_sequence_element():
     data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
-    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
+    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA)
     expected = seq[trace.chosen]
     assert sorted(final.nodes) == sorted(expected.nodes)
     assert all(final.node(i).rule == expected.node(i).rule for i in final.nodes)
@@ -158,8 +154,8 @@ def test_select_final_output_is_sequence_element():
 def test_select_final_complexities_match_split_complexity():
     data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
     assert len(seq) >= 3
-    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
-    stats = validation_statistics(seq[0], data, rows, config)
+    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA)
+    stats = validation_statistics(seq[0], data, rows)
     for k, candidate in enumerate(seq):
         assert trace.complexities[k] == split_complexity(candidate, DEFAULT_LAMBDA, stats)
         assert trace.n_internal[k] == candidate.n_internal()
@@ -167,7 +163,7 @@ def test_select_final_complexities_match_split_complexity():
 
 def test_select_final_heterogeneous_keeps_true_split():
     data, rows, config, tree, seq = fit_sequence(n=1000, seed=21, estimator="g")
-    final, _ = select_final(seq, data, rows, DEFAULT_LAMBDA, config)
+    final, _ = select_final(seq, data, rows, DEFAULT_LAMBDA)
     assert final.n_internal() >= 1
     assert final.node(final.root_id).rule.column == "x4"
 
@@ -178,7 +174,7 @@ def test_select_final_heterogeneous_keeps_true_split():
 def test_bootstrap_single_replicate_collapses_interval():
     data, rows, config, tree, seq = fit_sequence(n=500, seed=23, estimator="g")
     final = seq[-2] if len(seq) > 1 else seq[-1]
-    out = bootstrap_effects(final, data, B=1, level=0.95, seed=3, config=config)
+    out = bootstrap_effects(final, data, B=1, level=0.95, seed=3)
     for iv in out:
         assert iv.lower == pytest.approx(iv.upper)
         assert iv.n_replicates == 1
@@ -194,7 +190,7 @@ def test_bootstrap_default_is_1000():
 def test_bootstrap_interval_contains_point_estimate():
     data, rows, config, tree, seq = fit_sequence(n=800, seed=25, estimator="g")
     final = seq[-2] if len(seq) > 1 else seq[-1]
-    out = bootstrap_effects(final, data, B=60, level=0.95, seed=11, config=config)
+    out = bootstrap_effects(final, data, B=60, level=0.95, seed=11)
     for iv in out:
         assert iv.lower - 1e-9 <= iv.point <= iv.upper + 1e-9
 
@@ -202,17 +198,17 @@ def test_bootstrap_interval_contains_point_estimate():
 def test_bootstrap_deterministic_given_seed():
     data, rows, config, tree, seq = fit_sequence(n=500, seed=27, estimator="g")
     final = seq[-2] if len(seq) > 1 else seq[-1]
-    a = bootstrap_effects(final, data, B=25, seed=5, config=config)
-    b = bootstrap_effects(final, data, B=25, seed=5, config=config)
+    a = bootstrap_effects(final, data, B=25, seed=5)
+    b = bootstrap_effects(final, data, B=25, seed=5)
     assert [(iv.lower, iv.upper) for iv in a] == [(iv.lower, iv.upper) for iv in b]
 
 
 def test_bootstrap_validates_arguments():
     data, rows, config, tree, seq = fit_sequence(n=400, seed=29, estimator="g")
     with pytest.raises(ValueError):
-        bootstrap_effects(seq[-1], data, B=0, config=config)
+        bootstrap_effects(seq[-1], data, B=0)
     with pytest.raises(ValueError):
-        bootstrap_effects(seq[-1], data, B=10, level=1.5, config=config)
+        bootstrap_effects(seq[-1], data, B=10, level=1.5)
 
 
 def test_bootstrap_coverage_of_true_effects():
@@ -228,7 +224,7 @@ def test_bootstrap_coverage_of_true_effects():
     def fixed_tree(data, eff_l, eff_r):
         def effect(v, n):
             return NodeEffect(mu1=v, mu0=0.0, effect=v, influence=np.empty(0),
-                              kind=config.estimator, n=n, n_treated=n // 2,
+                              n=n, n_treated=n // 2,
                               n_control=n - n // 2, second_moment=0.0)
 
         n_l = int((data.column("x4") < 0).sum())
@@ -247,7 +243,7 @@ def test_bootstrap_coverage_of_true_effects():
     for rep in range(outer):
         data, _ = generate(SimSetting("heterogeneous", 2000, seed=700000 + rep))
         tree = fixed_tree(data, 2.0, 5.0)
-        intervals = bootstrap_effects(tree, data, B=150, level=0.95, seed=rep, config=config)
+        intervals = bootstrap_effects(tree, data, B=150, level=0.95, seed=rep)
         for iv in intervals:
             if iv.lower <= truth[iv.node_id] <= iv.upper:
                 covered[iv.node_id] += 1
@@ -289,10 +285,7 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:
-            whole_models = fit_nuisance(
-                sample, np.arange(sample.n), config.estimator, config.propensity_spec,
-                config.outcome_spec, config.epsilon, config.outcome_family,
-            )
+            whole_models = fit_nuisance(sample, np.arange(sample.n), config)
         except FitError:
             return None
     effects = {}
@@ -304,10 +297,7 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
             models = whole_models
         else:
             try:
-                models = fit_nuisance(
-                    sample, rows, config.estimator, config.propensity_spec,
-                    config.outcome_spec, config.epsilon, config.outcome_family,
-                )
+                models = fit_nuisance(sample, rows, config)
             except FitError:
                 return None
         effect = ESTIMATE[config.estimator](sample, rows, models)
@@ -318,7 +308,7 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
 
 
 def assert_bootstrap_matches_take_based(tree, data, B, seed, config):
-    got = bootstrap_effects(tree, data, B=B, level=0.9, seed=seed, config=config)
+    got = bootstrap_effects(tree, data, B=B, level=0.9, seed=seed)
     expected = take_based_bootstrap(tree, data, B, 0.9, seed, config)
     assert [(iv.node_id, iv.lower, iv.upper, iv.n_replicates, iv.n_dropped)
             for iv in got] == expected
@@ -363,7 +353,7 @@ def test_bootstrap_matches_take_based_reference_with_redraws_and_drops():
 
     def node(i, depth, rows, **split):
         eff = NodeEffect(mu1=0.0, mu0=0.0, effect=float(i), influence=np.empty(0),
-                         kind=config.estimator, n=rows, n_treated=1, n_control=1,
+                         n=rows, n_treated=1, n_control=1,
                          second_moment=0.0)
         return TreeNode(id=i, depth=depth, n=rows, effect=eff, **split)
 

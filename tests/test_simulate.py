@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from efftree.data import SubgroupMask
-from efftree.estimators import EstimatorKind, NodeEffect
+from efftree.estimators import NodeEffect
 from efftree.prune import weakest_link_sequence
 from efftree.search import SplitRule
 from efftree.select import select_final
@@ -96,7 +96,7 @@ def test_setting_validation():
 
 def leaf_effect(value):
     return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      kind=EstimatorKind.DR, n=10, n_treated=5, n_control=5,
+                      n=10, n_treated=5, n_control=5,
                       second_moment=0.0)
 
 
@@ -399,7 +399,7 @@ def test_binary_mixed_end_to_end_fit():
     build = SubgroupMask(np.arange(data.n) < 800)
     tree = grow_max_tree(data, build, config)
     seq = weakest_link_sequence(tree)
-    final, _ = select_final(seq, data, np.arange(800, 1000), 3.84, config)
+    final, _ = select_final(seq, data, np.arange(800, 1000), 3.84)
     # the fitted tree routes and predicts without error
     pred = final.predict(data)
     assert np.isfinite(pred).all()

@@ -157,11 +157,8 @@ def test_chosen_split_maximizes_statistic_exhaustively():
         if min(left.sum(), (~left).sum()) < 40:
             continue
         try:
-            contrast = split_contrast(
-                data, rows[left], rows[~left], config.estimator, config.scope,
-                propensity_spec=config.propensity_spec, outcome_spec=config.outcome_spec,
-                epsilon=config.epsilon, variance_method=config.variance_method,
-                min_per_arm=config.min_per_arm)
+            contrast = split_contrast(data, rows[left], rows[~left], config,
+                                      min_per_arm=config.min_per_arm)
         except InadmissibleSplitError:
             continue
         assert contrast.statistic <= best * (1 + 1e-6)
@@ -198,14 +195,14 @@ def test_whole_scope_singular_child_information_leaves_node_terminal():
     )
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
     assert tree.n_internal() >= 1
-    whole = fit_nuisance(data, np.arange(data.n), config.estimator, None,
-                         config.outcome_spec, config.epsilon)
+    whole = fit_nuisance(data, np.arange(data.n), config)
+    reach = tree.rows_by_node(data, np.arange(data.n))
     singular = []
     for node_id in tree.terminal_ids():
-        rows = tree.node(node_id).rows
+        rows = reach[node_id]
         terms = contributions(config.estimator, data, rows, whole)
         try:
-            node_tables(data, rows, config.estimator, config.variance_method, whole, terms)
+            node_tables(data, rows, config, whole, terms)
         except InadmissibleSplitError:
             singular.append(node_id)
     assert singular
@@ -223,13 +220,15 @@ def test_internal_nodes_carry_positive_statistic():
 def test_children_partition_parent():
     data, _, config = grow_setting(n=700, seed=23)
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    reach = tree.rows_by_node(data, np.arange(data.n))
+    assert all(len(reach[i]) == node.n for i, node in tree.nodes.items())
     for i in tree.internal_ids():
         node = tree.node(i)
         left = tree.node(node.left)
         right = tree.node(node.right)
         assert left.n + right.n == node.n
-        merged = np.sort(np.concatenate([left.rows, right.rows]))
-        assert np.array_equal(merged, np.sort(node.rows))
+        merged = np.sort(np.concatenate([reach[node.left], reach[node.right]]))
+        assert np.array_equal(merged, np.sort(reach[i]))
 
 
 def test_ipw_whole_scope_child_means_reconstruct_parent():
@@ -253,7 +252,7 @@ def leaf_effect(value, n=10):
     from efftree.estimators import NodeEffect
 
     return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      kind=EstimatorKind.DR, n=n, n_treated=n // 2,
+                      n=n, n_treated=n // 2,
                       n_control=n - n // 2, second_moment=0.0)
 
 

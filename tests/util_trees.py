@@ -3,7 +3,7 @@
 import numpy as np
 
 from efftree.data import Continuous, Schema
-from efftree.estimators import EstimatorKind, NodeEffect
+from efftree.estimators import NodeEffect
 from efftree.glm import parse_spec
 from efftree.search import SplitRule
 from efftree.tree import GrowConfig, Tree, TreeNode
@@ -11,7 +11,7 @@ from efftree.tree import GrowConfig, Tree, TreeNode
 
 def leaf_effect(value=1.0):
     return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      kind=EstimatorKind.DR, n=10, n_treated=5, n_control=5,
+                      n=10, n_treated=5, n_control=5,
                       second_moment=0.0)
 
 

@@ -119,7 +119,7 @@ def _load_schema(path: str):
             return schema_from_dict(json.load(fh))
     except FileNotFoundError:
         raise CliError(f"schema file not found: {path}", EXIT_DATA)
-    except (json.JSONDecodeError, KeyError, ValueError) as err:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"bad schema file {path}: {err}", EXIT_CONFIG)
 
 
@@ -295,6 +295,8 @@ def cmd_simulate(args) -> int:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG)
     if args.reps < 1:
         raise CliError("--reps must be >= 1", EXIT_CONFIG)
+    if args.threads is not None and args.threads < 1:
+        raise CliError("--threads must be >= 1", EXIT_CONFIG)
     _check_lambda(args.lam)
 
     try:

@@ -9,10 +9,12 @@ Three estimators of the pair (mu1, mu0) inside a subgroup w are provided:
 * doubly robust: augments the g-formula predictions with inverse-weighted
   residuals, consistent when either nuisance model is correct.
 
-All three write their per-row terms in one place, ``contributions``.
-Subgroups are row-index arrays (integer indices into the dataset, order
-kept, duplicates allowed; see ``glm``), so a bootstrap replicate is
-estimated on its resampled indices without copying the data.
+All three write their per-row terms in one place, ``contributions``; those
+terms, arm counts included, live only while a node or a split is scored,
+and a tree node keeps just its ``NodeEffect``. Subgroups are row-index
+arrays (integer indices into the dataset, order kept, duplicates allowed;
+see ``glm``), so a bootstrap replicate is estimated on its resampled
+indices without copying the data.
 
 A candidate split of a parent into children (l, r) is scored by the squared
 standardized contrast  statistic = t_hat^2 / var_hat  where t_hat is the
@@ -97,27 +99,14 @@ class NuisanceModels:
             raise ValueError("epsilon must lie in (0, 0.5)")
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeEffect:
-    """Subgroup effect estimate with per-observation influence contributions.
-
-    ``influence`` holds, for each subgroup row, the centered contribution
-    delta_i - effect, where delta_i is the estimator's per-row effect term.
-    ``second_moment`` is mean(delta_i^2), kept for degeneracy detection.
-    """
+    """Subgroup effect estimate: mu1, mu0 and their difference, the three
+    numbers ``tree.json`` stores for a node."""
 
     mu1: float
     mu0: float
     effect: float
-    influence: np.ndarray
-    n: int
-    n_treated: int
-    n_control: int
-    second_moment: float
-
-    @property
-    def arm_empty(self) -> bool:
-        return self.n_treated == 0 or self.n_control == 0
 
 
 @dataclass(frozen=True)
@@ -150,6 +139,12 @@ class Contributions:
     d1: np.ndarray
     d0: np.ndarray
     delta: np.ndarray
+
+    @property
+    def smaller_arm(self) -> int:
+        """Rows in the smaller treatment arm of the subgroup."""
+        n_treated = int(self.A.sum())
+        return min(n_treated, len(self.A) - n_treated)
 
 
 def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
@@ -200,21 +195,9 @@ def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
 
 def node_effect(c: Contributions) -> NodeEffect:
     """Subgroup effect estimate from the estimator's per-row terms."""
-    n = len(c.A)
     mu1 = float(c.d1.mean())
     mu0 = float(c.d0.mean())
-    effect = mu1 - mu0
-    n_treated = int(c.A.sum())
-    return NodeEffect(
-        mu1=mu1,
-        mu0=mu0,
-        effect=effect,
-        influence=c.delta - effect,
-        n=n,
-        n_treated=n_treated,
-        n_control=n - n_treated,
-        second_moment=float(np.mean(c.delta**2)),
-    )
+    return NodeEffect(mu1=mu1, mu0=mu0, effect=mu1 - mu0)
 
 
 def _estimate(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
@@ -248,23 +231,25 @@ ESTIMATE = {
 }
 
 
-def if_variance(effect_l: NodeEffect, effect_r: NodeEffect, n_union: int) -> float:
+def if_variance(terms_l: Contributions, terms_r: Contributions, n_union: int) -> float:
     """Variance of t_hat from pooled per-observation influence contributions.
 
+    A child's contribution is delta_i - effect, both read from its terms.
     Left contributions are scaled by 1/p_l, right by -1/p_r (p_s the child
     share of the union); the sample variance of the pooled vector divided by
     n_union estimates Var[t_hat]. Degenerate pools (fewer than two
     contributions, or variance at the rounding floor) are inadmissible.
     """
-    n_l, n_r = effect_l.n, effect_r.n
+    n_l, n_r = len(terms_l.delta), len(terms_r.delta)
     if n_l + n_r < 2:
         raise InadmissibleSplitError("fewer than 2 influence contributions")
     pooled = np.concatenate([
-        effect_l.influence * (n_union / n_l),
-        -effect_r.influence * (n_union / n_r),
+        (terms_l.delta - node_effect(terms_l).effect) * (n_union / n_l),
+        -(terms_r.delta - node_effect(terms_r).effect) * (n_union / n_r),
     ])
     var = float(pooled.var(ddof=1)) / n_union
-    scale = (n_l * effect_l.second_moment + n_r * effect_r.second_moment) / n_union
+    scale = (n_l * float(np.mean(terms_l.delta**2))
+             + n_r * float(np.mean(terms_r.delta**2))) / n_union
     if not np.isfinite(var) or var <= REL_VAR_TOL * scale / n_union:
         raise InadmissibleSplitError("degenerate influence variance")
     return var
@@ -488,18 +473,18 @@ def split_contrast(
     except FitError as err:
         raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
 
-    effect_l = ESTIMATE[kind](data, rows_l, models_l)
-    effect_r = ESTIMATE[kind](data, rows_r, models_r)
-    if kind in (EstimatorKind.IPW, EstimatorKind.DR) and (effect_l.arm_empty or effect_r.arm_empty):
+    terms_l = contributions(kind, data, rows_l, models_l)
+    terms_r = contributions(kind, data, rows_r, models_r)
+    smaller_arm = min(terms_l.smaller_arm, terms_r.smaller_arm)
+    if kind != EstimatorKind.GFORMULA and smaller_arm == 0:
         raise InadmissibleSplitError("empty child arm")
-    for eff in (effect_l, effect_r):
-        if min(eff.n_treated, eff.n_control) < min_per_arm:
-            raise InadmissibleSplitError("child arm below minimum size")
+    if smaller_arm < min_per_arm:
+        raise InadmissibleSplitError("child arm below minimum size")
 
-    t_hat = effect_l.effect - effect_r.effect
+    t_hat = node_effect(terms_l).effect - node_effect(terms_r).effect
 
     if config.variance_method == VarianceMethod.INFLUENCE:
-        variance = if_variance(effect_l, effect_r, n_union)
+        variance = if_variance(terms_l, terms_r, n_union)
     elif config.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
         variance = ipw_variance_per_child(data, rows_l, rows_r, models_l.propensity,
                                           models_r.propensity, config.epsilon)

@@ -18,9 +18,11 @@ fitted tree recomputed on validation rows, is scored as a 1-candidate batch
 (``score_partition``).
 
 Child-scope fitting cannot be batched (each candidate refits its own
-models); that path loops over candidates and scores each one via
-``split_contrast``. The search takes the fit's ``tree.GrowConfig``; the
-candidate kernel reads the variance method from the node's tables.
+models), so a child-scope node has no tables and the same candidate loop
+scores its blocks one candidate at a time with ``split_contrast``
+(inadmissible: -inf, as in the kernel). The search takes the fit's
+``tree.GrowConfig``; the candidate kernel reads the variance method from the
+node's tables.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .estimators import (
     EstimatorKind,
     InadmissibleSplitError,
     NuisanceModels,
-    NuisanceScope,
     VarianceMethod,
     split_contrast,
 )
@@ -212,8 +213,6 @@ def enumerate_splits(data: Dataset, rows: np.ndarray) -> list[SplitRule]:
 class BestSplit:
     rule: SplitRule
     statistic: float
-    t_hat: float
-    variance: float
     left_local: np.ndarray  # bool over node rows
     n_candidates: int
     n_admissible: int
@@ -427,26 +426,25 @@ def find_best_split(
 ) -> Optional[BestSplit]:
     """Best admissible candidate split of the node, or None.
 
-    Whole and parent scope score candidates from the node's ``tables``;
-    child scope refits per candidate and reads none.
-    Ties on the statistic keep the earlier candidate in enumeration order
-    (column order, then threshold / canonical subset / cut order).
+    Whole and parent scope score each candidate block from the node's
+    ``tables``; child scope has none and refits per candidate
+    (``_child_statistic``). Ties on the statistic keep the earlier candidate
+    in enumeration order (column order, then threshold / canonical subset /
+    cut order).
     """
-    if config.scope == NuisanceScope.CHILD:
-        return _find_best_split_childfit(data, rows, config)
-
     min_node, min_per_arm = config.min_node, config.min_per_arm
-    n_p = len(rows)
     best = None  # (stat, rule)
     n_cand = 0
     n_adm = 0
     for block in iter_candidate_blocks(data, rows):
-        left_agg = block.aggregate(tables.packed)
-        stats, adm, _, _ = candidate_statistics(tables, left_agg, n_p, min_node, min_per_arm)
+        if tables is None:
+            stats = np.array([_child_statistic(data, rows, config, rule.goes_left(data, rows))
+                              for rule in block.rules()])
+        else:
+            stats = candidate_statistics(tables, block.aggregate(tables.packed), len(rows),
+                                         min_node, min_per_arm)[0]
         n_cand += block.n_rules
-        n_adm += int(adm.sum())
-        if not adm.any():
-            continue
+        n_adm += int(np.isfinite(stats).sum())  # inadmissible candidates score -inf
         j = int(np.argmax(stats))
         if stats[j] > 0.0 and (best is None or stats[j] > best[0]):
             best = (float(stats[j]), block.make_rule(j))
@@ -458,11 +456,14 @@ def find_best_split(
     # partition, so the stored values match the partition exactly even if a
     # midpoint threshold rounded onto a data value.
     left_local = rule.goes_left(data, rows)
-    scored = score_partition(tables, left_local, min_node, min_per_arm)
-    if scored is None or scored[0] <= 0.0:
+    if tables is None:
+        statistic = _child_statistic(data, rows, config, left_local)
+    else:
+        scored = score_partition(tables, left_local, min_node, min_per_arm)
+        statistic = -np.inf if scored is None else scored[0]
+    if statistic <= 0.0:
         return None
-    statistic, t_hat, variance = scored
-    return BestSplit(rule, statistic, t_hat, variance, left_local, n_cand, n_adm)
+    return BestSplit(rule, statistic, left_local, n_cand, n_adm)
 
 
 def score_partition(
@@ -483,28 +484,15 @@ def score_partition(
     return float(stats[0]), float(t_hats[0]), float(variances[0])
 
 
-def _find_best_split_childfit(data: Dataset, rows: np.ndarray,
-                              config: GrowConfig) -> Optional[BestSplit]:
-    """Candidate loop with per-child nuisance refits (child scope)."""
-    best = None
-    n_cand = 0
-    n_adm = 0
-    for block in iter_candidate_blocks(data, rows):
-        for rule in block.rules():
-            n_cand += 1
-            left_local = rule.goes_left(data, rows)
-            n_l = int(left_local.sum())
-            if n_l < config.min_node or len(rows) - n_l < config.min_node:
-                continue
-            try:
-                contrast = split_contrast(data, rows[left_local], rows[~left_local], config,
-                                          min_per_arm=config.min_per_arm)
-            except InadmissibleSplitError:
-                continue
-            n_adm += 1
-            if contrast.statistic > 0.0 and (best is None or contrast.statistic > best[0]):
-                best = (contrast.statistic, rule, left_local, contrast.t_hat, contrast.variance)
-    if best is None:
-        return None
-    stat, rule, left_local, t_hat, variance = best
-    return BestSplit(rule, stat, t_hat, variance, left_local, n_cand, n_adm)
+def _child_statistic(data: Dataset, rows: np.ndarray, config: GrowConfig,
+                     left_local: np.ndarray) -> float:
+    """Statistic of one partition of the node's rows with per-child nuisance
+    refits (child scope); -inf where the partition is inadmissible."""
+    n_l = int(left_local.sum())
+    if n_l < config.min_node or len(rows) - n_l < config.min_node:
+        return -np.inf
+    try:
+        return split_contrast(data, rows[left_local], rows[~left_local], config,
+                              min_per_arm=config.min_per_arm).statistic
+    except InadmissibleSplitError:
+        return -np.inf

@@ -24,13 +24,13 @@ import numpy as np
 
 from .data import Dataset
 from .estimators import (
-    ESTIMATE,
     EstimatorKind,
     FitError,
     InadmissibleSplitError,
     NuisanceScope,
     contributions,
     fit_nuisance,
+    node_effect,
     split_contrast,
 )
 from .prune import PruneSequence
@@ -232,8 +232,8 @@ def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, confi
                 models = fit_nuisance(data, rows, config)
             except FitError:
                 return None
-        effect = ESTIMATE[config.estimator](data, rows, models)
-        if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and effect.arm_empty:
+        terms = contributions(config.estimator, data, rows, models)
+        if config.estimator != EstimatorKind.GFORMULA and terms.smaller_arm == 0:
             return None
-        effects[t] = effect.effect
+        effects[t] = node_effect(terms).effect
     return effects

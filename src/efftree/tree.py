@@ -38,12 +38,13 @@ logger = logging.getLogger(__name__)
 TREE_FORMAT = "cit-tree/1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrowConfig:
     """Everything growth needs: estimator, nuisance specs, scope, variance
     method, stopping limits, truncation bound, and the seed recorded with
     the tree. The only place that decides which (estimator, scope,
-    variance) combinations are valid."""
+    variance) combinations are valid; frozen, so a config keeps that
+    decision (``dataclasses.replace`` makes it again)."""
 
     estimator: EstimatorKind
     propensity_spec: Optional[DesignSpec] = None
@@ -58,17 +59,18 @@ class GrowConfig:
     outcome_family: str = "gaussian"
 
     def __post_init__(self):
-        self.estimator = EstimatorKind(self.estimator)
-        self.scope = NuisanceScope(self.scope)
-        if self.variance_method is None:
+        object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
+        object.__setattr__(self, "scope", NuisanceScope(self.scope))
+        variance = self.variance_method
+        if variance is None:
             # the pooled sandwich where one fit is shared (DR: see below)
             if self.scope != NuisanceScope.CHILD:
-                self.variance_method = VarianceMethod.POOLED_SANDWICH
+                variance = VarianceMethod.POOLED_SANDWICH
             elif self.estimator == EstimatorKind.IPW:
-                self.variance_method = VarianceMethod.PER_CHILD_SANDWICH
+                variance = VarianceMethod.PER_CHILD_SANDWICH
             else:
-                self.variance_method = VarianceMethod.INFLUENCE
-        self.variance_method = VarianceMethod(self.variance_method)
+                variance = VarianceMethod.INFLUENCE
+        object.__setattr__(self, "variance_method", VarianceMethod(variance))
         if not (self.min_node >= 2 * self.min_per_arm >= 2):
             raise ValueError("require min_node >= 2*min_per_arm >= 2")
         if self.max_depth < 1:
@@ -89,7 +91,7 @@ class GrowConfig:
                 raise ValueError("pooled sandwich variance requires whole or parent scope")
             if self.estimator == EstimatorKind.DR:
                 # the DR M-estimation variance reduces to the influence form
-                self.variance_method = VarianceMethod.INFLUENCE
+                object.__setattr__(self, "variance_method", VarianceMethod.INFLUENCE)
 
     @classmethod
     def from_strings(cls, estimator: str, treatment_name: str,
@@ -358,6 +360,8 @@ def _rule_from_dict(r: dict, schema: Schema) -> SplitRule:
 def tree_from_dict(payload: dict) -> Tree:
     """Rebuild a tree from its JSON document (effects only, no models);
     ValueError unless its nodes form one binary tree from the root."""
+    if not isinstance(payload, dict):
+        raise ValueError("a tree document must be a JSON object")
     if payload.get("format") != TREE_FORMAT:
         raise ValueError(f"unsupported tree format {payload.get('format')!r}")
     schema = schema_from_dict(payload["schema"])
@@ -372,12 +376,9 @@ def tree_from_dict(payload: dict) -> Tree:
         if nd["id"] in nodes:
             raise ValueError(f"duplicate tree node id {nd['id']!r}")
         rule = None if nd["rule"] is None else _rule_from_dict(nd["rule"], schema)
-        effect = NodeEffect(
-            mu1=nd["mu1"], mu0=nd["mu0"], effect=nd["effect"], influence=np.empty(0),
-            n=nd["n"], n_treated=0, n_control=0, second_moment=0.0,
-        )
         nodes[nd["id"]] = TreeNode(
-            id=nd["id"], depth=nd["depth"], n=nd["n"], effect=effect,
+            id=nd["id"], depth=nd["depth"], n=nd["n"],
+            effect=NodeEffect(mu1=nd["mu1"], mu0=nd["mu0"], effect=nd["effect"]),
             rule=rule, statistic=nd["statistic"], left=nd["left"], right=nd["right"],
         )
     reached = set()
@@ -426,15 +427,13 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         if effect_models is None:
             raise FitError("cannot fit nuisance models on the root node")
         terms = contributions(config.estimator, data, node_rows, effect_models)
-        effect = node_effect(terms)
-        node = TreeNode(id=node_id, depth=depth, n=len(node_rows), effect=effect)
+        node = TreeNode(id=node_id, depth=depth, n=len(node_rows), effect=node_effect(terms))
         nodes[node_id] = node
 
-        treated = int(effect.n_treated)
         can_split = (
             depth < config.max_depth
             and len(node_rows) >= 2 * config.min_node
-            and min(treated, len(node_rows) - treated) >= 2 * config.min_per_arm
+            and terms.smaller_arm >= 2 * config.min_per_arm
             and (models is not None or config.scope == NuisanceScope.CHILD)
         )
         if not can_split:

@@ -271,6 +271,30 @@ def test_predict_rejects_a_malformed_tree_file(fitted_tree, heterog_csv, tmp_pat
     assert "Traceback" not in result.stderr
 
 
+def test_predict_rejects_a_tree_file_that_is_not_an_object(heterog_csv, tmp_path):
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text("[]", encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "efftree.cli", "predict", "--tree", str(tree_path),
+                             "--data", str(heterog_csv[1])], capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "bad tree file" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("schema", [[], {"covariates": 5, "treatment": "A", "outcome": "Y"}],
+                         ids=["list", "covariates-not-a-list"])
+def test_fit_rejects_a_schema_file_of_the_wrong_shape(heterog_csv, tmp_path, schema):
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    result = subprocess.run([sys.executable, "-m", "efftree.cli", "fit", "--data", str(heterog_csv[1]),
+                             "--schema", str(schema_path), "--estimator", "g",
+                             "--outcome-spec", "1 + A", "--out", str(tmp_path / "out")],
+                            capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "bad schema file" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_predict_schema_mismatch(heterog_csv, tmp_path, capsys):
     base, csv_path, schema_path, data = heterog_csv
     out = tmp_path / "fit"
@@ -313,6 +337,14 @@ def test_simulate_rejects_bad_sample_size(capsys):
     code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 1, "--n", 0])
     assert code == 2
     assert "n must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_simulate_rejects_threads_below_one(threads, capsys):
+    code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 1,
+                    "--threads", threads])
+    assert code == 2
+    assert "--threads must be >= 1" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_algo(capsys):

@@ -3,12 +3,13 @@ import pytest
 
 from efftree.data import Continuous, Dataset, Schema
 from efftree.estimators import (
+    Contributions,
     EstimatorKind,
     InadmissibleSplitError,
-    NodeEffect,
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
+    contributions,
     estimate_dr,
     estimate_g,
     estimate_ipw,
@@ -16,6 +17,7 @@ from efftree.estimators import (
     if_variance,
     ipw_variance_per_child,
     ipw_variance_pooled,
+    node_effect,
     split_contrast,
 )
 from efftree.glm import build_design, fit_logistic, fit_ols, parse_spec, predict_mean
@@ -62,10 +64,11 @@ def test_ipw_constant_propensity_arithmetic():
 
 def test_ipw_single_treated_row():
     data = make_data({"x1": [0.0]}, [1], [5.0])
-    eff = estimate_ipw(data, full(data), constant_models(0.5))
+    terms = contributions(EstimatorKind.IPW, data, full(data), constant_models(0.5))
+    eff = node_effect(terms)
     assert eff.mu1 == pytest.approx(10.0)
     assert eff.mu0 == 0.0
-    assert eff.arm_empty
+    assert terms.smaller_arm == 0
 
 
 def test_ipw_matches_plugin_formula_oracle():
@@ -199,30 +202,31 @@ def test_estimators_reject_empty_subgroup():
 # ---------------------------------------------------------------- influence variance
 
 
-def fake_effect(influence, n, second_moment=1.0):
-    influence = np.asarray(influence, dtype=float)
-    return NodeEffect(mu1=0.0, mu0=0.0, effect=0.0, influence=influence,
-                      n=n, n_treated=max(1, n // 2),
-                      n_control=max(1, n - n // 2), second_moment=second_moment)
+def fake_terms(influence):
+    """Child terms with zero effect whose per-row effect terms are ``influence``."""
+    delta = np.asarray(influence, dtype=float)
+    zeros = np.zeros(len(delta))
+    return Contributions(A=zeros, Y=zeros, e=None, g1=None, g0=None, zdiff=None,
+                         d1=zeros, d0=zeros, delta=delta)
 
 
 def test_if_variance_two_contribution_example():
     # pooled contributions {+1, -1}: sample variance 2, divided by n_union 2
-    eff_l = fake_effect([0.5], 1)
-    eff_r = fake_effect([0.5], 1)
-    assert if_variance(eff_l, eff_r, 2) == pytest.approx(1.0)
+    terms_l = fake_terms([0.5])
+    terms_r = fake_terms([0.5])
+    assert if_variance(terms_l, terms_r, 2) == pytest.approx(1.0)
 
 
 def test_if_variance_degenerate_inadmissible():
-    eff_l = fake_effect([0.0, 0.0], 2)
-    eff_r = fake_effect([0.0, 0.0], 2)
+    terms_l = fake_terms([0.0, 0.0])
+    terms_r = fake_terms([0.0, 0.0])
     with pytest.raises(InadmissibleSplitError):
-        if_variance(eff_l, eff_r, 4)
+        if_variance(terms_l, terms_r, 4)
 
 
 def test_if_variance_single_contribution_inadmissible():
     with pytest.raises(InadmissibleSplitError):
-        if_variance(fake_effect([0.1], 1), fake_effect([], 0), 1)
+        if_variance(fake_terms([0.1]), fake_terms([]), 1)
 
 
 # ---------------------------------------------------------------- sandwich oracles
@@ -427,9 +431,9 @@ def test_split_contrast_identical_children_zero_statistic():
 
 
 def test_split_contrast_statistic_definition():
-    eff_l = fake_effect([0.5, -0.5], 2)
-    eff_r = fake_effect([0.5, -0.5], 2)
-    var = if_variance(eff_l, eff_r, 4)
+    terms_l = fake_terms([0.5, -0.5])
+    terms_r = fake_terms([0.5, -0.5])
+    var = if_variance(terms_l, terms_r, 4)
     assert var > 0
     # statistic = t^2 / var by construction
     data, left, right = fixture_40(seed=37)

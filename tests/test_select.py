@@ -8,7 +8,6 @@ from efftree.estimators import (
     EstimatorKind,
     FitError,
     InadmissibleSplitError,
-    NodeEffect,
     NuisanceScope,
     fit_nuisance,
     split_contrast,
@@ -22,6 +21,7 @@ from efftree.select import (
 from efftree.search import SplitRule
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree
+from util_trees import leaf_effect
 
 
 def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overrides):
@@ -216,24 +216,18 @@ def test_bootstrap_coverage_of_true_effects():
     # 2 (left, x4 <= 0 routed right of the rule below) and 5
     from efftree.search import SplitRule
     from efftree.tree import Tree, TreeNode
-    from efftree.estimators import NodeEffect
 
     setting = SimSetting("heterogeneous", n=2000, seed=0)
     config = make_config(setting, "g")
 
     def fixed_tree(data, eff_l, eff_r):
-        def effect(v, n):
-            return NodeEffect(mu1=v, mu0=0.0, effect=v, influence=np.empty(0),
-                              n=n, n_treated=n // 2,
-                              n_control=n - n // 2, second_moment=0.0)
-
         n_l = int((data.column("x4") < 0).sum())
         nodes = {
-            0: TreeNode(id=0, depth=0, n=data.n, effect=effect(3.5, data.n),
+            0: TreeNode(id=0, depth=0, n=data.n, effect=leaf_effect(3.5),
                         rule=SplitRule("x4", 3, "threshold", threshold=0.0),
                         statistic=50.0, left=1, right=2),
-            1: TreeNode(id=1, depth=1, n=n_l, effect=effect(eff_l, n_l)),
-            2: TreeNode(id=2, depth=1, n=data.n - n_l, effect=effect(eff_r, data.n - n_l)),
+            1: TreeNode(id=1, depth=1, n=n_l, effect=leaf_effect(eff_l)),
+            2: TreeNode(id=2, depth=1, n=data.n - n_l, effect=leaf_effect(eff_r)),
         }
         return Tree(nodes, 0, config, data.schema)
 
@@ -301,7 +295,9 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
             except FitError:
                 return None
         effect = ESTIMATE[config.estimator](sample, rows, models)
-        if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and effect.arm_empty:
+        treated = sample.treatment[rows]
+        if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and \
+                (treated.all() or not treated.any()):
             return None
         effects[t] = effect.effect
     return effects
@@ -352,10 +348,7 @@ def test_bootstrap_matches_take_based_reference_with_redraws_and_drops():
                                      min_node=2, min_per_arm=1)
 
     def node(i, depth, rows, **split):
-        eff = NodeEffect(mu1=0.0, mu0=0.0, effect=float(i), influence=np.empty(0),
-                         n=rows, n_treated=1, n_control=1,
-                         second_moment=0.0)
-        return TreeNode(id=i, depth=depth, n=rows, effect=eff, **split)
+        return TreeNode(id=i, depth=depth, n=rows, effect=leaf_effect(float(i)), **split)
 
     nodes = {
         0: node(0, 0, n, rule=SplitRule("x1", 0, "threshold", threshold=n - 4.5),

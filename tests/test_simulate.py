@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from efftree.data import SubgroupMask
-from efftree.estimators import NodeEffect
 from efftree.prune import weakest_link_sequence
 from efftree.search import SplitRule
 from efftree.select import select_final
@@ -21,6 +20,7 @@ from efftree.simulate import (
     run_replicate,
 )
 from efftree.tree import Tree, TreeNode, grow_max_tree
+from util_trees import leaf_effect
 
 
 # ---------------------------------------------------------------- generators
@@ -92,12 +92,6 @@ def test_setting_validation():
 
 
 # ---------------------------------------------------------------- metric helpers
-
-
-def leaf_effect(value):
-    return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      n=10, n_treated=5, n_control=5,
-                      second_moment=0.0)
 
 
 def manual_tree(schema, splits, effects, config):

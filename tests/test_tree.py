@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from efftree.glm import parse_spec
 from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits, node_tables
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree, tree_from_dict
+from util_trees import leaf_effect
 
 
 def make_data(x: dict, A, Y, kinds=None) -> Dataset:
@@ -135,9 +137,10 @@ def test_grow_respects_min_node_and_min_per_arm():
             outcome_spec=config.outcome_spec, min_node=min_node,
             min_per_arm=min_per_arm, max_depth=6)
         tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+        reach = tree.rows_by_node(data, np.arange(data.n))
         for node_id, node in tree.nodes.items():
             assert node.n >= min_node
-            treated = node.effect.n_treated
+            treated = int(data.treatment[reach[node_id]].sum())
             assert min(treated, node.n - treated) >= min_per_arm
             assert node.depth <= 6
 
@@ -248,26 +251,18 @@ def test_ipw_whole_scope_child_means_reconstruct_parent():
 # ---------------------------------------------------------------- prediction
 
 
-def leaf_effect(value, n=10):
-    from efftree.estimators import NodeEffect
-
-    return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      n=n, n_treated=n // 2,
-                      n_control=n - n // 2, second_moment=0.0)
-
-
 def toy_tree(schema, config):
     # depth-2 tree: root splits x4 at 0; right child splits x1 at 1, effects 2/5/7
     nodes = {
-        0: TreeNode(id=0, depth=0, n=40, effect=leaf_effect(3.0, 40),
+        0: TreeNode(id=0, depth=0, n=40, effect=leaf_effect(3.0),
                     rule=SplitRule("x4", 3, "threshold", threshold=0.0),
                     statistic=10.0, left=1, right=2),
-        1: TreeNode(id=1, depth=1, n=25, effect=leaf_effect(2.0, 25)),
-        2: TreeNode(id=2, depth=1, n=15, effect=leaf_effect(5.0, 15),
+        1: TreeNode(id=1, depth=1, n=25, effect=leaf_effect(2.0)),
+        2: TreeNode(id=2, depth=1, n=15, effect=leaf_effect(5.0),
                     rule=SplitRule("x1", 0, "threshold", threshold=1.0),
                     statistic=6.0, left=3, right=4),
-        3: TreeNode(id=3, depth=2, n=8, effect=leaf_effect(5.0, 8)),
-        4: TreeNode(id=4, depth=2, n=7, effect=leaf_effect(7.0, 7)),
+        3: TreeNode(id=3, depth=2, n=8, effect=leaf_effect(5.0)),
+        4: TreeNode(id=4, depth=2, n=7, effect=leaf_effect(7.0)),
     }
     return Tree(nodes, 0, config, schema)
 
@@ -321,11 +316,11 @@ def unseen_level_tree():
                         outcome_spec=parse_spec("1 + A", "A"),
                         min_node=2, min_per_arm=1)
     nodes = {
-        0: TreeNode(id=0, depth=0, n=30, effect=leaf_effect(1.0, 30),
+        0: TreeNode(id=0, depth=0, n=30, effect=leaf_effect(1.0),
                     rule=SplitRule("c", 0, "subset", left_levels=("A",), right_levels=("B",)),
                     statistic=5.0, left=1, right=2),
-        1: TreeNode(id=1, depth=1, n=20, effect=leaf_effect(1.0, 20)),
-        2: TreeNode(id=2, depth=1, n=10, effect=leaf_effect(9.0, 10)),
+        1: TreeNode(id=1, depth=1, n=20, effect=leaf_effect(1.0)),
+        2: TreeNode(id=2, depth=1, n=10, effect=leaf_effect(9.0)),
     }
     return Tree(nodes, 0, config, data.schema)
 
@@ -362,6 +357,19 @@ def test_json_round_trip_preserves_structure_and_predictions():
     assert json.loads(again.to_json()) == payload
 
 
+@pytest.mark.parametrize("estimator", ["ipw", "g", "dr"])
+def test_loaded_tree_has_the_grown_effects_and_predictions(estimator):
+    # A node's effect is exactly the three numbers tree.json stores, so a
+    # loaded node equals the grown one; arm counts are not part of it.
+    data, _, config = grow_setting(n=600, seed=43, estimator=estimator)
+    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    again = tree_from_dict(json.loads(tree.to_json()))
+    assert sorted(again.nodes) == sorted(tree.nodes)
+    for node_id, node in tree.nodes.items():
+        assert again.node(node_id).effect == node.effect
+    assert np.array_equal(again.predict(data), tree.predict(data))
+
+
 def test_grow_config_validation():
     spec = parse_spec("1 + A", "A")
     with pytest.raises(ValueError):
@@ -376,3 +384,14 @@ def test_grow_config_validation():
     cfg = GrowConfig(estimator="dr", outcome_spec=spec, propensity_spec=parse_spec("1", "A"),
                      variance_method=VarianceMethod.POOLED_SANDWICH)
     assert cfg.variance_method == VarianceMethod.INFLUENCE
+
+
+def test_grow_config_is_frozen_and_replace_revalidates():
+    spec = parse_spec("1 + A", "A")
+    cfg = GrowConfig(estimator="dr", outcome_spec=spec, propensity_spec=parse_spec("1", "A"))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.variance_method = VarianceMethod.POOLED_SANDWICH
+    assert cfg.variance_method == VarianceMethod.INFLUENCE
+    with pytest.raises(ValueError):
+        dataclasses.replace(GrowConfig(estimator="g", outcome_spec=spec),
+                            scope=NuisanceScope.CHILD)  # keeps the pooled sandwich

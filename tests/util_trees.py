@@ -1,7 +1,5 @@
 """Shared helpers for building synthetic trees in tests."""
 
-import numpy as np
-
 from efftree.data import Continuous, Schema
 from efftree.estimators import NodeEffect
 from efftree.glm import parse_spec
@@ -10,9 +8,7 @@ from efftree.tree import GrowConfig, Tree, TreeNode
 
 
 def leaf_effect(value=1.0):
-    return NodeEffect(mu1=value, mu0=0.0, effect=value, influence=np.empty(0),
-                      n=10, n_treated=5, n_control=5,
-                      second_moment=0.0)
+    return NodeEffect(mu1=value, mu0=0.0, effect=value)
 
 
 def tiny_schema():

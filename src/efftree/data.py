@@ -65,6 +65,8 @@ CovariateKind = Union[Continuous, Categorical, Ordinal]
 def _check_levels(levels: tuple[str, ...]) -> None:
     if len(levels) == 0:
         raise DataError("level list must be non-empty")
+    if not all(isinstance(lv, str) for lv in levels):
+        raise DataError(f"levels must be strings, got {levels!r}")
     if len(set(levels)) != len(levels):
         raise DataError(f"duplicate levels in {levels!r}")
 
@@ -80,6 +82,8 @@ class Schema:
     def __post_init__(self):
         names = [name for name, _ in self.columns]
         all_names = names + [self.treatment, self.outcome]
+        if not all(isinstance(name, str) for name in all_names):
+            raise DataError(f"column names must be strings, got {all_names!r}")
         if len(set(all_names)) != len(all_names):
             raise DataError("column names must be unique and distinct from treatment/outcome")
 

@@ -22,14 +22,20 @@ difference of the two child effects. Variances come either from sandwich
 (M-estimation) formulas that account for nuisance estimation, or from the
 empirical variance of pooled per-observation influence contributions.
 
+The sandwich variances here and in the batched kernel of ``search`` share
+one set of parts: ``sandwich_terms`` (per-row design, residual and contrast
+gradient, and the information matrix), ``solve_information`` (the one
+Cholesky solve, which decides singularity) and ``variance_floor`` (the one
+degeneracy floor).
+
 For whole and parent scope, growth and validation score splits with the
 batched kernel in ``search``. The scalar functions here (``split_contrast``,
 ``ipw_variance_pooled``, ``g_variance_pooled``, ``if_variance`` and
 ``ipw_variance_per_child``) score one split at a time; they are the
 reference the kernel is tested against, and child scope, whose models are
-refit per child, scores with them. Fitting and scoring take the fit's
-``tree.GrowConfig``, the one place that decides which (estimator, scope,
-variance) combinations are valid.
+refit per child, scores with them (through ``search.partition_statistic``).
+Fitting and scoring take the fit's ``tree.GrowConfig``, the one place that
+decides which (estimator, scope, variance) combinations are valid.
 """
 
 from __future__ import annotations
@@ -231,6 +237,64 @@ ESTIMATE = {
 }
 
 
+def variance_floor(scale: float, n: int) -> float:
+    """Degeneracy floor of a split variance: with ``scale`` the mean of
+    delta^2 over the n scored rows, a variance at or below it is rounding
+    noise of identical contributions, and the split is inadmissible."""
+    return REL_VAR_TOL * scale / n
+
+
+def _checked_variance(var: float, scale: float, n: int) -> float:
+    if not np.isfinite(var) or var <= variance_floor(scale, n):
+        raise InadmissibleSplitError("degenerate variance")
+    return var
+
+
+def solve_information(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """info^-1 rhs by Cholesky; a singular information matrix makes the
+    split (or every split of the node) inadmissible."""
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), rhs)
+    except scipy.linalg.LinAlgError:
+        raise InadmissibleSplitError("singular information matrix")
+
+
+def sandwich_terms(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
+                   models: NuisanceModels, terms: Contributions):
+    """Per-row pieces of the sandwich variance on the given rows:
+    ``(design, residual, grad, info)``.
+
+    ``design`` holds the nuisance model's kept design columns (the
+    propensity model for IPW, the outcome model for g-formula), and
+    ``residual * design`` is each row's score: A - e for IPW, Y - g_hat (or
+    Y - Z beta) for g-formula. ``grad`` is the per-row gradient of the
+    contrast in the model coefficients, and ``info`` the information matrix
+    over the rows. ``terms`` are the estimator's contributions on ``rows``.
+    """
+    fit = models.propensity if kind == EstimatorKind.IPW else models.outcome
+    design = build_design(data, rows, fit.spec)[0][:, fit.kept]
+    if kind == EstimatorKind.IPW:
+        A, Y, e = terms.A, terms.Y, terms.e
+        h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
+        grad = h[:, None] * design
+        weight = e * (1.0 - e)
+        residual = A - e
+    elif fit.family == "binomial":
+        g1, g0 = terms.g1, terms.g0
+        Z1 = build_design(data, rows, fit.spec, treatment_override=1)[0][:, fit.kept]
+        Z0 = build_design(data, rows, fit.spec, treatment_override=0)[0][:, fit.kept]
+        grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
+        ghat = predict_mean(fit, data, rows)
+        weight = ghat * (1 - ghat)
+        residual = terms.Y - ghat
+    else:
+        info = design.T @ design / len(rows)
+        residual = terms.Y - design @ fit.coefficients[fit.kept]
+        return design, residual, terms.zdiff, info
+    info = (design * weight[:, None]).T @ design / len(rows)
+    return design, residual, grad, info
+
+
 def if_variance(terms_l: Contributions, terms_r: Contributions, n_union: int) -> float:
     """Variance of t_hat from pooled per-observation influence contributions.
 
@@ -250,37 +314,44 @@ def if_variance(terms_l: Contributions, terms_r: Contributions, n_union: int) ->
     var = float(pooled.var(ddof=1)) / n_union
     scale = (n_l * float(np.mean(terms_l.delta**2))
              + n_r * float(np.mean(terms_r.delta**2))) / n_union
-    if not np.isfinite(var) or var <= REL_VAR_TOL * scale / n_union:
-        raise InadmissibleSplitError("degenerate influence variance")
-    return var
+    return _checked_variance(var, scale, n_union)
 
 
-def _sandwich_wrap(sum_sq_infl: float, n_p: int, p_l: float, p_r: float,
-                   t_l: float, t_r: float, scale: float) -> float:
-    """Common tail of the sandwich estimators: subtract the subgroup-share
-    centering term and apply the degeneracy floor."""
-    var = (sum_sq_infl / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
-    if not np.isfinite(var) or var <= REL_VAR_TOL * scale / n_p:
-        raise InadmissibleSplitError("non-positive sandwich variance")
-    return var
+def _uncentered_sandwich(sum_sq_infl: float, n_p: int, p_l: float, p_r: float,
+                         t_l: float, t_r: float) -> float:
+    """Sandwich variance from the sum of squared uncentered influences:
+    subtract the subgroup-share centering term."""
+    return (sum_sq_infl / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
 
 
-def _design_kept(fit: AnyFit, data: Dataset, rows: np.ndarray) -> np.ndarray:
-    Z, _ = build_design(data, rows, fit.spec)
-    return Z[:, fit.kept]
-
-
-def _pooled_rows(rows_l: np.ndarray, rows_r: np.ndarray):
-    """The union of two children's rows, left membership over it, its size
-    and the two child shares, for the pooled sandwich estimators."""
+def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows_l: np.ndarray,
+                     rows_r: np.ndarray, models: NuisanceModels) -> float:
+    """Pooled sandwich variance of the contrast with one nuisance fit on the
+    union of the children's rows (the IPW propensity or the g-formula
+    outcome model): each row's base influence plus its score projected
+    through the inverse information matrix onto the difference of the
+    child-mean gradients."""
     rows = np.union1d(rows_l, rows_r)
     in_l = np.isin(rows, rows_l)
     n_p = len(rows)
     n_l = int(in_l.sum())
-    n_r = n_p - n_l
-    if n_l == 0 or n_r == 0:
+    if n_l == 0 or n_l == n_p:
         raise InadmissibleSplitError("empty child")
-    return rows, in_l, n_p, n_l / n_p, n_r / n_p
+    p_l, p_r = n_l / n_p, (n_p - n_l) / n_p
+
+    terms = contributions(kind, data, rows, models)
+    design, residual, grad, info = sandwich_terms(kind, data, rows, models, terms)
+    delta = terms.delta
+    t_l = float(delta[in_l].mean())
+    t_r = float(delta[~in_l].mean())
+    c = solve_information(info, grad[in_l].mean(axis=0) - grad[~in_l].mean(axis=0))
+    if kind == EstimatorKind.IPW:
+        infl = np.where(in_l, delta / p_l, -delta / p_r) - (t_l - t_r) - residual * (design @ c)
+        var = _uncentered_sandwich(float(np.sum(infl**2)), n_p, p_l, p_r, t_l, t_r)
+    else:
+        infl = np.where(in_l, (delta - t_l) / p_l, -(delta - t_r) / p_r) + residual * (design @ c)
+        var = float(np.sum(infl**2)) / n_p / n_p
+    return _checked_variance(var, float(np.mean(delta**2)), n_p)
 
 
 def ipw_variance_pooled(
@@ -297,29 +368,8 @@ def ipw_variance_pooled(
     projected through the inverse information matrix onto the difference of
     the child-specific outcome-by-score means.
     """
-    rows, in_l, n_p, p_l, p_r = _pooled_rows(rows_l, rows_r)
-
-    terms = contributions(EstimatorKind.IPW, data, rows,
-                          NuisanceModels(propensity=fit, epsilon=epsilon))
-    A, Y, e, delta = terms.A, terms.Y, terms.e, terms.delta
-    X = _design_kept(fit, data, rows)
-    t_l = float(delta[in_l].mean())
-    t_r = float(delta[~in_l].mean())
-    t_hat = t_l - t_r
-
-    h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
-    H_l = (h[in_l, None] * X[in_l]).mean(axis=0)
-    H_r = (h[~in_l, None] * X[~in_l]).mean(axis=0)
-    info = (X * (e * (1.0 - e))[:, None]).T @ X / n_p
-    try:
-        c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), H_l - H_r)
-    except scipy.linalg.LinAlgError:
-        raise InadmissibleSplitError("singular information matrix")
-
-    base = np.where(in_l, delta / p_l, -delta / p_r) - t_hat
-    infl = base - (A - e) * (X @ c)
-    return _sandwich_wrap(float(np.sum(infl**2)), n_p, p_l, p_r, t_l, t_r,
-                          float(np.mean(delta**2)))
+    return _pooled_sandwich(EstimatorKind.IPW, data, rows_l, rows_r,
+                            NuisanceModels(propensity=fit, epsilon=epsilon))
 
 
 def ipw_variance_per_child(
@@ -344,32 +394,20 @@ def ipw_variance_per_child(
         raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, n_r / n_p
 
-    t_s = {}
-    scale_num = 0.0
-    corr_parts = {}
-    delta_parts = {}
-    for name, rows, fit in (("l", rows_l, fit_l), ("r", rows_r, fit_r)):
-        terms = contributions(EstimatorKind.IPW, data, rows,
-                              NuisanceModels(propensity=fit, epsilon=epsilon))
-        A, Y, e, delta = terms.A, terms.Y, terms.e, terms.delta
-        X = _design_kept(fit, data, rows)
-        h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
-        H = (h[:, None] * X).mean(axis=0)
-        info = (X * (e * (1.0 - e))[:, None]).T @ X / len(rows)
-        try:
-            c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), H)
-        except scipy.linalg.LinAlgError:
-            raise InadmissibleSplitError("singular information matrix")
-        t_s[name] = float(delta.mean())
-        corr_parts[name] = (A - e) * (X @ c)
-        delta_parts[name] = delta
-        scale_num += float(np.sum(delta**2))
+    parts = []
+    for rows, fit in ((rows_l, fit_l), (rows_r, fit_r)):
+        models = NuisanceModels(propensity=fit, epsilon=epsilon)
+        terms = contributions(EstimatorKind.IPW, data, rows, models)
+        X, residual, grad, info = sandwich_terms(EstimatorKind.IPW, data, rows, models, terms)
+        c = solve_information(info, grad.mean(axis=0))
+        delta = terms.delta
+        parts.append((float(delta.mean()), delta - residual * (X @ c), float(np.sum(delta**2))))
+    (t_l, infl_l, sq_l), (t_r, infl_r, sq_r) = parts
 
-    t_hat = t_s["l"] - t_s["r"]
-    infl_l = (delta_parts["l"] - corr_parts["l"]) / p_l - t_hat
-    infl_r = -(delta_parts["r"] - corr_parts["r"]) / p_r - t_hat
-    sum_sq = float(np.sum(infl_l**2) + np.sum(infl_r**2))
-    return _sandwich_wrap(sum_sq, n_p, p_l, p_r, t_s["l"], t_s["r"], scale_num / n_p)
+    t_hat = t_l - t_r
+    sum_sq = float(np.sum((infl_l / p_l - t_hat)**2) + np.sum((-infl_r / p_r - t_hat)**2))
+    var = _uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
+    return _checked_variance(var, (sq_l + sq_r) / n_p, n_p)
 
 
 def g_variance_pooled(
@@ -381,7 +419,7 @@ def g_variance_pooled(
     """Sandwich variance of the g-formula contrast with one outcome fit on the union.
 
     Mirrors the pooled IPW sandwich: the outcome-model score Z(Y - g) is
-    projected through the inverse of the design quadratic form onto the
+    projected through the inverse of the information matrix onto the
     difference of child-mean prediction gradients. The base influence is
     centered within each child, which absorbs the subgroup-share centering
     term exactly and keeps the estimate a nonnegative mean of squares (the
@@ -389,39 +427,8 @@ def g_variance_pooled(
     g-formula contrast has little per-row noise relative to the between-
     child separation).
     """
-    rows, in_l, n_p, p_l, p_r = _pooled_rows(rows_l, rows_r)
-
-    terms = contributions(EstimatorKind.GFORMULA, data, rows, NuisanceModels(outcome=fit))
-    Y, g1, g0, delta = terms.Y, terms.g1, terms.g0, terms.delta
-    Z = _design_kept(fit, data, rows)
-    if fit.family == "binomial":
-        ghat = predict_mean(fit, data, rows)
-        Z1, _ = build_design(data, rows, fit.spec, treatment_override=1)
-        Z0, _ = build_design(data, rows, fit.spec, treatment_override=0)
-        ddiff = (g1 * (1 - g1))[:, None] * Z1[:, fit.kept] - (g0 * (1 - g0))[:, None] * Z0[:, fit.kept]
-        info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / n_p
-        resid = Y - ghat
-    else:
-        ddiff = terms.zdiff
-        info = Z.T @ Z / n_p
-        resid = Y - Z @ fit.coefficients[fit.kept]
-
-    t_l = float(delta[in_l].mean())
-    t_r = float(delta[~in_l].mean())
-    D_l = ddiff[in_l].mean(axis=0)
-    D_r = ddiff[~in_l].mean(axis=0)
-    try:
-        c = scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), D_l - D_r)
-    except scipy.linalg.LinAlgError:
-        raise InadmissibleSplitError("singular design quadratic form")
-
-    base = np.where(in_l, (delta - t_l) / p_l, -(delta - t_r) / p_r)
-    infl = base + resid * (Z @ c)
-    var = float(np.sum(infl**2)) / n_p / n_p
-    scale = float(np.mean(delta**2))
-    if not np.isfinite(var) or var <= REL_VAR_TOL * scale / n_p:
-        raise InadmissibleSplitError("degenerate sandwich variance")
-    return var
+    return _pooled_sandwich(EstimatorKind.GFORMULA, data, rows_l, rows_r,
+                            NuisanceModels(outcome=fit))
 
 
 def fit_nuisance(data: Dataset, rows: np.ndarray, config: GrowConfig) -> NuisanceModels:

@@ -7,22 +7,24 @@ Those aggregates come from cumulative sums along each covariate's sort order
 (or per-level sums for categorical covariates), so a node with n rows and C
 candidates costs O(n log n + C) for the influence variance and
 O(n log n + n q^2 + C q^2) for the sandwich variances (q = design width),
-instead of O(n C). For the sandwich variances the node factors its q x q
-information matrix I once (a singular I raises InadmissibleSplitError)
-and precomputes I^-1 and I^-1 S I^-1, S the outer product of the per-row
-scores. Each candidate batch then needs two (C x q)(q x q) matrix products,
-c = d I^-1 and the quadratic form d I^-1 S I^-1 d', with d the candidates'
-differences of child-mean gradients, and no solve per candidate.
-A realized partition, such as the winner of a search or a split of a
-fitted tree recomputed on validation rows, is scored as a 1-candidate batch
-(``score_partition``).
+instead of O(n C). For the sandwich variances the node takes its per-row
+design, residual and gradient from ``estimators.sandwich_terms``, inverts
+its q x q information matrix I once (``estimators.solve_information``; a
+singular I raises InadmissibleSplitError) and precomputes I^-1 S I^-1, S
+the outer product of the per-row scores. Each candidate batch then needs
+two (C x q)(q x q) matrix products, c = d I^-1 and the quadratic form
+d I^-1 S I^-1 d', with d the candidates' differences of child-mean
+gradients, and no solve per candidate.
 
-Child-scope fitting cannot be batched (each candidate refits its own
-models), so a child-scope node has no tables and the same candidate loop
-scores its blocks one candidate at a time with ``split_contrast``
-(inadmissible: -inf, as in the kernel). The search takes the fit's
-``tree.GrowConfig``; the candidate kernel reads the variance method from the
-node's tables.
+A realized partition, such as the winner of a search or a split of a
+fitted tree recomputed on validation rows, is scored by
+``partition_statistic``: as a 1-candidate batch (``score_partition``) from
+the node's tables, or, in child scope, by ``split_contrast``. Child-scope
+fitting cannot be batched (each candidate refits its own models), so a
+child-scope node has no tables and the same candidate loop scores its
+blocks one partition at a time (inadmissible: -inf, as in the kernel).
+The search takes the fit's ``tree.GrowConfig``; the candidate kernel reads
+the variance method from the node's tables.
 """
 
 from __future__ import annotations
@@ -32,19 +34,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .data import Categorical, Continuous, Dataset
 from .estimators import (
-    REL_VAR_TOL,
     Contributions,
     EstimatorKind,
     InadmissibleSplitError,
     NuisanceModels,
     VarianceMethod,
+    sandwich_terms,
+    solve_information,
     split_contrast,
+    variance_floor,
 )
-from .glm import build_design, predict_mean
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
@@ -251,42 +253,17 @@ def node_tables(
 
     Only the pooled sandwich needs the information matrix, so ``info_inv``
     is None exactly when the variance is the influence one."""
-    A, Y, e, g1, g0, delta = terms.A, terms.Y, terms.e, terms.g1, terms.g0, terms.delta
+    A, delta = terms.A, terms.delta
 
     grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
     if config.variance_method == VarianceMethod.POOLED_SANDWICH:
-        if config.estimator == EstimatorKind.IPW:
-            fit = models.propensity
-            X = build_design(data, rows, fit.spec)[0][:, fit.kept]
-            h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
-            grad = h[:, None] * X
-            score = (A - e)[:, None] * X
-            info = (X * (e * (1.0 - e))[:, None]).T @ X / len(rows)
-            corr_sign = -1.0
-        else:
-            fit = models.outcome
-            Z = build_design(data, rows, fit.spec)[0][:, fit.kept]
-            if fit.family == "binomial":
-                ghat = predict_mean(fit, data, rows)
-                Z1 = build_design(data, rows, fit.spec, treatment_override=1)[0][:, fit.kept]
-                Z0 = build_design(data, rows, fit.spec, treatment_override=0)[0][:, fit.kept]
-                grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
-                info = (Z * (ghat * (1 - ghat))[:, None]).T @ Z / len(rows)
-                resid = Y - ghat
-            else:
-                grad = terms.zdiff
-                info = Z.T @ Z / len(rows)
-                resid = Y - Z @ fit.coefficients[fit.kept]
-            score = resid[:, None] * Z
-            corr_sign = 1.0
-        try:
-            info_factor = scipy.linalg.cho_factor(info)
-        except scipy.linalg.LinAlgError:
-            raise InadmissibleSplitError("singular information matrix")
+        design, residual, grad, info = sandwich_terms(config.estimator, data, rows, models, terms)
+        score = residual[:, None] * design
+        corr_sign = -1.0 if config.estimator == EstimatorKind.IPW else 1.0
         # Precomputed once per node so that each candidate batch needs only
         # two GEMMs: c = d I^-1 and the quadratic form d I^-1 S I^-1 d.
-        info_inv = scipy.linalg.cho_solve(info_factor, np.eye(len(info)))
+        info_inv = solve_information(info, np.eye(len(info)))
         sandwich_form = info_inv @ (score.T @ score) @ info_inv
         score_total = score.sum(axis=0)
 
@@ -410,8 +387,7 @@ def candidate_statistics(
                 sum_sq = base_sq + 2.0 * tables.corr_sign * cross + corr_sq
                 variance = (sum_sq / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
 
-        floor = REL_VAR_TOL * tables.msq / n_p
-        ok = admissible & np.isfinite(variance) & (variance > floor)
+        ok = admissible & np.isfinite(variance) & (variance > variance_floor(tables.msq, n_p))
         statistic = np.where(ok, t_hat**2 / np.where(ok, variance, 1.0), -np.inf)
     ok &= np.isfinite(statistic)
     statistic = np.where(ok, statistic, -np.inf)
@@ -428,7 +404,7 @@ def find_best_split(
 
     Whole and parent scope score each candidate block from the node's
     ``tables``; child scope has none and refits per candidate
-    (``_child_statistic``). Ties on the statistic keep the earlier candidate
+    (``partition_statistic``). Ties on the statistic keep the earlier candidate
     in enumeration order (column order, then threshold / canonical subset /
     cut order).
     """
@@ -438,7 +414,8 @@ def find_best_split(
     n_adm = 0
     for block in iter_candidate_blocks(data, rows):
         if tables is None:
-            stats = np.array([_child_statistic(data, rows, config, rule.goes_left(data, rows))
+            stats = np.array([partition_statistic(data, rows, rule.goes_left(data, rows), config,
+                                                  None, min_node, min_per_arm)
                               for rule in block.rules()])
         else:
             stats = candidate_statistics(tables, block.aggregate(tables.packed), len(rows),
@@ -456,11 +433,7 @@ def find_best_split(
     # partition, so the stored values match the partition exactly even if a
     # midpoint threshold rounded onto a data value.
     left_local = rule.goes_left(data, rows)
-    if tables is None:
-        statistic = _child_statistic(data, rows, config, left_local)
-    else:
-        scored = score_partition(tables, left_local, min_node, min_per_arm)
-        statistic = -np.inf if scored is None else scored[0]
+    statistic = partition_statistic(data, rows, left_local, config, tables, min_node, min_per_arm)
     if statistic <= 0.0:
         return None
     return BestSplit(rule, statistic, left_local, n_cand, n_adm)
@@ -484,15 +457,28 @@ def score_partition(
     return float(stats[0]), float(t_hats[0]), float(variances[0])
 
 
-def _child_statistic(data: Dataset, rows: np.ndarray, config: GrowConfig,
-                     left_local: np.ndarray) -> float:
-    """Statistic of one partition of the node's rows with per-child nuisance
-    refits (child scope); -inf where the partition is inadmissible."""
+def partition_statistic(
+    data: Dataset,
+    rows: np.ndarray,
+    left_local: np.ndarray,
+    config: GrowConfig,
+    tables: Optional[_NodeTables],
+    min_node: int,
+    min_per_arm: int,
+) -> float:
+    """Statistic of one realized partition of the node's ``rows``
+    (``left_local`` is left membership over them); -inf where the partition
+    is inadmissible. With the node's ``tables`` (whole and parent scope) it
+    is scored as a 1-candidate batch; without them (child scope) by
+    ``split_contrast`` with per-child nuisance refits."""
+    if tables is not None:
+        scored = score_partition(tables, left_local, min_node, min_per_arm)
+        return -np.inf if scored is None else scored[0]
     n_l = int(left_local.sum())
-    if n_l < config.min_node or len(rows) - n_l < config.min_node:
+    if n_l < min_node or len(rows) - n_l < min_node:
         return -np.inf
     try:
         return split_contrast(data, rows[left_local], rows[~left_local], config,
-                              min_per_arm=config.min_per_arm).statistic
+                              min_per_arm=min_per_arm).statistic
     except InadmissibleSplitError:
         return -np.inf

@@ -7,11 +7,10 @@ maximizing this validation split complexity wins, ties going to the smaller
 tree. Selection and the bootstrap use the tree's own config. The
 validation rows are a row-index array into the dataset the tree was grown
 on, so selection copies no data and reuses that dataset's root designs.
-Under whole and parent scope a node's validation statistic comes from the
-same batched kernel that scored it during growth
-(``search.score_partition``). Bootstrap intervals re-estimate terminal
-effects on resampled row indices, with the structure and the routing of
-the rows fixed and no copy of the data.
+A node's validation statistic comes from the scorer that rescores growth's
+winning partitions (``search.partition_statistic``). Bootstrap intervals
+re-estimate terminal effects on resampled row indices, with the structure
+and the routing of the rows fixed and no copy of the data.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from .estimators import (
     contributions,
     fit_nuisance,
     node_effect,
-    split_contrast,
 )
 from .prune import PruneSequence
-from .search import node_tables, score_partition
+from .search import node_tables, partition_statistic
 from .tree import GrowConfig, Tree
 
 __all__ = [
@@ -51,10 +49,10 @@ def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[i
 
     Nuisance models are refit on the validation rows per the scope of the
     tree's config: one fit on all of them (whole), one on the rows reaching
-    the node (parent), or one per child (child). Whole and parent scope score each
-    node's realized partition with the batched kernel; child scope with
-    ``split_contrast``. Every child and arm needs one row. A node whose
-    statistic cannot be computed (empty child or arm, failed fit,
+    the node (parent), or one per child (child). Each node's realized
+    partition is scored by ``search.partition_statistic`` with one row per
+    child and arm as the minimums. A node whose statistic cannot be
+    computed (empty child or arm, failed fit, singular information matrix,
     degenerate variance) contributes 0.
     """
     config = tree.config
@@ -76,18 +74,18 @@ def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[i
             stats[node_id] = 0.0
             continue
         try:
-            if config.scope == NuisanceScope.CHILD:
-                stats[node_id] = split_contrast(data, left_rows, right_rows, config).statistic
-            else:
+            tables = None
+            if config.scope != NuisanceScope.CHILD:
                 models = whole_models
                 if models is None:
                     models = fit_nuisance(data, node_rows, config)
                 terms = contributions(config.estimator, data, node_rows, models)
                 tables = node_tables(data, node_rows, config, models, terms)
-                scored = score_partition(tables, np.isin(node_rows, left_rows), 1, 1)
-                stats[node_id] = 0.0 if scored is None else scored[0]
+            stat = partition_statistic(data, node_rows, np.isin(node_rows, left_rows), config,
+                                       tables, 1, 1)
         except (InadmissibleSplitError, FitError):
-            stats[node_id] = 0.0
+            stat = 0.0
+        stats[node_id] = max(stat, 0.0)
     return stats
 
 

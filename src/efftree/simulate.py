@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import Categorical, Continuous, Dataset, Schema, SubgroupMask
 from .estimators import EstimatorKind, NuisanceScope
+from .glm import FitError
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
 from .search import SplitRule
 from .select import select_final
@@ -445,7 +446,7 @@ def _run_replicate_packed(args):
     setting, config, index, seed, train_fraction, lam = args
     try:
         return index, run_replicate(setting, config, index, seed, train_fraction, lam), None
-    except Exception as err:  # noqa: BLE001 - collected and reported per replicate
+    except (FitError, ValueError) as err:  # a replicate that cannot be fit; bugs propagate
         return index, None, f"{type(err).__name__}: {err}"
 
 
@@ -461,7 +462,8 @@ def run_experiment(
     """Aggregate metrics over independent replicates.
 
     Replicate i draws from substreams of (seed, i), so results are identical
-    for any thread count; failed replicates are excluded and counted.
+    for any thread count. A replicate that cannot be fit (FitError or
+    ValueError) is excluded and counted; any other error propagates.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")

@@ -299,10 +299,10 @@ def schema_from_dict(payload: dict) -> Schema:
     for col in payload["covariates"]:
         if col["kind"] == "continuous":
             kind = Continuous()
-        elif col["kind"] == "categorical":
-            kind = Categorical(tuple(col["levels"]))
-        elif col["kind"] == "ordinal":
-            kind = Ordinal(tuple(col["levels"]))
+        elif col["kind"] in ("categorical", "ordinal"):
+            if not isinstance(col["levels"], list):
+                raise ValueError(f"levels of {col['name']!r} must be a list, got {col['levels']!r}")
+            kind = (Categorical if col["kind"] == "categorical" else Ordinal)(tuple(col["levels"]))
         else:
             raise ValueError(f"unknown covariate kind {col['kind']!r}")
         cols.append((col["name"], kind))

@@ -295,6 +295,46 @@ def test_fit_rejects_a_schema_file_of_the_wrong_shape(heterog_csv, tmp_path, sch
     assert "Traceback" not in result.stderr
 
 
+SCHEMA_NAME_CORRUPTIONS = {
+    "treatment-not-a-string": lambda s: s.update(treatment=5),
+    "outcome-not-a-string": lambda s: s.update(outcome=None),
+    "covariate-name-not-a-string": lambda s: s["covariates"][0].update(name=1),
+    "levels-a-string": lambda s: s["covariates"].append(
+        {"name": "site", "kind": "categorical", "levels": "ABC"}),
+    "level-not-a-string": lambda s: s["covariates"].append(
+        {"name": "grade", "kind": "ordinal", "levels": ["lo", 2]}),
+}
+
+
+@pytest.mark.parametrize("corrupt", SCHEMA_NAME_CORRUPTIONS.values(),
+                         ids=SCHEMA_NAME_CORRUPTIONS.keys())
+def test_schema_names_and_levels_must_be_strings(heterog_csv, fitted_tree, tmp_path, corrupt):
+    # a name or level that is not a string is a bad schema (exit 2), for fit
+    # and for predict, never a traceback while the CSV is read
+    schema = schema_to_dict(heterog_csv[3].schema)
+    corrupt(schema)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema), encoding="utf-8")
+    fit = subprocess.run([sys.executable, "-m", "efftree.cli", "fit", "--data", str(heterog_csv[1]),
+                          "--schema", str(schema_path), "--estimator", "g",
+                          "--outcome-spec", "1 + A", "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True)
+    assert fit.returncode == 2
+    assert "bad schema file" in fit.stderr
+    assert "Traceback" not in fit.stderr
+
+    payload = copy.deepcopy(fitted_tree)
+    payload["schema"] = schema
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(payload), encoding="utf-8")
+    predict = subprocess.run([sys.executable, "-m", "efftree.cli", "predict", "--tree",
+                              str(tree_path), "--data", str(heterog_csv[1])],
+                             capture_output=True, text=True)
+    assert predict.returncode == 2
+    assert "bad tree file" in predict.stderr
+    assert "Traceback" not in predict.stderr
+
+
 def test_predict_schema_mismatch(heterog_csv, tmp_path, capsys):
     base, csv_path, schema_path, data = heterog_csv
     out = tmp_path / "fit"

@@ -22,7 +22,7 @@ from efftree.search import (
 from efftree.tree import GrowConfig
 
 
-def mixed_data(n=260, seed=61):
+def mixed_data(n=260, seed=61, binomial=False):
     rng = np.random.default_rng(seed)
     schema = Schema(
         (
@@ -41,6 +41,8 @@ def mixed_data(n=260, seed=61):
     logit = 0.5 * x1 - 0.4 * x2
     A = (rng.random(n) < 1 / (1 + np.exp(-logit))).astype(int)
     Y = 1 + x1 + (c == 2) + 2 * A + 1.5 * A * (x2 > 0) + rng.standard_normal(n)
+    if binomial:
+        Y = (rng.random(n) < 1 / (1 + np.exp(-(Y - 3) / 2))).astype(float)
     data = Dataset(schema, {"x1": x1, "x2": x2, "c": c, "g": g}, A, Y)
     return data
 
@@ -53,20 +55,30 @@ CASES = [
     (EstimatorKind.DR, VarianceMethod.INFLUENCE),
 ]
 
+# the batched-vs-scalar comparison also covers the binomial outcome family,
+# whose g-formula sandwich gradient and DR contrast differ from the gaussian
+BATCHED_CASES = [pytest.param(kind, variance, "gaussian", id=f"{kind.value}-{variance.value}")
+                 for kind, variance in CASES] + [
+    pytest.param(EstimatorKind.GFORMULA, VarianceMethod.POOLED_SANDWICH, "binomial",
+                 id="g-pooled-sandwich-binomial"),
+    pytest.param(EstimatorKind.DR, VarianceMethod.INFLUENCE, "binomial",
+                 id="dr-influence-binomial"),
+]
+
 P_SPEC = parse_spec("1 + x1 + x2", "A")
 O_SPEC = parse_spec("1 + x1 + A + A:x2 + c", "A")
 
 
-def parent_config(kind, variance):
+def parent_config(kind, variance, family="gaussian"):
     return GrowConfig(kind, propensity_spec=P_SPEC, outcome_spec=O_SPEC, scope=NuisanceScope.PARENT,
-                      variance_method=variance, min_node=20, min_per_arm=5)
+                      variance_method=variance, min_node=20, min_per_arm=5, outcome_family=family)
 
 
-@pytest.mark.parametrize("kind,variance", CASES, ids=lambda v: getattr(v, "value", v))
-def test_batched_statistics_match_scalar_split_contrast(kind, variance):
-    data = mixed_data()
+@pytest.mark.parametrize("kind,variance,family", BATCHED_CASES)
+def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
+    data = mixed_data(binomial=family == "binomial")
     rows = np.arange(data.n)
-    config = parent_config(kind, variance)
+    config = parent_config(kind, variance, family)
     models = fit_nuisance(data, rows, config)
     terms = contributions(kind, data, rows, models)
     tables = node_tables(data, rows, config, models, terms)

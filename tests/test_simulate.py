@@ -357,6 +357,32 @@ def test_run_experiment_thread_count_does_not_change_results():
     assert serial.to_dict(include_timing=False) == pooled.to_dict(include_timing=False)
 
 
+def test_run_experiment_counts_fit_failures_and_propagates_bugs(monkeypatch):
+    import efftree.simulate as simulate
+    from efftree.glm import FitError
+
+    setting = SimSetting("heterogeneous", n=300, seed=0)
+    config = make_config(setting, "g")
+    real = simulate.run_replicate
+
+    def fit_fails_on_first(setting, config, index, *args):
+        if index == 0:
+            raise FitError("separation")
+        return real(setting, config, index, *args)
+
+    monkeypatch.setattr(simulate, "run_replicate", fit_fails_on_first)
+    summary = run_experiment(setting, config, replications=2, seed=5, threads=1)
+    assert summary.failures == 1
+    assert summary.replications == 1
+
+    def bug(*args):
+        raise TypeError("a bug, not a failed fit")
+
+    monkeypatch.setattr(simulate, "run_replicate", bug)
+    with pytest.raises(TypeError, match="a bug"):
+        run_experiment(setting, config, replications=2, seed=5, threads=1)
+
+
 def test_binary_mixed_desk_scale_trends():
     # loose bounds on the binary-outcome mixed-covariate design: the
     # g-formula and DR algorithms with true models recover the level-pair

@@ -1,0 +1,144 @@
+"""Run a fixed matrix of efftree commands on generated data and keep every artifact.
+
+Usage:
+    python tools/artifacts.py SRC_DIR OUT_DIR
+
+SRC_DIR is the ``src`` directory of an efftree checkout; the commands run
+as ``python -m efftree.cli`` with it first on PYTHONPATH and BLAS pinned to
+one thread. The inputs are generated here from a fixed seed, independently
+of the checkout, so two checkouts see the same bytes. The matrix:
+
+* ``fit`` for ipw, g and dr under whole and parent scope, on a gaussian and
+  a binomial outcome, each with ``--bootstrap 20``;
+* ``fit --variance influence`` for ipw and g on both outcomes;
+* child scope for ipw, g and dr with ``--max-depth 2`` on a smaller file;
+* ``predict`` with every fitted ``tree.json``;
+* ``simulate --threads 1`` for a few settings and estimators.
+
+Each run keeps its artifacts (``tree.json``, ``tree.txt``,
+``selection.json``, ``bootstrap.json``, the predict CSV, the simulate
+JSON), its stdout and its exit code. Comparing two outputs with
+``diff -r`` checks that a refactor left every artifact byte-identical.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+PROPENSITY = "1 + x1 + x2 + c"
+OUTCOME = "1 + A + x1 + x3 + A:x2 + A:in(c,B,D) + g"
+SIMULATIONS = [("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
+               ("binary-mixed", "g")]
+
+
+def write_inputs(out: Path) -> None:
+    """schema.json, gaussian.csv and binomial.csv (1000 rows), small.csv (300 rows)."""
+    rng = np.random.default_rng(20201)
+    n = 1000
+    x1, x2, x3 = rng.standard_normal((3, n))
+    c = rng.integers(0, 4, n)
+    g = rng.integers(0, 3, n)
+    expit = lambda v: 1.0 / (1.0 + np.exp(-v))
+    A = (rng.random(n) < expit(0.4 * x1 - 0.3 * x2 + 0.3 * (c == 1))).astype(int)
+    y = 1.0 + x1 + 0.5 * x3 + A * (1.0 + 1.5 * (x2 > 0)) + rng.standard_normal(n)
+    yb = (rng.random(n) < expit(-0.3 + 0.5 * x1 + A * (0.5 + np.isin(c, (1, 3))))).astype(int)
+    schema = {
+        "covariates": [
+            {"name": "x1", "kind": "continuous"},
+            {"name": "x2", "kind": "continuous"},
+            {"name": "x3", "kind": "continuous"},
+            {"name": "c", "kind": "categorical", "levels": ["A", "B", "C", "D"]},
+            {"name": "g", "kind": "ordinal", "levels": ["lo", "mid", "hi"]},
+        ],
+        "treatment": "A",
+        "outcome": "Y",
+    }
+    (out / "schema.json").write_text(json.dumps(schema, indent=2) + "\n", encoding="utf-8")
+    for name, outcome, rows in (("gaussian", y, n), ("binomial", yb, n), ("small", y, 300)):
+        with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x1", "x2", "x3", "c", "g", "A", "Y"])
+            for i in range(rows):
+                writer.writerow([repr(float(x1[i])), repr(float(x2[i])), repr(float(x3[i])),
+                                 "ABCD"[c[i]], ("lo", "mid", "hi")[g[i]], int(A[i]),
+                                 repr(float(outcome[i]))])
+
+
+def fit_runs() -> list[tuple[str, list[str]]]:
+    """(run name, fit arguments) for every fit in the matrix."""
+    runs = []
+
+    def specs(estimator):
+        args = []
+        if estimator != "g":
+            args += ["--propensity-spec", PROPENSITY]
+        if estimator != "ipw":
+            args += ["--outcome-spec", OUTCOME]
+        return args
+
+    for family in ("gaussian", "binomial"):
+        family_args = ["--outcome-family", family] if family == "binomial" else []
+        for estimator in ("ipw", "g", "dr"):
+            for scope in ("whole", "parent"):
+                runs.append((f"fit-{estimator}-{scope}-{family}",
+                             ["--data", f"{family}.csv", "--estimator", estimator,
+                              "--scope", scope, "--bootstrap", "20"]
+                             + specs(estimator) + family_args))
+        for estimator in ("ipw", "g"):
+            runs.append((f"fit-{estimator}-influence-{family}",
+                         ["--data", f"{family}.csv", "--estimator", estimator,
+                          "--variance", "influence"] + specs(estimator) + family_args))
+    for estimator in ("ipw", "g", "dr"):
+        runs.append((f"fit-{estimator}-child-gaussian",
+                     ["--data", "small.csv", "--estimator", estimator, "--scope", "child",
+                      "--max-depth", "2"] + specs(estimator)))
+    return runs
+
+
+def run(src: Path, cwd: Path, argv: list[str], stdout_path: Path) -> None:
+    """Run one efftree command in ``cwd``; keep its stdout and exit code."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "efftree.cli", *argv], cwd=cwd, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=600)
+    stdout_path.write_bytes(proc.stdout)
+    (stdout_path.parent / f"{stdout_path.stem}.exit").write_text(f"{proc.returncode}\n")
+    if proc.returncode != 0:
+        print(f"{argv[0]} exited {proc.returncode}: "
+              f"{proc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/artifacts.py SRC_DIR OUT_DIR", file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]), Path(argv[1]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    write_inputs(out)
+    for name, args in fit_runs():
+        run_dir = out / name
+        run_dir.mkdir(exist_ok=True)
+        print(name, file=sys.stderr)
+        run(src, out, ["fit", "--schema", "schema.json", "--out", name, *args],
+            run_dir / "fit.stdout")
+        if (run_dir / "tree.json").exists():
+            data = args[args.index("--data") + 1]
+            run(src, out, ["predict", "--tree", f"{name}/tree.json", "--data", data],
+                run_dir / "predict.csv")
+    for setting, algo in SIMULATIONS:
+        name = f"simulate-{setting}-{algo}"
+        print(name, file=sys.stderr)
+        run(src, out, ["simulate", "--setting", setting, "--algo", algo, "--reps", "3",
+                       "--n", "400", "--threads", "1"], out / f"{name}.json")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataError, SubgroupMask, load_csv, text_blocks
-from .estimators import NuisanceScope, VarianceMethod
-from .glm import FitError
+from .estimators import EstimatorKind, NuisanceScope, VarianceMethod
+from .glm import FitError, check_factor
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
 from .search import CategoricalCardinalityError
 from .select import bootstrap_effects, select_final
-from .simulate import SimSetting, make_config, run_experiment
+from .simulate import MODEL_VARIANTS, SimSetting, make_config, run_experiment
 from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
 
 EXIT_CONFIG = 2
@@ -41,6 +41,32 @@ class CliError(Exception):
         self.code = code
 
 
+_SETTING_ALIASES = {
+    "homog": "homogeneous",
+    "heterog": "heterogeneous",
+    "binary-mixed": "binary-mixed-heterogeneous",
+    "binary-mixed-homog": "binary-mixed-homogeneous",
+}
+_ESTIMATORS = [kind.value for kind in EstimatorKind]
+
+
+def _add_growth_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags that fit and simulate share: nuisance scope, node limits,
+    propensity truncation and the split penalty."""
+    parser.add_argument("--scope", default="parent", choices=[s.value for s in NuisanceScope],
+                        help="which rows fit the nuisance models (default parent)")
+    parser.add_argument("--min-node", type=int, default=30,
+                        help="minimum rows per node (default 30)")
+    parser.add_argument("--min-per-arm", type=int, default=10,
+                        help="minimum rows per treatment arm per node (default 10)")
+    parser.add_argument("--max-depth", type=int, default=10,
+                        help="maximum tree depth (default 10)")
+    parser.add_argument("--epsilon", type=float, default=0.01,
+                        help="propensity truncation bound (default 0.01)")
+    parser.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
+                        help=f"split complexity penalty (default {DEFAULT_LAMBDA})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="efftree",
@@ -51,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit = sub.add_parser("fit", help="fit a tree from a CSV file")
     fit.add_argument("--data", required=True, help="CSV file with covariates, treatment, outcome")
     fit.add_argument("--schema", required=True, help="JSON schema file describing the columns")
-    fit.add_argument("--estimator", required=True, choices=["ipw", "g", "dr"],
+    fit.add_argument("--estimator", required=True, choices=_ESTIMATORS,
                      help="subgroup effect estimator")
     fit.add_argument("--propensity-spec", default=None,
                      help="propensity model formula (required for ipw and dr)")
@@ -59,21 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="outcome model formula (required for g and dr)")
     fit.add_argument("--outcome-family", default="gaussian", choices=["gaussian", "binomial"],
                      help="outcome model family (default gaussian)")
-    fit.add_argument("--scope", default="parent", choices=["whole", "parent", "child"],
-                     help="which rows fit the nuisance models (default parent)")
     fit.add_argument("--variance", default=None,
                      choices=[v.value for v in VarianceMethod],
                      help="split variance method (default depends on the estimator)")
-    fit.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                     help=f"split complexity penalty (default {DEFAULT_LAMBDA})")
+    _add_growth_flags(fit)
     fit.add_argument("--train-frac", type=float, default=0.8,
                      help="fraction of rows used to build the tree; the rest select it (default 0.8)")
-    fit.add_argument("--min-node", type=int, default=30, help="minimum rows per node (default 30)")
-    fit.add_argument("--min-per-arm", type=int, default=10,
-                     help="minimum rows per treatment arm per node (default 10)")
-    fit.add_argument("--max-depth", type=int, default=10, help="maximum tree depth (default 10)")
-    fit.add_argument("--epsilon", type=float, default=0.01,
-                     help="propensity truncation bound (default 0.01)")
     fit.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     fit.add_argument("--bootstrap", type=int, default=0, metavar="B",
                      help="bootstrap replicates for terminal intervals (default 0 = off)")
@@ -89,36 +106,33 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--missing", default="drop_rows", choices=["drop_rows", "reject"])
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
-    sim.add_argument("--setting", required=True,
-                     choices=["homog", "heterog", "binary-mixed", "binary-mixed-homog"],
+    sim.add_argument("--setting", required=True, choices=list(_SETTING_ALIASES),
                      help="simulation design")
     sim.add_argument("--algo", required=True,
                      help="algorithm config: ESTIMATOR[:PROP_VARIANT,OUT_VARIANT] with "
-                          "variants in {true, mis-func, unmeasured-cov}; e.g. dr:mis-func,true")
+                          f"variants in {{{', '.join(MODEL_VARIANTS)}}}; e.g. dr:mis-func,true")
     sim.add_argument("--reps", type=int, required=True, help="number of replications")
     sim.add_argument("--seed", type=int, default=0, help="root seed (default 0)")
     sim.add_argument("--n", type=int, default=1000, help="sample size per replicate (default 1000)")
-    sim.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
-                     help=f"split complexity penalty (default {DEFAULT_LAMBDA})")
+    _add_growth_flags(sim)
     sim.add_argument("--threads", type=int, default=None,
                      help="worker processes (default: available cores); results do not depend on it")
     sim.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in the JSON output (off by default "
                           "so identical runs produce identical JSON)")
-    sim.add_argument("--scope", default="parent", choices=["whole", "parent", "child"])
-    sim.add_argument("--min-node", type=int, default=30)
-    sim.add_argument("--min-per-arm", type=int, default=10)
-    sim.add_argument("--max-depth", type=int, default=10)
-    sim.add_argument("--epsilon", type=float, default=0.01)
     return parser
+
+
+def _unreadable(what: str, path, err: OSError) -> CliError:
+    return CliError(f"cannot read {what} file {path}: {err.strerror or err}", EXIT_DATA)
 
 
 def _load_schema(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return schema_from_dict(json.load(fh))
-    except FileNotFoundError:
-        raise CliError(f"schema file not found: {path}", EXIT_DATA)
+    except OSError as err:
+        raise _unreadable("schema", path, err)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"bad schema file {path}: {err}", EXIT_CONFIG)
 
@@ -126,6 +140,16 @@ def _load_schema(path: str):
 def _check_lambda(lam: float) -> None:
     if not (np.isfinite(lam) and lam >= 0.0):
         raise CliError("--lambda must be finite and >= 0", EXIT_CONFIG)
+
+
+def _check_out_dir(path: Path) -> None:
+    """CliError unless ``path`` is a directory or can be made one: its
+    nearest existing ancestor must be a directory."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise CliError(f"--out {path}: {existing} is not a directory", EXIT_CONFIG)
+            return
 
 
 def cmd_fit(args) -> int:
@@ -137,6 +161,7 @@ def cmd_fit(args) -> int:
     if not 0.0 < args.level < 1.0:
         raise CliError("--level must lie in (0, 1)", EXIT_CONFIG)
     _check_lambda(args.lam)
+    _check_out_dir(Path(args.out))
     try:
         config = GrowConfig.from_strings(
             estimator=args.estimator,
@@ -152,13 +177,17 @@ def cmd_fit(args) -> int:
             seed=args.seed,
             outcome_family=args.outcome_family,
         )
+        for spec in filter(None, (config.propensity_spec, config.outcome_spec)):
+            for term in spec.terms:
+                if term.factor is not None:
+                    check_factor(term.factor, schema)
     except ValueError as err:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG)
 
     try:
         data = load_csv(args.data, schema, args.missing)
-    except FileNotFoundError:
-        raise CliError(f"data file not found: {args.data}", EXIT_DATA)
+    except OSError as err:
+        raise _unreadable("data", args.data, err)
     except DataError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
     if config.outcome_family == "binomial" and not np.isin(data.outcome, (0.0, 1.0)).all():
@@ -229,14 +258,14 @@ def cmd_predict(args) -> int:
     try:
         payload = json.loads(Path(args.tree).read_text(encoding="utf-8"))
         tree = tree_from_dict(payload)
-    except FileNotFoundError:
-        raise CliError(f"tree file not found: {args.tree}", EXIT_DATA)
+    except OSError as err:
+        raise _unreadable("tree", args.tree, err)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"bad tree file: {err}", EXIT_CONFIG)
     try:
         data = load_csv(args.data, tree.schema, args.missing)
-    except FileNotFoundError:
-        raise CliError(f"data file not found: {args.data}", EXIT_DATA)
+    except OSError as err:
+        raise _unreadable("data", args.data, err)
     except DataError as err:
         raise CliError(f"schema mismatch or bad data: {err}", EXIT_DATA)
 
@@ -253,17 +282,9 @@ def cmd_predict(args) -> int:
     return 0
 
 
-_SETTING_ALIASES = {
-    "homog": "homogeneous",
-    "heterog": "heterogeneous",
-    "binary-mixed": "binary-mixed-heterogeneous",
-    "binary-mixed-homog": "binary-mixed-homogeneous",
-}
-
-
 def _parse_algo(text: str) -> tuple[str, str, str]:
     head, _, tail = text.partition(":")
-    if head not in ("ipw", "g", "dr"):
+    if head not in _ESTIMATORS:
         raise CliError(f"unknown estimator {head!r} in --algo", EXIT_CONFIG)
     if not tail:
         return head, "true", "true"
@@ -273,15 +294,13 @@ def _parse_algo(text: str) -> tuple[str, str, str]:
     if len(parts) != 2:
         raise CliError(f"--algo variants must be PROP,OUT: {text!r}", EXIT_CONFIG)
     for p in parts:
-        if p not in ("true", "mis-func", "unmeasured-cov"):
+        if p not in MODEL_VARIANTS:
             raise CliError(f"unknown model variant {p!r} in --algo", EXIT_CONFIG)
     return head, parts[0], parts[1]
 
 
 def cmd_simulate(args) -> int:
-    design = _SETTING_ALIASES.get(args.setting)
-    if design is None:
-        raise CliError(f"unknown setting {args.setting!r}", EXIT_CONFIG)
+    design = _SETTING_ALIASES[args.setting]
     estimator, prop_variant, out_variant = _parse_algo(args.algo)
     try:
         setting = SimSetting(design, n=args.n, seed=args.seed)

@@ -236,12 +236,16 @@ def load_csv(path, schema: Schema, missing_policy: str = "drop_rows") -> Dataset
     free; extra or repeated columns rejected). Cells equal to one of
     ``MISSING_TOKENS`` count as missing; under ``drop_rows`` such rows are
     removed (count logged), under ``reject`` any missing cell raises
-    :class:`DataError`.
+    :class:`DataError`. A file that is not UTF-8 text raises
+    :class:`DataError` too.
     """
     if missing_policy not in ("reject", "drop_rows"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        return _load_csv_stream(fh, schema, missing_policy)
+        try:
+            return _load_csv_stream(fh, schema, missing_policy)
+        except UnicodeDecodeError as err:
+            raise DataError(f"not UTF-8 text: {err}") from None
 
 
 def _load_csv_stream(fh, schema: Schema, missing_policy: str) -> Dataset:

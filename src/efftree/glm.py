@@ -32,7 +32,7 @@ from typing import Optional, Union
 import numpy as np
 import scipy.linalg
 
-from .data import Continuous, Dataset
+from .data import Continuous, Dataset, Schema
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
@@ -158,12 +158,30 @@ def parse_spec(text: str, treatment_name: str) -> DesignSpec:
     return DesignSpec(tuple(terms))
 
 
-def _factor_columns(factor: Factor, data: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Column block (n x k) and labels for one factor on every dataset row."""
-    schema = data.schema
-    if factor.column not in data.covariates:
+def check_factor(factor: Factor, schema: Schema) -> None:
+    """ValueError unless the factor fits the schema: its column is a
+    covariate, its transform fits that column's kind, and every ``in()``
+    level is declared."""
+    if factor.transform not in ("main", "exp", "cube", "gt", "lt", "in"):
+        raise ValueError(f"unknown transform {factor.transform!r}")
+    if factor.column not in schema.covariate_names:
         raise ValueError(f"unknown column {factor.column!r} in spec")
     kind = schema.kind_of(factor.column)
+    continuous = isinstance(kind, Continuous)
+    if factor.transform in ("exp", "cube", "gt", "lt") and not continuous:
+        raise ValueError(f"{factor.transform}() requires a continuous column: {factor.label()}")
+    if factor.transform == "in":
+        if continuous:
+            raise ValueError(f"in() requires a categorical or ordinal column: {factor.label()}")
+        for lv in factor.levels:
+            if lv not in kind.levels:
+                raise ValueError(f"unknown level {lv!r} in {factor.label()}")
+
+
+def _factor_columns(factor: Factor, data: Dataset) -> tuple[np.ndarray, list[str]]:
+    """Column block (n x k) and labels for one factor on every dataset row."""
+    check_factor(factor, data.schema)
+    kind = data.schema.kind_of(factor.column)
     values = data.covariates[factor.column]
     if factor.transform == "main":
         if isinstance(kind, Continuous):
@@ -176,31 +194,15 @@ def _factor_columns(factor: Factor, data: Dataset) -> tuple[np.ndarray, list[str
         labels = [f"{factor.column}[{lv}]" for lv in kind.levels[1:]]
         return block, labels
     if factor.transform == "exp":
-        _require_continuous(kind, factor)
         return np.exp(values)[:, None], [factor.label()]
     if factor.transform == "cube":
-        _require_continuous(kind, factor)
         return (values**3)[:, None], [factor.label()]
     if factor.transform == "gt":
-        _require_continuous(kind, factor)
         return (values > factor.threshold).astype(np.float64)[:, None], [factor.label()]
     if factor.transform == "lt":
-        _require_continuous(kind, factor)
         return (values < factor.threshold).astype(np.float64)[:, None], [factor.label()]
-    if factor.transform == "in":
-        if isinstance(kind, Continuous):
-            raise ValueError(f"in() requires a categorical or ordinal column: {factor.label()}")
-        codes = [kind.levels.index(lv) for lv in factor.levels]
-        for lv in factor.levels:
-            if lv not in kind.levels:
-                raise ValueError(f"unknown level {lv!r} in {factor.label()}")
-        return np.isin(values, codes).astype(np.float64)[:, None], [factor.label()]
-    raise ValueError(f"unknown transform {factor.transform!r}")
-
-
-def _require_continuous(kind, factor: Factor) -> None:
-    if not isinstance(kind, Continuous):
-        raise ValueError(f"{factor.transform}() requires a continuous column: {factor.label()}")
+    codes = [kind.levels.index(lv) for lv in factor.levels]
+    return np.isin(values, codes).astype(np.float64)[:, None], [factor.label()]
 
 
 def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:

@@ -1,11 +1,15 @@
-"""Synthetic data generators, ground-truth oracles, evaluation metrics, and
+"""Synthetic data generators, their ground truth, the Table-1 metrics, and
 the replication driver.
 
 Two continuous-covariate designs share a 6-dimensional equicorrelated normal
 covariate vector and a logistic treatment model; they differ in whether the
 treatment effect is constant or jumps at x4 = 0. A mixed design draws three
 correlated normals plus three discrete uniform covariates and a binary
-outcome whose effect is either constant or jumps on a level pair of x4.
+outcome whose effect is either constant or differs on the x4 levels {B, D}.
+
+Each draw comes with a :class:`TruthOracle`: the one true split (``None``
+for a constant effect) and the true effect on each side of it. Every metric
+compares a fitted tree with that record.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +44,9 @@ SETTINGS = (
 )
 
 MODEL_VARIANTS = ("true", "mis-func", "unmeasured-cov")
+
+# share of each replicate's training draw that grows the tree; the rest selects it
+TRAIN_FRACTION = 0.8
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -69,16 +76,25 @@ class SimSetting:
         return self.design in (HOMOGENEOUS, BINARY_MIXED_HOMOGENEOUS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TruthOracle:
-    """Ground truth for one design: the true effect surface, the splits a
-    correct tree must make, and which covariates are noise."""
+    """Ground truth of one design: the split where the treatment effect
+    jumps, or None for a constant effect, and the effect on each side of it
+    (both sides equal when there is no split)."""
 
-    true_cate: Callable[[Dataset], np.ndarray]
-    continuous_splits: dict[str, int]
-    categorical_splits: dict[str, list[frozenset]]
-    noise_variables: frozenset
-    reference_cells: Callable[[Dataset], np.ndarray]
+    split: Optional[SplitRule]
+    left_effect: float
+    right_effect: float
+
+    def reference_cells(self, data: Dataset) -> np.ndarray:
+        """The true cell of every row: 1 left of the split, 0 otherwise."""
+        if self.split is None:
+            return np.zeros(data.n, dtype=np.int64)
+        return self.split.goes_left(data, np.arange(data.n)).astype(np.int64)
+
+    def true_cate(self, data: Dataset) -> np.ndarray:
+        """The true treatment effect of every row."""
+        return np.where(self.reference_cells(data) == 1, self.left_effect, self.right_effect)
 
 
 def _continuous_schema() -> Schema:
@@ -131,23 +147,8 @@ def _generate_continuous(setting: SimSetting, rng) -> tuple[Dataset, TruthOracle
         Y,
     )
 
-    if setting.homogeneous:
-        oracle = TruthOracle(
-            true_cate=lambda d: np.full(d.n, 2.0),
-            continuous_splits={},
-            categorical_splits={},
-            noise_variables=frozenset(f"x{j}" for j in range(1, 7)),
-            reference_cells=lambda d: np.zeros(d.n, dtype=np.int64),
-        )
-    else:
-        oracle = TruthOracle(
-            true_cate=lambda d: 2.0 + 3.0 * (d.column("x4") > 0),
-            continuous_splits={"x4": 1},
-            categorical_splits={},
-            noise_variables=frozenset(f"x{j}" for j in (1, 2, 3, 5, 6)),
-            reference_cells=lambda d: (d.column("x4") > 0).astype(np.int64),
-        )
-    return data, oracle
+    jump = None if setting.homogeneous else SplitRule("x4", 3, "threshold", threshold=0.0)
+    return data, TruthOracle(jump, 2.0, 2.0 if jump is None else 5.0)
 
 
 def _generate_binary_mixed(setting: SimSetting, rng) -> tuple[Dataset, TruthOracle]:
@@ -168,24 +169,10 @@ def _generate_binary_mixed(setting: SimSetting, rng) -> tuple[Dataset, TruthOrac
     covs.update({f"x{j}": codes[j] for j in (4, 5, 6)})
     data = Dataset(schema, covs, A, Y)
 
-    if setting.homogeneous:
-        oracle = TruthOracle(
-            true_cate=lambda d: np.full(d.n, 0.1),
-            continuous_splits={},
-            categorical_splits={},
-            noise_variables=frozenset(f"x{j}" for j in range(1, 7)),
-            reference_cells=lambda d: np.zeros(d.n, dtype=np.int64),
-        )
-    else:
-        partition = frozenset([frozenset({"B", "D"}), frozenset({"A", "C"})])
-        oracle = TruthOracle(
-            true_cate=lambda d: 0.1 - 0.4 * np.isin(d.column("x4"), (1, 3)),
-            continuous_splits={},
-            categorical_splits={"x4": [partition]},
-            noise_variables=frozenset(f"x{j}" for j in (1, 2, 3, 5, 6)),
-            reference_cells=lambda d: np.isin(d.column("x4"), (1, 3)).astype(np.int64),
-        )
-    return data, oracle
+    jump = None if setting.homogeneous else SplitRule(
+        "x4", 3, "subset", left_levels=("B", "D"), right_levels=("A", "C"))
+    # 0.1 - 0.4 sums the generator's two A terms; as a float it is not -0.3
+    return data, TruthOracle(jump, 0.1 if jump is None else 0.1 - 0.4, 0.1)
 
 
 # ----------------------------------------------------------------------
@@ -251,12 +238,12 @@ def make_config(
 # metrics
 
 
-def mse(tree: Tree, test: Dataset, oracle: TruthOracle) -> float:
+def mse(tree: Tree, test: Dataset, truth: TruthOracle) -> float:
     """Mean squared error of the tree's effect predictions against the truth."""
     if test.n == 0:
         raise ValueError("empty test set")
     pred = tree.predict(test)
-    return float(np.mean((pred - oracle.true_cate(test)) ** 2))
+    return float(np.mean((pred - truth.true_cate(test)) ** 2))
 
 
 def _level_partition(rule: SplitRule, levels: tuple[str, ...]) -> frozenset:
@@ -268,57 +255,36 @@ def _level_partition(rule: SplitRule, levels: tuple[str, ...]) -> frozenset:
     return frozenset([left, frozenset(levels) - left])
 
 
-def _tree_split_summary(tree: Tree) -> tuple[dict[str, int], dict[str, list[frozenset]]]:
-    continuous: dict[str, int] = {}
-    categorical: dict[str, list[frozenset]] = {}
-    for node_id in tree.internal_ids():
-        rule = tree.node(node_id).rule
-        kind = tree.schema.kind_of(rule.column)
-        if isinstance(kind, Continuous):
-            continuous[rule.column] = continuous.get(rule.column, 0) + 1
-        else:
-            categorical.setdefault(rule.column, []).append(_level_partition(rule, kind.levels))
-    return continuous, categorical
-
-
-def is_correct_tree(tree: Tree, oracle: TruthOracle) -> bool:
-    """True when continuous split counts match the oracle per variable
-    (split points free) and categorical/ordinal splits hit exactly the
-    oracle's level partitions."""
-    continuous, categorical = _tree_split_summary(tree)
-    if continuous != oracle.continuous_splits:
+def _is_true_split(rule: SplitRule, truth: TruthOracle, schema: Schema) -> bool:
+    """Whether a fitted split cuts where the truth does: on the same column
+    and, unless that column is continuous (split point free), into the same
+    unordered pair of level sets."""
+    if truth.split is None or rule.column != truth.split.column:
         return False
-    if set(categorical) != set(oracle.categorical_splits):
-        return False
-    for col, partitions in oracle.categorical_splits.items():
-        if sorted(categorical[col], key=sorted) != sorted(partitions, key=sorted):
-            return False
-    return True
+    kind = schema.kind_of(rule.column)
+    return isinstance(kind, Continuous) or (
+        _level_partition(rule, kind.levels) == _level_partition(truth.split, kind.levels))
 
 
-def noise_split_count(tree: Tree, oracle: TruthOracle) -> int:
-    """Number of internal nodes splitting on a noise variable."""
-    return sum(
-        1
-        for node_id in tree.internal_ids()
-        if tree.node(node_id).rule.column in oracle.noise_variables
-    )
+def is_correct_tree(tree: Tree, truth: TruthOracle) -> bool:
+    """True when the tree splits exactly once, on the true split, or not at
+    all when the effect is constant."""
+    rules = [tree.node(node_id).rule for node_id in tree.internal_ids()]
+    if truth.split is None:
+        return not rules
+    return len(rules) == 1 and _is_true_split(rules[0], truth, tree.schema)
 
 
-def correct_first_split(max_tree: Tree, oracle: TruthOracle) -> bool:
-    """Whether the fully grown tree's root split matches the oracle."""
+def noise_split_count(tree: Tree, truth: TruthOracle) -> int:
+    """Number of internal nodes splitting on a column other than the true split's."""
+    true_column = None if truth.split is None else truth.split.column
+    return sum(tree.node(node_id).rule.column != true_column for node_id in tree.internal_ids())
+
+
+def correct_first_split(max_tree: Tree, truth: TruthOracle) -> bool:
+    """Whether the fully grown tree's root split is the true split."""
     root = max_tree.node(max_tree.root_id)
-    if root.is_terminal:
-        return False
-    rule = root.rule
-    if oracle.continuous_splits:
-        return rule.column in oracle.continuous_splits
-    if oracle.categorical_splits:
-        if rule.column not in oracle.categorical_splits:
-            return False
-        levels = max_tree.schema.kind_of(rule.column).levels
-        return _level_partition(rule, levels) in oracle.categorical_splits[rule.column]
-    return False
+    return not root.is_terminal and _is_true_split(root.rule, truth, max_tree.schema)
 
 
 def pairwise_similarity_labels(labels_a: np.ndarray, labels_b: np.ndarray) -> float:
@@ -348,15 +314,10 @@ def pairwise_similarity_labels(labels_a: np.ndarray, labels_b: np.ndarray) -> fl
     return 1.0 - discordant / pairs(m)
 
 
-def pairwise_similarity(tree: Tree, reference, data: Dataset) -> float:
-    """Pairwise prediction similarity between a tree and a reference
-    partition (another tree or a truth oracle) on the given rows."""
-    labels_a = tree.route(data)
-    if isinstance(reference, Tree):
-        labels_b = reference.route(data)
-    else:
-        labels_b = reference.reference_cells(data)
-    return pairwise_similarity_labels(labels_a, labels_b)
+def pairwise_similarity(tree: Tree, truth: TruthOracle, data: Dataset) -> float:
+    """Pairwise prediction similarity between the tree's cells and the true
+    cells on the given rows."""
+    return pairwise_similarity_labels(tree.route(data), truth.reference_cells(data))
 
 
 # ----------------------------------------------------------------------
@@ -413,17 +374,16 @@ def run_replicate(
     config: GrowConfig,
     index: int,
     seed: int,
-    train_fraction: float = 0.8,
     lam: float = DEFAULT_LAMBDA,
 ) -> ReplicateResult:
-    """One train/select/evaluate cycle: fresh train and test draws, an
-    80/20 build/validation split, full growth + pruning + selection."""
+    """One train/select/evaluate cycle: fresh train and test draws, a
+    build/validation split at TRAIN_FRACTION, full growth + pruning + selection."""
     train_setting = SimSetting(setting.design, setting.n, _replicate_seed(seed, index, "train"))
     test_setting = SimSetting(setting.design, setting.n, _replicate_seed(seed, index, "test"))
-    train, oracle = generate(train_setting)
+    train, truth = generate(train_setting)
     test, _ = generate(test_setting)
 
-    n_build = int(round(train_fraction * train.n))
+    n_build = int(round(TRAIN_FRACTION * train.n))
     build_mask = SubgroupMask(np.arange(train.n) < n_build)
 
     t0 = time.perf_counter()
@@ -433,19 +393,19 @@ def run_replicate(
     fit_seconds = time.perf_counter() - t0
 
     return ReplicateResult(
-        mse=mse(final, test, oracle),
-        correct=is_correct_tree(final, oracle),
-        noise_splits=noise_split_count(final, oracle),
-        pps=pairwise_similarity(final, oracle, test),
-        correct_first=correct_first_split(max_tree, oracle),
+        mse=mse(final, test, truth),
+        correct=is_correct_tree(final, truth),
+        noise_splits=noise_split_count(final, truth),
+        pps=pairwise_similarity(final, truth, test),
+        correct_first=correct_first_split(max_tree, truth),
         fit_seconds=fit_seconds,
     )
 
 
 def _run_replicate_packed(args):
-    setting, config, index, seed, train_fraction, lam = args
+    setting, config, index, seed, lam = args
     try:
-        return index, run_replicate(setting, config, index, seed, train_fraction, lam), None
+        return index, run_replicate(setting, config, index, seed, lam), None
     except (FitError, ValueError) as err:  # a replicate that cannot be fit; bugs propagate
         return index, None, f"{type(err).__name__}: {err}"
 
@@ -455,7 +415,6 @@ def run_experiment(
     config: GrowConfig,
     replications: int,
     seed: int,
-    train_fraction: float = 0.8,
     lam: float = DEFAULT_LAMBDA,
     threads: Optional[int] = None,
 ) -> ExperimentSummary:
@@ -467,9 +426,7 @@ def run_experiment(
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
-    jobs = [
-        (setting, config, i, seed, train_fraction, lam) for i in range(replications)
-    ]
+    jobs = [(setting, config, i, seed, lam) for i in range(replications)]
     results: list[Optional[ReplicateResult]] = [None] * replications
     errors: list[str] = []
     workers = threads if threads is not None else (os.cpu_count() or 1)

@@ -357,9 +357,17 @@ def _rule_from_dict(r: dict, schema: Schema) -> SplitRule:
     return rule
 
 
+# JSON types of each node's values; a bool is never a number here
+_NODE_VALUE_TYPES = {
+    "effect": (int, float), "mu1": (int, float), "mu0": (int, float),
+    "n": (int,), "depth": (int,), "statistic": (int, float, type(None)),
+}
+
+
 def tree_from_dict(payload: dict) -> Tree:
     """Rebuild a tree from its JSON document (effects only, no models);
-    ValueError unless its nodes form one binary tree from the root."""
+    ValueError unless its nodes form one binary tree from the root and
+    hold values of their JSON types."""
     if not isinstance(payload, dict):
         raise ValueError("a tree document must be a JSON object")
     if payload.get("format") != TREE_FORMAT:
@@ -375,6 +383,10 @@ def tree_from_dict(payload: dict) -> Tree:
     for nd in payload["nodes"]:
         if nd["id"] in nodes:
             raise ValueError(f"duplicate tree node id {nd['id']!r}")
+        for key, types in _NODE_VALUE_TYPES.items():
+            if isinstance(nd[key], bool) or not isinstance(nd[key], types):
+                raise ValueError(f"tree node {nd['id']!r} has {key} {nd[key]!r}, "
+                                 f"not {' or '.join(t.__name__ for t in types)}")
         rule = None if nd["rule"] is None else _rule_from_dict(nd["rule"], schema)
         nodes[nd["id"]] = TreeNode(
             id=nd["id"], depth=nd["depth"], n=nd["n"],

@@ -255,6 +255,13 @@ TREE_CORRUPTIONS = {
                                                       left_levels=["a"], right_levels=["z"]),
     "ordinal-cut-on-categorical": lambda p: _rekind(p, "categorical", kind="ordinal_cut", cut=0),
     "ordinal-cut-outside-levels": lambda p: _rekind(p, "ordinal", kind="ordinal_cut", cut=2),
+    "effect-a-string": lambda p: _leaf(p).update(effect="1.5"),
+    "effect-null": lambda p: _leaf(p).update(effect=None),
+    "mu1-a-bool": lambda p: _leaf(p).update(mu1=True),
+    "mu0-a-list": lambda p: _split(p).update(mu0=[0.0]),
+    "n-a-float": lambda p: _leaf(p).update(n=10.5),
+    "depth-a-string": lambda p: _split(p).update(depth="0"),
+    "statistic-a-string": lambda p: _split(p).update(statistic="large"),
 }
 
 
@@ -333,6 +340,84 @@ def test_schema_names_and_levels_must_be_strings(heterog_csv, fitted_tree, tmp_p
     assert predict.returncode == 2
     assert "bad tree file" in predict.stderr
     assert "Traceback" not in predict.stderr
+
+
+def _run_module(*argv):
+    return subprocess.run([sys.executable, "-m", "efftree.cli", *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def _not_utf8(csv_path, tmp_path):
+    """A copy of ``csv_path`` whose second line starts with a byte that is not UTF-8."""
+    lines = csv_path.read_bytes().split(b"\n")
+    lines[1] = b"\xff" + lines[1]
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"\n".join(lines))
+    return path
+
+
+UNREADABLE_INPUTS = {
+    "fit-data-a-directory": lambda d, t, csv, schema, tree: (
+        "fit", "--data", d, "--schema", schema),
+    "fit-schema-a-directory": lambda d, t, csv, schema, tree: (
+        "fit", "--data", csv, "--schema", d),
+    "fit-data-not-utf8": lambda d, t, csv, schema, tree: (
+        "fit", "--data", _not_utf8(csv, t), "--schema", schema),
+    "predict-tree-a-directory": lambda d, t, csv, schema, tree: (
+        "predict", "--tree", d, "--data", csv),
+    "predict-data-a-directory": lambda d, t, csv, schema, tree: (
+        "predict", "--tree", tree, "--data", d),
+    "predict-data-not-utf8": lambda d, t, csv, schema, tree: (
+        "predict", "--tree", tree, "--data", _not_utf8(csv, t)),
+}
+
+
+@pytest.mark.parametrize("argv", UNREADABLE_INPUTS.values(), ids=UNREADABLE_INPUTS.keys())
+def test_unreadable_inputs_are_data_errors(heterog_csv, fitted_tree, tmp_path, argv):
+    base, csv_path, schema_path, _ = heterog_csv
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(fitted_tree), encoding="utf-8")
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    args = argv(directory, tmp_path, csv_path, schema_path, tree_path)
+    if args[0] == "fit":
+        args += ("--estimator", "g", "--outcome-spec", "1 + A + x1", "--out", tmp_path / "out")
+    result = _run_module(*args)
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_fit_out_path_through_a_file_is_a_configuration_error(heterog_csv, tmp_path, out):
+    base, csv_path, schema_path, _ = heterog_csv
+    (tmp_path / "file").write_text("kept\n", encoding="utf-8")
+    before = sorted(tmp_path.iterdir())
+    result = _run_module("fit", "--data", tmp_path / "missing.csv", "--schema", schema_path,
+                         "--estimator", "g", "--outcome-spec", "1 + A + x1",
+                         "--out", tmp_path / out)
+    assert result.returncode == 2  # reading the missing data file first would give 3
+    assert "is not a directory" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--estimator", "g", "--outcome-spec", "1 + A + zz"], "unknown column 'zz'"),
+    (["--estimator", "dr", "--propensity-spec", "1 + in(x1,a)", "--outcome-spec", "1 + A"],
+     "in() requires a categorical or ordinal column"),
+    (["--estimator", "g", "--outcome-spec", "1 + A + A:Y"], "unknown column 'Y'"),
+], ids=["unknown-column", "in-on-continuous", "outcome-as-covariate"])
+def test_fit_checks_specs_against_the_schema_before_reading_data(heterog_csv, tmp_path,
+                                                                 flags, message):
+    base, csv_path, schema_path, _ = heterog_csv
+    result = _run_module("fit", "--data", tmp_path / "missing.csv", "--schema", schema_path,
+                         "--out", tmp_path / "out", *flags)
+    assert result.returncode == 2  # reading the missing data file first would give 3
+    assert "bad configuration" in result.stderr and message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_schema_mismatch(heterog_csv, tmp_path, capsys):

@@ -8,6 +8,7 @@ from efftree.glm import (
     FitError,
     build_design,
     build_design_difference,
+    check_factor,
     fit_logistic,
     fit_ols,
     parse_spec,
@@ -60,6 +61,36 @@ def test_parse_rejects_non_treatment_interaction():
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_spec("1 + what(x1)", "A")
+
+
+MIXED_SCHEMA = Schema((("x1", Continuous()), ("site", Categorical(("red", "blue"))),
+                       ("grade", Ordinal(("lo", "hi")))), treatment="A", outcome="Y")
+
+
+@pytest.mark.parametrize("term, message", [
+    ("zz", "unknown column 'zz'"),
+    ("Y", "unknown column 'Y'"),
+    ("in(x1,a)", "in\\(\\) requires a categorical or ordinal column"),
+    ("exp(site)", "exp\\(\\) requires a continuous column"),
+    ("gt(grade,1)", "gt\\(\\) requires a continuous column"),
+    ("in(site,red,pink)", "unknown level 'pink'"),
+])
+def test_check_factor_rejects_a_factor_that_does_not_fit_the_schema(term, message):
+    factor = parse_spec(term, "A").terms[1].factor
+    with pytest.raises(ValueError, match=message):
+        check_factor(factor, MIXED_SCHEMA)
+    data = Dataset(MIXED_SCHEMA, {"x1": np.zeros(2), "site": np.array([0, 1]),
+                                  "grade": np.array([1, 0])}, np.array([0, 1]), np.zeros(2))
+    with pytest.raises(ValueError, match=message):
+        build_design(data, full(data), parse_spec(term, "A"))
+
+
+def test_check_factor_accepts_every_transform_on_its_kind():
+    spec = parse_spec("1 + A + x1 + exp(x1) + cube(x1) + lt(x1,0) + A:gt(x1,0) + site"
+                      " + grade + in(site,blue) + A:in(grade,lo,hi)", "A")
+    for term in spec.terms:
+        if term.factor is not None:
+            check_factor(term.factor, MIXED_SCHEMA)
 
 
 # ---------------------------------------------------------------- OLS

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from efftree.data import SubgroupMask
+from efftree.data import Dataset, SubgroupMask
 from efftree.prune import weakest_link_sequence
 from efftree.search import SplitRule
 from efftree.select import select_final
 from efftree.simulate import (
     SimSetting,
+    TruthOracle,
     correct_first_split,
     generate,
     is_correct_tree,
@@ -30,8 +31,8 @@ def test_heterogeneous_truth_values():
     data, oracle = generate(SimSetting("heterogeneous", n=50, seed=1))
     cate = oracle.true_cate(data)
     x4 = data.column("x4")
-    assert np.all(cate[x4 > 0] == 5.0)
-    assert np.all(cate[x4 <= 0] == 2.0)
+    assert np.all(cate[x4 >= 0] == 5.0)
+    assert np.all(cate[x4 < 0] == 2.0)
 
 
 def test_homogeneous_truth_constant():
@@ -77,6 +78,34 @@ def test_binary_mixed_generation():
 def test_binary_mixed_homogeneous_truth():
     data, oracle = generate(SimSetting("binary-mixed-homogeneous", n=100, seed=8))
     assert np.allclose(oracle.true_cate(data), 0.1)
+
+
+X4_IN_BD = SplitRule("x4", 3, "subset", left_levels=("B", "D"), right_levels=("A", "C"))
+
+
+@pytest.mark.parametrize("design, split, effects", [
+    ("homogeneous", None, (2.0, 2.0)),
+    ("heterogeneous", SplitRule("x4", 3, "threshold", threshold=0.0), (2.0, 5.0)),
+    ("binary-mixed-homogeneous", None, (0.1, 0.1)),
+    ("binary-mixed-heterogeneous", X4_IN_BD, (0.1 - 0.4, 0.1)),
+])
+def test_truth_is_the_true_split_and_the_effect_on_each_side(design, split, effects):
+    data, truth = generate(SimSetting(design, n=200, seed=9))
+    assert truth == TruthOracle(split, *effects)
+    cells = truth.reference_cells(data)
+    if split is None:
+        assert not cells.any()
+    else:
+        assert np.array_equal(cells, split.goes_left(data, np.arange(data.n)))
+    assert np.array_equal(truth.true_cate(data), np.where(cells == 1, *effects))
+
+
+def test_heterogeneous_truth_puts_x4_equal_to_zero_on_the_jump_side():
+    data, truth = generate(SimSetting("heterogeneous", n=3, seed=1))
+    covariates = {name: data.column(name) for name in data.schema.covariate_names}
+    covariates["x4"] = np.array([-1e-9, 0.0, 1e-9])
+    edge = Dataset(data.schema, covariates, data.treatment, data.outcome)
+    assert truth.true_cate(edge).tolist() == [2.0, 5.0, 5.0]
 
 
 def test_preset_specs_reject_unknown_variant():
@@ -242,6 +271,28 @@ def test_noise_split_count(heterog):
         config,
     )
     assert noise_split_count(mixed, oracle) == 2
+
+
+def test_a_split_on_the_true_column_is_never_noise():
+    setting = SimSetting("binary-mixed-heterogeneous", n=100, seed=4)
+    data, truth = generate(setting)
+    config = make_config(setting, "g")
+    wrong_pair = manual_tree(
+        data.schema,
+        {0: (SplitRule("x4", 3, "subset", left_levels=("A", "B"),
+                       right_levels=("C", "D")), 1, 2, 30.0)},
+        {0: 0.0, 1: 0.1, 2: -0.3},
+        config,
+    )
+    assert not is_correct_tree(wrong_pair, truth)
+    assert not correct_first_split(wrong_pair, truth)
+    assert noise_split_count(wrong_pair, truth) == 0
+    # with a constant effect every split is a noise split, x4 included
+    setting = SimSetting("binary-mixed-homogeneous", n=100, seed=4)
+    data, truth = generate(setting)
+    assert noise_split_count(wrong_pair, truth) == 1
+    assert not is_correct_tree(wrong_pair, truth)
+    assert not correct_first_split(wrong_pair, truth)
 
 
 def test_correct_first_split_cases(heterog):

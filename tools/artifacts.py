@@ -12,8 +12,11 @@ of the checkout, so two checkouts see the same bytes. The matrix:
   a binomial outcome, each with ``--bootstrap 20``;
 * ``fit --variance influence`` for ipw and g on both outcomes;
 * child scope for ipw, g and dr with ``--max-depth 2`` on a smaller file;
+* g-formula on a file whose effect jumps between levels of the ordinal
+  ``g``, so an ``ordinal_cut`` rule is written, loaded and routed;
 * ``predict`` with every fitted ``tree.json``;
-* ``simulate --threads 1`` for a few settings and estimators.
+* ``simulate --threads 1`` on every setting, including a misspecified
+  DR model.
 
 Each run keeps its artifacts (``tree.json``, ``tree.txt``,
 ``selection.json``, ``bootstrap.json``, the predict CSV, the simulate
@@ -34,12 +37,14 @@ import numpy as np
 
 PROPENSITY = "1 + x1 + x2 + c"
 OUTCOME = "1 + A + x1 + x3 + A:x2 + A:in(c,B,D) + g"
-SIMULATIONS = [("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
+SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
+               ("heterog", "dr:mis-func,true"), ("binary-mixed-homog", "g"),
                ("binary-mixed", "g")]
 
 
 def write_inputs(out: Path) -> None:
-    """schema.json, gaussian.csv and binomial.csv (1000 rows), small.csv (300 rows)."""
+    """schema.json, gaussian.csv and binomial.csv (1000 rows), small.csv (300 rows),
+    ordinal.csv (1000 rows, the effect set by ``g``)."""
     rng = np.random.default_rng(20201)
     n = 1000
     x1, x2, x3 = rng.standard_normal((3, n))
@@ -49,6 +54,7 @@ def write_inputs(out: Path) -> None:
     A = (rng.random(n) < expit(0.4 * x1 - 0.3 * x2 + 0.3 * (c == 1))).astype(int)
     y = 1.0 + x1 + 0.5 * x3 + A * (1.0 + 1.5 * (x2 > 0)) + rng.standard_normal(n)
     yb = (rng.random(n) < expit(-0.3 + 0.5 * x1 + A * (0.5 + np.isin(c, (1, 3))))).astype(int)
+    yg = 1.0 + x1 + A * (1.0 + 2.0 * (g >= 1)) + np.random.default_rng(20202).standard_normal(n)
     schema = {
         "covariates": [
             {"name": "x1", "kind": "continuous"},
@@ -61,7 +67,8 @@ def write_inputs(out: Path) -> None:
         "outcome": "Y",
     }
     (out / "schema.json").write_text(json.dumps(schema, indent=2) + "\n", encoding="utf-8")
-    for name, outcome, rows in (("gaussian", y, n), ("binomial", yb, n), ("small", y, 300)):
+    for name, outcome, rows in (("gaussian", y, n), ("binomial", yb, n), ("small", y, 300),
+                                ("ordinal", yg, n)):
         with open(out / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x1", "x2", "x3", "c", "g", "A", "Y"])
@@ -99,6 +106,8 @@ def fit_runs() -> list[tuple[str, list[str]]]:
         runs.append((f"fit-{estimator}-child-gaussian",
                      ["--data", "small.csv", "--estimator", estimator, "--scope", "child",
                       "--max-depth", "2"] + specs(estimator)))
+    runs.append(("fit-g-ordinal", ["--data", "ordinal.csv", "--estimator", "g",
+                                   "--outcome-spec", "1 + A + x1 + g + A:g"]))
     return runs
 
 
@@ -133,7 +142,7 @@ def main(argv: list[str]) -> int:
             run(src, out, ["predict", "--tree", f"{name}/tree.json", "--data", data],
                 run_dir / "predict.csv")
     for setting, algo in SIMULATIONS:
-        name = f"simulate-{setting}-{algo}"
+        name = f"simulate-{setting}-{algo.replace(':', '-').replace(',', '-')}"
         print(name, file=sys.stderr)
         run(src, out, ["simulate", "--setting", setting, "--algo", algo, "--reps", "3",
                        "--n", "400", "--threads", "1"], out / f"{name}.json")

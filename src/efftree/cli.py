@@ -1,9 +1,10 @@
 """Command-line front end: fit trees from CSV, predict, run simulations.
 
-Exit codes: 0 success, 2 configuration error, 3 data error (including a
-categorical column with too many levels to split on), 4 fit failure
-(including a bootstrap that drops every replicate and a simulation whose
-every replicate fails).
+Exit codes: 0 success, 1 standard output closed by its reader before every
+line was written (``efftree predict ... | head``; no traceback), 2
+configuration error, 3 data error (including a categorical column with too
+many levels to split on), 4 fit failure (including a bootstrap that drops
+every replicate and a simulation whose every replicate fails).
 JSON artifacts go to files or stdout; logs and progress go to stderr.
 """
 
@@ -28,6 +29,7 @@ from .select import bootstrap_effects, select_final
 from .simulate import MODEL_VARIANTS, SimSetting, make_config, run_experiment
 from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
 
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
@@ -353,15 +355,19 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=os.environ.get("EFFTREE_LOGLEVEL", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {"fit": cmd_fit, "predict": cmd_predict, "simulate": cmd_simulate}
     try:
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        return cmd_simulate(args)
+        code = commands[args.command](args)
+        sys.stdout.flush()
+        return code
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
+    except BrokenPipeError:
+        # The reader closed stdout early. Point stdout at devnull, as the
+        # Python docs advise, so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
 
 
 if __name__ == "__main__":

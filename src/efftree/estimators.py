@@ -462,7 +462,9 @@ def split_contrast(
     which tests compare against this function.
     """
     rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
-    if np.intersect1d(rows_l, rows_r).size:
+    in_left = np.zeros(data.n, dtype=bool)
+    in_left[rows_l] = True
+    if in_left[rows_r].any():
         raise ValueError("child rows must be disjoint")
     if len(rows_l) == 0 or len(rows_r) == 0:
         raise InadmissibleSplitError("empty child")

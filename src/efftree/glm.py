@@ -20,7 +20,10 @@ index array is a bootstrap replicate's rows. A subgroup's model matrix is
 those rows of one treatment-free root design per (dataset, spec), with the
 treatment-involving columns scaled by A.
 Fitting uses column-pivoted QR so that rank-deficient designs drop columns
-deterministically instead of failing.
+deterministically instead of failing. Row gathers use ``np.take`` and the
+logistic fit calls LAPACK (``dgeqp3``, ``dposv``) directly: each gives the
+bits of the fancy-indexing and ``scipy.linalg`` call it replaces, without
+their per-call overhead.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqp3, dposv
 
 from .data import Continuous, Dataset, Schema
 
@@ -38,6 +42,7 @@ IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
 _LINPRED_CLIP = 500.0
 _SEPARATION_ETA = 30.0
+_EPS = np.finfo(np.float64).eps
 
 
 class FitError(RuntimeError):
@@ -262,11 +267,17 @@ def build_design(
     """
     rows = check_rows(rows)
     F, labels, treated = _root_design(data, spec)
-    Z = F[rows]
-    if treatment_override is None:
-        Z[:, treated] *= data.treatment[rows].astype(np.float64)[:, None]
-    elif treatment_override != 1:
-        Z[:, treated] *= float(treatment_override)
+    Z = np.take(F, rows, axis=0)
+    treated_cols = np.flatnonzero(treated)
+    if len(treated_cols) and treatment_override != 1:
+        if treatment_override is None:
+            a = data.treatment[rows].astype(np.float64)
+        else:
+            a = float(treatment_override)
+        for j in treated_cols:
+            # in place, one column at a time: a boolean column mask would
+            # gather the columns into a copy and scatter them back
+            Z[:, j] *= a
     return Z, list(labels)
 
 
@@ -278,8 +289,8 @@ def build_design_difference(data: Dataset, rows: np.ndarray, spec: DesignSpec) -
     """
     rows = check_rows(rows)
     F, _, treated = _root_design(data, spec)
-    D = np.zeros((len(rows), F.shape[1]))
-    D[:, treated] = F[np.ix_(rows, np.flatnonzero(treated))]
+    D = np.take(F, rows, axis=0)
+    D[:, ~treated] = 0.0
     return D
 
 
@@ -313,17 +324,54 @@ class LogisticFit:
 AnyFit = Union[LinearFit, LogisticFit]
 
 
+def _numerical_rank(r_diag: np.ndarray, shape: tuple[int, int]) -> int:
+    """Rank of a design from the diagonal of its column-pivoted R: the number
+    of |R_jj| above |R_00| * max(shape) * eps."""
+    diag = np.abs(r_diag)
+    if len(diag) == 0 or diag[0] == 0.0:
+        raise FitError("design matrix is identically zero")
+    tol = diag[0] * max(shape) * _EPS
+    return int(np.sum(diag > tol))
+
+
 def _pivoted_qr(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Column-pivoted economic QR of Z, ``Z[:, piv] = Q R``, and its numerical rank.
 
     The first ``rank`` pivots are the kept columns; the rest are dropped.
     """
     Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if len(diag) == 0 or diag[0] == 0.0:
-        raise FitError("design matrix is identically zero")
-    tol = diag[0] * max(Z.shape) * np.finfo(np.float64).eps
-    return Q, R, piv, int(np.sum(diag > tol))
+    return Q, R, piv, _numerical_rank(np.diag(R), Z.shape)
+
+
+def _pivoted_r_diagonal(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """diag(R) and the pivots of ``_pivoted_qr(Z)``, from LAPACK ``dgeqp3`` without forming Q.
+
+    It makes the calls ``scipy.linalg.qr(Z, pivoting=True)`` makes: the
+    finiteness check, one column-major copy of Z and the workspace size a
+    ``lwork=-1`` query returns. The size decides between blocked and
+    unblocked elimination, which round differently past 128 columns.
+    """
+    if not np.isfinite(Z).all():
+        raise ValueError("array must not contain infs or NaNs")
+    a = np.array(Z, order="F")
+    lwork = int(dgeqp3(a, lwork=-1, overwrite_a=True)[-2][0])
+    qr, jpvt, _, _, _ = dgeqp3(a, lwork=lwork, overwrite_a=True)
+    return np.diagonal(qr), jpvt - 1
+
+
+def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve(A, b, assume_a="pos")`` by LAPACK ``dposv`` on the
+    upper triangle, as that call reads it; a 1 x 1 system is divided, as it
+    is there. FitError where that call raises."""
+    if np.isfinite(A).all() and np.isfinite(b).all():
+        if len(b) == 1:
+            if A[0, 0] != 0.0:
+                return b / A[0]
+        else:
+            _, x, info = dposv(A, b)
+            if info == 0:
+                return x
+    raise FitError("logistic fit failed: singular weighted system")
 
 
 def fit_ols(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> LinearFit:
@@ -357,12 +405,13 @@ def fit_logistic(
     when given, holds one value per dataset row.
     """
     y = (data.treatment[rows] if response is None else np.asarray(response)[rows]).astype(np.float64)
-    if y.min(initial=1.0) == y.max(initial=0.0) or len(np.unique(y)) < 2:
+    if y.size == 0 or y.min() == y.max():
         raise FitError("degenerate response: only one class present")
     Z, labels = build_design(data, rows, spec)
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
-    _, _, piv, rank = _pivoted_qr(Z)
+    r_diag, piv = _pivoted_r_diagonal(Z)
+    rank = _numerical_rank(r_diag, Z.shape)
     kept, dropped = np.sort(piv[:rank]), np.sort(piv[rank:])
     Zk = Z[:, kept]
     beta = np.zeros(len(kept))
@@ -374,10 +423,7 @@ def fit_logistic(
         w = np.maximum(p * (1.0 - p), 1e-10)
         wz = Zk * w[:, None]
         z_work = eta + (y - p) / w
-        try:
-            step = scipy.linalg.solve(Zk.T @ wz, wz.T @ z_work, assume_a="pos")
-        except (scipy.linalg.LinAlgError, ValueError):
-            raise FitError("logistic fit failed: singular weighted system")
+        step = _solve_pos(Zk.T @ wz, wz.T @ z_work)
         delta = np.max(np.abs(step - beta))
         beta = step
         if not np.isfinite(beta).all():

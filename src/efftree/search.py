@@ -159,7 +159,7 @@ def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_Covariat
                 return SplitRule(name, col_idx, "threshold", threshold=float(thresholds[j]))
 
             def agg_cont(mat, order=order, boundaries=boundaries):
-                return np.cumsum(mat[order], axis=0)[boundaries]
+                return np.take(np.cumsum(np.take(mat, order, axis=0), axis=0), boundaries, axis=0)
 
             yield _CovariateBlock(len(thresholds), rule_cont, agg_cont)
         else:

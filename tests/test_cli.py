@@ -288,6 +288,27 @@ def test_predict_rejects_a_tree_file_that_is_not_an_object(heterog_csv, tmp_path
     assert "Traceback" not in result.stderr
 
 
+def test_predict_into_a_reader_that_closes_early_exits_1_without_a_traceback(fitted_tree,
+                                                                             tmp_path):
+    # 5000 rows of output are far more than a pipe holds, so predict is
+    # still writing when the reader closes after three lines
+    data, _ = generate(SimSetting("heterogeneous", n=5000, seed=52))
+    csv_path = tmp_path / "rows.csv"
+    write_csv(data, csv_path)
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(fitted_tree), encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, "-m", "efftree.cli", "predict", "--tree",
+                             str(tree_path), "--data", str(csv_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    lines = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert lines[0].rstrip().endswith(b"effect,terminal_id") and len(lines[2].split(b",")) > 2
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("schema", [[], {"covariates": 5, "treatment": "A", "outcome": "Y"}],
                          ids=["list", "covariates-not-a-list"])
 def test_fit_rejects_a_schema_file_of_the_wrong_shape(heterog_csv, tmp_path, schema):

@@ -484,6 +484,36 @@ def test_split_contrast_rejects_overlapping_children():
                                                     propensity_spec=parse_spec("1", "A")))
 
 
+@pytest.mark.parametrize("shared", ["one-row", "one-row-repeated-in-left", "last-row-first"])
+def test_split_contrast_rejects_children_that_share_a_row(shared):
+    # unsorted children, duplicates allowed within a child, one row in both
+    data, left, right = fixture_40(seed=40)
+    rng = np.random.default_rng(41)
+    left, right = rng.permutation(left), rng.permutation(right)
+    if shared == "one-row":
+        right = np.append(right, left[3])
+    elif shared == "one-row-repeated-in-left":
+        left = np.append(left, [left[3], left[3]])
+        right = np.insert(right, 2, left[3])
+    else:
+        left = np.append(left, data.n - 1)
+        right = np.insert(right[right != data.n - 1], 0, data.n - 1)
+    config = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                        propensity_spec=parse_spec("1", "A"))
+    with pytest.raises(ValueError, match="disjoint"):
+        split_contrast(data, left, right, config)
+    with pytest.raises(ValueError, match="disjoint"):
+        split_contrast(data, right, left, config)
+
+
+def test_split_contrast_accepts_duplicates_within_a_child():
+    data, left, right = fixture_40(seed=40)
+    config = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                        propensity_spec=parse_spec("1", "A"))
+    contrast = split_contrast(data, np.concatenate([left, left[:5]]), right[::-1], config)
+    assert np.isfinite(contrast.statistic)
+
+
 def test_split_contrast_rejects_boolean_rows():
     data, left, right = fixture_40(seed=40)
     in_l = np.isin(np.arange(data.n), left)

@@ -2,10 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.glm import (
+    IRLS_MAX_ITER,
+    IRLS_TOL,
     FitError,
+    _pivoted_r_diagonal,
+    _root_design,
     build_design,
     build_design_difference,
     check_factor,
@@ -190,6 +197,131 @@ def test_fit_logistic_degenerate_response():
         fit_logistic(data, full(data), parse_spec("1 + x1", "A"))
 
 
+def test_fit_logistic_empty_rows_is_a_degenerate_response():
+    data = make_data({"x1": [1.0, 2.0, 3.0]}, [1, 0, 1], np.zeros(3))
+    for response in (None, np.array([0.0, 1.0, 1.0])):
+        with pytest.raises(FitError, match="degenerate response"):
+            fit_logistic(data, np.array([], dtype=np.int64), parse_spec("1 + x1", "A"),
+                         response=response)
+
+
+def reference_logistic(Z, y):
+    """IRLS through the scipy.linalg front ends: the rank from
+    ``scipy.linalg.qr(..., pivoting=True)``, each step from
+    ``scipy.linalg.solve(..., assume_a="pos")``. Returns (coefficients, kept,
+    dropped, iterations), or None where the fit must fail."""
+    _, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(Z.shape) * np.finfo(np.float64).eps))
+    kept, dropped = np.sort(piv[:rank]), np.sort(piv[rank:])
+    Zk = Z[:, kept]
+    beta = np.zeros(rank)
+    for iterations in range(1, IRLS_MAX_ITER + 1):
+        eta = np.clip(Zk @ beta, -500.0, 500.0)
+        p = 1.0 / (1.0 + np.exp(-eta))
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        wz = Zk * w[:, None]
+        z_work = eta + (y - p) / w
+        try:
+            step = scipy.linalg.solve(Zk.T @ wz, wz.T @ z_work, assume_a="pos")
+        except (scipy.linalg.LinAlgError, ValueError):
+            return None
+        delta = np.max(np.abs(step - beta))
+        beta = step
+        if not np.isfinite(beta).all():
+            return None
+        if delta < IRLS_TOL:
+            break
+    else:
+        return None
+    eta = Zk @ beta
+    if np.max(np.abs(eta)) >= 30.0 and np.all((eta > 0) == (y == 1)):
+        return None
+    full = np.zeros(Z.shape[1])
+    full[kept] = beta
+    return full, kept, dropped, iterations
+
+
+LOGISTIC_SPECS = {
+    "full-rank": "1 + x1 + x2 + c",
+    "constant-column": "1 + x1 + gt(x1,100) + x2",
+    "duplicate-column": "1 + x1 + x2 + x1",
+    "collinear-levels": "1 + x1 + c + in(c,B,C,D)",
+    "intercept-only": "1",
+}
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120),
+       spec=st.sampled_from(sorted(LOGISTIC_SPECS)), use_response=st.booleans(),
+       resample=st.booleans())
+@example(seed=0, n=60, spec="duplicate-column", use_response=False, resample=False)
+@example(seed=1, n=80, spec="intercept-only", use_response=True, resample=True)
+@example(seed=2, n=50, spec="constant-column", use_response=True, resample=False)
+def test_fit_logistic_is_bitwise_the_scipy_reference(seed, n, spec, use_response, resample):
+    # fit_logistic calls LAPACK directly; its coefficients, kept and dropped
+    # columns and iteration count must be those of the scipy front ends
+    data = mixed_design_data(n=n, seed=seed)
+    rng = np.random.default_rng(seed)
+    treatment = (rng.random(n) < 1 / (1 + np.exp(-data.covariates["x1"]))).astype(int)
+    data = Dataset(data.schema, data.covariates, treatment, (rng.random(n) < 0.4).astype(float))
+    rows = rng.integers(0, n, n) if resample else np.arange(n)
+    response = data.outcome if use_response else None
+    y = (data.outcome if use_response else data.treatment)[rows].astype(np.float64)
+    spec = parse_spec(LOGISTIC_SPECS[spec], "A")
+    Z, _ = build_design(data, rows, spec)
+    if y.min() == y.max() or Z.shape[0] < Z.shape[1]:
+        with pytest.raises(FitError):
+            fit_logistic(data, rows, spec, response=response)
+        return
+    expected = reference_logistic(Z, y)
+    if expected is None:
+        with pytest.raises(FitError, match="logistic fit failed"):
+            fit_logistic(data, rows, spec, response=response)
+        return
+    fit = fit_logistic(data, rows, spec, response=response)
+    coefficients, kept, dropped, iterations = expected
+    assert fit.coefficients.tobytes() == coefficients.tobytes()
+    assert fit.kept.dtype == kept.dtype and np.array_equal(fit.kept, kept)
+    assert fit.dropped.dtype == dropped.dtype and np.array_equal(fit.dropped, dropped)
+    assert fit.iterations == iterations
+
+
+def test_fit_logistic_drops_a_duplicated_column():
+    # the rank-deficient cases of the property above do reach the dropping
+    data = mixed_design_data(n=60, seed=3)
+    fit = fit_logistic(data, full(data), parse_spec(LOGISTIC_SPECS["duplicate-column"], "A"))
+    assert len(fit.dropped) == 1 and fit.dropped[0] in (1, 3)
+    assert fit.coefficients[fit.dropped[0]] == 0.0
+
+
+@pytest.mark.parametrize("width", [1, 5, 140])
+def test_pivoted_r_diagonal_is_that_of_scipy_qr(width):
+    # past 128 columns dgeqp3 eliminates in blocks only when given the
+    # workspace that scipy.linalg.qr queries, and the blocks round differently
+    rng = np.random.default_rng(width)
+    Z = rng.standard_normal((300, width))
+    Z[:, -1] = Z[:, 0]
+    _, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    diag, got = _pivoted_r_diagonal(Z)
+    assert diag.tobytes() == np.diag(R).tobytes()
+    assert got.dtype == piv.dtype and np.array_equal(got, piv)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("x2_of_x1", [
+    lambda x1: x1 + 1e-10 * np.cos(7.0 * x1),  # kept by the rank, singular once weighted
+    lambda x1: 1e160 * x1,  # the weighted system overflows
+], ids=["near-collinear", "overflowing"])
+def test_fit_logistic_singular_weighted_system_is_a_fit_error(x2_of_x1):
+    x1 = np.linspace(-2.0, 2.0, 40)
+    A = (np.sin(3.0 * x1) > 0).astype(int)
+    data = make_data({"x1": x1, "x2": x2_of_x1(x1)}, A, np.zeros(40))
+    Z, _ = build_design(data, full(data), parse_spec("1 + x1 + x2", "A"))
+    assert reference_logistic(Z, A.astype(np.float64)) is None
+    with pytest.raises(FitError, match="singular weighted system"):
+        fit_logistic(data, full(data), parse_spec("1 + x1 + x2", "A"))
+
+
 def test_fit_logistic_rejects_boolean_rows():
     # a mask where rows are expected would index fine but count every row
     data = make_data({"x1": [0.5, 1.0, 2.0, 3.0, -1.0]}, [1, 0, 1, 0, 1], np.zeros(5))
@@ -358,3 +490,34 @@ def test_design_difference_is_exact_difference_of_overrides():
     Z1, _ = build_design(data, rows, spec, treatment_override=1)
     Z0, _ = build_design(data, rows, spec, treatment_override=0)
     assert np.array_equal(build_design_difference(data, rows, spec), Z1 - Z0)
+
+
+def gathered_design(data, rows, spec, override):
+    """Design and design difference by fancy indexing of the root design."""
+    F, _, treated = _root_design(data, spec)
+    Z = F[rows]
+    if override is None:
+        Z[:, treated] *= data.treatment[rows].astype(np.float64)[:, None]
+    elif override != 1:
+        Z[:, treated] *= float(override)
+    D = np.zeros((len(rows), F.shape[1]))
+    D[:, treated] = F[np.ix_(rows, np.flatnonzero(treated))]
+    return Z, D
+
+
+@pytest.mark.parametrize("override", [None, 0, 1, 2])
+@pytest.mark.parametrize("rows", [
+    np.array([57, 3, 41, 0, 79, 12]),
+    np.array([5, 5, 70, 5, 0, 70]),
+    np.array([], dtype=np.int64),
+    np.arange(80, dtype=np.int32)[::-1],
+], ids=["unsorted", "duplicated", "empty", "all-reversed-int32"])
+def test_designs_equal_fancy_indexing_of_the_root_design(rows, override):
+    data = mixed_design_data()
+    spec = parse_spec(ROOT_DESIGN_SPEC, "A")
+    Z_ref, D_ref = gathered_design(data, rows, spec, override)
+    Z, _ = build_design(data, rows, spec, override)
+    D = build_design_difference(data, rows, spec)
+    for got, ref in ((Z, Z_ref), (D, D_ref)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()

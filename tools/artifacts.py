@@ -14,6 +14,9 @@ of the checkout, so two checkouts see the same bytes. The matrix:
 * child scope for ipw, g and dr with ``--max-depth 2`` on a smaller file;
 * g-formula on a file whose effect jumps between levels of the ordinal
   ``g``, so an ``ordinal_cut`` rule is written, loaded and routed;
+* DR with ``--bootstrap 20`` and a propensity design that is rank-deficient
+  on every node (``in(c,B,C,D)`` is the sum of the ``c`` dummies), so each
+  propensity fit drops a column;
 * ``predict`` with every fitted ``tree.json``;
 * ``simulate --threads 1`` on every setting, including a misspecified
   DR model.
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 PROPENSITY = "1 + x1 + x2 + c"
+RANK_DEFICIENT_PROPENSITY = PROPENSITY + " + in(c,B,C,D)"
 OUTCOME = "1 + A + x1 + x3 + A:x2 + A:in(c,B,D) + g"
 SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
                ("heterog", "dr:mis-func,true"), ("binary-mixed-homog", "g"),
@@ -108,6 +112,9 @@ def fit_runs() -> list[tuple[str, list[str]]]:
                       "--max-depth", "2"] + specs(estimator)))
     runs.append(("fit-g-ordinal", ["--data", "ordinal.csv", "--estimator", "g",
                                    "--outcome-spec", "1 + A + x1 + g + A:g"]))
+    runs.append(("fit-dr-rank-deficient-gaussian",
+                 ["--data", "gaussian.csv", "--estimator", "dr", "--bootstrap", "20",
+                  "--propensity-spec", RANK_DEFICIENT_PROPENSITY, "--outcome-spec", OUTCOME]))
     return runs
 
 

@@ -154,6 +154,11 @@ def _check_out_dir(path: Path) -> None:
             return
 
 
+def _write_json(path: Path, payload) -> None:
+    """The one form of every JSON fit artifact: sorted keys, two-space indent."""
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def cmd_fit(args) -> int:
     schema = _load_schema(args.schema)
     if not 0.0 < args.train_frac <= 1.0:
@@ -228,26 +233,11 @@ def cmd_fit(args) -> int:
     # complete-looking output behind.
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "tree.json").write_text(final.to_json(indent=2) + "\n", encoding="utf-8")
+    _write_json(out_dir / "tree.json", final.to_dict())
     (out_dir / "tree.txt").write_text(final.render_text(), encoding="utf-8")
-    (out_dir / "selection.json").write_text(
-        json.dumps(trace.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "selection.json", trace.to_dict())
     if intervals is not None:
-        payload = [
-            {
-                "terminal": iv.node_id,
-                "effect": iv.point,
-                "lower": iv.lower,
-                "upper": iv.upper,
-                "replicates": iv.n_replicates,
-                "dropped": iv.n_dropped,
-            }
-            for iv in intervals
-        ]
-        (out_dir / "bootstrap.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(out_dir / "bootstrap.json", [iv.to_dict() for iv in intervals])
 
     print(f"{'terminal':>8} {'n':>6} {'effect':>10} {'mu1':>10} {'mu0':>10}")
     for t in final.terminal_ids():

@@ -20,6 +20,7 @@ import array
 import csv
 import logging
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
@@ -69,6 +70,30 @@ def _check_levels(levels: tuple[str, ...]) -> None:
         raise DataError(f"levels must be strings, got {levels!r}")
     if len(set(levels)) != len(levels):
         raise DataError(f"duplicate levels in {levels!r}")
+
+
+_JSON_KINDS = {int: "integer", float: "finite number", str: "string", tuple: "list of strings"}
+
+
+def json_value(payload: dict, key: str, kind: type, optional: bool = False):
+    """``payload[key]`` read back from a JSON document under one rule: an
+    ``int`` is a JSON integer, a ``float`` a JSON number within the finite
+    float range (no NaN, no infinity), a ``tuple`` a list of strings
+    (returned as a tuple); a bool is never a number, and null passes only
+    when ``optional``. KeyError when the key is missing, ValueError when the
+    value breaks the rule."""
+    value = payload[key]
+    if value is None and optional:
+        return None
+    if kind is tuple:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    else:
+        ok = isinstance(value, kind)
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{key} {value!r} is not a JSON {_JSON_KINDS[kind]}")
+    return tuple(value) if kind is tuple else value
 
 
 @dataclass(frozen=True)

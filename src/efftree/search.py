@@ -30,12 +30,12 @@ the variance method from the node's tables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
-from .data import Categorical, Continuous, Dataset
+from .data import Categorical, Continuous, Dataset, Ordinal, Schema, json_value
 from .estimators import (
     Contributions,
     EstimatorKind,
@@ -76,7 +76,36 @@ class SplitRule:
     right_levels: Optional[tuple[str, ...]] = None
     cut: Optional[int] = None
 
-    def describe(self, schema=None) -> str:
+    def to_dict(self) -> dict:
+        """The rule's JSON form: its fields that are set, level tuples as lists."""
+        return {f.name: list(value) if isinstance(value, tuple) else value
+                for f in fields(self) if (value := getattr(self, f.name)) is not None}
+
+    @classmethod
+    def from_dict(cls, payload: dict, schema: Schema) -> "SplitRule":
+        """The rule written by ``to_dict``; ValueError unless it names a schema
+        covariate at its index, its kind fits that covariate, and its values
+        pass ``data.json_value`` and lie within the covariate's levels."""
+        column, kind = payload["column"], payload["kind"]
+        index = json_value(payload, "column_index", int)
+        if column not in schema.covariate_names or index != schema.column_index(column):
+            raise ValueError(f"rule column {column!r} at index {index!r} "
+                             "is not that schema covariate")
+        covariate = schema.kind_of(column)
+        if kind == "threshold" and isinstance(covariate, Continuous):
+            return cls(column, index, kind, threshold=json_value(payload, "threshold", float))
+        if kind == "subset" and isinstance(covariate, Categorical):
+            left = json_value(payload, "left_levels", tuple)
+            right = json_value(payload, "right_levels", tuple)
+            if set(left + right) <= set(covariate.levels):
+                return cls(column, index, kind, left_levels=left, right_levels=right)
+        if kind == "ordinal_cut" and isinstance(covariate, Ordinal):
+            cut = json_value(payload, "cut", int)
+            if 0 <= cut < len(covariate.levels) - 1:
+                return cls(column, index, kind, cut=cut)
+        raise ValueError(f"rule kind {kind!r} does not fit covariate {column!r}")
+
+    def describe(self) -> str:
         if self.kind == "threshold":
             return f"{self.column} < {self.threshold:g}"
         if self.kind == "subset":

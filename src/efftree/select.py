@@ -149,6 +149,10 @@ class TerminalInterval:
     n_replicates: int
     n_dropped: int
 
+    def to_dict(self) -> dict:
+        return {"terminal": self.node_id, "effect": self.point, "lower": self.lower,
+                "upper": self.upper, "replicates": self.n_replicates, "dropped": self.n_dropped}
+
 
 def bootstrap_effects(
     tree: Tree,

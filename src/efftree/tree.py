@@ -10,14 +10,14 @@ if that fit fails), under whole scope a single pre-growth fit is shared.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from enum import Enum
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from .data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
+from .data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask, json_value
 from .estimators import (
     EstimatorKind,
     FitError,
@@ -44,7 +44,11 @@ class GrowConfig:
     method, stopping limits, truncation bound, and the seed recorded with
     the tree. The only place that decides which (estimator, scope,
     variance) combinations are valid; frozen, so a config keeps that
-    decision (``dataclasses.replace`` makes it again)."""
+    decision (``dataclasses.replace`` makes it again).
+
+    Growth never reads ``seed``: it records the seed of the fit's
+    build/validation split in ``tree.json``, so a tree names the split it
+    was selected on. Its JSON form (``to_dict``) is one key per field."""
 
     estimator: EstimatorKind
     propensity_spec: Optional[DesignSpec] = None
@@ -104,6 +108,31 @@ class GrowConfig:
             **kwargs,
         )
 
+    def to_dict(self, treatment_name: str) -> dict:
+        """One key per field: specs as their strings, enums as their values."""
+        def plain(value):
+            if isinstance(value, DesignSpec):
+                return value.to_string(treatment_name)
+            return value.value if isinstance(value, Enum) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict, treatment_name: str) -> "GrowConfig":
+        """The config written by ``to_dict``: numbers, strings and specs pass
+        ``data.json_value``, enums their own constructors, and the whole
+        config the usual validation."""
+        values = {}
+        for name, hint in get_type_hints(cls).items():
+            if hint == Optional[DesignSpec]:
+                spec = json_value(payload, name, str, optional=True)
+                values[name] = None if spec is None else parse_spec(spec, treatment_name)
+            elif hint in (int, float, str):
+                values[name] = json_value(payload, name, hint)
+            else:
+                values[name] = payload[name]
+        return cls(**values)
+
 
 @dataclass
 class TreeNode:
@@ -122,6 +151,28 @@ class TreeNode:
     @property
     def is_terminal(self) -> bool:
         return self.rule is None
+
+    def to_dict(self) -> dict:
+        return {"id": self.id, "depth": self.depth, "n": self.n, "effect": self.effect.effect,
+                "mu1": self.effect.mu1, "mu0": self.effect.mu0,
+                "rule": None if self.rule is None else self.rule.to_dict(),
+                "statistic": self.statistic, "left": self.left, "right": self.right}
+
+    @classmethod
+    def from_dict(cls, payload: dict, schema: Schema) -> "TreeNode":
+        """The node written by ``to_dict``; every value passes ``data.json_value``
+        and the rule ``SplitRule.from_dict``."""
+        return cls(
+            id=json_value(payload, "id", int),
+            depth=json_value(payload, "depth", int),
+            n=json_value(payload, "n", int),
+            effect=NodeEffect(**{key: json_value(payload, key, float)
+                                 for key in ("mu1", "mu0", "effect")}),
+            rule=None if payload["rule"] is None else SplitRule.from_dict(payload["rule"], schema),
+            statistic=json_value(payload, "statistic", float, optional=True),
+            left=json_value(payload, "left", int, optional=True),
+            right=json_value(payload, "right", int, optional=True),
+        )
 
 
 class Tree:
@@ -222,48 +273,14 @@ class Tree:
     # serialization
 
     def to_dict(self) -> dict:
-        nodes = []
-        for i in sorted(self.nodes):
-            nd = self.nodes[i]
-            rule = None
-            if nd.rule is not None:
-                rule = {
-                    "column": nd.rule.column,
-                    "column_index": nd.rule.column_index,
-                    "kind": nd.rule.kind,
-                }
-                if nd.rule.kind == "threshold":
-                    rule["threshold"] = nd.rule.threshold
-                elif nd.rule.kind == "subset":
-                    rule["left_levels"] = list(nd.rule.left_levels)
-                    rule["right_levels"] = list(nd.rule.right_levels)
-                else:
-                    rule["cut"] = nd.rule.cut
-            nodes.append(
-                {
-                    "id": nd.id,
-                    "depth": nd.depth,
-                    "n": nd.n,
-                    "effect": nd.effect.effect,
-                    "mu1": nd.effect.mu1,
-                    "mu0": nd.effect.mu0,
-                    "rule": rule,
-                    "statistic": nd.statistic,
-                    "left": nd.left,
-                    "right": nd.right,
-                }
-            )
         return {
             "format": TREE_FORMAT,
             "root": self.root_id,
             "estimator": self.config.estimator.value,
-            "nodes": nodes,
+            "nodes": [self.nodes[i].to_dict() for i in sorted(self.nodes)],
             "schema": schema_to_dict(self.schema),
-            "config": config_to_dict(self.config, self.schema.treatment),
+            "config": self.config.to_dict(self.schema.treatment),
         }
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=indent)
 
     def render_text(self) -> str:
         lines: list[str] = []
@@ -300,101 +317,33 @@ def schema_from_dict(payload: dict) -> Schema:
         if col["kind"] == "continuous":
             kind = Continuous()
         elif col["kind"] in ("categorical", "ordinal"):
-            if not isinstance(col["levels"], list):
-                raise ValueError(f"levels of {col['name']!r} must be a list, got {col['levels']!r}")
-            kind = (Categorical if col["kind"] == "categorical" else Ordinal)(tuple(col["levels"]))
+            kind = (Categorical if col["kind"] == "categorical" else Ordinal)(
+                json_value(col, "levels", tuple))
         else:
             raise ValueError(f"unknown covariate kind {col['kind']!r}")
         cols.append((col["name"], kind))
     return Schema(tuple(cols), payload["treatment"], payload["outcome"])
 
 
-def config_to_dict(config: GrowConfig, treatment_name: str) -> dict:
-    return {
-        "estimator": config.estimator.value,
-        "scope": config.scope.value,
-        "variance_method": config.variance_method.value,
-        "propensity_spec": None if config.propensity_spec is None
-        else config.propensity_spec.to_string(treatment_name),
-        "outcome_spec": None if config.outcome_spec is None
-        else config.outcome_spec.to_string(treatment_name),
-        "min_node": config.min_node,
-        "min_per_arm": config.min_per_arm,
-        "max_depth": config.max_depth,
-        "epsilon": config.epsilon,
-        "seed": config.seed,
-        "outcome_family": config.outcome_family,
-    }
-
-
-def _rule_from_dict(r: dict, schema: Schema) -> SplitRule:
-    """A split rule from its JSON form; ValueError unless it names a schema
-    covariate at its index and its kind fits that covariate."""
-    if r["column"] not in schema.covariate_names or \
-            r["column_index"] != schema.column_index(r["column"]):
-        raise ValueError(f"rule column {r['column']!r} at index {r['column_index']!r} "
-                         "is not that schema covariate")
-    rule = SplitRule(
-        column=r["column"],
-        column_index=r["column_index"],
-        kind=r["kind"],
-        threshold=r.get("threshold"),
-        left_levels=tuple(r["left_levels"]) if "left_levels" in r else None,
-        right_levels=tuple(r["right_levels"]) if "right_levels" in r else None,
-        cut=r.get("cut"),
-    )
-    kind = schema.kind_of(rule.column)
-    if rule.kind == "threshold":
-        fits = isinstance(kind, Continuous) and isinstance(rule.threshold, (int, float))
-    elif rule.kind == "subset":
-        fits = (isinstance(kind, Categorical) and None not in (rule.left_levels, rule.right_levels)
-                and set(rule.left_levels + rule.right_levels) <= set(kind.levels))
-    else:
-        fits = (rule.kind == "ordinal_cut" and isinstance(kind, Ordinal)
-                and isinstance(rule.cut, int) and 0 <= rule.cut < len(kind.levels) - 1)
-    if not fits:
-        raise ValueError(f"rule kind {rule.kind!r} does not fit covariate {rule.column!r}")
-    return rule
-
-
-# JSON types of each node's values; a bool is never a number here
-_NODE_VALUE_TYPES = {
-    "effect": (int, float), "mu1": (int, float), "mu0": (int, float),
-    "n": (int,), "depth": (int,), "statistic": (int, float, type(None)),
-}
-
-
 def tree_from_dict(payload: dict) -> Tree:
     """Rebuild a tree from its JSON document (effects only, no models);
     ValueError unless its nodes form one binary tree from the root and
-    hold values of their JSON types."""
+    every value passes ``data.json_value``."""
     if not isinstance(payload, dict):
         raise ValueError("a tree document must be a JSON object")
     if payload.get("format") != TREE_FORMAT:
         raise ValueError(f"unsupported tree format {payload.get('format')!r}")
     schema = schema_from_dict(payload["schema"])
-    cfg = payload["config"]
-    config = GrowConfig.from_strings(
-        cfg["estimator"], schema.treatment, cfg["propensity_spec"], cfg["outcome_spec"],
-        **{key: cfg[key] for key in ("scope", "variance_method", "min_node", "min_per_arm",
-                                     "max_depth", "epsilon", "seed", "outcome_family")},
-    )
+    config = GrowConfig.from_dict(payload["config"], schema.treatment)
     nodes: dict[int, TreeNode] = {}
-    for nd in payload["nodes"]:
-        if nd["id"] in nodes:
-            raise ValueError(f"duplicate tree node id {nd['id']!r}")
-        for key, types in _NODE_VALUE_TYPES.items():
-            if isinstance(nd[key], bool) or not isinstance(nd[key], types):
-                raise ValueError(f"tree node {nd['id']!r} has {key} {nd[key]!r}, "
-                                 f"not {' or '.join(t.__name__ for t in types)}")
-        rule = None if nd["rule"] is None else _rule_from_dict(nd["rule"], schema)
-        nodes[nd["id"]] = TreeNode(
-            id=nd["id"], depth=nd["depth"], n=nd["n"],
-            effect=NodeEffect(mu1=nd["mu1"], mu0=nd["mu0"], effect=nd["effect"]),
-            rule=rule, statistic=nd["statistic"], left=nd["left"], right=nd["right"],
-        )
+    for item in payload["nodes"]:
+        node = TreeNode.from_dict(item, schema)
+        if node.id in nodes:
+            raise ValueError(f"duplicate tree node id {node.id!r}")
+        nodes[node.id] = node
+    root_id = json_value(payload, "root", int)
     reached = set()
-    order = [payload["root"]]
+    order = [root_id]
     for i in order:
         if i not in nodes or i in reached:
             raise ValueError(f"tree node {i!r} is missing or reached twice")
@@ -406,7 +355,7 @@ def tree_from_dict(payload: dict) -> Tree:
             order += (nd.left, nd.right)
     if len(reached) != len(nodes):
         raise ValueError("some tree nodes are not reached from the root")
-    return Tree(nodes, payload["root"], config, schema)
+    return Tree(nodes, root_id, config, schema)
 
 
 # ----------------------------------------------------------------------

@@ -239,6 +239,12 @@ def _rekind(payload, covariate_kind, **rule):
     nd["rule"] = {"column": col["name"], "column_index": nd["rule"]["column_index"], **rule}
 
 
+def _ids_as_strings(payload):
+    payload["root"] = str(payload["root"])
+    for nd in payload["nodes"]:
+        nd.update({key: str(nd[key]) for key in ("id", "left", "right") if nd[key] is not None})
+
+
 TREE_CORRUPTIONS = {
     "root-not-a-node": lambda p: p.update(root=999),
     "child-not-a-node": lambda p: _split(p).update(left=999),
@@ -262,6 +268,16 @@ TREE_CORRUPTIONS = {
     "n-a-float": lambda p: _leaf(p).update(n=10.5),
     "depth-a-string": lambda p: _split(p).update(depth="0"),
     "statistic-a-string": lambda p: _split(p).update(statistic="large"),
+    "node-ids-strings": _ids_as_strings,
+    "threshold-nan": lambda p: _split(p)["rule"].update(threshold=float("nan")),
+    "left-levels-a-string": lambda p: _rekind(p, "categorical", kind="subset",
+                                              left_levels="ab", right_levels=["c"]),
+    "cut-a-bool": lambda p: _rekind(p, "ordinal", kind="ordinal_cut", cut=True),
+    "effect-nan": lambda p: _leaf(p).update(effect=float("nan")),
+    "mu1-infinite": lambda p: _leaf(p).update(mu1=float("inf")),
+    "mu0-minus-infinite": lambda p: _split(p).update(mu0=float("-inf")),
+    "statistic-nan": lambda p: _split(p).update(statistic=float("nan")),
+    "effect-beyond-float-range": lambda p: _leaf(p).update(effect=10**400),
 }
 
 

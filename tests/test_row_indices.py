@@ -6,6 +6,7 @@ Likewise routing and selection on ascending validation rows ``(data, rows)``
 equal routing and selection on a copy of those rows, which is what lets
 selection score the held-out rows of the dataset a tree was grown on."""
 
+import json
 from dataclasses import replace
 from functools import lru_cache
 
@@ -139,7 +140,8 @@ def assert_selection_on_rows_equals_selection_on_copy(sequence, rows):
     final, trace = select_final(sequence, SEL, rows, 3.84)
     final_copy, trace_copy = select_final(sequence, copy, copy_rows, 3.84)
     assert trace.to_dict() == trace_copy.to_dict()
-    assert final.to_json() == final_copy.to_json()
+    assert (json.dumps(final.to_dict(), sort_keys=True)
+            == json.dumps(final_copy.to_dict(), sort_keys=True))
 
 
 @pytest.mark.parametrize("scope", ["whole", "parent"])

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
 from efftree.estimators import (
@@ -115,7 +117,7 @@ def test_grow_deterministic_serialization():
     mask = SubgroupMask.full(data.n)
     t1 = grow_max_tree(data, mask, config)
     t2 = grow_max_tree(data, mask, config)
-    assert t1.to_json() == t2.to_json()
+    assert json.dumps(t1.to_dict(), sort_keys=True) == json.dumps(t2.to_dict(), sort_keys=True)
 
 
 def test_grow_first_split_on_effect_variable():
@@ -349,12 +351,47 @@ def test_rows_by_node_match_route():
 def test_json_round_trip_preserves_structure_and_predictions():
     data, _, config = grow_setting(n=600, seed=43)
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
-    payload = json.loads(tree.to_json())
+    payload = json.loads(json.dumps(tree.to_dict(), sort_keys=True))
     assert payload["format"] == "cit-tree/1"
     again = tree_from_dict(payload)
     assert np.allclose(tree.predict(data), again.predict(data))
     assert again.n_internal() == tree.n_internal()
-    assert json.loads(again.to_json()) == payload
+    assert json.loads(json.dumps(again.to_dict(), sort_keys=True)) == payload
+
+
+ROUND_TRIP_SCHEMA = Schema(
+    (("x", Continuous()), ("c", Categorical(("A", "B", "C", "D"))),
+     ("g", Ordinal(("lo", "mid", "hi")))),
+    treatment="A", outcome="Y",
+)
+
+
+def round_trip_data(seed: int, n: int = 240) -> Dataset:
+    """Random draw whose effect moves with x, c and g by random amounts."""
+    rng = np.random.default_rng(seed)
+    x, c, g = rng.standard_normal(n), rng.integers(0, 4, n), rng.integers(0, 3, n)
+    a = (rng.random(n) < 1 / (1 + np.exp(-0.5 * x))).astype(int)
+    size = rng.uniform(0.0, 3.0, 3)
+    y = x + a * (size[0] * (x > 0) + size[1] * np.isin(c, (1, 3)) + size[2] * (g >= 1))
+    return Dataset(ROUND_TRIP_SCHEMA, {"x": x, "c": c, "g": g}, a,
+                   y + rng.standard_normal(n))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["ipw", "g", "dr"]))
+def test_json_round_trip_keeps_the_bytes_routing_and_predictions(seed, estimator):
+    data = round_trip_data(seed)
+    config = GrowConfig.from_strings(
+        estimator, "A",
+        propensity=None if estimator == "g" else "1 + x + in(c,B,D)",
+        outcome=None if estimator == "ipw" else "1 + A + x + c + g + A:x + A:c + A:g",
+        max_depth=3, min_node=30, min_per_arm=5,
+    )
+    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    text = json.dumps(tree.to_dict(), sort_keys=True)
+    again = tree_from_dict(json.loads(text))
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
+    assert np.array_equal(again.route(data), tree.route(data))
+    assert np.array_equal(again.predict(data), tree.predict(data))
 
 
 @pytest.mark.parametrize("estimator", ["ipw", "g", "dr"])
@@ -363,7 +400,7 @@ def test_loaded_tree_has_the_grown_effects_and_predictions(estimator):
     # loaded node equals the grown one; arm counts are not part of it.
     data, _, config = grow_setting(n=600, seed=43, estimator=estimator)
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
-    again = tree_from_dict(json.loads(tree.to_json()))
+    again = tree_from_dict(json.loads(json.dumps(tree.to_dict(), sort_keys=True)))
     assert sorted(again.nodes) == sorted(tree.nodes)
     for node_id, node in tree.nodes.items():
         assert again.node(node_id).effect == node.effect

@@ -4,9 +4,10 @@ Usage:
     python tools/artifacts.py SRC_DIR OUT_DIR
 
 SRC_DIR is the ``src`` directory of an efftree checkout; the commands run
-as ``python -m efftree.cli`` with it first on PYTHONPATH and BLAS pinned to
-one thread. The inputs are generated here from a fixed seed, independently
-of the checkout, so two checkouts see the same bytes. The matrix:
+as ``python -m efftree.cli`` (the reload as ``python -c``) with it first on
+PYTHONPATH and BLAS pinned to one thread. The inputs are generated here
+from a fixed seed, independently of the checkout, so two checkouts see the
+same bytes. The matrix:
 
 * ``fit`` for ipw, g and dr under whole and parent scope, on a gaussian and
   a binomial outcome, each with ``--bootstrap 20``;
@@ -18,6 +19,9 @@ of the checkout, so two checkouts see the same bytes. The matrix:
   on every node (``in(c,B,C,D)`` is the sum of the ``c`` dummies), so each
   propensity fit drops a column;
 * ``predict`` with every fitted ``tree.json``;
+* every fitted ``tree.json`` loaded with ``tree_from_dict`` and written
+  again as ``tree.reloaded.json`` in the form ``efftree fit`` writes, so
+  ``cmp tree.json tree.reloaded.json`` checks the reader's round trip;
 * ``simulate --threads 1`` on every setting, including a misspecified
   DR model.
 
@@ -41,6 +45,10 @@ import numpy as np
 PROPENSITY = "1 + x1 + x2 + c"
 RANK_DEFICIENT_PROPENSITY = PROPENSITY + " + in(c,B,C,D)"
 OUTCOME = "1 + A + x1 + x3 + A:x2 + A:in(c,B,D) + g"
+CLI = ["-m", "efftree.cli"]
+RELOAD = ("import json, sys; from efftree.tree import tree_from_dict; "
+          "tree = tree_from_dict(json.loads(open(sys.argv[1], encoding='utf-8').read())); "
+          "sys.stdout.write(json.dumps(tree.to_dict(), sort_keys=True, indent=2) + '\\n')")
 SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
                ("heterog", "dr:mis-func,true"), ("binary-mixed-homog", "g"),
                ("binary-mixed", "g")]
@@ -119,15 +127,15 @@ def fit_runs() -> list[tuple[str, list[str]]]:
 
 
 def run(src: Path, cwd: Path, argv: list[str], stdout_path: Path) -> None:
-    """Run one efftree command in ``cwd``; keep its stdout and exit code."""
+    """Run ``python ARGV`` in ``cwd``; keep its stdout and exit code."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "efftree.cli", *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=600)
     stdout_path.write_bytes(proc.stdout)
     (stdout_path.parent / f"{stdout_path.stem}.exit").write_text(f"{proc.returncode}\n")
     if proc.returncode != 0:
-        print(f"{argv[0]} exited {proc.returncode}: "
+        print(f"{stdout_path.relative_to(cwd)} exited {proc.returncode}: "
               f"{proc.stderr.decode(errors='replace').strip()}", file=sys.stderr)
 
 
@@ -142,16 +150,17 @@ def main(argv: list[str]) -> int:
         run_dir = out / name
         run_dir.mkdir(exist_ok=True)
         print(name, file=sys.stderr)
-        run(src, out, ["fit", "--schema", "schema.json", "--out", name, *args],
+        run(src, out, [*CLI, "fit", "--schema", "schema.json", "--out", name, *args],
             run_dir / "fit.stdout")
         if (run_dir / "tree.json").exists():
             data = args[args.index("--data") + 1]
-            run(src, out, ["predict", "--tree", f"{name}/tree.json", "--data", data],
+            run(src, out, [*CLI, "predict", "--tree", f"{name}/tree.json", "--data", data],
                 run_dir / "predict.csv")
+            run(src, out, ["-c", RELOAD, f"{name}/tree.json"], run_dir / "tree.reloaded.json")
     for setting, algo in SIMULATIONS:
         name = f"simulate-{setting}-{algo.replace(':', '-').replace(',', '-')}"
         print(name, file=sys.stderr)
-        run(src, out, ["simulate", "--setting", setting, "--algo", algo, "--reps", "3",
+        run(src, out, [*CLI, "simulate", "--setting", setting, "--algo", algo, "--reps", "3",
                        "--n", "400", "--threads", "1"], out / f"{name}.json")
     return 0
 

@@ -24,20 +24,16 @@ from .estimators import (
     NodeEffect,
     NuisanceModels,
     NuisanceScope,
-    SplitContrast,
     VarianceMethod,
     estimate_dr,
     estimate_g,
     estimate_ipw,
-    g_variance_pooled,
     if_variance,
     ipw_variance_per_child,
-    ipw_variance_pooled,
-    split_contrast,
 )
 from .glm import DesignSpec, FitError, LinearFit, LogisticFit, fit_logistic, fit_ols, parse_spec, predict_mean
 from .prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
-from .search import CategoricalCardinalityError, SplitRule, enumerate_splits
+from .search import CategoricalCardinalityError, SplitContrast, SplitRule, enumerate_splits, split_contrast
 from .select import bootstrap_effects, select_final
 from .simulate import (
     ExperimentSummary,

@@ -218,7 +218,7 @@ def cmd_fit(args) -> int:
         final, trace = select_final(sequence, data, validation_rows, args.lam)
     except CategoricalCardinalityError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
-    except (FitError, RuntimeError) as err:
+    except FitError as err:
         raise CliError(f"fit failed: {err}", EXIT_FIT)
 
     intervals = None
@@ -226,7 +226,7 @@ def cmd_fit(args) -> int:
         try:
             intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
                                           seed=args.seed)
-        except RuntimeError as err:
+        except FitError as err:
             raise CliError(f"bootstrap failed: {err}", EXIT_FIT)
 
     # Written only once every step has succeeded, so a failed fit leaves no
@@ -313,7 +313,7 @@ def cmd_simulate(args) -> int:
     try:
         summary = run_experiment(setting, config, args.reps, args.seed,
                                  lam=args.lam, threads=args.threads)
-    except RuntimeError as err:
+    except FitError as err:
         raise CliError(f"simulation failed: {err}", EXIT_FIT)
 
     header = (

@@ -17,14 +17,16 @@ d I^-1 S I^-1 d', with d the candidates' differences of child-mean
 gradients, and no solve per candidate.
 
 A realized partition, such as the winner of a search or a split of a
-fitted tree recomputed on validation rows, is scored by
-``partition_statistic``: as a 1-candidate batch (``score_partition``) from
-the node's tables, or, in child scope, by ``split_contrast``. Child-scope
-fitting cannot be batched (each candidate refits its own models), so a
-child-scope node has no tables and the same candidate loop scores its
-blocks one partition at a time (inadmissible: -inf, as in the kernel).
-The search takes the fit's ``tree.GrowConfig``; the candidate kernel reads
-the variance method from the node's tables.
+fitted tree recomputed on validation rows, is scored as a 1-candidate
+batch (``score_partition``) from the node's tables. ``split_contrast`` is
+the one scorer of a realized split given as two children's rows: in whole
+and parent scope it builds the tables on the union of the children and
+scores that batch; in child scope it refits the models per child. Child-
+scope fitting cannot be batched (each candidate refits its own models), so
+a child-scope node has no tables and the same candidate loop scores its
+blocks one partition at a time (``partition_statistic``; inadmissible:
+-inf, as in the kernel). The search takes the fit's ``tree.GrowConfig``;
+the candidate kernel reads the variance method from the node's tables.
 """
 
 from __future__ import annotations
@@ -41,12 +43,18 @@ from .estimators import (
     EstimatorKind,
     InadmissibleSplitError,
     NuisanceModels,
+    NuisanceScope,
     VarianceMethod,
+    contributions,
+    fit_nuisance,
+    if_variance,
+    ipw_variance_per_child,
+    node_effect,
     sandwich_terms,
     solve_information,
-    split_contrast,
     variance_floor,
 )
+from .glm import FitError, check_rows
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
@@ -247,6 +255,15 @@ class BestSplit:
     left_local: np.ndarray  # bool over node rows
     n_candidates: int
     n_admissible: int
+
+
+@dataclass(frozen=True)
+class SplitContrast:
+    """Effect difference between two children, its variance, and the statistic."""
+
+    t_hat: float
+    variance: float
+    statistic: float
 
 
 @dataclass
@@ -511,3 +528,73 @@ def partition_statistic(
                               min_per_arm=min_per_arm).statistic
     except InadmissibleSplitError:
         return -np.inf
+
+
+def _fit_models(data: Dataset, rows: np.ndarray, config: GrowConfig) -> NuisanceModels:
+    try:
+        return fit_nuisance(data, rows, config)
+    except FitError as err:
+        raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
+
+
+def split_contrast(
+    data: Dataset,
+    rows_l: np.ndarray,
+    rows_r: np.ndarray,
+    config: GrowConfig,
+    min_per_arm: int = 1,
+    whole_models: Optional[NuisanceModels] = None,
+) -> SplitContrast:
+    """Score one realized split under ``config``'s estimator, scope and
+    variance method; raises InadmissibleSplitError when it cannot be scored.
+
+    Whole and parent scope score the split as the kernel does: one nuisance
+    fit (``whole_models``, else all rows of ``data``, in whole scope; the
+    union of the children's rows in parent scope), then the node's tables
+    on that union and ``score_partition`` with one row per child as the
+    minimum. A row listed twice within a child counts once there. Child
+    scope refits the models on each child's rows, duplicates included, and
+    takes the influence or per-child sandwich variance.
+    """
+    rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
+    in_left = np.zeros(data.n, dtype=bool)
+    in_left[rows_l] = True
+    if in_left[rows_r].any():
+        raise ValueError("child rows must be disjoint")
+    if len(rows_l) == 0 or len(rows_r) == 0:
+        raise InadmissibleSplitError("empty child")
+    kind = config.estimator
+
+    if config.scope != NuisanceScope.CHILD:
+        rows = np.union1d(rows_l, rows_r)
+        if config.scope == NuisanceScope.PARENT:
+            models = _fit_models(data, rows, config)
+        else:
+            models = whole_models or _fit_models(data, np.arange(data.n), config)
+        tables = node_tables(data, rows, config, models, contributions(kind, data, rows, models))
+        scored = score_partition(tables, in_left[rows], 1, min_per_arm)
+        if scored is None:
+            raise InadmissibleSplitError("inadmissible split")
+        statistic, t_hat, variance = scored
+        return SplitContrast(t_hat=t_hat, variance=variance, statistic=statistic)
+
+    models_l = _fit_models(data, rows_l, config)
+    models_r = _fit_models(data, rows_r, config)
+    terms_l = contributions(kind, data, rows_l, models_l)
+    terms_r = contributions(kind, data, rows_r, models_r)
+    smaller_arm = min(terms_l.smaller_arm, terms_r.smaller_arm)
+    if kind != EstimatorKind.GFORMULA and smaller_arm == 0:
+        raise InadmissibleSplitError("empty child arm")
+    if smaller_arm < min_per_arm:
+        raise InadmissibleSplitError("child arm below minimum size")
+
+    t_hat = node_effect(terms_l).effect - node_effect(terms_r).effect
+    if config.variance_method == VarianceMethod.INFLUENCE:
+        variance = if_variance(terms_l, terms_r, len(rows_l) + len(rows_r))
+    else:
+        variance = ipw_variance_per_child(data, rows_l, rows_r, models_l.propensity,
+                                          models_r.propensity, config.epsilon)
+    statistic = t_hat**2 / variance
+    if not np.isfinite(statistic):
+        raise InadmissibleSplitError("non-finite statistic")
+    return SplitContrast(t_hat=t_hat, variance=variance, statistic=statistic)

@@ -7,8 +7,8 @@ maximizing this validation split complexity wins, ties going to the smaller
 tree. Selection and the bootstrap use the tree's own config. The
 validation rows are a row-index array into the dataset the tree was grown
 on, so selection copies no data and reuses that dataset's root designs.
-A node's validation statistic comes from the scorer that rescores growth's
-winning partitions (``search.partition_statistic``). Bootstrap intervals
+A node's validation statistic comes from the one scorer of a realized
+split, ``search.split_contrast``. Bootstrap intervals
 re-estimate terminal effects on resampled row indices, with the structure
 and the routing of the rows fixed and no copy of the data.
 """
@@ -24,15 +24,15 @@ import numpy as np
 from .data import Dataset
 from .estimators import (
     EstimatorKind,
-    FitError,
     InadmissibleSplitError,
     NuisanceScope,
     contributions,
     fit_nuisance,
     node_effect,
 )
+from .glm import FitError
 from .prune import PruneSequence
-from .search import node_tables, partition_statistic
+from .search import split_contrast
 from .tree import GrowConfig, Tree
 
 __all__ = [
@@ -47,13 +47,13 @@ __all__ = [
 def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[int, float]:
     """Splitting statistic of each internal node recomputed on validation ``rows``.
 
-    Nuisance models are refit on the validation rows per the scope of the
-    tree's config: one fit on all of them (whole), one on the rows reaching
-    the node (parent), or one per child (child). Each node's realized
-    partition is scored by ``search.partition_statistic`` with one row per
-    child and arm as the minimums. A node whose statistic cannot be
-    computed (empty child or arm, failed fit, singular information matrix,
-    degenerate variance) contributes 0.
+    Each node's realized partition of the rows reaching it is scored by
+    ``search.split_contrast``, which refits the nuisance models per the
+    scope of the tree's config: on the rows reaching the node (parent) or
+    per child (child); whole scope shares one fit on all the validation
+    rows. A node whose statistic cannot be computed (empty child or arm,
+    failed fit, singular information matrix, degenerate variance)
+    contributes 0.
     """
     config = tree.config
     reach = tree.rows_by_node(data, rows)
@@ -67,25 +67,11 @@ def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[i
     stats: dict[int, float] = {}
     for node_id in tree.internal_ids():
         nd = tree.node(node_id)
-        node_rows = reach[node_id]
-        left_rows = reach[nd.left]
-        right_rows = reach[nd.right]
-        if len(left_rows) == 0 or len(right_rows) == 0:
-            stats[node_id] = 0.0
-            continue
         try:
-            tables = None
-            if config.scope != NuisanceScope.CHILD:
-                models = whole_models
-                if models is None:
-                    models = fit_nuisance(data, node_rows, config)
-                terms = contributions(config.estimator, data, node_rows, models)
-                tables = node_tables(data, node_rows, config, models, terms)
-            stat = partition_statistic(data, node_rows, np.isin(node_rows, left_rows), config,
-                                       tables, 1, 1)
-        except (InadmissibleSplitError, FitError):
-            stat = 0.0
-        stats[node_id] = max(stat, 0.0)
+            stats[node_id] = split_contrast(data, reach[nd.left], reach[nd.right], config,
+                                            whole_models=whole_models).statistic
+        except InadmissibleSplitError:
+            stats[node_id] = 0.0
     return stats
 
 
@@ -167,7 +153,8 @@ def bootstrap_effects(
     with the tree's estimator on the resampled indices reaching each
     terminal, in draw order with duplicates, structure unchanged. A
     replicate leaving some terminal with an empty treatment arm (or an
-    unfittable model) is redrawn up to 10 times, then dropped and counted.
+    unfittable model) is redrawn up to 10 times, then dropped and counted;
+    FitError if every replicate is dropped.
     Replicate b draws from an independent substream of (seed, b), so results
     do not depend on evaluation order.
     """
@@ -198,7 +185,7 @@ def bootstrap_effects(
     for t in terminal_ids:
         values = np.asarray(draws[t])
         if len(values) == 0:
-            raise RuntimeError("all bootstrap replicates were dropped")
+            raise FitError("all bootstrap replicates were dropped")
         out.append(
             TerminalInterval(
                 node_id=t,

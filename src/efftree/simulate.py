@@ -422,7 +422,8 @@ def run_experiment(
 
     Replicate i draws from substreams of (seed, i), so results are identical
     for any thread count. A replicate that cannot be fit (FitError or
-    ValueError) is excluded and counted; any other error propagates.
+    ValueError) is excluded and counted, and FitError is raised if no
+    replicate is left; any other error propagates.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -443,7 +444,7 @@ def run_experiment(
 
     kept = [r for r in results if r is not None]
     if not kept:
-        raise RuntimeError("all replicates failed: " + "; ".join(errors[:3]))
+        raise FitError("all replicates failed: " + "; ".join(errors[:3]))
     return ExperimentSummary(
         mse=float(np.mean([r.mse for r in kept])),
         correct_tree_prop=float(np.mean([r.correct for r in kept])),

@@ -20,7 +20,6 @@ import numpy as np
 from .data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask, json_value
 from .estimators import (
     EstimatorKind,
-    FitError,
     InadmissibleSplitError,
     NodeEffect,
     NuisanceModels,
@@ -30,7 +29,7 @@ from .estimators import (
     fit_nuisance,
     node_effect,
 )
-from .glm import DesignSpec, parse_spec
+from .glm import DesignSpec, FitError, parse_spec
 from .search import SplitRule, find_best_split, node_tables
 
 logger = logging.getLogger(__name__)

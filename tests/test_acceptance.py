@@ -22,11 +22,10 @@ from efftree.estimators import (
     estimate_dr,
     estimate_g,
     ipw_variance_per_child,
-    ipw_variance_pooled,
-    split_contrast,
 )
 from efftree.glm import fit_logistic, fit_ols, parse_spec, predict_mean
 from efftree.prune import weakest_link_sequence
+from efftree.search import split_contrast
 from efftree.select import select_final
 from efftree.simulate import (
     SimSetting,
@@ -130,6 +129,10 @@ def test_criterion_3_null_calibration():
 
 def test_criterion_4_variance_estimator_fidelity():
     spec = parse_spec("1 + x1 + x2 + x3", "A")
+    # the pooled sandwich as production scores it: one propensity fit on
+    # the parent, here all rows
+    pooled_config = GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.PARENT,
+                               variance_method=VarianceMethod.POOLED_SANDWICH)
     R, n = 2000, 2000
     t_pooled, v_pooled, t_child, v_child = [], [], [], []
     for rep in range(R):
@@ -139,11 +142,9 @@ def test_criterion_4_variance_estimator_fidelity():
         A = data.treatment.astype(float)
         Y = data.outcome
 
-        fit = fit_logistic(data, np.arange(n), spec)
-        e = np.clip(predict_mean(fit, data, np.arange(n)), 0.01, 0.99)
-        delta = A * Y / e - (1 - A) * Y / (1 - e)
-        t_pooled.append(delta[rows_l].mean() - delta[rows_r].mean())
-        v_pooled.append(ipw_variance_pooled(data, rows_l, rows_r, fit, 0.01))
+        pooled = split_contrast(data, rows_l, rows_r, pooled_config)
+        t_pooled.append(pooled.t_hat)
+        v_pooled.append(pooled.variance)
 
         fit_l = fit_logistic(data, rows_l, spec)
         fit_r = fit_logistic(data, rows_r, spec)

@@ -111,6 +111,21 @@ def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsy
     assert not (tmp_path / "tree.json").exists()
 
 
+def test_fit_lets_a_bug_in_growth_propagate(heterog_csv, tmp_path, monkeypatch):
+    # only FitError is a fit failure (exit 4); any other error is a bug
+    from efftree import cli
+
+    def unfinished(*args, **kwargs):
+        raise NotImplementedError("unfinished growth")
+
+    monkeypatch.setattr(cli, "grow_max_tree", unfinished)
+    base, csv_path, schema_path, _ = heterog_csv
+    with pytest.raises(NotImplementedError, match="unfinished growth"):
+        run_cli(["fit", "--data", csv_path, "--schema", schema_path,
+                 "--estimator", "g", "--outcome-spec", "1 + A + x1", "--out", tmp_path])
+    assert not (tmp_path / "tree.json").exists()
+
+
 @pytest.mark.parametrize("flags", [["--bootstrap", 5, "--level", 1.5], ["--bootstrap", -5]])
 def test_fit_rejects_bad_bootstrap_arguments_before_fitting(heterog_csv, tmp_path, flags):
     base, csv_path, schema_path, _ = heterog_csv

@@ -13,15 +13,14 @@ from efftree.estimators import (
     estimate_dr,
     estimate_g,
     estimate_ipw,
-    g_variance_pooled,
     if_variance,
     ipw_variance_per_child,
-    ipw_variance_pooled,
     node_effect,
-    split_contrast,
 )
 from efftree.glm import build_design, fit_logistic, fit_ols, parse_spec, predict_mean
+from efftree.search import split_contrast
 from efftree.tree import GrowConfig
+from oracle import g_variance_pooled, ipw_variance_pooled
 
 
 def make_data(x: dict, A, Y) -> Dataset:
@@ -507,11 +506,15 @@ def test_split_contrast_rejects_children_that_share_a_row(shared):
 
 
 def test_split_contrast_accepts_duplicates_within_a_child():
+    # whole and parent scope score the union of the children, so a row
+    # listed twice within a child counts once, in t_hat and in the variance
     data, left, right = fixture_40(seed=40)
-    config = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
-                        propensity_spec=parse_spec("1", "A"))
-    contrast = split_contrast(data, np.concatenate([left, left[:5]]), right[::-1], config)
-    assert np.isfinite(contrast.statistic)
+    for scope in (NuisanceScope.WHOLE, NuisanceScope.PARENT):
+        config = GrowConfig(EstimatorKind.IPW, scope=scope,
+                            propensity_spec=parse_spec("1 + x1", "A"))
+        contrast = split_contrast(data, np.concatenate([left, left[:5]]), right[::-1], config)
+        assert np.isfinite(contrast.statistic)
+        assert contrast == split_contrast(data, left, right, config)
 
 
 def test_split_contrast_rejects_boolean_rows():

@@ -8,17 +8,11 @@ import numpy as np
 import pytest
 
 from efftree.data import SubgroupMask
-from efftree.estimators import (
-    EstimatorKind,
-    NuisanceScope,
-    VarianceMethod,
-    fit_nuisance,
-    g_variance_pooled,
-    split_contrast,
-)
-from efftree.glm import build_design, fit_logistic, parse_spec, predict_mean
+from efftree.estimators import NuisanceScope, VarianceMethod
+from efftree.glm import build_design, fit_logistic, parse_spec
 from efftree.simulate import SimSetting, generate, make_config
-from efftree.tree import GrowConfig, grow_max_tree
+from efftree.tree import grow_max_tree
+from oracle import g_variance_pooled, split_contrast
 
 
 def test_binomial_g_sandwich_matches_loop_oracle():

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import oracle
 from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.estimators import (
     EstimatorKind,
@@ -9,15 +12,15 @@ from efftree.estimators import (
     VarianceMethod,
     contributions,
     fit_nuisance,
-    split_contrast,
 )
 from efftree.glm import parse_spec
 from efftree.search import (
     candidate_statistics,
+    enumerate_splits,
     find_best_split,
     iter_candidate_blocks,
     node_tables,
-    score_partition,
+    split_contrast,
 )
 from efftree.tree import GrowConfig
 
@@ -76,28 +79,80 @@ def parent_config(kind, variance, family="gaussian"):
 
 @pytest.mark.parametrize("kind,variance,family", BATCHED_CASES)
 def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
+    # the kernel against the scalar oracle, in whole scope (one fit on all
+    # of the data, node rows a subset) and in parent scope (one fit on the
+    # node's rows)
     data = mixed_data(binomial=family == "binomial")
-    rows = np.arange(data.n)
-    config = parent_config(kind, variance, family)
-    models = fit_nuisance(data, rows, config)
-    terms = contributions(kind, data, rows, models)
-    tables = node_tables(data, rows, config, models, terms)
+    parent = parent_config(kind, variance, family)
+    for config, rows in ((dataclasses.replace(parent, scope=NuisanceScope.WHOLE),
+                          np.flatnonzero(data.column("g") != 1)),
+                         (parent, np.arange(data.n))):
+        models = fit_nuisance(data, np.arange(data.n) if config.scope == NuisanceScope.WHOLE
+                              else rows, config)
+        terms = contributions(kind, data, rows, models)
+        tables = node_tables(data, rows, config, models, terms)
 
-    checked = 0
-    for block in iter_candidate_blocks(data, rows):
-        left_agg = block.aggregate(tables.packed)
-        stats, adm, t_hats, variances = candidate_statistics(tables, left_agg, data.n, 20, 5)
-        # sample a handful of admissible candidates per covariate
-        idx = np.nonzero(adm)[0]
-        for j in idx[:: max(1, len(idx) // 5)]:
-            rule = block.make_rule(int(j))
-            left = rule.goes_left(data, rows)
-            contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=5)
-            assert stats[j] == pytest.approx(contrast.statistic, rel=1e-8), rule.describe()
-            assert t_hats[j] == pytest.approx(contrast.t_hat, rel=1e-8)
-            assert variances[j] == pytest.approx(contrast.variance, rel=1e-8)
-            checked += 1
-    assert checked >= 10
+        checked = 0
+        for block in iter_candidate_blocks(data, rows):
+            left_agg = block.aggregate(tables.packed)
+            stats, adm, t_hats, variances = candidate_statistics(tables, left_agg, len(rows), 20, 5)
+            # sample a handful of admissible candidates per covariate
+            idx = np.nonzero(adm)[0]
+            for j in idx[:: max(1, len(idx) // 5)]:
+                rule = block.make_rule(int(j))
+                left = rule.goes_left(data, rows)
+                contrast = oracle.split_contrast(data, rows[left], rows[~left], config,
+                                                 min_per_arm=5)
+                assert stats[j] == pytest.approx(contrast.statistic, rel=1e-8), rule.describe()
+                assert t_hats[j] == pytest.approx(contrast.t_hat, rel=1e-8)
+                assert variances[j] == pytest.approx(contrast.variance, rel=1e-8)
+                checked += 1
+        assert checked >= 10, config.scope
+
+
+def oracle_partitions(data):
+    """(left rows, right rows) pairs: sampled rules on all rows and on a
+    node's rows given out of order, and splits with an empty child arm."""
+    rng = np.random.default_rng(73)
+    rows = np.arange(data.n)
+    node = rng.permutation(np.flatnonzero(data.column("c") != 3))
+    pairs = []
+    for subset in (rows, node):
+        rules = enumerate_splits(data, subset)
+        for rule in rules[:: max(1, len(rules) // 8)]:
+            left = rule.goes_left(data, subset)
+            pairs.append((subset[left], subset[~left]))
+    treated = np.flatnonzero(data.treatment == 1)
+    pairs.append((treated[:3], np.setdiff1d(rows, treated[:3])))  # left has no control row
+    pairs.append((np.setdiff1d(node, treated), np.intersect1d(node, treated)))
+    return pairs
+
+
+@pytest.mark.parametrize("family", ["gaussian", "binomial"])
+@pytest.mark.parametrize("scope", [NuisanceScope.WHOLE, NuisanceScope.PARENT],
+                         ids=lambda v: v.value)
+@pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda v: v.value)
+def test_split_contrast_matches_scalar_oracle(kind, scope, family):
+    data = mixed_data(binomial=family == "binomial")
+    variances = [None] if kind == EstimatorKind.DR else [None, VarianceMethod.INFLUENCE]
+    scored = refused = 0
+    for variance in variances:
+        config = dataclasses.replace(parent_config(kind, variance, family), scope=scope)
+        for rows_l, rows_r in oracle_partitions(data):
+            try:
+                expected = oracle.split_contrast(data, rows_l, rows_r, config)
+            except InadmissibleSplitError:
+                with pytest.raises(InadmissibleSplitError):
+                    split_contrast(data, rows_l, rows_r, config)
+                refused += 1
+                continue
+            got = split_contrast(data, rows_l, rows_r, config)
+            assert got.t_hat == pytest.approx(expected.t_hat, rel=1e-8)
+            assert got.variance == pytest.approx(expected.variance, rel=1e-8)
+            assert got.statistic == pytest.approx(expected.statistic, rel=1e-8)
+            scored += 1
+    assert scored >= 10 * len(variances)
+    assert refused >= 2 * len(variances)
 
 
 @pytest.mark.parametrize("kind,variance", CASES, ids=lambda v: getattr(v, "value", v))
@@ -109,7 +164,6 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
     terms = contributions(kind, data, rows, models)
     best = find_best_split(data, rows, config, node_tables(data, rows, config, models, terms))
     assert best is not None
-    from efftree.search import enumerate_splits
 
     top = -np.inf
     for rule in enumerate_splits(data, rows):
@@ -117,7 +171,7 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
         if min(left.sum(), (~left).sum()) < 20:
             continue
         try:
-            contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=5)
+            contrast = oracle.split_contrast(data, rows[left], rows[~left], config, min_per_arm=5)
         except InadmissibleSplitError:
             continue
         top = max(top, contrast.statistic)
@@ -146,8 +200,8 @@ def test_child_scope_search_uses_per_child_fits():
 @pytest.mark.parametrize("kind", list(EstimatorKind), ids=lambda v: v.value)
 def test_grow_config_alone_decides_which_combinations_are_valid(kind, scope, variance):
     # Every (estimator, scope, variance) is either refused by GrowConfig or
-    # scored by split_contrast without a ValueError; whole and parent scope
-    # score the same partition with the batched kernel too.
+    # scored by split_contrast without a ValueError, as the scalar oracle
+    # scores it.
     try:
         config = GrowConfig(kind, propensity_spec=P_SPEC, outcome_spec=O_SPEC, scope=scope,
                             variance_method=variance, min_node=20, min_per_arm=5)
@@ -157,11 +211,7 @@ def test_grow_config_alone_decides_which_combinations_are_valid(kind, scope, var
     rows = np.arange(data.n)
     left = data.column("x1") < 0
     contrast = split_contrast(data, rows[left], rows[~left], config)
-    if scope == NuisanceScope.CHILD:
-        return
-    models = fit_nuisance(data, rows, config)
-    tables = node_tables(data, rows, config, models, contributions(kind, data, rows, models))
-    statistic, t_hat, var = score_partition(tables, left, 1, 1)
-    assert statistic == pytest.approx(contrast.statistic, rel=1e-8)
-    assert t_hat == pytest.approx(contrast.t_hat, rel=1e-8)
-    assert var == pytest.approx(contrast.variance, rel=1e-8)
+    expected = oracle.split_contrast(data, rows[left], rows[~left], config)
+    assert contrast.statistic == pytest.approx(expected.statistic, rel=1e-8)
+    assert contrast.t_hat == pytest.approx(expected.t_hat, rel=1e-8)
+    assert contrast.variance == pytest.approx(expected.variance, rel=1e-8)

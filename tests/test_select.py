@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from efftree import select
+import oracle
+from efftree import search
 from efftree.data import Continuous, Dataset, Schema, SubgroupMask
 from efftree.estimators import (
     ESTIMATE,
     EstimatorKind,
-    FitError,
     InadmissibleSplitError,
     NuisanceScope,
     fit_nuisance,
-    split_contrast,
 )
+from efftree.glm import FitError
 from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from efftree.select import (
     bootstrap_effects,
@@ -84,8 +84,8 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
             assert stats[node_id] == 0.0
             continue
         try:
-            contrast = split_contrast(validation, left_rows, right_rows, config,
-                                      min_per_arm=1, whole_models=whole_models)
+            contrast = oracle.split_contrast(validation, left_rows, right_rows, config,
+                                             min_per_arm=1, whole_models=whole_models)
             expected = contrast.statistic
         except InadmissibleSplitError:
             expected = 0.0
@@ -99,7 +99,7 @@ def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
     def broken_fit(*args, **kwargs):
         raise ValueError("bad configuration")
 
-    monkeypatch.setattr(select, "fit_nuisance", broken_fit)
+    monkeypatch.setattr(search, "fit_nuisance", broken_fit)
     with pytest.raises(ValueError, match="bad configuration"):
         validation_statistics(tree, data, rows)
 

@@ -14,12 +14,12 @@ from efftree.estimators import (
     VarianceMethod,
     contributions,
     fit_nuisance,
-    split_contrast,
 )
 from efftree.glm import parse_spec
 from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits, node_tables
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree, tree_from_dict
+from oracle import split_contrast
 from util_trees import leaf_effect
 
 

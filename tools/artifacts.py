@@ -22,8 +22,9 @@ same bytes. The matrix:
 * every fitted ``tree.json`` loaded with ``tree_from_dict`` and written
   again as ``tree.reloaded.json`` in the form ``efftree fit`` writes, so
   ``cmp tree.json tree.reloaded.json`` checks the reader's round trip;
+* ``fit --train-frac 1``, so selection scores the build rows themselves;
 * ``simulate --threads 1`` on every setting, including a misspecified
-  DR model.
+  DR model, and a child-scope IPW cell.
 
 Each run keeps its artifacts (``tree.json``, ``tree.txt``,
 ``selection.json``, ``bootstrap.json``, the predict CSV, the simulate
@@ -123,6 +124,20 @@ def fit_runs() -> list[tuple[str, list[str]]]:
     runs.append(("fit-dr-rank-deficient-gaussian",
                  ["--data", "gaussian.csv", "--estimator", "dr", "--bootstrap", "20",
                   "--propensity-spec", RANK_DEFICIENT_PROPENSITY, "--outcome-spec", OUTCOME]))
+    runs.append(("fit-g-parent-train-all-gaussian",
+                 ["--data", "gaussian.csv", "--estimator", "g", "--scope", "parent",
+                  "--train-frac", "1", "--outcome-spec", OUTCOME]))
+    return runs
+
+
+def simulate_runs() -> list[tuple[str, list[str]]]:
+    """(run name, simulate arguments) for every simulation in the matrix."""
+    runs = [(f"simulate-{setting}-{algo.replace(':', '-').replace(',', '-')}",
+             ["--setting", setting, "--algo", algo, "--reps", "3", "--n", "400"])
+            for setting, algo in SIMULATIONS]
+    runs.append(("simulate-heterog-ipw-child",
+                 ["--setting", "heterog", "--algo", "ipw", "--scope", "child", "--n", "300",
+                  "--reps", "2", "--max-depth", "2"]))
     return runs
 
 
@@ -157,11 +172,9 @@ def main(argv: list[str]) -> int:
             run(src, out, [*CLI, "predict", "--tree", f"{name}/tree.json", "--data", data],
                 run_dir / "predict.csv")
             run(src, out, ["-c", RELOAD, f"{name}/tree.json"], run_dir / "tree.reloaded.json")
-    for setting, algo in SIMULATIONS:
-        name = f"simulate-{setting}-{algo.replace(':', '-').replace(',', '-')}"
+    for name, args in simulate_runs():
         print(name, file=sys.stderr)
-        run(src, out, [*CLI, "simulate", "--setting", setting, "--algo", algo, "--reps", "3",
-                       "--n", "400", "--threads", "1"], out / f"{name}.json")
+        run(src, out, [*CLI, "simulate", *args, "--threads", "1"], out / f"{name}.json")
     return 0
 
 

@@ -5,7 +5,9 @@ line was written (``efftree predict ... | head``; no traceback), 2
 configuration error, 3 data error (including a categorical column with too
 many levels to split on), 4 fit failure (including a bootstrap that drops
 every replicate and a simulation whose every replicate fails).
-JSON artifacts go to files or stdout; logs and progress go to stderr.
+JSON artifacts go to files or stdout; logs and progress go to stderr, at
+the level the environment variable EFFTREE_LOGLEVEL names (default
+WARNING; an unknown level is a configuration error).
 """
 
 from __future__ import annotations
@@ -118,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--n", type=int, default=1000, help="sample size per replicate (default 1000)")
     _add_growth_flags(sim)
     sim.add_argument("--threads", type=int, default=None,
-                     help="worker processes (default: available cores); results do not depend on it")
+                     help="worker processes, at most one per replicate (default: available "
+                          "cores); results do not depend on it")
     sim.add_argument("--timing", action="store_true",
                      help="include wall-clock timing in the JSON output (off by default "
                           "so identical runs produce identical JSON)")
@@ -342,7 +345,12 @@ def cmd_simulate(args) -> int:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=os.environ.get("EFFTREE_LOGLEVEL", "WARNING"))
+    level = os.environ.get("EFFTREE_LOGLEVEL", "WARNING")
+    if not isinstance(logging.getLevelName(level), int):
+        print(f"error: EFFTREE_LOGLEVEL={level!r} is not a logging level "
+              "(DEBUG, INFO, WARNING, ERROR or CRITICAL)", file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(stream=sys.stderr, level=level)
     parser = build_parser()
     args = parser.parse_args(argv)
     commands = {"fit": cmd_fit, "predict": cmd_predict, "simulate": cmd_simulate}

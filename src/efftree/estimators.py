@@ -22,6 +22,11 @@ difference of the two child effects. Variances come either from sandwich
 (M-estimation) formulas that account for nuisance estimation, or from the
 empirical variance of pooled per-observation influence contributions.
 
+The nuisance scope (which rows fit the models behind a subgroup's estimate)
+is decided here alone: ``shared_models`` is the whole-scope fit on every
+row in play, and ``subgroup_terms`` gives a subgroup's models and per-row
+terms, or InadmissibleSplitError on a failed fit or an IPW or DR empty arm.
+
 Splits are scored in ``search``: its batched kernel scores every whole- and
 parent-scope split, and ``search.split_contrast`` scores one realized
 split in any scope. The sandwich parts it shares with this module have one
@@ -46,6 +51,7 @@ import scipy.linalg
 from .data import Dataset
 from .glm import (
     AnyFit,
+    FitError,
     LogisticFit,
     build_design,
     build_design_difference,
@@ -313,11 +319,11 @@ def ipw_variance_per_child(
     data: Dataset,
     rows_l: np.ndarray,
     rows_r: np.ndarray,
-    fit_l: LogisticFit,
-    fit_r: LogisticFit,
-    epsilon: float,
+    fitted_l: tuple[NuisanceModels, Contributions],
+    fitted_r: tuple[NuisanceModels, Contributions],
 ) -> float:
-    """Sandwich variance of the IPW contrast with separate propensity fits per child.
+    """Sandwich variance of the IPW contrast with separate propensity fits per
+    child, each child's (models, terms) from ``subgroup_terms``.
 
     Each child's score correction is scaled by that child's share of the
     union and enters with the sign of the child's term in the contrast, so
@@ -327,14 +333,10 @@ def ipw_variance_per_child(
     """
     n_l, n_r = len(rows_l), len(rows_r)
     n_p = n_l + n_r
-    if n_l == 0 or n_r == 0:
-        raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, n_r / n_p
 
     parts = []
-    for rows, fit in ((rows_l, fit_l), (rows_r, fit_r)):
-        models = NuisanceModels(propensity=fit, epsilon=epsilon)
-        terms = contributions(EstimatorKind.IPW, data, rows, models)
+    for rows, (models, terms) in ((rows_l, fitted_l), (rows_r, fitted_r)):
         X, residual, grad, info = sandwich_terms(EstimatorKind.IPW, data, rows, models, terms)
         c = solve_information(info, grad.mean(axis=0))
         delta = terms.delta
@@ -359,3 +361,29 @@ def fit_nuisance(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Nuisanc
         else:
             outcome = fit_ols(data, rows, config.outcome_spec)
     return NuisanceModels(propensity=propensity, outcome=outcome, epsilon=config.epsilon)
+
+
+def shared_models(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Optional[NuisanceModels]:
+    """The models every subgroup shares: in whole scope the one fit on
+    ``rows``, all the rows in play; None in parent and child scope, where
+    each subgroup fits its own. A FitError propagates."""
+    if config.scope != NuisanceScope.WHOLE:
+        return None
+    return fit_nuisance(data, rows, config)
+
+
+def subgroup_terms(data: Dataset, rows: np.ndarray, config: GrowConfig,
+                   shared: Optional[NuisanceModels] = None) -> tuple[NuisanceModels, Contributions]:
+    """A subgroup's models (``shared`` if given, else a fit on ``rows``) and
+    its per-row terms; InadmissibleSplitError when that fit fails or, under
+    IPW or DR, an arm is empty."""
+    models = shared
+    if models is None:
+        try:
+            models = fit_nuisance(data, rows, config)
+        except FitError as err:
+            raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
+    terms = contributions(config.estimator, data, rows, models)
+    if config.estimator != EstimatorKind.GFORMULA and terms.smaller_arm == 0:
+        raise InadmissibleSplitError("empty treatment arm")
+    return models, terms

@@ -45,13 +45,13 @@ from .estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
-    contributions,
-    fit_nuisance,
     if_variance,
     ipw_variance_per_child,
     node_effect,
     sandwich_terms,
+    shared_models,
     solve_information,
+    subgroup_terms,
     variance_floor,
 )
 from .glm import FitError, check_rows
@@ -530,13 +530,6 @@ def partition_statistic(
         return -np.inf
 
 
-def _fit_models(data: Dataset, rows: np.ndarray, config: GrowConfig) -> NuisanceModels:
-    try:
-        return fit_nuisance(data, rows, config)
-    except FitError as err:
-        raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
-
-
 def split_contrast(
     data: Dataset,
     rows_l: np.ndarray,
@@ -548,13 +541,13 @@ def split_contrast(
     """Score one realized split under ``config``'s estimator, scope and
     variance method; raises InadmissibleSplitError when it cannot be scored.
 
-    Whole and parent scope score the split as the kernel does: one nuisance
-    fit (``whole_models``, else all rows of ``data``, in whole scope; the
-    union of the children's rows in parent scope), then the node's tables
-    on that union and ``score_partition`` with one row per child as the
-    minimum. A row listed twice within a child counts once there. Child
-    scope refits the models on each child's rows, duplicates included, and
-    takes the influence or per-child sandwich variance.
+    Whole and parent scope score the split as the kernel does: the
+    ``estimators.subgroup_terms`` of the union of the children's rows
+    (whole scope shares ``whole_models``, else a fit on all rows of
+    ``data``), then the node's tables on that union and ``score_partition``
+    with one row per child as the minimum. A row listed twice within a
+    child counts once there. Child scope fits each child's rows, duplicates
+    included, and takes the influence or per-child sandwich variance.
     """
     rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
     in_left = np.zeros(data.n, dtype=bool)
@@ -563,37 +556,32 @@ def split_contrast(
         raise ValueError("child rows must be disjoint")
     if len(rows_l) == 0 or len(rows_r) == 0:
         raise InadmissibleSplitError("empty child")
-    kind = config.estimator
 
     if config.scope != NuisanceScope.CHILD:
+        try:
+            shared = whole_models or shared_models(data, np.arange(data.n), config)
+        except FitError as err:
+            raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
         rows = np.union1d(rows_l, rows_r)
-        if config.scope == NuisanceScope.PARENT:
-            models = _fit_models(data, rows, config)
-        else:
-            models = whole_models or _fit_models(data, np.arange(data.n), config)
-        tables = node_tables(data, rows, config, models, contributions(kind, data, rows, models))
-        scored = score_partition(tables, in_left[rows], 1, min_per_arm)
+        models, terms = subgroup_terms(data, rows, config, shared)
+        scored = score_partition(node_tables(data, rows, config, models, terms),
+                                 in_left[rows], 1, min_per_arm)
         if scored is None:
             raise InadmissibleSplitError("inadmissible split")
         statistic, t_hat, variance = scored
         return SplitContrast(t_hat=t_hat, variance=variance, statistic=statistic)
 
-    models_l = _fit_models(data, rows_l, config)
-    models_r = _fit_models(data, rows_r, config)
-    terms_l = contributions(kind, data, rows_l, models_l)
-    terms_r = contributions(kind, data, rows_r, models_r)
-    smaller_arm = min(terms_l.smaller_arm, terms_r.smaller_arm)
-    if kind != EstimatorKind.GFORMULA and smaller_arm == 0:
-        raise InadmissibleSplitError("empty child arm")
-    if smaller_arm < min_per_arm:
+    fitted_l = subgroup_terms(data, rows_l, config)
+    fitted_r = subgroup_terms(data, rows_r, config)
+    terms_l, terms_r = fitted_l[1], fitted_r[1]
+    if min(terms_l.smaller_arm, terms_r.smaller_arm) < min_per_arm:
         raise InadmissibleSplitError("child arm below minimum size")
 
     t_hat = node_effect(terms_l).effect - node_effect(terms_r).effect
     if config.variance_method == VarianceMethod.INFLUENCE:
         variance = if_variance(terms_l, terms_r, len(rows_l) + len(rows_r))
     else:
-        variance = ipw_variance_per_child(data, rows_l, rows_r, models_l.propensity,
-                                          models_r.propensity, config.epsilon)
+        variance = ipw_variance_per_child(data, rows_l, rows_r, fitted_l, fitted_r)
     statistic = t_hat**2 / variance
     if not np.isfinite(statistic):
         raise InadmissibleSplitError("non-finite statistic")

@@ -22,14 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset
-from .estimators import (
-    EstimatorKind,
-    InadmissibleSplitError,
-    NuisanceScope,
-    contributions,
-    fit_nuisance,
-    node_effect,
-)
+from .estimators import InadmissibleSplitError, node_effect, shared_models, subgroup_terms
 from .glm import FitError
 from .prune import PruneSequence
 from .search import split_contrast
@@ -48,28 +41,27 @@ def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[i
     """Splitting statistic of each internal node recomputed on validation ``rows``.
 
     Each node's realized partition of the rows reaching it is scored by
-    ``search.split_contrast``, which refits the nuisance models per the
-    scope of the tree's config: on the rows reaching the node (parent) or
-    per child (child); whole scope shares one fit on all the validation
-    rows. A node whose statistic cannot be computed (empty child or arm,
-    failed fit, singular information matrix, degenerate variance)
-    contributes 0.
+    ``search.split_contrast``, which fits the nuisance models per the scope
+    of the tree's config: on the rows reaching the node (parent) or per
+    child (child). In whole scope every node shares the one fit that
+    ``estimators.shared_models`` makes on all the validation rows, and if
+    that fit fails every node contributes 0. A node whose statistic cannot
+    be computed (empty child or arm, failed fit, singular information
+    matrix, degenerate variance) contributes 0.
     """
     config = tree.config
     reach = tree.rows_by_node(data, rows)
-    whole_models = None
-    if config.scope == NuisanceScope.WHOLE:
-        try:
-            whole_models = fit_nuisance(data, rows, config)
-        except FitError:
-            return dict.fromkeys(tree.internal_ids(), 0.0)
+    try:
+        shared = shared_models(data, rows, config)
+    except FitError:
+        return dict.fromkeys(tree.internal_ids(), 0.0)
 
     stats: dict[int, float] = {}
     for node_id in tree.internal_ids():
         nd = tree.node(node_id)
         try:
             stats[node_id] = split_contrast(data, reach[nd.left], reach[nd.right], config,
-                                            whole_models=whole_models).statistic
+                                            whole_models=shared).statistic
         except InadmissibleSplitError:
             stats[node_id] = 0.0
     return stats
@@ -203,26 +195,18 @@ def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, confi
                       terminal_ids: list[int]) -> Optional[dict[int, float]]:
     """Terminal effects on the resampled rows ``idx`` of ``data``, ``reached[j]``
     the terminal that row ``idx[j]`` reaches; None if the replicate is unusable."""
-    whole_models = None
-    if config.scope == NuisanceScope.WHOLE:
-        try:
-            whole_models = fit_nuisance(data, idx, config)
-        except FitError:
-            return None
+    try:
+        shared = shared_models(data, idx, config)
+    except FitError:
+        return None
     effects: dict[int, float] = {}
     for t in terminal_ids:
         rows = idx[reached == t]
         if len(rows) == 0:
             return None
-        if whole_models is not None:
-            models = whole_models
-        else:
-            try:
-                models = fit_nuisance(data, rows, config)
-            except FitError:
-                return None
-        terms = contributions(config.estimator, data, rows, models)
-        if config.estimator != EstimatorKind.GFORMULA and terms.smaller_arm == 0:
+        try:
+            _, terms = subgroup_terms(data, rows, config, shared)
+        except InadmissibleSplitError:
             return None
         effects[t] = node_effect(terms).effect
     return effects

@@ -66,6 +66,8 @@ class SimSetting:
             raise ValueError(f"unknown design {self.design!r}; choose from {SETTINGS}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     @property
     def binary(self) -> bool:
@@ -421,16 +423,17 @@ def run_experiment(
     """Aggregate metrics over independent replicates.
 
     Replicate i draws from substreams of (seed, i), so results are identical
-    for any thread count. A replicate that cannot be fit (FitError or
-    ValueError) is excluded and counted, and FitError is raised if no
-    replicate is left; any other error propagates.
+    for any thread count; at most one worker process starts per replicate.
+    A replicate that cannot be fit (FitError or ValueError) is excluded and
+    counted, and FitError is raised if no replicate is left; any other
+    error propagates.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     jobs = [(setting, config, i, seed, lam) for i in range(replications)]
     results: list[Optional[ReplicateResult]] = [None] * replications
     errors: list[str] = []
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    workers = min(threads if threads is not None else (os.cpu_count() or 1), replications)
     if workers <= 1:
         outputs = list(map(_run_replicate_packed, jobs))
     else:

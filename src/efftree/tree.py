@@ -3,9 +3,9 @@
 Growth recursively splits nodes on the candidate with the largest splitting
 statistic, stopping when no admissible candidate remains, the depth cap is
 reached, or children would fall below the node- or arm-size minimums. Node
-effects are computed with the configured estimator; under parent scope each
-node's models are fit on its own rows (falling back to the parent's models
-if that fit fails), under whole scope a single pre-growth fit is shared.
+effects are computed with the configured estimator on the models that
+``estimators.subgroup_terms`` gives each node; a node whose own models are
+inadmissible takes its parent's and, outside child scope, is not split.
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .estimators import (
     NuisanceScope,
     VarianceMethod,
     contributions,
-    fit_nuisance,
     node_effect,
+    shared_models,
+    subgroup_terms,
 )
 from .glm import DesignSpec, FitError, parse_spec
 from .search import SplitRule, find_best_split, node_tables
@@ -80,6 +81,8 @@ class GrowConfig:
             raise ValueError("max_depth must be >= 1")
         if not 0.0 < self.epsilon < 0.5:
             raise ValueError("epsilon must lie in (0, 0.5)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.outcome_family not in ("gaussian", "binomial"):
             raise ValueError("outcome_family must be gaussian or binomial")
         if self.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and self.propensity_spec is None:
@@ -366,9 +369,7 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
     rows = mask.indices()
     if len(rows) < config.min_node:
         raise ValueError("root below min_node")
-    whole_models = None
-    if config.scope == NuisanceScope.WHOLE:
-        whole_models = fit_nuisance(data, rows, config)
+    shared = shared_models(data, rows, config)
 
     nodes: dict[int, TreeNode] = {}
     counter = [0]
@@ -377,16 +378,14 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
               parent_models: Optional[NuisanceModels]) -> int:
         node_id = counter[0]
         counter[0] += 1
-        models = whole_models
-        if config.scope != NuisanceScope.WHOLE:
-            try:
-                models = fit_nuisance(data, node_rows, config)
-            except FitError:
-                models = None  # the effect uses the parent's models; parent scope stops here
+        try:
+            models, terms = subgroup_terms(data, node_rows, config, shared)
+        except InadmissibleSplitError as err:
+            if parent_models is None:
+                raise FitError("cannot fit nuisance models on the root node") from err
+            models = None  # the effect uses the parent's models; parent scope stops here
+            terms = contributions(config.estimator, data, node_rows, parent_models)
         effect_models = models if models is not None else parent_models
-        if effect_models is None:
-            raise FitError("cannot fit nuisance models on the root node")
-        terms = contributions(config.estimator, data, node_rows, effect_models)
         node = TreeNode(id=node_id, depth=depth, n=len(node_rows), effect=node_effect(terms))
         nodes[node_id] = node
 

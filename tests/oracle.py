@@ -156,8 +156,8 @@ def split_contrast(
     if config.variance_method == VarianceMethod.INFLUENCE:
         variance = if_variance(terms_l, terms_r, n_union)
     elif config.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
-        variance = ipw_variance_per_child(data, rows_l, rows_r, models_l.propensity,
-                                          models_r.propensity, config.epsilon)
+        variance = ipw_variance_per_child(data, rows_l, rows_r, (models_l, terms_l),
+                                          (models_r, terms_r))
     elif kind == EstimatorKind.IPW:
         variance = ipw_variance_pooled(data, rows_l, rows_r, models_l.propensity, config.epsilon)
     else:

@@ -21,9 +21,8 @@ from efftree.estimators import (
     VarianceMethod,
     estimate_dr,
     estimate_g,
-    ipw_variance_per_child,
 )
-from efftree.glm import fit_logistic, fit_ols, parse_spec, predict_mean
+from efftree.glm import fit_logistic, fit_ols, parse_spec
 from efftree.prune import weakest_link_sequence
 from efftree.search import split_contrast
 from efftree.select import select_final
@@ -129,33 +128,27 @@ def test_criterion_3_null_calibration():
 
 def test_criterion_4_variance_estimator_fidelity():
     spec = parse_spec("1 + x1 + x2 + x3", "A")
-    # the pooled sandwich as production scores it: one propensity fit on
-    # the parent, here all rows
+    # both variances as production scores them: the pooled sandwich with one
+    # propensity fit on the parent, here all rows, and the per-child
+    # sandwich with one fit per child
     pooled_config = GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.PARENT,
                                variance_method=VarianceMethod.POOLED_SANDWICH)
+    child_config = GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.CHILD,
+                              variance_method=VarianceMethod.PER_CHILD_SANDWICH)
     R, n = 2000, 2000
     t_pooled, v_pooled, t_child, v_child = [], [], [], []
     for rep in range(R):
         data, _ = generate(SimSetting("heterogeneous", n, seed=41_000_000 + rep))
         in_l = data.column("x4") < 0
         rows_l, rows_r = np.flatnonzero(in_l), np.flatnonzero(~in_l)
-        A = data.treatment.astype(float)
-        Y = data.outcome
 
         pooled = split_contrast(data, rows_l, rows_r, pooled_config)
         t_pooled.append(pooled.t_hat)
         v_pooled.append(pooled.variance)
 
-        fit_l = fit_logistic(data, rows_l, spec)
-        fit_r = fit_logistic(data, rows_r, spec)
-        e_l = np.clip(predict_mean(fit_l, data, rows_l), 0.01, 0.99)
-        e_r = np.clip(predict_mean(fit_r, data, rows_r), 0.01, 0.99)
-        al, yl = A[rows_l], Y[rows_l]
-        ar, yr = A[rows_r], Y[rows_r]
-        t_l = (al * yl / e_l - (1 - al) * yl / (1 - e_l)).mean()
-        t_r = (ar * yr / e_r - (1 - ar) * yr / (1 - e_r)).mean()
-        t_child.append(t_l - t_r)
-        v_child.append(ipw_variance_per_child(data, rows_l, rows_r, fit_l, fit_r, 0.01))
+        per_child = split_contrast(data, rows_l, rows_r, child_config)
+        t_child.append(per_child.t_hat)
+        v_child.append(per_child.variance)
 
     ratio_pooled = np.mean(v_pooled) / np.var(t_pooled)
     ratio_child = np.mean(v_child) / np.var(t_child)

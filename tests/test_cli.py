@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import subprocess
 import sys
 
@@ -148,6 +149,40 @@ def test_fit_rejects_a_bad_lambda_before_reading_data(heterog_csv, tmp_path, lam
     assert not out.exists()
 
 
+@pytest.mark.parametrize("data_name", ["train.csv", "missing.csv"])
+def test_fit_rejects_a_negative_seed_before_reading_data(heterog_csv, tmp_path, data_name, capsys):
+    base, csv_path, schema_path, _ = heterog_csv
+    out = tmp_path / "out"
+    code = run_cli(["fit", "--data", base / data_name, "--schema", schema_path,
+                    "--estimator", "g", "--outcome-spec", "1 + A + x1", "--seed", -1,
+                    "--out", out])
+    assert code == 2  # a missing data file would give 3
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_negative_seed(capsys):
+    code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 1, "--n", 200,
+                    "--threads", 1, "--seed", -1])
+    assert code == 2  # simulating first would fail every replicate: 4
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_an_unknown_log_level_is_a_configuration_error(tmp_path):
+    # in a subprocess: basicConfig does nothing once pytest has put handlers
+    # on the root logger
+    argv = [sys.executable, "-m", "efftree.cli", "predict", "--tree", str(tmp_path / "tree.json"),
+            "--data", str(tmp_path / "data.csv")]
+    bad = subprocess.run(argv, capture_output=True, text=True,
+                         env={**os.environ, "EFFTREE_LOGLEVEL": "FOO"})
+    assert bad.returncode == 2
+    assert "EFFTREE_LOGLEVEL" in bad.stderr
+    assert "Traceback" not in bad.stderr
+    known = subprocess.run(argv, capture_output=True, text=True,
+                           env={**os.environ, "EFFTREE_LOGLEVEL": "INFO"})
+    assert known.returncode == 3  # the missing tree file
+
+
 @pytest.mark.parametrize("lam", ["nan", "-1"])
 def test_simulate_rejects_a_bad_lambda(lam, capsys):
     code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 1, "--n", 200,
@@ -293,6 +328,7 @@ TREE_CORRUPTIONS = {
     "mu0-minus-infinite": lambda p: _split(p).update(mu0=float("-inf")),
     "statistic-nan": lambda p: _split(p).update(statistic=float("nan")),
     "effect-beyond-float-range": lambda p: _leaf(p).update(effect=10**400),
+    "seed-negative": lambda p: p["config"].update(seed=-1),
 }
 
 

@@ -13,9 +13,12 @@ from efftree.estimators import (
     estimate_dr,
     estimate_g,
     estimate_ipw,
+    fit_nuisance,
     if_variance,
     ipw_variance_per_child,
     node_effect,
+    shared_models,
+    subgroup_terms,
 )
 from efftree.glm import build_design, fit_logistic, fit_ols, parse_spec, predict_mean
 from efftree.search import split_contrast
@@ -198,6 +201,62 @@ def test_estimators_reject_empty_subgroup():
         estimate_ipw(data, empty, constant_models())
 
 
+# ---------------------------------------------------------------- nuisance policy
+
+
+def policy_config(estimator, scope=NuisanceScope.WHOLE):
+    return GrowConfig(estimator, scope=scope, propensity_spec=parse_spec("1 + x1", "A"),
+                      outcome_spec=parse_spec("1 + A + x1", "A"))
+
+
+@pytest.mark.parametrize("scope", [NuisanceScope.PARENT, NuisanceScope.CHILD])
+def test_shared_models_are_none_outside_whole_scope(scope):
+    data, _, _ = fixture_40()
+    assert shared_models(data, full(data), policy_config(EstimatorKind.DR, scope)) is None
+
+
+def test_shared_models_in_whole_scope_are_the_fit_on_the_rows_in_play():
+    data, left, _ = fixture_40()
+    config = policy_config(EstimatorKind.DR)
+    for rows in (full(data), left):
+        shared = shared_models(data, rows, config)
+        fit = fit_nuisance(data, rows, config)
+        assert np.array_equal(shared.propensity.coefficients, fit.propensity.coefficients)
+        assert np.array_equal(shared.outcome.coefficients, fit.outcome.coefficients)
+
+
+@pytest.mark.parametrize("estimator", list(EstimatorKind))
+def test_subgroup_terms_with_an_empty_arm_under_shared_models(estimator):
+    data, _, _ = fixture_40()
+    config = policy_config(estimator)
+    shared = shared_models(data, full(data), config)
+    treated = np.flatnonzero(data.treatment == 1)
+    if estimator == EstimatorKind.GFORMULA:
+        models, terms = subgroup_terms(data, treated, config, shared)
+        assert models is shared
+        assert terms.smaller_arm == 0
+        assert np.array_equal(terms.delta, contributions(estimator, data, treated, shared).delta)
+    else:
+        with pytest.raises(InadmissibleSplitError, match="empty treatment arm"):
+            subgroup_terms(data, treated, config, shared)
+
+
+def test_subgroup_terms_turn_a_failed_fit_into_an_inadmissible_subgroup():
+    data, _, _ = fixture_40()
+    config = policy_config(EstimatorKind.IPW, NuisanceScope.PARENT)
+    with pytest.raises(InadmissibleSplitError, match="nuisance fit failed"):
+        subgroup_terms(data, np.flatnonzero(data.treatment == 1), config)
+
+
+def test_subgroup_terms_fit_the_subgroup_without_shared_models():
+    data, left, _ = fixture_40()
+    config = policy_config(EstimatorKind.DR, NuisanceScope.PARENT)
+    models, terms = subgroup_terms(data, left, config)
+    fit = fit_nuisance(data, left, config)
+    assert np.array_equal(models.propensity.coefficients, fit.propensity.coefficients)
+    assert np.array_equal(terms.delta, contributions(EstimatorKind.DR, data, left, fit).delta)
+
+
 # ---------------------------------------------------------------- influence variance
 
 
@@ -336,12 +395,20 @@ def theorem_per_child_variance_oracle(data, rows_l, rows_r, fit_l, fit_r, epsilo
     return (total / n_p - (p_r * sides["l"]["t"] + p_l * sides["r"]["t"]) ** 2 / (p_l * p_r)) / n_p
 
 
+def ipw_child_fit(data, rows, fit, epsilon=0.01):
+    """A child's (models, terms) under its own propensity fit, as
+    ``subgroup_terms`` gives them in child scope."""
+    models = NuisanceModels(propensity=fit, epsilon=epsilon)
+    return models, contributions(EstimatorKind.IPW, data, rows, models)
+
+
 def test_ipw_per_child_variance_matches_oracle():
     data, left, right = fixture_40(seed=33)
     spec = parse_spec("1 + x1", "A")
     fit_l = fit_logistic(data, left, spec)
     fit_r = fit_logistic(data, right, spec)
-    got = ipw_variance_per_child(data, left, right, fit_l, fit_r, 0.01)
+    got = ipw_variance_per_child(data, left, right, ipw_child_fit(data, left, fit_l),
+                                 ipw_child_fit(data, right, fit_r))
     expected = theorem_per_child_variance_oracle(data, left, right, fit_l, fit_r, 0.01)
     assert got == pytest.approx(expected, abs=1e-8)
 
@@ -349,10 +416,10 @@ def test_ipw_per_child_variance_matches_oracle():
 def test_ipw_per_child_variance_swap_invariant():
     data, left, right = fixture_40(seed=34)
     spec = parse_spec("1 + x1", "A")
-    fit_l = fit_logistic(data, left, spec)
-    fit_r = fit_logistic(data, right, spec)
-    a = ipw_variance_per_child(data, left, right, fit_l, fit_r, 0.01)
-    b = ipw_variance_per_child(data, right, left, fit_r, fit_l, 0.01)
+    fitted_l = ipw_child_fit(data, left, fit_logistic(data, left, spec))
+    fitted_r = ipw_child_fit(data, right, fit_logistic(data, right, spec))
+    a = ipw_variance_per_child(data, left, right, fitted_l, fitted_r)
+    b = ipw_variance_per_child(data, right, left, fitted_r, fitted_l)
     assert a == pytest.approx(b, rel=1e-12)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
-from efftree import search
+from efftree import estimators
 from efftree.data import Continuous, Dataset, Schema, SubgroupMask
 from efftree.estimators import (
     ESTIMATE,
@@ -99,7 +99,7 @@ def test_validation_scoring_lets_configuration_errors_through(monkeypatch):
     def broken_fit(*args, **kwargs):
         raise ValueError("bad configuration")
 
-    monkeypatch.setattr(search, "fit_nuisance", broken_fit)
+    monkeypatch.setattr(estimators, "fit_nuisance", broken_fit)
     with pytest.raises(ValueError, match="bad configuration"):
         validation_statistics(tree, data, rows)
 

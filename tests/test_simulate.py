@@ -118,6 +118,8 @@ def test_setting_validation():
         SimSetting("no-such-design", 100, 0)
     with pytest.raises(ValueError):
         SimSetting("heterogeneous", 0, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SimSetting("heterogeneous", 100, -1)
 
 
 # ---------------------------------------------------------------- metric helpers
@@ -406,6 +408,37 @@ def test_run_experiment_thread_count_does_not_change_results():
     serial = run_experiment(setting, config, replications=4, seed=13, threads=1)
     pooled = run_experiment(setting, config, replications=4, seed=13, threads=2)
     assert serial.to_dict(include_timing=False) == pooled.to_dict(include_timing=False)
+
+
+@pytest.mark.parametrize("threads", [3, None])
+def test_run_experiment_starts_at_most_one_worker_per_replicate(monkeypatch, threads):
+    import efftree.simulate as simulate
+
+    pool_sizes = []
+
+    class InProcessPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    setting = SimSetting("heterogeneous", n=300, seed=0)
+    config = make_config(setting, "g")
+    pooled = run_experiment(setting, config, replications=2, seed=5, threads=threads)
+    serial = run_experiment(setting, config, replications=2, seed=5, threads=1)
+    assert pool_sizes == [2]
+    assert pooled.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
 
 def test_run_experiment_counts_fit_failures_and_propagates_bugs(monkeypatch):

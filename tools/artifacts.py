@@ -12,7 +12,9 @@ same bytes. The matrix:
 * ``fit`` for ipw, g and dr under whole and parent scope, on a gaussian and
   a binomial outcome, each with ``--bootstrap 20``;
 * ``fit --variance influence`` for ipw and g on both outcomes;
-* child scope for ipw, g and dr with ``--max-depth 2`` on a smaller file;
+* child scope for ipw, g and dr with ``--max-depth 2`` on a smaller file,
+  and on the same file child-scope ipw with ``--variance influence`` and
+  child-scope dr, both with ``--bootstrap 20``;
 * g-formula on a file whose effect jumps between levels of the ordinal
   ``g``, so an ``ordinal_cut`` rule is written, loaded and routed;
 * DR with ``--bootstrap 20`` and a propensity design that is rank-deficient
@@ -127,6 +129,13 @@ def fit_runs() -> list[tuple[str, list[str]]]:
     runs.append(("fit-g-parent-train-all-gaussian",
                  ["--data", "gaussian.csv", "--estimator", "g", "--scope", "parent",
                   "--train-frac", "1", "--outcome-spec", OUTCOME]))
+    runs.append(("fit-ipw-child-influence-gaussian",
+                 ["--data", "small.csv", "--estimator", "ipw", "--scope", "child",
+                  "--variance", "influence", "--max-depth", "2", "--bootstrap", "20"]
+                 + specs("ipw")))
+    runs.append(("fit-dr-child-boot-gaussian",
+                 ["--data", "small.csv", "--estimator", "dr", "--scope", "child",
+                  "--max-depth", "2", "--bootstrap", "20"] + specs("dr")))
     return runs
 
 

@@ -31,7 +31,7 @@ from .estimators import (
     if_variance,
     ipw_variance_per_child,
 )
-from .glm import DesignSpec, FitError, LinearFit, LogisticFit, fit_logistic, fit_ols, parse_spec, predict_mean
+from .glm import DesignSpec, FitError, ModelFit, fit_logistic, fit_ols, parse_spec, predict_mean
 from .prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from .search import CategoricalCardinalityError, SplitContrast, SplitRule, enumerate_splits, split_contrast
 from .select import bootstrap_effects, select_final

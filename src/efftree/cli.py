@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 standard output closed by its reader before every
 line was written (``efftree predict ... | head``; no traceback), 2
-configuration error, 3 data error (including a categorical column with too
-many levels to split on), 4 fit failure (including a bootstrap that drops
-every replicate and a simulation whose every replicate fails).
+configuration error (including a ``simulate --n`` whose training rows are
+fewer than ``--min-node``), 3 data error (including a categorical column with
+too many levels to split on, and a model-spec transform that is not finite
+on some row, such as ``exp(x1)`` overflowing), 4 fit failure (including a
+bootstrap that drops every replicate and a simulation whose every replicate
+fails).
 JSON artifacts go to files or stdout; logs and progress go to stderr, at
 the level the environment variable EFFTREE_LOGLEVEL names (default
 WARNING; an unknown level is a configuration error).
@@ -28,7 +31,7 @@ from .glm import FitError, check_factor
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
 from .search import CategoricalCardinalityError
 from .select import bootstrap_effects, select_final
-from .simulate import MODEL_VARIANTS, SimSetting, make_config, run_experiment
+from .simulate import MODEL_VARIANTS, SimSetting, check_sample_size, make_config, run_experiment
 from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
 
 EXIT_CLOSED_STDOUT = 1
@@ -219,7 +222,7 @@ def cmd_fit(args) -> int:
         tree = grow_max_tree(data, SubgroupMask.from_indices(data.n, build_rows), config)
         sequence = weakest_link_sequence(tree)
         final, trace = select_final(sequence, data, validation_rows, args.lam)
-    except CategoricalCardinalityError as err:
+    except (CategoricalCardinalityError, DataError) as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
     except FitError as err:
         raise CliError(f"fit failed: {err}", EXIT_FIT)
@@ -229,6 +232,8 @@ def cmd_fit(args) -> int:
         try:
             intervals = bootstrap_effects(final, data, B=args.bootstrap, level=args.level,
                                           seed=args.seed)
+        except DataError as err:
+            raise CliError(f"bad data: {err}", EXIT_DATA)
         except FitError as err:
             raise CliError(f"bootstrap failed: {err}", EXIT_FIT)
 
@@ -305,6 +310,7 @@ def cmd_simulate(args) -> int:
             min_node=args.min_node, min_per_arm=args.min_per_arm,
             max_depth=args.max_depth, epsilon=args.epsilon, seed=args.seed,
         )
+        check_sample_size(setting, config)
     except ValueError as err:
         raise CliError(f"bad configuration: {err}", EXIT_CONFIG)
     if args.reps < 1:

@@ -21,7 +21,7 @@ import csv
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np

@@ -50,9 +50,8 @@ import scipy.linalg
 
 from .data import Dataset
 from .glm import (
-    AnyFit,
     FitError,
-    LogisticFit,
+    ModelFit,
     build_design,
     build_design_difference,
     fit_logistic,
@@ -96,8 +95,8 @@ class InadmissibleSplitError(RuntimeError):
 class NuisanceModels:
     """Fitted nuisance models plus the propensity truncation bound."""
 
-    propensity: Optional[LogisticFit] = None
-    outcome: Optional[AnyFit] = None
+    propensity: Optional[ModelFit] = None
+    outcome: Optional[ModelFit] = None
     epsilon: float = 0.01
 
     def __post_init__(self):

@@ -19,24 +19,24 @@ into the dataset, in the order given, duplicates allowed, so a resampled
 index array is a bootstrap replicate's rows. A subgroup's model matrix is
 those rows of one treatment-free root design per (dataset, spec), with the
 treatment-involving columns scaled by A.
-Fitting uses column-pivoted QR so that rank-deficient designs drop columns
-deterministically instead of failing. Row gathers use ``np.take`` and the
-logistic fit calls LAPACK (``dgeqp3``, ``dposv``) directly: each gives the
-bits of the fancy-indexing and ``scipy.linalg`` call it replaces, without
-their per-call overhead.
+Both fits share one prologue: the design, a column-pivoted QR that drops
+rank-deficient columns deterministically instead of failing, and one fit
+record. Row gathers use ``np.take``, and both fits call LAPACK (``dgeqp3``,
+``dorgqr``, ``dposv``) directly: each gives the bits of the fancy-indexing
+or ``scipy.linalg`` call it replaces, without their per-call overhead.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgeqp3, dposv
+from scipy.linalg.lapack import dgeqp3, dorgqr, dposv
 
-from .data import Continuous, Dataset, Schema
+from .data import Continuous, DataError, Dataset, Schema
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 50
@@ -217,7 +217,8 @@ def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str
     of this matrix. The treatment column holds 1 and each treatment
     interaction column holds its factor; ``treated`` marks those columns,
     which a subgroup's design scales by A. Returns ``(F, labels, treated)``,
-    memoized read-only in ``data.derived``.
+    memoized read-only in ``data.derived``. DataError when a column is not
+    finite, as a transform such as ``exp`` can make it.
     """
     cached = data.derived.get(spec)
     if cached is not None:
@@ -238,6 +239,10 @@ def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str
             labels.extend(labs)
             treated.extend([term.kind == "interaction"] * len(labs))
     F = np.hstack(blocks)
+    bad = np.count_nonzero(~np.isfinite(F), axis=0)
+    if bad.any():
+        j = int(np.argmax(bad > 0))
+        raise DataError(f"design column {labels[j]!r} is not finite on {bad[j]} of {data.n} rows")
     treated_cols = np.array(treated)
     F.setflags(write=False)
     treated_cols.setflags(write=False)
@@ -295,68 +300,64 @@ def build_design_difference(data: Dataset, rows: np.ndarray, spec: DesignSpec) -
 
 
 @dataclass
-class LinearFit:
-    """Least-squares fit; `coefficients` is full width with zeros at dropped columns."""
+class ModelFit:
+    """A nuisance fit: least squares (``family`` "gaussian") or logistic IRLS
+    ("binomial"). ``coefficients`` is full width with zeros at the dropped
+    columns; ``iterations`` counts IRLS steps and is 0 for least squares."""
 
     spec: DesignSpec
+    family: str
     coefficients: np.ndarray
-    rank: int
     kept: np.ndarray
     dropped: np.ndarray
     column_labels: list[str]
-    family: str = "gaussian"
-
-
-@dataclass
-class LogisticFit:
-    """Maximum-likelihood logistic fit via iteratively reweighted least squares."""
-
-    spec: DesignSpec
-    coefficients: np.ndarray
-    converged: bool
     iterations: int
-    kept: np.ndarray
-    dropped: np.ndarray
-    column_labels: list[str]
-    family: str = "binomial"
 
 
-AnyFit = Union[LinearFit, LogisticFit]
+def _pivoted_qr(
+    Z: np.ndarray, with_q: bool = False
+) -> tuple[Optional[np.ndarray], np.ndarray, np.ndarray, int]:
+    """Column-pivoted economic QR of Z, ``Z[:, piv] = Q R``, and its numerical
+    rank: the number of |R_jj| above |R_00| * max(Z.shape) * eps. The first
+    ``rank`` pivots are the kept columns; the rest are dropped. Q is None
+    unless ``with_q``.
 
-
-def _numerical_rank(r_diag: np.ndarray, shape: tuple[int, int]) -> int:
-    """Rank of a design from the diagonal of its column-pivoted R: the number
-    of |R_jj| above |R_00| * max(shape) * eps."""
-    diag = np.abs(r_diag)
-    if len(diag) == 0 or diag[0] == 0.0:
-        raise FitError("design matrix is identically zero")
-    tol = diag[0] * max(shape) * _EPS
-    return int(np.sum(diag > tol))
-
-
-def _pivoted_qr(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Column-pivoted economic QR of Z, ``Z[:, piv] = Q R``, and its numerical rank.
-
-    The first ``rank`` pivots are the kept columns; the rest are dropped.
-    """
-    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    return Q, R, piv, _numerical_rank(np.diag(R), Z.shape)
-
-
-def _pivoted_r_diagonal(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """diag(R) and the pivots of ``_pivoted_qr(Z)``, from LAPACK ``dgeqp3`` without forming Q.
-
-    It makes the calls ``scipy.linalg.qr(Z, pivoting=True)`` makes: the
-    finiteness check, one column-major copy of Z and the workspace size a
-    ``lwork=-1`` query returns. The size decides between blocked and
-    unblocked elimination, which round differently past 128 columns.
+    It makes the LAPACK calls that ``scipy.linalg``'s ``qr(Z, mode="economic",
+    pivoting=True)`` makes, so Q, R and the pivots are its bits: the
+    finiteness check, one column-major copy of Z, and for ``dgeqp3`` and
+    ``dorgqr`` the workspace size an ``lwork=-1`` query returns. The size
+    decides between blocked and unblocked elimination, which round
+    differently past 128 columns.
     """
     if not np.isfinite(Z).all():
         raise ValueError("array must not contain infs or NaNs")
     a = np.array(Z, order="F")
     lwork = int(dgeqp3(a, lwork=-1, overwrite_a=True)[-2][0])
-    qr, jpvt, _, _, _ = dgeqp3(a, lwork=lwork, overwrite_a=True)
-    return np.diagonal(qr), jpvt - 1
+    qr, jpvt, tau, _, _ = dgeqp3(a, lwork=lwork, overwrite_a=True)
+    k = min(Z.shape)
+    R = np.triu(qr[:k, :])
+    diag = np.abs(np.diagonal(R))
+    if k == 0 or diag[0] == 0.0:
+        raise FitError("design matrix is identically zero")
+    rank = int(np.sum(diag > diag[0] * max(Z.shape) * _EPS))
+    Q = None
+    if with_q:
+        lwork = int(dorgqr(qr[:, :k], tau, lwork=-1, overwrite_a=True)[-2][0])
+        Q = dorgqr(qr[:, :k], tau, lwork=lwork, overwrite_a=True)[0]
+    return Q, R, jpvt - 1, rank
+
+
+def _factored_design(data: Dataset, rows: np.ndarray, spec: DesignSpec, with_q: bool = False):
+    """The prologue of both fits: the design of the given rows and its
+    labels, FitError unless it has at least as many rows as columns, then
+    its ``_pivoted_qr``. Returns ``(Z, labels, Q, R, piv, kept, dropped)``,
+    the kept and dropped columns sorted; ``piv[:len(kept)]`` orders the kept
+    columns as R does."""
+    Z, labels = build_design(data, rows, spec)
+    if Z.shape[0] < Z.shape[1]:
+        raise FitError("insufficient data: fewer rows than design columns")
+    Q, R, piv, rank = _pivoted_qr(Z, with_q)
+    return Z, labels, Q, R, piv, np.sort(piv[:rank]), np.sort(piv[rank:])
 
 
 def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,21 +375,19 @@ def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise FitError("logistic fit failed: singular weighted system")
 
 
-def fit_ols(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> LinearFit:
+def fit_ols(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> ModelFit:
     """Least squares of the outcome on the spec's design over the given rows.
 
     Rank-deficient columns are dropped deterministically (pivoted QR); their
     coefficients are zero in the returned full-width vector. The kept
     coefficients are solved from the same factorization.
     """
-    Z, labels = build_design(data, rows, spec)
-    y = data.outcome[rows]
-    if Z.shape[0] < Z.shape[1]:
-        raise FitError("insufficient data: fewer rows than design columns")
-    Q, R, piv, rank = _pivoted_qr(Z)
+    Z, labels, Q, R, piv, kept, dropped = _factored_design(data, rows, spec, with_q=True)
+    rank = len(kept)
     beta = np.zeros(Z.shape[1])
+    y = data.outcome[rows]
     beta[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ y)
-    return LinearFit(spec, beta, rank, np.sort(piv[:rank]), np.sort(piv[rank:]), labels)
+    return ModelFit(spec, "gaussian", beta, kept, dropped, labels, 0)
 
 
 def fit_logistic(
@@ -396,7 +395,7 @@ def fit_logistic(
     rows: np.ndarray,
     spec: DesignSpec,
     response: Optional[np.ndarray] = None,
-) -> LogisticFit:
+) -> ModelFit:
     """Logistic regression by IRLS; the response defaults to the treatment column.
 
     Converges when the largest absolute coefficient change falls below 1e-8,
@@ -407,16 +406,9 @@ def fit_logistic(
     y = (data.treatment[rows] if response is None else np.asarray(response)[rows]).astype(np.float64)
     if y.size == 0 or y.min() == y.max():
         raise FitError("degenerate response: only one class present")
-    Z, labels = build_design(data, rows, spec)
-    if Z.shape[0] < Z.shape[1]:
-        raise FitError("insufficient data: fewer rows than design columns")
-    r_diag, piv = _pivoted_r_diagonal(Z)
-    rank = _numerical_rank(r_diag, Z.shape)
-    kept, dropped = np.sort(piv[:rank]), np.sort(piv[rank:])
+    Z, labels, _, _, _, kept, dropped = _factored_design(data, rows, spec)
     Zk = Z[:, kept]
     beta = np.zeros(len(kept))
-    converged = False
-    iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = np.clip(Zk @ beta, -_LINPRED_CLIP, _LINPRED_CLIP)
         p = 1.0 / (1.0 + np.exp(-eta))
@@ -429,9 +421,8 @@ def fit_logistic(
         if not np.isfinite(beta).all():
             raise FitError("logistic fit failed: diverging coefficients")
         if delta < IRLS_TOL:
-            converged = True
             break
-    if not converged:
+    else:
         raise FitError("logistic fit failed: no convergence (possible separation)")
     eta = Zk @ beta
     if np.max(np.abs(eta)) >= _SEPARATION_ETA and np.all((eta > 0) == (y == 1)):
@@ -439,11 +430,11 @@ def fit_logistic(
         raise FitError("logistic fit failed: separation")
     full = np.zeros(Z.shape[1])
     full[kept] = beta
-    return LogisticFit(spec, full, True, iterations, kept, dropped, labels)
+    return ModelFit(spec, "binomial", full, kept, dropped, labels, iterations)
 
 
 def predict_mean(
-    fit: AnyFit,
+    fit: ModelFit,
     data: Dataset,
     rows: np.ndarray,
     treatment_override: Optional[int] = None,

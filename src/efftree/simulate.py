@@ -371,6 +371,20 @@ def _replicate_seed(seed: int, index: int, stream: str) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def build_size(n: int) -> int:
+    """Rows a replicate of n training rows builds its tree on; the rest select it."""
+    return int(round(TRAIN_FRACTION * n))
+
+
+def check_sample_size(setting: SimSetting, config: GrowConfig) -> None:
+    """ValueError when a replicate's build rows are fewer than ``min_node``,
+    so that every replicate would fail to grow a root."""
+    n_build = build_size(setting.n)
+    if n_build < config.min_node:
+        raise ValueError(f"n={setting.n} leaves {n_build} build rows, "
+                         f"fewer than min_node={config.min_node}")
+
+
 def run_replicate(
     setting: SimSetting,
     config: GrowConfig,
@@ -385,7 +399,7 @@ def run_replicate(
     train, truth = generate(train_setting)
     test, _ = generate(test_setting)
 
-    n_build = int(round(TRAIN_FRACTION * train.n))
+    n_build = build_size(train.n)
     build_mask = SubgroupMask(np.arange(train.n) < n_build)
 
     t0 = time.perf_counter()
@@ -408,7 +422,7 @@ def _run_replicate_packed(args):
     setting, config, index, seed, lam = args
     try:
         return index, run_replicate(setting, config, index, seed, lam), None
-    except (FitError, ValueError) as err:  # a replicate that cannot be fit; bugs propagate
+    except FitError as err:  # a replicate that cannot be fit; bugs propagate
         return index, None, f"{type(err).__name__}: {err}"
 
 
@@ -424,12 +438,14 @@ def run_experiment(
 
     Replicate i draws from substreams of (seed, i), so results are identical
     for any thread count; at most one worker process starts per replicate.
-    A replicate that cannot be fit (FitError or ValueError) is excluded and
-    counted, and FitError is raised if no replicate is left; any other
-    error propagates.
+    A replicate that cannot be fit (FitError) is excluded and counted, and
+    FitError is raised if no replicate is left; any other error propagates.
+    ValueError, before any replicate runs, for fewer than one replication or
+    a sample too small for ``min_node`` (``check_sample_size``).
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    check_sample_size(setting, config)
     jobs = [(setting, config, i, seed, lam) for i in range(replications)]
     results: list[Optional[ReplicateResult]] = [None] * replications
     errors: list[str] = []

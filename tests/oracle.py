@@ -34,7 +34,7 @@ from efftree.estimators import (
     sandwich_terms,
     solve_information,
 )
-from efftree.glm import AnyFit, FitError, LogisticFit, check_rows
+from efftree.glm import FitError, ModelFit, check_rows
 from efftree.search import SplitContrast
 from efftree.tree import GrowConfig
 
@@ -73,7 +73,7 @@ def ipw_variance_pooled(
     data: Dataset,
     rows_l: np.ndarray,
     rows_r: np.ndarray,
-    fit: LogisticFit,
+    fit: ModelFit,
     epsilon: float,
 ) -> float:
     """Sandwich variance of the IPW contrast with one propensity fit on the union.
@@ -91,7 +91,7 @@ def g_variance_pooled(
     data: Dataset,
     rows_l: np.ndarray,
     rows_r: np.ndarray,
-    fit: AnyFit,
+    fit: ModelFit,
 ) -> float:
     """Sandwich variance of the g-formula contrast with one outcome fit on the union.
 

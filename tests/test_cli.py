@@ -95,6 +95,29 @@ def test_fit_too_many_categorical_levels_is_a_data_error(tmp_path, capsys):
     assert "'site'" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("spec_args", [
+    ["--estimator", "ipw", "--propensity-spec", "1 + exp(x1)"],
+    ["--estimator", "g", "--outcome-spec", "1 + A + exp(x1) + x2"],
+], ids=["ipw", "g"])
+def test_fit_spec_column_that_overflows_is_a_data_error(spec_args, tmp_path, capsys):
+    data, _ = generate(SimSetting("heterogeneous", n=400, seed=51))
+    x1 = data.covariates["x1"].copy()
+    x1[123] = 800.0  # exp(800) is inf
+    data = Dataset(data.schema, {**data.covariates, "x1": x1}, data.treatment, data.outcome)
+    csv_path = tmp_path / "overflow.csv"
+    write_csv(data, csv_path)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema_to_dict(data.schema)), encoding="utf-8")
+    out = tmp_path / "out"
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path, *spec_args,
+                    "--out", out])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "bad data" in err and "'exp(x1)'" in err and "1 of 400 rows" in err
+    assert not out.exists()
+
+
 def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsys):
     # Two-row terminals with one row per arm: every resample leaves some
     # terminal without an arm, so every replicate is dropped.
@@ -532,12 +555,33 @@ def test_simulate_single_replicate(capsys):
     assert 0.0 <= payload["results"]["correct_tree_prop"] <= 1.0
 
 
-def test_simulate_all_replicates_failing_is_a_fit_failure(capsys):
-    # 40 build rows cannot hold a 100-row root, so every replicate fails
+def test_simulate_all_replicates_failing_is_a_fit_failure(monkeypatch, capsys):
+    import efftree.simulate as simulate
+    from efftree.glm import FitError
+
+    def fit_fails(*args):
+        raise FitError("separation")
+
+    # with --threads 1 the replicates run in this process
+    monkeypatch.setattr(simulate, "run_replicate", fit_fails)
     code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 2,
-                    "--n", 50, "--min-node", 100, "--threads", 1])
+                    "--n", 50, "--threads", 1])
     assert code == 4
     assert "all replicates failed" in capsys.readouterr().err
+
+
+def test_simulate_sample_too_small_for_min_node_is_a_configuration_error(monkeypatch, capsys):
+    import efftree.simulate as simulate
+
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    # 40 build rows cannot hold a 100-row root: rejected before any replicate
+    monkeypatch.setattr(simulate, "run_replicate", no_replicate)
+    code = run_cli(["simulate", "--setting", "homog", "--algo", "g", "--reps", 2,
+                    "--n", 50, "--min-node", 100, "--threads", 1])
+    assert code == 2
+    assert "40 build rows, fewer than min_node=100" in capsys.readouterr().err
 
 
 def test_simulate_rejects_unknown_setting():

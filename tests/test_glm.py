@@ -11,7 +11,7 @@ from efftree.glm import (
     IRLS_MAX_ITER,
     IRLS_TOL,
     FitError,
-    _pivoted_r_diagonal,
+    _pivoted_qr,
     _root_design,
     build_design,
     build_design_difference,
@@ -144,7 +144,7 @@ def test_fit_ols_drops_collinear_column_deterministically():
     x1 = rng.standard_normal(20)
     data = make_data({"x1": x1, "x2": 2 * x1}, np.zeros(20, dtype=int), x1 + 1)
     fit = fit_ols(data, full(data), parse_spec("1 + x1 + x2", "A"))
-    assert fit.rank == 2
+    assert len(fit.kept) == 2
     assert len(fit.dropped) == 1
     again = fit_ols(data, full(data), parse_spec("1 + x1 + x2", "A"))
     assert np.array_equal(fit.dropped, again.dropped)
@@ -180,7 +180,7 @@ def test_fit_logistic_intercept_only():
     data = make_data({"x1": [0, 0, 0, 0]}, [1, 1, 1, 0], [0.0] * 4)
     fit = fit_logistic(data, full(data), parse_spec("1", "A"))
     assert fit.coefficients[0] == pytest.approx(math.log(3.0), abs=1e-6)
-    assert fit.converged
+    assert fit.family == "binomial" and fit.iterations > 0
 
 
 def test_fit_logistic_separation_fails():
@@ -205,14 +205,20 @@ def test_fit_logistic_empty_rows_is_a_degenerate_response():
                          response=response)
 
 
+def reference_qr(Z):
+    """``scipy.linalg.qr(Z, mode="economic", pivoting=True)`` and the rank
+    rule: the number of |R_jj| above |R_00| * max(Z.shape) * eps."""
+    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    return Q, R, piv, int(np.sum(diag > diag[0] * max(Z.shape) * np.finfo(np.float64).eps))
+
+
 def reference_logistic(Z, y):
     """IRLS through the scipy.linalg front ends: the rank from
-    ``scipy.linalg.qr(..., pivoting=True)``, each step from
-    ``scipy.linalg.solve(..., assume_a="pos")``. Returns (coefficients, kept,
-    dropped, iterations), or None where the fit must fail."""
-    _, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > diag[0] * max(Z.shape) * np.finfo(np.float64).eps))
+    ``reference_qr``, each step from ``scipy.linalg.solve(...,
+    assume_a="pos")``. Returns (coefficients, kept, dropped, iterations), or
+    None where the fit must fail."""
+    _, _, piv, rank = reference_qr(Z)
     kept, dropped = np.sort(piv[:rank]), np.sort(piv[rank:])
     Zk = Z[:, kept]
     beta = np.zeros(rank)
@@ -286,6 +292,41 @@ def test_fit_logistic_is_bitwise_the_scipy_reference(seed, n, spec, use_response
     assert fit.iterations == iterations
 
 
+def reference_ols(Z, y):
+    """Least squares through the scipy.linalg front ends: the factorization
+    and rank from ``reference_qr``, the kept coefficients from
+    ``scipy.linalg.solve_triangular``. Returns (coefficients, kept, dropped)."""
+    Q, R, piv, rank = reference_qr(Z)
+    beta = np.zeros(Z.shape[1])
+    beta[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ y)
+    return beta, np.sort(piv[:rank]), np.sort(piv[rank:])
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120),
+       spec=st.sampled_from(sorted(LOGISTIC_SPECS)), resample=st.booleans())
+@example(seed=0, n=60, spec="duplicate-column", resample=False)
+@example(seed=1, n=80, spec="intercept-only", resample=True)
+@example(seed=2, n=50, spec="constant-column", resample=False)
+@example(seed=3, n=6, spec="collinear-levels", resample=True)
+def test_fit_ols_is_bitwise_the_scipy_reference(seed, n, spec, resample):
+    # fit_ols calls LAPACK directly; its coefficients and kept and dropped
+    # columns must be those of the scipy front ends
+    data = mixed_design_data(n=n, seed=seed)
+    rows = np.random.default_rng(seed).integers(0, n, n) if resample else np.arange(n)
+    spec = parse_spec(LOGISTIC_SPECS[spec], "A")
+    Z, _ = build_design(data, rows, spec)
+    if Z.shape[0] < Z.shape[1]:
+        with pytest.raises(FitError, match="insufficient"):
+            fit_ols(data, rows, spec)
+        return
+    coefficients, kept, dropped = reference_ols(Z, data.outcome[rows])
+    fit = fit_ols(data, rows, spec)
+    assert fit.coefficients.tobytes() == coefficients.tobytes()
+    assert fit.kept.dtype == kept.dtype and np.array_equal(fit.kept, kept)
+    assert fit.dropped.dtype == dropped.dtype and np.array_equal(fit.dropped, dropped)
+    assert fit.family == "gaussian" and fit.iterations == 0
+
+
 def test_fit_logistic_drops_a_duplicated_column():
     # the rank-deficient cases of the property above do reach the dropping
     data = mixed_design_data(n=60, seed=3)
@@ -295,16 +336,30 @@ def test_fit_logistic_drops_a_duplicated_column():
 
 
 @pytest.mark.parametrize("width", [1, 5, 140])
-def test_pivoted_r_diagonal_is_that_of_scipy_qr(width):
+def test_pivoted_qr_is_that_of_scipy_qr(width):
     # past 128 columns dgeqp3 eliminates in blocks only when given the
     # workspace that scipy.linalg.qr queries, and the blocks round differently
     rng = np.random.default_rng(width)
     Z = rng.standard_normal((300, width))
     Z[:, -1] = Z[:, 0]
-    _, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    diag, got = _pivoted_r_diagonal(Z)
-    assert diag.tobytes() == np.diag(R).tobytes()
-    assert got.dtype == piv.dtype and np.array_equal(got, piv)
+    Q, R, piv, rank = reference_qr(Z)
+    assert rank == max(width - 1, 1)
+    for with_q in (False, True):
+        got_q, got_r, got_piv, got_rank = _pivoted_qr(Z, with_q=with_q)
+        if with_q:
+            assert got_q.tobytes() == Q.tobytes()
+        else:
+            assert got_q is None
+        assert got_r.tobytes() == R.tobytes() and got_r.flags.c_contiguous == R.flags.c_contiguous
+        assert got_piv.dtype == piv.dtype and np.array_equal(got_piv, piv)
+        assert got_rank == rank
+
+
+def test_pivoted_qr_rejects_a_non_finite_design():
+    Z = np.ones((4, 2))
+    Z[2, 1] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _pivoted_qr(Z)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

@@ -441,6 +441,19 @@ def test_run_experiment_starts_at_most_one_worker_per_replicate(monkeypatch, thr
     assert pooled.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
 
+def test_run_experiment_rejects_a_sample_too_small_before_any_worker_starts(monkeypatch):
+    import efftree.simulate as simulate
+
+    def no_pool(max_workers):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+    setting = SimSetting("homogeneous", n=50, seed=0)
+    config = make_config(setting, "g", min_node=100)
+    with pytest.raises(ValueError, match="40 build rows, fewer than min_node=100"):
+        run_experiment(setting, config, replications=2, seed=5, threads=2)
+
+
 def test_run_experiment_counts_fit_failures_and_propagates_bugs(monkeypatch):
     import efftree.simulate as simulate
     from efftree.glm import FitError
@@ -464,6 +477,13 @@ def test_run_experiment_counts_fit_failures_and_propagates_bugs(monkeypatch):
 
     monkeypatch.setattr(simulate, "run_replicate", bug)
     with pytest.raises(TypeError, match="a bug"):
+        run_experiment(setting, config, replications=2, seed=5, threads=1)
+
+    def value_bug(*args):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(simulate, "run_replicate", value_bug)
+    with pytest.raises(ValueError, match="broadcast"):
         run_experiment(setting, config, replications=2, seed=5, threads=1)
 
 

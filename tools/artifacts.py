@@ -15,6 +15,9 @@ same bytes. The matrix:
 * child scope for ipw, g and dr with ``--max-depth 2`` on a smaller file,
   and on the same file child-scope ipw with ``--variance influence`` and
   child-scope dr, both with ``--bootstrap 20``;
+* child-scope ipw and dr with ``--max-depth 2`` on the 1000-row file, where
+  the validation fits succeed, so the tree splits and its validation
+  statistics are nonzero;
 * g-formula on a file whose effect jumps between levels of the ordinal
   ``g``, so an ``ordinal_cut`` rule is written, loaded and routed;
 * DR with ``--bootstrap 20`` and a propensity design that is rank-deficient
@@ -136,6 +139,10 @@ def fit_runs() -> list[tuple[str, list[str]]]:
     runs.append(("fit-dr-child-boot-gaussian",
                  ["--data", "small.csv", "--estimator", "dr", "--scope", "child",
                   "--max-depth", "2", "--bootstrap", "20"] + specs("dr")))
+    for estimator in ("ipw", "dr"):
+        runs.append((f"fit-{estimator}-child-growth-gaussian",
+                     ["--data", "gaussian.csv", "--estimator", estimator, "--scope", "child",
+                      "--max-depth", "2"] + specs(estimator)))
     return runs
 
 

@@ -52,8 +52,8 @@ from .data import Dataset
 from .glm import (
     FitError,
     ModelFit,
+    arm_designs,
     build_design,
-    build_design_difference,
     fit_logistic,
     fit_ols,
     predict_mean,
@@ -147,10 +147,12 @@ def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
                   models: NuisanceModels) -> Contributions:
     """The estimator's per-row terms on the given rows.
 
-    The g-formula contrast of a gaussian outcome model is taken from the
-    design difference, so a spec without treatment interactions gives an
-    exactly constant delta; the doubly robust delta adds the two
-    inverse-weighted residuals to that contrast.
+    Each model's designs come from one gather of the rows: ``build_design``
+    for the propensity, ``arm_designs`` for the outcome at A=1 and A=0. The
+    g-formula contrast of a gaussian outcome model is taken from the design
+    difference, so a spec without treatment interactions gives an exactly
+    constant delta; the doubly robust delta adds the two inverse-weighted
+    residuals to that contrast.
     """
     if len(rows) == 0:
         raise ValueError("empty subgroup")
@@ -158,20 +160,22 @@ def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
     Y = data.outcome[rows]
     e = g1 = g0 = zdiff = None
     if kind != EstimatorKind.GFORMULA:
-        if models.propensity is None:
+        prop = models.propensity
+        if prop is None:
             raise ValueError("propensity model required")
-        e = np.clip(predict_mean(models.propensity, data, rows),
+        e = np.clip(predict_mean(prop, build_design(data, rows, prop.spec)[0]),
                     models.epsilon, 1.0 - models.epsilon)
     if kind != EstimatorKind.IPW:
         outcome = models.outcome
         if outcome is None:
             raise ValueError("outcome model required")
-        g1 = predict_mean(outcome, data, rows, treatment_override=1)
-        g0 = predict_mean(outcome, data, rows, treatment_override=0)
+        Z1, Z0, D = arm_designs(data, rows, outcome.spec)
+        g1 = predict_mean(outcome, Z1)
+        g0 = predict_mean(outcome, Z0)
         if outcome.family == "binomial":
             gdelta = g1 - g0
         else:
-            zdiff = build_design_difference(data, rows, outcome.spec)[:, outcome.kept]
+            zdiff = D[:, outcome.kept]
             gdelta = zdiff @ outcome.coefficients[outcome.kept]
 
     if kind == EstimatorKind.IPW:
@@ -260,9 +264,12 @@ def sandwich_terms(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
     Y - Z beta) for g-formula. ``grad`` is the per-row gradient of the
     contrast in the model coefficients, and ``info`` the information matrix
     over the rows. ``terms`` are the estimator's contributions on ``rows``.
+    The rows are gathered once at the observed treatment, and a binomial
+    outcome's once more at both arms (``arm_designs``).
     """
     fit = models.propensity if kind == EstimatorKind.IPW else models.outcome
-    design = build_design(data, rows, fit.spec)[0][:, fit.kept]
+    Z = build_design(data, rows, fit.spec)[0]
+    design = Z[:, fit.kept]
     if kind == EstimatorKind.IPW:
         A, Y, e = terms.A, terms.Y, terms.e
         h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
@@ -271,10 +278,10 @@ def sandwich_terms(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
         residual = A - e
     elif fit.family == "binomial":
         g1, g0 = terms.g1, terms.g0
-        Z1 = build_design(data, rows, fit.spec, treatment_override=1)[0][:, fit.kept]
-        Z0 = build_design(data, rows, fit.spec, treatment_override=0)[0][:, fit.kept]
+        Z1, Z0, _ = arm_designs(data, rows, fit.spec)
+        Z1, Z0 = Z1[:, fit.kept], Z0[:, fit.kept]
         grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
-        ghat = predict_mean(fit, data, rows)
+        ghat = predict_mean(fit, Z)
         weight = ghat * (1 - ghat)
         residual = terms.Y - ghat
     else:
@@ -307,10 +314,9 @@ def if_variance(terms_l: Contributions, terms_r: Contributions, n_union: int) ->
     return _checked_variance(var, scale, n_union)
 
 
-def _uncentered_sandwich(sum_sq_infl: float, n_p: int, p_l: float, p_r: float,
-                         t_l: float, t_r: float) -> float:
+def uncentered_sandwich(sum_sq_infl, n_p, p_l, p_r, t_l, t_r):
     """Sandwich variance from the sum of squared uncentered influences:
-    subtract the subgroup-share centering term."""
+    subtract the subgroup-share centering term; elementwise on arrays."""
     return (sum_sq_infl / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
 
 
@@ -344,7 +350,7 @@ def ipw_variance_per_child(
 
     t_hat = t_l - t_r
     sum_sq = float(np.sum((infl_l / p_l - t_hat)**2) + np.sum((-infl_r / p_r - t_hat)**2))
-    var = _uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
+    var = uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
     return _checked_variance(var, (sq_l + sq_r) / n_p, n_p)
 
 

@@ -18,7 +18,9 @@ Every function taking ``rows`` works on a row-index array: integer indices
 into the dataset, in the order given, duplicates allowed, so a resampled
 index array is a bootstrap replicate's rows. A subgroup's model matrix is
 those rows of one treatment-free root design per (dataset, spec), with the
-treatment-involving columns scaled by A.
+treatment-involving columns scaled by A: ``build_design`` at the observed
+treatment, ``arm_designs`` at A=1 and A=0 from one gather; ``predict_mean``
+takes a built design.
 Both fits share one prologue: the design, a column-pivoted QR that drops
 rank-deficient columns deterministically instead of failing, and one fit
 record. Row gathers use ``np.take``, and both fits call LAPACK (``dgeqp3``,
@@ -259,44 +261,33 @@ def check_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_design(
-    data: Dataset,
-    rows: np.ndarray,
-    spec: DesignSpec,
-    treatment_override: Optional[int] = None,
-) -> tuple[np.ndarray, list[str]]:
-    """Model matrix of the given rows, one matrix row per index.
-
-    ``treatment_override`` substitutes a constant A=a in the treatment main
-    effect and every treatment interaction, leaving other columns unchanged.
-    """
+def build_design(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> tuple[np.ndarray, list[str]]:
+    """Model matrix of the given rows at their observed treatment, one
+    matrix row per index."""
     rows = check_rows(rows)
     F, labels, treated = _root_design(data, spec)
     Z = np.take(F, rows, axis=0)
-    treated_cols = np.flatnonzero(treated)
-    if len(treated_cols) and treatment_override != 1:
-        if treatment_override is None:
-            a = data.treatment[rows].astype(np.float64)
-        else:
-            a = float(treatment_override)
-        for j in treated_cols:
-            # in place, one column at a time: a boolean column mask would
-            # gather the columns into a copy and scatter them back
-            Z[:, j] *= a
+    a = data.treatment[rows].astype(np.float64)
+    for j in np.flatnonzero(treated):
+        # in place, one column at a time: a boolean column mask would
+        # gather the columns into a copy and scatter them back
+        Z[:, j] *= a
     return Z, list(labels)
 
 
-def build_design_difference(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> np.ndarray:
-    """design(A=1) - design(A=0) of the given rows.
-
-    Only treatment-involving columns are nonzero, so the difference is exact
-    (no floating-point cancellation) and cheap.
-    """
+def arm_designs(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> tuple[np.ndarray, ...]:
+    """``(Z1, Z0, D)``: the model matrices of the given rows at A=1 and A=0
+    and D = Z1 - Z0, from one gather. D is Z1 with the columns free of A set
+    to 0.0, so it is exact and keeps the sign of a -0.0 factor."""
     rows = check_rows(rows)
     F, _, treated = _root_design(data, spec)
-    D = np.take(F, rows, axis=0)
+    Z1 = np.take(F, rows, axis=0)
+    Z0 = Z1.copy()
+    for j in np.flatnonzero(treated):
+        Z0[:, j] *= 0.0
+    D = Z1.copy()
     D[:, ~treated] = 0.0
-    return D
+    return Z1, Z0, D
 
 
 @dataclass
@@ -433,14 +424,8 @@ def fit_logistic(
     return ModelFit(spec, "binomial", full, kept, dropped, labels, iterations)
 
 
-def predict_mean(
-    fit: ModelFit,
-    data: Dataset,
-    rows: np.ndarray,
-    treatment_override: Optional[int] = None,
-) -> np.ndarray:
-    """Predicted mean of each given row; inverse-logit for logistic fits."""
-    Z, _ = build_design(data, rows, fit.spec, treatment_override)
+def predict_mean(fit: ModelFit, Z: np.ndarray) -> np.ndarray:
+    """Predicted mean of each row of the model matrix ``Z``; inverse-logit for logistic fits."""
     eta = Z @ fit.coefficients
     if fit.family == "binomial":
         return 1.0 / (1.0 + np.exp(-np.clip(eta, -_LINPRED_CLIP, _LINPRED_CLIP)))

@@ -52,6 +52,7 @@ from .estimators import (
     shared_models,
     solve_information,
     subgroup_terms,
+    uncentered_sandwich,
     variance_floor,
 )
 from .glm import FitError, check_rows
@@ -431,7 +432,7 @@ def candidate_statistics(
                 base_score -= t_hat[:, None] * tables.score_total[None, :]
                 cross = np.einsum("cq,cq->c", base_score, c)
                 sum_sq = base_sq + 2.0 * tables.corr_sign * cross + corr_sq
-                variance = (sum_sq / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
+                variance = uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
 
         ok = admissible & np.isfinite(variance) & (variance > variance_floor(tables.msq, n_p))
         statistic = np.where(ok, t_hat**2 / np.where(ok, variance, 1.0), -np.inf)

@@ -441,10 +441,12 @@ def run_experiment(
     A replicate that cannot be fit (FitError) is excluded and counted, and
     FitError is raised if no replicate is left; any other error propagates.
     ValueError, before any replicate runs, for fewer than one replication or
-    a sample too small for ``min_node`` (``check_sample_size``).
+    thread, or a sample too small for ``min_node`` (``check_sample_size``).
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
     check_sample_size(setting, config)
     jobs = [(setting, config, i, seed, lam) for i in range(replications)]
     results: list[Optional[ReplicateResult]] = [None] * replications

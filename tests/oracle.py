@@ -25,7 +25,6 @@ from efftree.estimators import (
     NuisanceScope,
     VarianceMethod,
     _checked_variance,
-    _uncentered_sandwich,
     contributions,
     fit_nuisance,
     if_variance,
@@ -33,6 +32,7 @@ from efftree.estimators import (
     node_effect,
     sandwich_terms,
     solve_information,
+    uncentered_sandwich,
 )
 from efftree.glm import FitError, ModelFit, check_rows
 from efftree.search import SplitContrast
@@ -62,7 +62,7 @@ def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows_l: np.ndarray,
     c = solve_information(info, grad[in_l].mean(axis=0) - grad[~in_l].mean(axis=0))
     if kind == EstimatorKind.IPW:
         infl = np.where(in_l, delta / p_l, -delta / p_r) - (t_l - t_r) - residual * (design @ c)
-        var = _uncentered_sandwich(float(np.sum(infl**2)), n_p, p_l, p_r, t_l, t_r)
+        var = uncentered_sandwich(float(np.sum(infl**2)), n_p, p_l, p_r, t_l, t_r)
     else:
         infl = np.where(in_l, (delta - t_l) / p_l, -(delta - t_r) / p_r) + residual * (design @ c)
         var = float(np.sum(infl**2)) / n_p / n_p

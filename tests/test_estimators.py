@@ -20,7 +20,7 @@ from efftree.estimators import (
     shared_models,
     subgroup_terms,
 )
-from efftree.glm import build_design, fit_logistic, fit_ols, parse_spec, predict_mean
+from efftree.glm import arm_designs, build_design, fit_logistic, fit_ols, parse_spec, predict_mean
 from efftree.search import split_contrast
 from efftree.tree import GrowConfig
 from oracle import g_variance_pooled, ipw_variance_pooled
@@ -86,7 +86,7 @@ def test_ipw_matches_plugin_formula_oracle():
     eff = estimate_ipw(data, full(data), models)
 
     # oracle: plug-in evaluation, term by term
-    e = np.clip(predict_mean(fit, data, full(data)), 0.01, 0.99)
+    e = np.clip(predict_mean(fit, build_design(data, full(data), spec)[0]), 0.01, 0.99)
     mu1 = sum(A[i] * Y[i] / e[i] for i in range(n)) / n
     mu0 = sum((1 - A[i]) * Y[i] / (1 - e[i]) for i in range(n)) / n
     assert eff.mu1 == pytest.approx(mu1, abs=1e-10)
@@ -184,7 +184,7 @@ def test_dr_matches_augmented_formula_oracle():
     models = NuisanceModels(propensity=prop, outcome=out, epsilon=0.01)
     eff = estimate_dr(data, full(data), models)
 
-    e = np.clip(predict_mean(prop, data, full(data)), 0.01, 0.99)
+    e = np.clip(predict_mean(prop, build_design(data, full(data), prop.spec)[0]), 0.01, 0.99)
     b = out.coefficients
     g1 = np.array([b[0] + b[1] * x1[i] + b[2] for i in range(n)])
     g0 = np.array([b[0] + b[1] * x1[i] for i in range(n)])
@@ -307,8 +307,9 @@ def fixture_40(seed=31):
 def theorem_pooled_variance_oracle(data, rows_l, rows_r, fit, epsilon):
     """From-scratch pooled sandwich evaluation with explicit loops."""
     rows = np.union1d(rows_l, rows_r)
-    X = build_design(data, rows, fit.spec)[0][:, fit.kept]
-    e = np.clip(predict_mean(fit, data, rows), epsilon, 1 - epsilon)
+    X = build_design(data, rows, fit.spec)[0]
+    e = np.clip(predict_mean(fit, X), epsilon, 1 - epsilon)
+    X = X[:, fit.kept]
     A = data.treatment[rows].astype(float)
     Y = data.outcome[rows]
     in_l = np.isin(rows, rows_l)
@@ -366,8 +367,9 @@ def theorem_per_child_variance_oracle(data, rows_l, rows_r, fit_l, fit_r, epsilo
     """From-scratch per-child sandwich evaluation with explicit loops."""
     sides = {}
     for name, rows, fit in (("l", rows_l, fit_l), ("r", rows_r, fit_r)):
-        X = build_design(data, rows, fit.spec)[0][:, fit.kept]
-        e = np.clip(predict_mean(fit, data, rows), epsilon, 1 - epsilon)
+        X = build_design(data, rows, fit.spec)[0]
+        e = np.clip(predict_mean(fit, X), epsilon, 1 - epsilon)
+        X = X[:, fit.kept]
         A = data.treatment[rows].astype(float)
         Y = data.outcome[rows]
         n_s = len(rows)
@@ -427,8 +429,8 @@ def g_pooled_variance_oracle(data, rows_l, rows_r, fit):
     """From-scratch g-formula sandwich evaluation with explicit loops."""
     rows = np.union1d(rows_l, rows_r)
     Z = build_design(data, rows, fit.spec)[0][:, fit.kept]
-    Z1 = build_design(data, rows, fit.spec, treatment_override=1)[0][:, fit.kept]
-    Z0 = build_design(data, rows, fit.spec, treatment_override=0)[0][:, fit.kept]
+    Z1, Z0, _ = arm_designs(data, rows, fit.spec)
+    Z1, Z0 = Z1[:, fit.kept], Z0[:, fit.kept]
     beta = fit.coefficients[fit.kept]
     Y = data.outcome[rows]
     in_l = np.isin(rows, rows_l)

@@ -13,8 +13,8 @@ from efftree.glm import (
     FitError,
     _pivoted_qr,
     _root_design,
+    arm_designs,
     build_design,
-    build_design_difference,
     check_factor,
     fit_logistic,
     fit_ols,
@@ -401,8 +401,8 @@ def test_logistic_score_equations_hold():
     data = make_data({"x1": x1}, A, np.zeros(n))
     spec = parse_spec("1 + x1", "A")
     fit = fit_logistic(data, full(data), spec)
-    e = predict_mean(fit, data, full(data))
     X, _ = build_design(data, full(data), spec)
+    e = predict_mean(fit, X)
     score = X.T @ (A - e)
     assert np.all(np.abs(score) < 1e-6)
 
@@ -414,7 +414,7 @@ def test_predict_mean_linear_example():
     data = make_data({"x1": [3.0]}, [0], [0.0])
     fit = fit_ols(make_data({"x1": [0.0, 1.0, 2.0]}, [0, 0, 0], [1.0, 3.0, 5.0]),
                   np.arange(3), parse_spec("1 + x1", "A"))
-    pred = predict_mean(fit, data, full(data))
+    pred = predict_mean(fit, build_design(data, full(data), fit.spec)[0])
     assert pred[0] == pytest.approx(7.0, abs=1e-10)
 
 
@@ -422,7 +422,7 @@ def test_predict_mean_logistic_intercept_zero():
     data = make_data({"x1": [1.0, -1.0, 4.0]}, [0, 1, 0], np.zeros(3))
     base = make_data({"x1": [0.0, 0.0, 0.0, 0.0]}, [1, 0, 1, 0], np.zeros(4))
     fit = fit_logistic(base, np.arange(4), parse_spec("1", "A"))
-    pred = predict_mean(fit, data, full(data))
+    pred = predict_mean(fit, build_design(data, full(data), fit.spec)[0])
     assert pred == pytest.approx([0.5, 0.5, 0.5], abs=1e-8)
 
 
@@ -437,7 +437,7 @@ def test_predict_mean_matches_dot_product_oracle():
     spec = parse_spec("1 + x1 + A + A:x2", "A")
     fit = fit_ols(data, full(data), spec)
     rows = np.flatnonzero(np.arange(n) % 3 == 0)
-    pred = predict_mean(fit, data, rows, treatment_override=1)
+    pred = predict_mean(fit, arm_designs(data, rows, spec)[0])
     b = fit.coefficients
     expected = [b[0] + b[1] * x1[i] + b[2] * 1.0 + b[3] * 1.0 * x2[i] for i in rows]
     assert pred == pytest.approx(expected, abs=1e-10)
@@ -451,7 +451,8 @@ def test_predictions_invariant_to_row_order():
     y = x1 + A + rng.standard_normal(n)
     data = make_data({"x1": x1}, A, y)
     fit = fit_ols(data, full(data), parse_spec("1 + x1 + A", "A"))
-    direct = predict_mean(fit, data, np.flatnonzero(np.arange(n) < 10))
+    rows = np.flatnonzero(np.arange(n) < 10)
+    direct = predict_mean(fit, build_design(data, rows, fit.spec)[0])
     perm = np.concatenate([np.arange(10)[::-1], np.arange(10, n)])
     reordered = Dataset(
         data.schema,
@@ -459,19 +460,17 @@ def test_predictions_invariant_to_row_order():
         A[perm],
         y[perm],
     )
-    flipped = predict_mean(fit, reordered, np.flatnonzero(np.arange(n) < 10))
+    flipped = predict_mean(fit, build_design(reordered, rows, fit.spec)[0])
     assert sorted(direct) == pytest.approx(sorted(flipped), abs=1e-12)
 
 
-def test_treatment_override_changes_only_treatment_columns():
+def test_arm_designs_change_only_treatment_columns():
     rng = np.random.default_rng(12)
     n = 15
     x1 = rng.standard_normal(n)
     data = make_data({"x1": x1}, rng.integers(0, 2, n), rng.standard_normal(n))
     spec = parse_spec("1 + x1 + A + A:x1", "A")
-    Z1, _ = build_design(data, full(data), spec, treatment_override=1)
-    Z0, _ = build_design(data, full(data), spec, treatment_override=0)
-    diff = build_design_difference(data, full(data), spec)
+    Z1, Z0, diff = arm_designs(data, full(data), spec)
     assert np.allclose(Z1 - Z0, diff)
     assert np.allclose(diff[:, 0], 0)  # intercept
     assert np.allclose(diff[:, 1], 0)  # x1 main effect
@@ -498,21 +497,29 @@ def mixed_design_data(n=80, seed=14):
     return Dataset(schema, covariates, rng.integers(0, 2, n), rng.standard_normal(n))
 
 
+def design_at(data, rows, spec, override):
+    """The design at the observed treatment (override None) or at A=override."""
+    if override is None:
+        return build_design(data, rows, spec)[0]
+    Z1, Z0, _ = arm_designs(data, rows, spec)
+    return Z1 if override == 1 else Z0
+
+
 @pytest.mark.parametrize("override", [None, 0, 1])
 def test_subgroup_design_equals_design_of_taken_rows(override):
     # A subgroup's design is a row slice of the dataset's root design; a
     # dataset made of just those rows builds its own root design, so the two
-    # must agree exactly, for every transform and treatment override.
+    # must agree exactly, for every transform and treatment arm.
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     rng = np.random.default_rng(15)
     for size in (1, 17, data.n):
         rows = np.sort(rng.choice(data.n, size=size, replace=False))
         sub = data.take(rows)
-        Z, labels = build_design(data, rows, spec, override)
-        Z_sub, labels_sub = build_design(sub, full(sub), spec, override)
-        assert np.array_equal(Z, Z_sub)
-        assert labels == labels_sub
+        assert np.array_equal(design_at(data, rows, spec, override),
+                              design_at(sub, full(sub), spec, override))
+        labels = build_design(data, rows, spec)[1]
+        assert labels == build_design(sub, full(sub), spec)[1]
     assert labels[:3] == ["1", "A", "x1"]
     assert "c[B]" in labels and "A:c[D]" in labels and "A:in(c,A,C)" in labels
 
@@ -542,9 +549,8 @@ def test_design_difference_is_exact_difference_of_overrides():
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     rows = np.flatnonzero(np.arange(data.n) % 3 != 1)
-    Z1, _ = build_design(data, rows, spec, treatment_override=1)
-    Z0, _ = build_design(data, rows, spec, treatment_override=0)
-    assert np.array_equal(build_design_difference(data, rows, spec), Z1 - Z0)
+    Z1, Z0, D = arm_designs(data, rows, spec)
+    assert np.array_equal(D, Z1 - Z0)
 
 
 def gathered_design(data, rows, spec, override):
@@ -560,7 +566,12 @@ def gathered_design(data, rows, spec, override):
     return Z, D
 
 
-@pytest.mark.parametrize("override", [None, 0, 1, 2])
+def assert_same_bytes(got, ref):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("override", [None, 0, 1])
 @pytest.mark.parametrize("rows", [
     np.array([57, 3, 41, 0, 79, 12]),
     np.array([5, 5, 70, 5, 0, 70]),
@@ -568,11 +579,32 @@ def gathered_design(data, rows, spec, override):
     np.arange(80, dtype=np.int32)[::-1],
 ], ids=["unsorted", "duplicated", "empty", "all-reversed-int32"])
 def test_designs_equal_fancy_indexing_of_the_root_design(rows, override):
+    # override None checks build_design; 1 and 0 check arm_designs' Z1 and Z0
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     Z_ref, D_ref = gathered_design(data, rows, spec, override)
-    Z, _ = build_design(data, rows, spec, override)
-    D = build_design_difference(data, rows, spec)
-    for got, ref in ((Z, Z_ref), (D, D_ref)):
-        assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert got.tobytes() == ref.tobytes()
+    assert_same_bytes(design_at(data, rows, spec, override), Z_ref)
+    assert_same_bytes(arm_designs(data, rows, spec)[2], D_ref)
+
+
+def test_design_difference_keeps_a_negative_zero_factor():
+    # Z1 - Z0 would turn the -0.0 of an interaction column into +0.0
+    x1 = np.array([-0.0, 1.5, -0.0, -2.0, 0.0])
+    data = make_data({"x1": x1}, [1, 0, 0, 1, 1], np.zeros(5))
+    spec = parse_spec("1 + A + x1 + A:x1", "A")
+    rows = np.array([2, 0, 1, 4, 3, 0])
+    Z1, Z0, D = arm_designs(data, rows, spec)
+    assert np.signbit(D[:, 3]).tolist() == np.signbit(x1[rows]).tolist()
+    for got, override in ((Z1, 1), (Z0, 0)):
+        assert_same_bytes(got, gathered_design(data, rows, spec, override)[0])
+    assert_same_bytes(D, gathered_design(data, rows, spec, 1)[1])
+
+
+def test_arm_designs_without_a_treatment_column_are_the_observed_design():
+    data = mixed_design_data()
+    spec = parse_spec("1 + x1 + c + exp(x2)", "A")
+    rows = np.array([7, 3, 3, 60])
+    Z1, Z0, D = arm_designs(data, rows, spec)
+    assert_same_bytes(Z0, Z1)
+    assert_same_bytes(Z1, build_design(data, rows, spec)[0])
+    assert_same_bytes(D, np.zeros_like(Z1))

@@ -9,7 +9,7 @@ import pytest
 
 from efftree.data import SubgroupMask
 from efftree.estimators import NuisanceScope, VarianceMethod
-from efftree.glm import build_design, fit_logistic, parse_spec
+from efftree.glm import arm_designs, build_design, fit_logistic, parse_spec
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import grow_max_tree
 from oracle import g_variance_pooled, split_contrast
@@ -27,8 +27,8 @@ def test_binomial_g_sandwich_matches_loop_oracle():
     # loop oracle with the logistic-family score, information, and
     # prediction gradients
     Z = build_design(data, full, spec)[0][:, fit.kept]
-    Z1 = build_design(data, full, spec, treatment_override=1)[0][:, fit.kept]
-    Z0 = build_design(data, full, spec, treatment_override=0)[0][:, fit.kept]
+    Z1, Z0, _ = arm_designs(data, full, spec)
+    Z1, Z0 = Z1[:, fit.kept], Z0[:, fit.kept]
     beta = fit.coefficients[fit.kept]
     expit = lambda v: 1 / (1 + np.exp(-v))
     g1 = expit(Z1 @ beta)

@@ -454,6 +454,20 @@ def test_run_experiment_rejects_a_sample_too_small_before_any_worker_starts(monk
         run_experiment(setting, config, replications=2, seed=5, threads=2)
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_run_experiment_rejects_threads_below_one_before_any_replicate_runs(monkeypatch, threads):
+    import efftree.simulate as simulate
+
+    def no_replicate(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(simulate, "run_replicate", no_replicate)
+    setting = SimSetting("homogeneous", n=200, seed=0)
+    config = make_config(setting, "g")
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_experiment(setting, config, replications=2, seed=5, threads=threads)
+
+
 def test_run_experiment_counts_fit_failures_and_propagates_bugs(monkeypatch):
     import efftree.simulate as simulate
     from efftree.glm import FitError

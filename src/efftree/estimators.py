@@ -49,18 +49,13 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset
-from .glm import (
-    FitError,
-    ModelFit,
-    arm_designs,
-    build_design,
-    fit_logistic,
-    fit_ols,
-    predict_mean,
-)
+from .glm import Design, FitError, ModelFit, fit_logistic, fit_ols, predict_mean
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
+
+# A subgroup's (propensity, outcome) designs, None for a model not in use.
+Designs = tuple[Optional[Design], Optional[Design]]
 
 # Relative floor distinguishing true degenerate contrasts (identical
 # contributions, variance exactly zero up to rounding) from genuinely tiny
@@ -135,6 +130,7 @@ class Contributions:
     d1: np.ndarray
     d0: np.ndarray
     delta: np.ndarray
+    designs: Designs  # of the rows, reused by ``sandwich_terms``
 
     @property
     def smaller_arm(self) -> int:
@@ -144,15 +140,15 @@ class Contributions:
 
 
 def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
-                  models: NuisanceModels) -> Contributions:
+                  models: NuisanceModels, designs: Designs) -> Contributions:
     """The estimator's per-row terms on the given rows.
 
-    Each model's designs come from one gather of the rows: ``build_design``
-    for the propensity, ``arm_designs`` for the outcome at A=1 and A=0. The
-    g-formula contrast of a gaussian outcome model is taken from the design
-    difference, so a spec without treatment interactions gives an exactly
-    constant delta; the doubly robust delta adds the two inverse-weighted
-    residuals to that contrast.
+    ``designs`` are the rows' designs (``model_designs``): the propensity
+    is evaluated at the observed treatment, the outcome at A=1 and A=0.
+    The g-formula contrast of a gaussian outcome model is taken from the
+    design difference, so a spec without treatment interactions gives an
+    exactly constant delta; the doubly robust delta adds the two
+    inverse-weighted residuals to that contrast.
     """
     if len(rows) == 0:
         raise ValueError("empty subgroup")
@@ -163,19 +159,18 @@ def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
         prop = models.propensity
         if prop is None:
             raise ValueError("propensity model required")
-        e = np.clip(predict_mean(prop, build_design(data, rows, prop.spec)[0]),
+        e = np.clip(predict_mean(prop, designs[0].observed()),
                     models.epsilon, 1.0 - models.epsilon)
     if kind != EstimatorKind.IPW:
         outcome = models.outcome
         if outcome is None:
             raise ValueError("outcome model required")
-        Z1, Z0, D = arm_designs(data, rows, outcome.spec)
-        g1 = predict_mean(outcome, Z1)
-        g0 = predict_mean(outcome, Z0)
+        g1 = predict_mean(outcome, designs[1].at_one)
+        g0 = predict_mean(outcome, designs[1].at_zero())
         if outcome.family == "binomial":
             gdelta = g1 - g0
         else:
-            zdiff = D[:, outcome.kept]
+            zdiff = designs[1].difference()[:, outcome.kept]
             gdelta = zdiff @ outcome.coefficients[outcome.kept]
 
     if kind == EstimatorKind.IPW:
@@ -190,7 +185,7 @@ def contributions(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
         d1 = g1 + r1
         d0 = g0 + r0
         delta = gdelta + r1 - r0
-    return Contributions(A, Y, e, g1, g0, zdiff, d1, d0, delta)
+    return Contributions(A, Y, e, g1, g0, zdiff, d1, d0, delta, designs)
 
 
 def node_effect(c: Contributions) -> NodeEffect:
@@ -202,7 +197,9 @@ def node_effect(c: Contributions) -> NodeEffect:
 
 def _estimate(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
               models: NuisanceModels) -> NodeEffect:
-    return node_effect(contributions(kind, data, rows, models))
+    designs = tuple(None if fit is None else Design(data, rows, fit.spec)
+                    for fit in (models.propensity, models.outcome))
+    return node_effect(contributions(kind, data, rows, models, designs))
 
 
 def estimate_ipw(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> NodeEffect:
@@ -253,22 +250,21 @@ def solve_information(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise InadmissibleSplitError("singular information matrix")
 
 
-def sandwich_terms(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
-                   models: NuisanceModels, terms: Contributions):
-    """Per-row pieces of the sandwich variance on the given rows:
-    ``(design, residual, grad, info)``.
+def sandwich_terms(kind: EstimatorKind, models: NuisanceModels, terms: Contributions):
+    """Per-row pieces of the sandwich variance on the rows of ``terms``, the
+    estimator's contributions: ``(design, residual, grad, info)``.
 
     ``design`` holds the nuisance model's kept design columns (the
     propensity model for IPW, the outcome model for g-formula), and
     ``residual * design`` is each row's score: A - e for IPW, Y - g_hat (or
     Y - Z beta) for g-formula. ``grad`` is the per-row gradient of the
     contrast in the model coefficients, and ``info`` the information matrix
-    over the rows. ``terms`` are the estimator's contributions on ``rows``.
-    The rows are gathered once at the observed treatment, and a binomial
-    outcome's once more at both arms (``arm_designs``).
+    over the rows. The model matrices come from the design that ``terms``
+    carries, so no row is gathered again.
     """
     fit = models.propensity if kind == EstimatorKind.IPW else models.outcome
-    Z = build_design(data, rows, fit.spec)[0]
+    built = terms.designs[0 if kind == EstimatorKind.IPW else 1]
+    Z = built.observed()
     design = Z[:, fit.kept]
     if kind == EstimatorKind.IPW:
         A, Y, e = terms.A, terms.Y, terms.e
@@ -278,17 +274,16 @@ def sandwich_terms(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
         residual = A - e
     elif fit.family == "binomial":
         g1, g0 = terms.g1, terms.g0
-        Z1, Z0, _ = arm_designs(data, rows, fit.spec)
-        Z1, Z0 = Z1[:, fit.kept], Z0[:, fit.kept]
+        Z1, Z0 = built.at_one[:, fit.kept], built.at_zero()[:, fit.kept]
         grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
         ghat = predict_mean(fit, Z)
         weight = ghat * (1 - ghat)
         residual = terms.Y - ghat
     else:
-        info = design.T @ design / len(rows)
+        info = design.T @ design / len(Z)
         residual = terms.Y - design @ fit.coefficients[fit.kept]
         return design, residual, terms.zdiff, info
-    info = (design * weight[:, None]).T @ design / len(rows)
+    info = (design * weight[:, None]).T @ design / len(Z)
     return design, residual, grad, info
 
 
@@ -321,9 +316,6 @@ def uncentered_sandwich(sum_sq_infl, n_p, p_l, p_r, t_l, t_r):
 
 
 def ipw_variance_per_child(
-    data: Dataset,
-    rows_l: np.ndarray,
-    rows_r: np.ndarray,
     fitted_l: tuple[NuisanceModels, Contributions],
     fitted_r: tuple[NuisanceModels, Contributions],
 ) -> float:
@@ -336,13 +328,13 @@ def ipw_variance_per_child(
     children (the child score blocks of the estimating-equation Jacobian
     carry the subgroup shares).
     """
-    n_l, n_r = len(rows_l), len(rows_r)
+    n_l, n_r = len(fitted_l[1].delta), len(fitted_r[1].delta)
     n_p = n_l + n_r
     p_l, p_r = n_l / n_p, n_r / n_p
 
     parts = []
-    for rows, (models, terms) in ((rows_l, fitted_l), (rows_r, fitted_r)):
-        X, residual, grad, info = sandwich_terms(EstimatorKind.IPW, data, rows, models, terms)
+    for models, terms in (fitted_l, fitted_r):
+        X, residual, grad, info = sandwich_terms(EstimatorKind.IPW, models, terms)
         c = solve_information(info, grad.mean(axis=0))
         delta = terms.delta
         parts.append((float(delta.mean()), delta - residual * (X @ c), float(np.sum(delta**2))))
@@ -354,17 +346,27 @@ def ipw_variance_per_child(
     return _checked_variance(var, (sq_l + sq_r) / n_p, n_p)
 
 
-def fit_nuisance(data: Dataset, rows: np.ndarray, config: GrowConfig) -> NuisanceModels:
-    """Fit the nuisance models the configured estimator needs on the given rows."""
-    propensity = None
-    outcome = None
-    if config.estimator in (EstimatorKind.IPW, EstimatorKind.DR):
-        propensity = fit_logistic(data, rows, config.propensity_spec)
-    if config.estimator in (EstimatorKind.GFORMULA, EstimatorKind.DR):
-        if config.outcome_family == "binomial":
-            outcome = fit_logistic(data, rows, config.outcome_spec, response=data.outcome)
-        else:
-            outcome = fit_ols(data, rows, config.outcome_spec)
+def model_designs(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Designs:
+    """``(propensity, outcome)`` designs of the given rows, one gather per
+    model the configured estimator uses and None for the other."""
+    propensity = outcome = None
+    if config.estimator != EstimatorKind.GFORMULA:
+        propensity = Design(data, rows, config.propensity_spec)
+    if config.estimator != EstimatorKind.IPW:
+        outcome = Design(data, rows, config.outcome_spec)
+    return propensity, outcome
+
+
+def fit_nuisance(data: Dataset, rows: np.ndarray, config: GrowConfig,
+                 designs: Designs) -> NuisanceModels:
+    """Fit the nuisance models the configured estimator needs on the given
+    rows, whose ``model_designs`` are ``designs``."""
+    propensity = outcome = None
+    if designs[0] is not None:
+        propensity = fit_logistic(designs[0], data.treatment[rows])
+    if designs[1] is not None:
+        fit = fit_logistic if config.outcome_family == "binomial" else fit_ols
+        outcome = fit(designs[1], data.outcome[rows])
     return NuisanceModels(propensity=propensity, outcome=outcome, epsilon=config.epsilon)
 
 
@@ -374,21 +376,23 @@ def shared_models(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Option
     each subgroup fits its own. A FitError propagates."""
     if config.scope != NuisanceScope.WHOLE:
         return None
-    return fit_nuisance(data, rows, config)
+    return fit_nuisance(data, rows, config, model_designs(data, rows, config))
 
 
 def subgroup_terms(data: Dataset, rows: np.ndarray, config: GrowConfig,
                    shared: Optional[NuisanceModels] = None) -> tuple[NuisanceModels, Contributions]:
     """A subgroup's models (``shared`` if given, else a fit on ``rows``) and
-    its per-row terms; InadmissibleSplitError when that fit fails or, under
-    IPW or DR, an arm is empty."""
+    its per-row terms from one ``model_designs`` of the rows;
+    InadmissibleSplitError when that fit fails or, under IPW or DR, an arm
+    is empty."""
+    designs = model_designs(data, rows, config)
     models = shared
     if models is None:
         try:
-            models = fit_nuisance(data, rows, config)
+            models = fit_nuisance(data, rows, config, designs)
         except FitError as err:
             raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
-    terms = contributions(config.estimator, data, rows, models)
+    terms = contributions(config.estimator, data, rows, models, designs)
     if config.estimator != EstimatorKind.GFORMULA and terms.smaller_arm == 0:
         raise InadmissibleSplitError("empty treatment arm")
     return models, terms

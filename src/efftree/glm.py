@@ -14,18 +14,18 @@ treatment interaction. The intercept is implicit when ``1`` is omitted.
 Categorical factors expand to reference-coded dummies (first declared level
 is the reference); ``in(col,L1,L2)`` is a single membership indicator.
 
-Every function taking ``rows`` works on a row-index array: integer indices
-into the dataset, in the order given, duplicates allowed, so a resampled
-index array is a bootstrap replicate's rows. A subgroup's model matrix is
-those rows of one treatment-free root design per (dataset, spec), with the
-treatment-involving columns scaled by A: ``build_design`` at the observed
-treatment, ``arm_designs`` at A=1 and A=0 from one gather; ``predict_mean``
-takes a built design.
-Both fits share one prologue: the design, a column-pivoted QR that drops
-rank-deficient columns deterministically instead of failing, and one fit
-record. Row gathers use ``np.take``, and both fits call LAPACK (``dgeqp3``,
-``dorgqr``, ``dposv``) directly: each gives the bits of the fancy-indexing
-or ``scipy.linalg`` call it replaces, without their per-call overhead.
+``Design`` takes ``rows``, a row-index array: integer indices into the
+dataset, in the order given, duplicates allowed, so a resampled index array
+is a bootstrap replicate's rows. It gathers them once from a treatment-free
+root design per (dataset, spec), at A=1, and derives their matrices at the
+observed treatment and at A=0 and the difference; both fits take a
+``Design``, and ``predict_mean`` one of its matrices.
+Both fits share one prologue: the observed design, a column-pivoted QR that
+drops rank-deficient columns deterministically instead of failing, and one
+fit record. Row gathers use ``np.take``, and both fits call LAPACK
+(``dgeqp3``, ``dorgqr``, ``dposv``) directly: each gives the bits of the
+fancy-indexing or ``scipy.linalg`` call it replaces, without their per-call
+overhead.
 """
 
 from __future__ import annotations
@@ -185,40 +185,39 @@ def check_factor(factor: Factor, schema: Schema) -> None:
                 raise ValueError(f"unknown level {lv!r} in {factor.label()}")
 
 
-def _factor_columns(factor: Factor, data: Dataset) -> tuple[np.ndarray, list[str]]:
-    """Column block (n x k) and labels for one factor on every dataset row."""
+def _factor_columns(factor: Factor, data: Dataset) -> np.ndarray:
+    """Column block (n x k) for one factor on every dataset row."""
     check_factor(factor, data.schema)
     kind = data.schema.kind_of(factor.column)
     values = data.covariates[factor.column]
     if factor.transform == "main":
         if isinstance(kind, Continuous):
-            return values[:, None], [factor.label()]
+            return values[:, None]
         # reference coding: first declared level is the baseline
         k = len(kind.levels)
         block = np.zeros((data.n, k - 1))
         for j in range(1, k):
             block[:, j - 1] = values == j
-        labels = [f"{factor.column}[{lv}]" for lv in kind.levels[1:]]
-        return block, labels
+        return block
     if factor.transform == "exp":
-        return np.exp(values)[:, None], [factor.label()]
+        return np.exp(values)[:, None]
     if factor.transform == "cube":
-        return (values**3)[:, None], [factor.label()]
+        return (values**3)[:, None]
     if factor.transform == "gt":
-        return (values > factor.threshold).astype(np.float64)[:, None], [factor.label()]
+        return (values > factor.threshold).astype(np.float64)[:, None]
     if factor.transform == "lt":
-        return (values < factor.threshold).astype(np.float64)[:, None], [factor.label()]
+        return (values < factor.threshold).astype(np.float64)[:, None]
     codes = [kind.levels.index(lv) for lv in factor.levels]
-    return np.isin(values, codes).astype(np.float64)[:, None], [factor.label()]
+    return np.isin(values, codes).astype(np.float64)[:, None]
 
 
-def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
     """Treatment-free design of every dataset row, built once per (dataset, spec).
 
     Every transform works row by row, so a subgroup's design is a row slice
     of this matrix. The treatment column holds 1 and each treatment
     interaction column holds its factor; ``treated`` marks those columns,
-    which a subgroup's design scales by A. Returns ``(F, labels, treated)``,
+    which a subgroup's design scales by A. Returns ``(F, treated)``,
     memoized read-only in ``data.derived``. DataError when a column is not
     finite, as a transform such as ``exp`` can make it.
     """
@@ -226,29 +225,22 @@ def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, tuple[str
     if cached is not None:
         return cached
     blocks: list[np.ndarray] = []
-    labels: list[str] = []
-    treated: list[bool] = []
+    owners: list[Term] = []  # the term behind each column
     for term in spec.terms:
-        if term.kind in ("intercept", "treatment"):
-            blocks.append(np.ones((data.n, 1)))
-            labels.append("1" if term.kind == "intercept" else data.schema.treatment)
-            treated.append(term.kind == "treatment")
-        else:
-            block, labs = _factor_columns(term.factor, data)
-            blocks.append(block)
-            if term.kind == "interaction":
-                labs = [f"{data.schema.treatment}:{lab}" for lab in labs]
-            labels.extend(labs)
-            treated.extend([term.kind == "interaction"] * len(labs))
+        block = np.ones((data.n, 1)) if term.factor is None else _factor_columns(term.factor, data)
+        blocks.append(block)
+        owners.extend([term] * block.shape[1])
     F = np.hstack(blocks)
     bad = np.count_nonzero(~np.isfinite(F), axis=0)
     if bad.any():
+        # a categorical block is 0/1, so a non-finite column is its term's only one
         j = int(np.argmax(bad > 0))
-        raise DataError(f"design column {labels[j]!r} is not finite on {bad[j]} of {data.n} rows")
-    treated_cols = np.array(treated)
+        label = owners[j].label(data.schema.treatment)
+        raise DataError(f"design column {label!r} is not finite on {bad[j]} of {data.n} rows")
+    treated = np.array([t.kind in ("treatment", "interaction") for t in owners])
     F.setflags(write=False)
-    treated_cols.setflags(write=False)
-    cached = (F, tuple(labels), treated_cols)
+    treated.setflags(write=False)
+    cached = (F, treated)
     data.derived[spec] = cached
     return cached
 
@@ -261,33 +253,44 @@ def check_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def build_design(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> tuple[np.ndarray, list[str]]:
-    """Model matrix of the given rows at their observed treatment, one
-    matrix row per index."""
-    rows = check_rows(rows)
-    F, labels, treated = _root_design(data, spec)
-    Z = np.take(F, rows, axis=0)
-    a = data.treatment[rows].astype(np.float64)
-    for j in np.flatnonzero(treated):
-        # in place, one column at a time: a boolean column mask would
-        # gather the columns into a copy and scatter them back
-        Z[:, j] *= a
-    return Z, list(labels)
+class Design:
+    """A subgroup's model matrices under one spec, from one gather: the
+    read-only ``at_one`` (A=1, one matrix row per index). Each call of
+    ``observed``, ``at_zero`` or ``difference`` derives its matrix anew."""
 
+    def __init__(self, data: Dataset, rows: np.ndarray, spec: DesignSpec):
+        rows = check_rows(rows)
+        F, self.treated = _root_design(data, spec)
+        self.spec = spec
+        self.at_one = np.take(F, rows, axis=0)
+        self.at_one.setflags(write=False)
+        self.treatment = data.treatment[rows].astype(np.float64)
 
-def arm_designs(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> tuple[np.ndarray, ...]:
-    """``(Z1, Z0, D)``: the model matrices of the given rows at A=1 and A=0
-    and D = Z1 - Z0, from one gather. D is Z1 with the columns free of A set
-    to 0.0, so it is exact and keeps the sign of a -0.0 factor."""
-    rows = check_rows(rows)
-    F, _, treated = _root_design(data, spec)
-    Z1 = np.take(F, rows, axis=0)
-    Z0 = Z1.copy()
-    for j in np.flatnonzero(treated):
-        Z0[:, j] *= 0.0
-    D = Z1.copy()
-    D[:, ~treated] = 0.0
-    return Z1, Z0, D
+    def observed(self) -> np.ndarray:
+        """The model matrix at each row's observed treatment: ``at_one``
+        itself when no column involves A, as in a propensity design."""
+        if not self.treated.any():
+            return self.at_one
+        Z = self.at_one.copy()
+        for j in np.flatnonzero(self.treated):
+            # in place, one column at a time: a boolean column mask would
+            # gather the columns into a copy and scatter them back
+            Z[:, j] *= self.treatment
+        return Z
+
+    def at_zero(self) -> np.ndarray:
+        """The model matrix at A=0."""
+        Z0 = self.at_one.copy()
+        for j in np.flatnonzero(self.treated):
+            Z0[:, j] *= 0.0
+        return Z0
+
+    def difference(self) -> np.ndarray:
+        """Z(A=1) - Z(A=0): ``at_one`` with the columns free of A set to 0.0,
+        so it is exact and keeps the sign of a -0.0 factor."""
+        D = self.at_one.copy()
+        D[:, ~self.treated] = 0.0
+        return D
 
 
 @dataclass
@@ -301,7 +304,6 @@ class ModelFit:
     coefficients: np.ndarray
     kept: np.ndarray
     dropped: np.ndarray
-    column_labels: list[str]
     iterations: int
 
 
@@ -338,17 +340,16 @@ def _pivoted_qr(
     return Q, R, jpvt - 1, rank
 
 
-def _factored_design(data: Dataset, rows: np.ndarray, spec: DesignSpec, with_q: bool = False):
-    """The prologue of both fits: the design of the given rows and its
-    labels, FitError unless it has at least as many rows as columns, then
-    its ``_pivoted_qr``. Returns ``(Z, labels, Q, R, piv, kept, dropped)``,
-    the kept and dropped columns sorted; ``piv[:len(kept)]`` orders the kept
-    columns as R does."""
-    Z, labels = build_design(data, rows, spec)
+def _factored_design(design: Design, with_q: bool = False):
+    """The prologue of both fits: the observed design, FitError unless it
+    has at least as many rows as columns, then its ``_pivoted_qr``. Returns
+    ``(Z, Q, R, piv, kept, dropped)``, the kept and dropped columns sorted;
+    ``piv[:len(kept)]`` orders the kept columns as R does."""
+    Z = design.observed()
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
     Q, R, piv, rank = _pivoted_qr(Z, with_q)
-    return Z, labels, Q, R, piv, np.sort(piv[:rank]), np.sort(piv[rank:])
+    return Z, Q, R, piv, np.sort(piv[:rank]), np.sort(piv[rank:])
 
 
 def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -366,39 +367,37 @@ def _solve_pos(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     raise FitError("logistic fit failed: singular weighted system")
 
 
-def fit_ols(data: Dataset, rows: np.ndarray, spec: DesignSpec) -> ModelFit:
-    """Least squares of the outcome on the spec's design over the given rows.
+def fit_ols(design: Design, y: np.ndarray) -> ModelFit:
+    """Least squares of ``y``, one value per design row, on the observed design.
 
     Rank-deficient columns are dropped deterministically (pivoted QR); their
     coefficients are zero in the returned full-width vector. The kept
     coefficients are solved from the same factorization.
     """
-    Z, labels, Q, R, piv, kept, dropped = _factored_design(data, rows, spec, with_q=True)
+    Z, Q, R, piv, kept, dropped = _factored_design(design, with_q=True)
     rank = len(kept)
     beta = np.zeros(Z.shape[1])
-    y = data.outcome[rows]
     beta[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], Q[:, :rank].T @ y)
-    return ModelFit(spec, "gaussian", beta, kept, dropped, labels, 0)
+    return ModelFit(design.spec, "gaussian", beta, kept, dropped, 0)
 
 
-def fit_logistic(
-    data: Dataset,
-    rows: np.ndarray,
-    spec: DesignSpec,
-    response: Optional[np.ndarray] = None,
-) -> ModelFit:
-    """Logistic regression by IRLS; the response defaults to the treatment column.
+def fit_logistic(design: Design, y: np.ndarray) -> ModelFit:
+    """Logistic regression of the 0/1 response ``y``, one value per design
+    row, on the design at the observed treatment, by IRLS.
 
     Converges when the largest absolute coefficient change falls below 1e-8,
-    capped at 50 iterations. Non-convergence (separation) raises FitError;
-    a one-arm response raises FitError("degenerate response"). ``response``,
-    when given, holds one value per dataset row.
+    capped at 50 iterations. Non-convergence (separation) raises FitError,
+    as do a response value other than 0 and 1 and a one-class response
+    ("degenerate response").
     """
-    y = (data.treatment[rows] if response is None else np.asarray(response)[rows]).astype(np.float64)
+    y = np.asarray(y).astype(np.float64)
+    if ((y != 0.0) & (y != 1.0)).any():
+        raise FitError("response values must be 0 or 1")
     if y.size == 0 or y.min() == y.max():
         raise FitError("degenerate response: only one class present")
-    Z, labels, _, _, _, kept, dropped = _factored_design(data, rows, spec)
+    Z, _, _, _, kept, dropped = _factored_design(design)
     Zk = Z[:, kept]
+    del Z  # the design holds at_one alive; IRLS needs only the kept columns
     beta = np.zeros(len(kept))
     for iterations in range(1, IRLS_MAX_ITER + 1):
         eta = np.clip(Zk @ beta, -_LINPRED_CLIP, _LINPRED_CLIP)
@@ -419,9 +418,9 @@ def fit_logistic(
     if np.max(np.abs(eta)) >= _SEPARATION_ETA and np.all((eta > 0) == (y == 1)):
         # extreme predictors AND perfect classification: no finite optimum
         raise FitError("logistic fit failed: separation")
-    full = np.zeros(Z.shape[1])
+    full = np.zeros(len(kept) + len(dropped))
     full[kept] = beta
-    return ModelFit(spec, "binomial", full, kept, dropped, labels, iterations)
+    return ModelFit(design.spec, "binomial", full, kept, dropped, iterations)
 
 
 def predict_mean(fit: ModelFit, Z: np.ndarray) -> np.ndarray:

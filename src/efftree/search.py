@@ -289,14 +289,8 @@ class _NodeTables:
     msq: float                     # mean(delta^2), degeneracy scale
 
 
-def node_tables(
-    data: Dataset,
-    rows: np.ndarray,
-    config: GrowConfig,
-    models: NuisanceModels,
-    terms: Contributions,
-) -> _NodeTables:
-    """Tables of the node's rows from their per-row ``terms`` under ``models``.
+def node_tables(config: GrowConfig, models: NuisanceModels, terms: Contributions) -> _NodeTables:
+    """Tables of a node's rows from their per-row ``terms`` under ``models``.
 
     Only the pooled sandwich needs the information matrix, so ``info_inv``
     is None exactly when the variance is the influence one."""
@@ -305,7 +299,7 @@ def node_tables(
     grad = score = info_inv = sandwich_form = score_total = None
     corr_sign = 0.0
     if config.variance_method == VarianceMethod.POOLED_SANDWICH:
-        design, residual, grad, info = sandwich_terms(config.estimator, data, rows, models, terms)
+        design, residual, grad, info = sandwich_terms(config.estimator, models, terms)
         score = residual[:, None] * design
         corr_sign = -1.0 if config.estimator == EstimatorKind.IPW else 1.0
         # Precomputed once per node so that each candidate batch needs only
@@ -316,7 +310,7 @@ def node_tables(
 
     delta_sq = delta**2
     centered = config.estimator != EstimatorKind.IPW
-    columns = [np.ones(len(rows)), A, delta, delta_sq]
+    columns = [np.ones(len(delta)), A, delta, delta_sq]
     dscore = None
     if score is not None:
         dscore = score * delta[:, None]
@@ -565,7 +559,7 @@ def split_contrast(
             raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
         rows = np.union1d(rows_l, rows_r)
         models, terms = subgroup_terms(data, rows, config, shared)
-        scored = score_partition(node_tables(data, rows, config, models, terms),
+        scored = score_partition(node_tables(config, models, terms),
                                  in_left[rows], 1, min_per_arm)
         if scored is None:
             raise InadmissibleSplitError("inadmissible split")
@@ -582,7 +576,7 @@ def split_contrast(
     if config.variance_method == VarianceMethod.INFLUENCE:
         variance = if_variance(terms_l, terms_r, len(rows_l) + len(rows_r))
     else:
-        variance = ipw_variance_per_child(data, rows_l, rows_r, fitted_l, fitted_r)
+        variance = ipw_variance_per_child(fitted_l, fitted_r)
     statistic = t_hat**2 / variance
     if not np.isfinite(statistic):
         raise InadmissibleSplitError("non-finite statistic")

@@ -205,8 +205,8 @@ def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, confi
         if len(rows) == 0:
             return None
         try:
-            _, terms = subgroup_terms(data, rows, config, shared)
+            # no terms outlive their terminal: they hold the designs of its rows
+            effects[t] = node_effect(subgroup_terms(data, rows, config, shared)[1]).effect
         except InadmissibleSplitError:
             return None
-        effects[t] = node_effect(terms).effect
     return effects

@@ -25,7 +25,6 @@ from .estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
-    contributions,
     node_effect,
     shared_models,
     subgroup_terms,
@@ -87,6 +86,9 @@ class GrowConfig:
             raise ValueError("outcome_family must be gaussian or binomial")
         if self.estimator in (EstimatorKind.IPW, EstimatorKind.DR) and self.propensity_spec is None:
             raise ValueError(f"estimator {self.estimator.value} requires a propensity spec")
+        if self.propensity_spec is not None and any(
+                t.kind in ("treatment", "interaction") for t in self.propensity_spec.terms):
+            raise ValueError("the propensity spec models the treatment and cannot contain it")
         if self.estimator in (EstimatorKind.GFORMULA, EstimatorKind.DR) and self.outcome_spec is None:
             raise ValueError(f"estimator {self.estimator.value} requires an outcome spec")
         if self.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
@@ -384,7 +386,7 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
             if parent_models is None:
                 raise FitError("cannot fit nuisance models on the root node") from err
             models = None  # the effect uses the parent's models; parent scope stops here
-            terms = contributions(config.estimator, data, node_rows, parent_models)
+            terms = subgroup_terms(data, node_rows, config, parent_models)[1]
         effect_models = models if models is not None else parent_models
         node = TreeNode(id=node_id, depth=depth, n=len(node_rows), effect=node_effect(terms))
         nodes[node_id] = node
@@ -401,7 +403,7 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
         tables = None
         if config.scope != NuisanceScope.CHILD:
             try:
-                tables = node_tables(data, node_rows, config, models, terms)
+                tables = node_tables(config, models, terms)
             except InadmissibleSplitError:
                 return node_id  # e.g. a singular information matrix on the node's rows
         del terms  # neither the terms nor the tables may stay alive while children grow

@@ -29,14 +29,32 @@ from efftree.estimators import (
     fit_nuisance,
     if_variance,
     ipw_variance_per_child,
+    model_designs,
     node_effect,
     sandwich_terms,
     solve_information,
     uncentered_sandwich,
 )
-from efftree.glm import FitError, ModelFit, check_rows
+from efftree.glm import Design, FitError, ModelFit, check_rows
 from efftree.search import SplitContrast
 from efftree.tree import GrowConfig
+
+
+def designs_of(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> tuple:
+    """``(propensity, outcome)`` designs of ``rows`` under the specs of
+    ``models``, None where a model is absent."""
+    return tuple(None if fit is None else Design(data, rows, fit.spec)
+                 for fit in (models.propensity, models.outcome))
+
+
+def fit_on(data: Dataset, rows: np.ndarray, config: GrowConfig) -> NuisanceModels:
+    """``fit_nuisance`` on the ``model_designs`` of ``rows``."""
+    return fit_nuisance(data, rows, config, model_designs(data, rows, config))
+
+
+def terms_of(kind: EstimatorKind, data: Dataset, rows: np.ndarray, models: NuisanceModels):
+    """``contributions`` on ``rows`` with the designs of ``models``' specs."""
+    return contributions(kind, data, rows, models, designs_of(data, rows, models))
 
 
 def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows_l: np.ndarray,
@@ -54,8 +72,8 @@ def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows_l: np.ndarray,
         raise InadmissibleSplitError("empty child")
     p_l, p_r = n_l / n_p, (n_p - n_l) / n_p
 
-    terms = contributions(kind, data, rows, models)
-    design, residual, grad, info = sandwich_terms(kind, data, rows, models, terms)
+    terms = terms_of(kind, data, rows, models)
+    design, residual, grad, info = sandwich_terms(kind, models, terms)
     delta = terms.delta
     t_l = float(delta[in_l].mean())
     t_r = float(delta[~in_l].mean())
@@ -134,17 +152,17 @@ def split_contrast(
 
     try:
         if config.scope == NuisanceScope.CHILD:
-            models_l = fit_nuisance(data, rows_l, config)
-            models_r = fit_nuisance(data, rows_r, config)
+            models_l = fit_on(data, rows_l, config)
+            models_r = fit_on(data, rows_r, config)
         elif config.scope == NuisanceScope.WHOLE:
-            models_l = models_r = whole_models or fit_nuisance(data, np.arange(data.n), config)
+            models_l = models_r = whole_models or fit_on(data, np.arange(data.n), config)
         else:
-            models_l = models_r = fit_nuisance(data, np.union1d(rows_l, rows_r), config)
+            models_l = models_r = fit_on(data, np.union1d(rows_l, rows_r), config)
     except FitError as err:
         raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
 
-    terms_l = contributions(kind, data, rows_l, models_l)
-    terms_r = contributions(kind, data, rows_r, models_r)
+    terms_l = terms_of(kind, data, rows_l, models_l)
+    terms_r = terms_of(kind, data, rows_r, models_r)
     smaller_arm = min(terms_l.smaller_arm, terms_r.smaller_arm)
     if kind != EstimatorKind.GFORMULA and smaller_arm == 0:
         raise InadmissibleSplitError("empty child arm")
@@ -156,8 +174,7 @@ def split_contrast(
     if config.variance_method == VarianceMethod.INFLUENCE:
         variance = if_variance(terms_l, terms_r, n_union)
     elif config.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
-        variance = ipw_variance_per_child(data, rows_l, rows_r, (models_l, terms_l),
-                                          (models_r, terms_r))
+        variance = ipw_variance_per_child((models_l, terms_l), (models_r, terms_r))
     elif kind == EstimatorKind.IPW:
         variance = ipw_variance_pooled(data, rows_l, rows_r, models_l.propensity, config.epsilon)
     else:

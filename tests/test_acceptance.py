@@ -22,7 +22,7 @@ from efftree.estimators import (
     estimate_dr,
     estimate_g,
 )
-from efftree.glm import fit_logistic, fit_ols, parse_spec
+from efftree.glm import Design, fit_logistic, fit_ols, parse_spec
 from efftree.prune import weakest_link_sequence
 from efftree.search import split_contrast
 from efftree.select import select_final
@@ -172,10 +172,10 @@ def test_criterion_5_double_robustness():
         data, _ = generate(SimSetting("heterogeneous", 20_000, seed=43_000_000 + rep))
         node = np.flatnonzero(data.column("x4") > 0)
         full = np.arange(data.n)
-        f_tp = fit_logistic(data, full, true_p)
-        f_mp = fit_logistic(data, full, mis_p)
-        f_to = fit_ols(data, full, true_o)
-        f_mo = fit_ols(data, full, mis_o)
+        f_tp = fit_logistic(Design(data, full, true_p), data.treatment)
+        f_mp = fit_logistic(Design(data, full, mis_p), data.treatment)
+        f_to = fit_ols(Design(data, full, true_o), data.outcome)
+        f_mo = fit_ols(Design(data, full, mis_o), data.outcome)
         dr_tp_mo.append(estimate_dr(data, node, NuisanceModels(f_tp, f_mo, 0.01)).effect)
         dr_mp_to.append(estimate_dr(data, node, NuisanceModels(f_mp, f_to, 0.01)).effect)
         g_mo.append(estimate_g(data, node, NuisanceModels(None, f_mo, 0.01)).effect)

@@ -352,6 +352,7 @@ TREE_CORRUPTIONS = {
     "statistic-nan": lambda p: _split(p).update(statistic=float("nan")),
     "effect-beyond-float-range": lambda p: _leaf(p).update(effect=10**400),
     "seed-negative": lambda p: p["config"].update(seed=-1),
+    "propensity-spec-with-treatment": lambda p: p["config"].update(propensity_spec="1 + A + x1"),
 }
 
 
@@ -519,7 +520,10 @@ def test_fit_out_path_through_a_file_is_a_configuration_error(heterog_csv, tmp_p
     (["--estimator", "dr", "--propensity-spec", "1 + in(x1,a)", "--outcome-spec", "1 + A"],
      "in() requires a categorical or ordinal column"),
     (["--estimator", "g", "--outcome-spec", "1 + A + A:Y"], "unknown column 'Y'"),
-], ids=["unknown-column", "in-on-continuous", "outcome-as-covariate"])
+    (["--estimator", "ipw", "--propensity-spec", "1 + x1 + A:x2"], "propensity spec"),
+    (["--estimator", "ipw", "--propensity-spec", "1 + A + x1"], "propensity spec"),
+], ids=["unknown-column", "in-on-continuous", "outcome-as-covariate",
+        "propensity-interaction", "propensity-treatment"])
 def test_fit_checks_specs_against_the_schema_before_reading_data(heterog_csv, tmp_path,
                                                                  flags, message):
     base, csv_path, schema_path, _ = heterog_csv

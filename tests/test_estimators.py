@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from efftree import glm
 from efftree.data import Continuous, Dataset, Schema
 from efftree.estimators import (
     Contributions,
@@ -9,21 +10,19 @@ from efftree.estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
-    contributions,
     estimate_dr,
     estimate_g,
     estimate_ipw,
-    fit_nuisance,
     if_variance,
     ipw_variance_per_child,
     node_effect,
     shared_models,
     subgroup_terms,
 )
-from efftree.glm import arm_designs, build_design, fit_logistic, fit_ols, parse_spec, predict_mean
-from efftree.search import split_contrast
+from efftree.glm import Design, fit_logistic, fit_ols, parse_spec, predict_mean
+from efftree.search import node_tables, split_contrast
 from efftree.tree import GrowConfig
-from oracle import g_variance_pooled, ipw_variance_pooled
+from oracle import fit_on, g_variance_pooled, ipw_variance_pooled, terms_of
 
 
 def make_data(x: dict, A, Y) -> Dataset:
@@ -34,6 +33,16 @@ def make_data(x: dict, A, Y) -> Dataset:
 
 def full(data):
     return np.arange(data.n)
+
+
+def ols(data, rows, spec):
+    """Least squares of the outcome on ``spec`` over ``rows``."""
+    return fit_ols(Design(data, rows, spec), data.outcome[rows])
+
+
+def propensity_fit(data, rows, spec):
+    """Logistic regression of the treatment on ``spec`` over ``rows``."""
+    return fit_logistic(Design(data, rows, spec), data.treatment[rows])
 
 
 class ConstantPropensity:
@@ -66,7 +75,7 @@ def test_ipw_constant_propensity_arithmetic():
 
 def test_ipw_single_treated_row():
     data = make_data({"x1": [0.0]}, [1], [5.0])
-    terms = contributions(EstimatorKind.IPW, data, full(data), constant_models(0.5))
+    terms = terms_of(EstimatorKind.IPW, data, full(data), constant_models(0.5))
     eff = node_effect(terms)
     assert eff.mu1 == pytest.approx(10.0)
     assert eff.mu0 == 0.0
@@ -81,12 +90,12 @@ def test_ipw_matches_plugin_formula_oracle():
     Y = rng.standard_normal(n) + 2 * A
     data = make_data({"x1": x1}, A, Y)
     spec = parse_spec("1 + x1", "A")
-    fit = fit_logistic(data, full(data), spec)
+    fit = propensity_fit(data, full(data), spec)
     models = NuisanceModels(propensity=fit, outcome=None, epsilon=0.01)
     eff = estimate_ipw(data, full(data), models)
 
     # oracle: plug-in evaluation, term by term
-    e = np.clip(predict_mean(fit, build_design(data, full(data), spec)[0]), 0.01, 0.99)
+    e = np.clip(predict_mean(fit, Design(data, full(data), spec).observed()), 0.01, 0.99)
     mu1 = sum(A[i] * Y[i] / e[i] for i in range(n)) / n
     mu0 = sum((1 - A[i]) * Y[i] / (1 - e[i]) for i in range(n)) / n
     assert eff.mu1 == pytest.approx(mu1, abs=1e-10)
@@ -97,14 +106,14 @@ def test_ipw_matches_plugin_formula_oracle():
 def test_g_constant_predictions():
     data = make_data({"x1": [0.0, 1.0, 2.0]}, [1, 0, 1], [4.0, 4.0, 4.0])
     spec = parse_spec("1", "A")
-    fit = fit_ols(data, full(data), spec)
+    fit = ols(data, full(data), spec)
     fit.coefficients[:] = [4.0]
     models_hi = NuisanceModels(outcome=fit, epsilon=0.01)
     eff = estimate_g(data, full(data), models_hi)
     assert eff.effect == pytest.approx(0.0)
 
     spec_a = parse_spec("1 + A", "A")
-    fit_a = fit_ols(data, full(data), spec_a)
+    fit_a = ols(data, full(data), spec_a)
     fit_a.coefficients[:] = [1.0, 3.0]  # g0 = 1, g1 = 4
     eff = estimate_g(data, full(data), NuisanceModels(outcome=fit_a, epsilon=0.01))
     assert eff.mu1 == pytest.approx(4.0)
@@ -115,7 +124,7 @@ def test_g_constant_predictions():
 def test_g_is_mean_of_predictions():
     data = make_data({"x1": [1.0, 2.0, 3.0]}, [0, 1, 0], [1.0, 2.0, 3.0])
     spec = parse_spec("1 + x1", "A")
-    fit = fit_ols(data, full(data), spec)
+    fit = ols(data, full(data), spec)
     fit.coefficients[:] = [0.0, 1.0]  # g_a(x) = x for both arms
     eff = estimate_g(data, full(data), NuisanceModels(outcome=fit, epsilon=0.01))
     assert eff.mu1 == pytest.approx(2.0)
@@ -129,7 +138,7 @@ def test_g_matches_prediction_average_oracle():
     Y = 1 + x1 + 2 * A + rng.standard_normal(n)
     data = make_data({"x1": x1}, A, Y)
     spec = parse_spec("1 + x1 + A", "A")
-    fit = fit_ols(data, full(data), spec)
+    fit = ols(data, full(data), spec)
     models = NuisanceModels(outcome=fit, epsilon=0.01)
     eff = estimate_g(data, full(data), models)
     b = fit.coefficients
@@ -146,7 +155,7 @@ def test_dr_equals_g_when_residuals_vanish():
     A = rng.integers(0, 2, n)
     Y = 1 + 2 * x1 + 3 * A  # exactly linear: residuals are zero
     data = make_data({"x1": x1}, A, Y)
-    out = fit_ols(data, full(data), parse_spec("1 + x1 + A", "A"))
+    out = ols(data, full(data), parse_spec("1 + x1 + A", "A"))
     models = NuisanceModels(propensity=ConstantPropensity(0.5, parse_spec("1", "A")),
                             outcome=out, epsilon=0.01)
     dr = estimate_dr(data, full(data), models)
@@ -162,7 +171,7 @@ def test_dr_equals_ipw_when_outcome_predictions_vanish():
     A = rng.integers(0, 2, n)
     Y = rng.standard_normal(n)
     data = make_data({"x1": x1}, A, Y)
-    out = fit_ols(data, full(data), parse_spec("1", "A"))
+    out = ols(data, full(data), parse_spec("1", "A"))
     out.coefficients[:] = 0.0
     models = NuisanceModels(propensity=ConstantPropensity(0.4, parse_spec("1", "A")),
                             outcome=out, epsilon=0.01)
@@ -179,12 +188,12 @@ def test_dr_matches_augmented_formula_oracle():
     A = np.array([1, 0, 1, 0, 1, 0, 1, 0])
     Y = 1 + x1 + 2 * A + rng.standard_normal(n)
     data = make_data({"x1": x1}, A, Y)
-    prop = fit_logistic(data, full(data), parse_spec("1 + x1", "A"))
-    out = fit_ols(data, full(data), parse_spec("1 + x1 + A", "A"))
+    prop = propensity_fit(data, full(data), parse_spec("1 + x1", "A"))
+    out = ols(data, full(data), parse_spec("1 + x1 + A", "A"))
     models = NuisanceModels(propensity=prop, outcome=out, epsilon=0.01)
     eff = estimate_dr(data, full(data), models)
 
-    e = np.clip(predict_mean(prop, build_design(data, full(data), prop.spec)[0]), 0.01, 0.99)
+    e = np.clip(predict_mean(prop, Design(data, full(data), prop.spec).observed()), 0.01, 0.99)
     b = out.coefficients
     g1 = np.array([b[0] + b[1] * x1[i] + b[2] for i in range(n)])
     g0 = np.array([b[0] + b[1] * x1[i] for i in range(n)])
@@ -220,7 +229,7 @@ def test_shared_models_in_whole_scope_are_the_fit_on_the_rows_in_play():
     config = policy_config(EstimatorKind.DR)
     for rows in (full(data), left):
         shared = shared_models(data, rows, config)
-        fit = fit_nuisance(data, rows, config)
+        fit = fit_on(data, rows, config)
         assert np.array_equal(shared.propensity.coefficients, fit.propensity.coefficients)
         assert np.array_equal(shared.outcome.coefficients, fit.outcome.coefficients)
 
@@ -235,7 +244,7 @@ def test_subgroup_terms_with_an_empty_arm_under_shared_models(estimator):
         models, terms = subgroup_terms(data, treated, config, shared)
         assert models is shared
         assert terms.smaller_arm == 0
-        assert np.array_equal(terms.delta, contributions(estimator, data, treated, shared).delta)
+        assert np.array_equal(terms.delta, terms_of(estimator, data, treated, shared).delta)
     else:
         with pytest.raises(InadmissibleSplitError, match="empty treatment arm"):
             subgroup_terms(data, treated, config, shared)
@@ -252,9 +261,34 @@ def test_subgroup_terms_fit_the_subgroup_without_shared_models():
     data, left, _ = fixture_40()
     config = policy_config(EstimatorKind.DR, NuisanceScope.PARENT)
     models, terms = subgroup_terms(data, left, config)
-    fit = fit_nuisance(data, left, config)
+    fit = fit_on(data, left, config)
     assert np.array_equal(models.propensity.coefficients, fit.propensity.coefficients)
-    assert np.array_equal(terms.delta, contributions(EstimatorKind.DR, data, left, fit).delta)
+    assert np.array_equal(terms.delta, terms_of(EstimatorKind.DR, data, left, fit).delta)
+
+
+@pytest.mark.parametrize("estimator, family, lookups", [
+    (EstimatorKind.IPW, "gaussian", 1),
+    (EstimatorKind.GFORMULA, "gaussian", 1),
+    (EstimatorKind.GFORMULA, "binomial", 1),
+    (EstimatorKind.DR, "gaussian", 2),
+], ids=["ipw", "g-gaussian", "g-binomial", "dr"])
+def test_a_parent_scope_node_gathers_each_model_design_once(monkeypatch, estimator, family,
+                                                           lookups):
+    # the fit, the per-row terms and the sandwich share one Design per model
+    rng = np.random.default_rng(41)
+    x1 = rng.standard_normal(200)
+    A = (rng.random(200) < 1 / (1 + np.exp(-x1))).astype(int)
+    Y = (rng.random(200) < 1 / (1 + np.exp(-0.5 * x1 - A))).astype(float)
+    data = make_data({"x1": x1}, A, Y)
+    config = GrowConfig(estimator, scope=NuisanceScope.PARENT, outcome_family=family,
+                        propensity_spec=parse_spec("1 + x1", "A"),
+                        outcome_spec=parse_spec("1 + A + x1 + A:x1", "A"))
+    calls = []
+    root_design = glm._root_design
+    monkeypatch.setattr(glm, "_root_design", lambda *args: calls.append(1) or root_design(*args))
+    models, terms = subgroup_terms(data, full(data), config)
+    node_tables(config, models, terms)
+    assert len(calls) == lookups
 
 
 # ---------------------------------------------------------------- influence variance
@@ -265,7 +299,7 @@ def fake_terms(influence):
     delta = np.asarray(influence, dtype=float)
     zeros = np.zeros(len(delta))
     return Contributions(A=zeros, Y=zeros, e=None, g1=None, g0=None, zdiff=None,
-                         d1=zeros, d0=zeros, delta=delta)
+                         d1=zeros, d0=zeros, delta=delta, designs=(None, None))
 
 
 def test_if_variance_two_contribution_example():
@@ -307,7 +341,7 @@ def fixture_40(seed=31):
 def theorem_pooled_variance_oracle(data, rows_l, rows_r, fit, epsilon):
     """From-scratch pooled sandwich evaluation with explicit loops."""
     rows = np.union1d(rows_l, rows_r)
-    X = build_design(data, rows, fit.spec)[0]
+    X = Design(data, rows, fit.spec).observed()
     e = np.clip(predict_mean(fit, X), epsilon, 1 - epsilon)
     X = X[:, fit.kept]
     A = data.treatment[rows].astype(float)
@@ -349,7 +383,7 @@ def theorem_pooled_variance_oracle(data, rows_l, rows_r, fit, epsilon):
 def test_ipw_pooled_variance_matches_oracle():
     data, left, right = fixture_40()
     spec = parse_spec("1 + x1 + x2", "A")
-    fit = fit_logistic(data, full(data), spec)
+    fit = propensity_fit(data, full(data), spec)
     got = ipw_variance_pooled(data, left, right, fit, 0.01)
     expected = theorem_pooled_variance_oracle(data, left, right, fit, 0.01)
     assert got == pytest.approx(expected, abs=1e-8)
@@ -357,7 +391,7 @@ def test_ipw_pooled_variance_matches_oracle():
 
 def test_ipw_pooled_variance_swap_invariant():
     data, left, right = fixture_40(seed=32)
-    fit = fit_logistic(data, full(data), parse_spec("1 + x1 + x2", "A"))
+    fit = propensity_fit(data, full(data), parse_spec("1 + x1 + x2", "A"))
     a = ipw_variance_pooled(data, left, right, fit, 0.01)
     b = ipw_variance_pooled(data, right, left, fit, 0.01)
     assert a == pytest.approx(b, rel=1e-12)
@@ -367,7 +401,7 @@ def theorem_per_child_variance_oracle(data, rows_l, rows_r, fit_l, fit_r, epsilo
     """From-scratch per-child sandwich evaluation with explicit loops."""
     sides = {}
     for name, rows, fit in (("l", rows_l, fit_l), ("r", rows_r, fit_r)):
-        X = build_design(data, rows, fit.spec)[0]
+        X = Design(data, rows, fit.spec).observed()
         e = np.clip(predict_mean(fit, X), epsilon, 1 - epsilon)
         X = X[:, fit.kept]
         A = data.treatment[rows].astype(float)
@@ -401,15 +435,15 @@ def ipw_child_fit(data, rows, fit, epsilon=0.01):
     """A child's (models, terms) under its own propensity fit, as
     ``subgroup_terms`` gives them in child scope."""
     models = NuisanceModels(propensity=fit, epsilon=epsilon)
-    return models, contributions(EstimatorKind.IPW, data, rows, models)
+    return models, terms_of(EstimatorKind.IPW, data, rows, models)
 
 
 def test_ipw_per_child_variance_matches_oracle():
     data, left, right = fixture_40(seed=33)
     spec = parse_spec("1 + x1", "A")
-    fit_l = fit_logistic(data, left, spec)
-    fit_r = fit_logistic(data, right, spec)
-    got = ipw_variance_per_child(data, left, right, ipw_child_fit(data, left, fit_l),
+    fit_l = propensity_fit(data, left, spec)
+    fit_r = propensity_fit(data, right, spec)
+    got = ipw_variance_per_child(ipw_child_fit(data, left, fit_l),
                                  ipw_child_fit(data, right, fit_r))
     expected = theorem_per_child_variance_oracle(data, left, right, fit_l, fit_r, 0.01)
     assert got == pytest.approx(expected, abs=1e-8)
@@ -418,19 +452,19 @@ def test_ipw_per_child_variance_matches_oracle():
 def test_ipw_per_child_variance_swap_invariant():
     data, left, right = fixture_40(seed=34)
     spec = parse_spec("1 + x1", "A")
-    fitted_l = ipw_child_fit(data, left, fit_logistic(data, left, spec))
-    fitted_r = ipw_child_fit(data, right, fit_logistic(data, right, spec))
-    a = ipw_variance_per_child(data, left, right, fitted_l, fitted_r)
-    b = ipw_variance_per_child(data, right, left, fitted_r, fitted_l)
+    fitted_l = ipw_child_fit(data, left, propensity_fit(data, left, spec))
+    fitted_r = ipw_child_fit(data, right, propensity_fit(data, right, spec))
+    a = ipw_variance_per_child(fitted_l, fitted_r)
+    b = ipw_variance_per_child(fitted_r, fitted_l)
     assert a == pytest.approx(b, rel=1e-12)
 
 
 def g_pooled_variance_oracle(data, rows_l, rows_r, fit):
     """From-scratch g-formula sandwich evaluation with explicit loops."""
     rows = np.union1d(rows_l, rows_r)
-    Z = build_design(data, rows, fit.spec)[0][:, fit.kept]
-    Z1, Z0, _ = arm_designs(data, rows, fit.spec)
-    Z1, Z0 = Z1[:, fit.kept], Z0[:, fit.kept]
+    design = Design(data, rows, fit.spec)
+    Z = design.observed()[:, fit.kept]
+    Z1, Z0 = design.at_one[:, fit.kept], design.at_zero()[:, fit.kept]
     beta = fit.coefficients[fit.kept]
     Y = data.outcome[rows]
     in_l = np.isin(rows, rows_l)
@@ -465,7 +499,7 @@ def g_pooled_variance_oracle(data, rows_l, rows_r, fit):
 
 def test_g_pooled_variance_matches_oracle():
     data, left, right = fixture_40(seed=35)
-    fit = fit_ols(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
+    fit = ols(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
     got = g_variance_pooled(data, left, right, fit)
     expected = g_pooled_variance_oracle(data, left, right, fit)
     assert got == pytest.approx(expected, abs=1e-10)
@@ -473,7 +507,7 @@ def test_g_pooled_variance_matches_oracle():
 
 def test_g_pooled_variance_swap_invariant():
     data, left, right = fixture_40(seed=36)
-    fit = fit_ols(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
+    fit = ols(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
     a = g_variance_pooled(data, left, right, fit)
     b = g_variance_pooled(data, right, left, fit)
     assert a == pytest.approx(b, rel=1e-12)
@@ -521,7 +555,7 @@ def test_split_contrast_matches_manual_pipeline():
         GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.PARENT,
                    variance_method=VarianceMethod.POOLED_SANDWICH),
     )
-    fit = fit_logistic(data, full(data), spec)
+    fit = propensity_fit(data, full(data), spec)
     models = NuisanceModels(propensity=fit, outcome=None, epsilon=0.01)
     eff_l = estimate_ipw(data, left, models)
     eff_r = estimate_ipw(data, right, models)
@@ -630,7 +664,7 @@ def test_dr_influence_variance_tracks_monte_carlo():
 def test_ipw_whole_scope_reuses_models():
     data, left, right = fixture_40(seed=41)
     spec = parse_spec("1 + x1", "A")
-    whole = NuisanceModels(propensity=fit_logistic(data, full(data), spec), epsilon=0.01)
+    whole = NuisanceModels(propensity=propensity_fit(data, full(data), spec), epsilon=0.01)
     config = GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.WHOLE)
     a = split_contrast(data, left, right, config, whole_models=whole)
     b = split_contrast(data, left, right, config)

@@ -10,11 +10,10 @@ from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.glm import (
     IRLS_MAX_ITER,
     IRLS_TOL,
+    Design,
     FitError,
     _pivoted_qr,
     _root_design,
-    arm_designs,
-    build_design,
     check_factor,
     fit_logistic,
     fit_ols,
@@ -89,7 +88,7 @@ def test_check_factor_rejects_a_factor_that_does_not_fit_the_schema(term, messag
     data = Dataset(MIXED_SCHEMA, {"x1": np.zeros(2), "site": np.array([0, 1]),
                                   "grade": np.array([1, 0])}, np.array([0, 1]), np.zeros(2))
     with pytest.raises(ValueError, match=message):
-        build_design(data, full(data), parse_spec(term, "A"))
+        Design(data, full(data), parse_spec(term, "A"))
 
 
 def test_check_factor_accepts_every_transform_on_its_kind():
@@ -105,14 +104,14 @@ def test_check_factor_accepts_every_transform_on_its_kind():
 
 def test_fit_ols_intercept_only_is_mean():
     data = make_data({"x1": [0, 0, 0]}, [0, 0, 0], [1.0, 2.0, 3.0])
-    fit = fit_ols(data, full(data), parse_spec("1", "A"))
+    fit = fit_ols(Design(data, full(data), parse_spec("1", "A")), data.outcome)
     assert fit.coefficients[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_fit_ols_exact_line():
     x = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     data = make_data({"x1": x}, np.zeros(5, dtype=int), 2 * x + 1)
-    fit = fit_ols(data, full(data), parse_spec("1 + x1", "A"))
+    fit = fit_ols(Design(data, full(data), parse_spec("1 + x1", "A")), data.outcome)
     assert fit.coefficients == pytest.approx([1.0, 2.0], abs=1e-10)
 
 
@@ -133,8 +132,9 @@ def test_fit_ols_matches_normal_equations():
     y = 1.5 + 0.5 * x1 - 2.0 * x2 + rng.standard_normal(8)
     data = make_data({"x1": x1, "x2": x2}, np.zeros(8, dtype=int), y)
     spec = parse_spec("1 + x1 + x2", "A")
-    fit = fit_ols(data, full(data), spec)
-    X, _ = build_design(data, full(data), spec)
+    design = Design(data, full(data), spec)
+    fit = fit_ols(design, y)
+    X = design.observed()
     expected = normal_equations_ols(X, y)
     assert fit.coefficients == pytest.approx(expected, abs=1e-8)
 
@@ -143,10 +143,10 @@ def test_fit_ols_drops_collinear_column_deterministically():
     rng = np.random.default_rng(6)
     x1 = rng.standard_normal(20)
     data = make_data({"x1": x1, "x2": 2 * x1}, np.zeros(20, dtype=int), x1 + 1)
-    fit = fit_ols(data, full(data), parse_spec("1 + x1 + x2", "A"))
+    fit = fit_ols(Design(data, full(data), parse_spec("1 + x1 + x2", "A")), data.outcome)
     assert len(fit.kept) == 2
     assert len(fit.dropped) == 1
-    again = fit_ols(data, full(data), parse_spec("1 + x1 + x2", "A"))
+    again = fit_ols(Design(data, full(data), parse_spec("1 + x1 + x2", "A")), data.outcome)
     assert np.array_equal(fit.dropped, again.dropped)
     assert fit.coefficients == pytest.approx(again.coefficients)
 
@@ -154,7 +154,7 @@ def test_fit_ols_drops_collinear_column_deterministically():
 def test_fit_ols_insufficient_rows():
     data = make_data({"x1": [1.0, 2.0]}, [0, 0], [1.0, 2.0])
     with pytest.raises(FitError, match="insufficient"):
-        fit_ols(data, full(data), parse_spec("1 + x1 + exp(x1) + cube(x1)", "A"))
+        fit_ols(Design(data, full(data), parse_spec("1 + x1 + exp(x1) + cube(x1)", "A")), data.outcome)
 
 
 def test_ols_residuals_orthogonal_to_design():
@@ -166,8 +166,9 @@ def test_ols_residuals_orthogonal_to_design():
     y = 1 + x1 - x2 + 0.5 * A + rng.standard_normal(n)
     data = make_data({"x1": x1, "x2": x2}, A, y)
     spec = parse_spec("1 + x1 + x2 + A + A:x1", "A")
-    fit = fit_ols(data, full(data), spec)
-    X, _ = build_design(data, full(data), spec)
+    design = Design(data, full(data), spec)
+    fit = fit_ols(design, y)
+    X = design.observed()
     resid = y - X @ fit.coefficients
     for j in fit.kept:
         assert abs(np.dot(resid, X[:, j])) < 1e-6 * n
@@ -178,7 +179,7 @@ def test_ols_residuals_orthogonal_to_design():
 
 def test_fit_logistic_intercept_only():
     data = make_data({"x1": [0, 0, 0, 0]}, [1, 1, 1, 0], [0.0] * 4)
-    fit = fit_logistic(data, full(data), parse_spec("1", "A"))
+    fit = fit_logistic(Design(data, full(data), parse_spec("1", "A")), data.treatment)
     assert fit.coefficients[0] == pytest.approx(math.log(3.0), abs=1e-6)
     assert fit.family == "binomial" and fit.iterations > 0
 
@@ -188,21 +189,29 @@ def test_fit_logistic_separation_fails():
     A = (x > 0).astype(int)
     data = make_data({"x1": x}, A, np.zeros(6))
     with pytest.raises(FitError, match="logistic fit failed"):
-        fit_logistic(data, full(data), parse_spec("1 + x1", "A"))
+        fit_logistic(Design(data, full(data), parse_spec("1 + x1", "A")), A)
 
 
 def test_fit_logistic_degenerate_response():
     data = make_data({"x1": [1.0, 2.0, 3.0]}, [1, 1, 1], np.zeros(3))
     with pytest.raises(FitError, match="degenerate response"):
-        fit_logistic(data, full(data), parse_spec("1 + x1", "A"))
+        fit_logistic(Design(data, full(data), parse_spec("1 + x1", "A")), data.treatment)
+
+
+def test_fit_logistic_rejects_a_response_other_than_0_and_1():
+    # a continuous outcome would otherwise "converge" to huge coefficients
+    data, _ = generate(SimSetting("heterogeneous", n=600, seed=3))
+    design = Design(data, full(data), parse_spec("1 + A + x1", "A"))
+    with pytest.raises(FitError, match="0 or 1"):
+        fit_logistic(design, data.outcome)
 
 
 def test_fit_logistic_empty_rows_is_a_degenerate_response():
     data = make_data({"x1": [1.0, 2.0, 3.0]}, [1, 0, 1], np.zeros(3))
-    for response in (None, np.array([0.0, 1.0, 1.0])):
+    rows = np.array([], dtype=np.int64)
+    for y in (data.treatment, np.array([0.0, 1.0, 1.0])):
         with pytest.raises(FitError, match="degenerate response"):
-            fit_logistic(data, np.array([], dtype=np.int64), parse_spec("1 + x1", "A"),
-                         response=response)
+            fit_logistic(Design(data, rows, parse_spec("1 + x1", "A")), y[rows])
 
 
 def reference_qr(Z):
@@ -258,12 +267,12 @@ LOGISTIC_SPECS = {
 
 
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 120),
-       spec=st.sampled_from(sorted(LOGISTIC_SPECS)), use_response=st.booleans(),
+       spec=st.sampled_from(sorted(LOGISTIC_SPECS)), fit_outcome=st.booleans(),
        resample=st.booleans())
-@example(seed=0, n=60, spec="duplicate-column", use_response=False, resample=False)
-@example(seed=1, n=80, spec="intercept-only", use_response=True, resample=True)
-@example(seed=2, n=50, spec="constant-column", use_response=True, resample=False)
-def test_fit_logistic_is_bitwise_the_scipy_reference(seed, n, spec, use_response, resample):
+@example(seed=0, n=60, spec="duplicate-column", fit_outcome=False, resample=False)
+@example(seed=1, n=80, spec="intercept-only", fit_outcome=True, resample=True)
+@example(seed=2, n=50, spec="constant-column", fit_outcome=True, resample=False)
+def test_fit_logistic_is_bitwise_the_scipy_reference(seed, n, spec, fit_outcome, resample):
     # fit_logistic calls LAPACK directly; its coefficients, kept and dropped
     # columns and iteration count must be those of the scipy front ends
     data = mixed_design_data(n=n, seed=seed)
@@ -271,20 +280,20 @@ def test_fit_logistic_is_bitwise_the_scipy_reference(seed, n, spec, use_response
     treatment = (rng.random(n) < 1 / (1 + np.exp(-data.covariates["x1"]))).astype(int)
     data = Dataset(data.schema, data.covariates, treatment, (rng.random(n) < 0.4).astype(float))
     rows = rng.integers(0, n, n) if resample else np.arange(n)
-    response = data.outcome if use_response else None
-    y = (data.outcome if use_response else data.treatment)[rows].astype(np.float64)
-    spec = parse_spec(LOGISTIC_SPECS[spec], "A")
-    Z, _ = build_design(data, rows, spec)
+    response = (data.outcome if fit_outcome else data.treatment)[rows]
+    y = response.astype(np.float64)
+    design = Design(data, rows, parse_spec(LOGISTIC_SPECS[spec], "A"))
+    Z = design.observed()
     if y.min() == y.max() or Z.shape[0] < Z.shape[1]:
         with pytest.raises(FitError):
-            fit_logistic(data, rows, spec, response=response)
+            fit_logistic(design, response)
         return
     expected = reference_logistic(Z, y)
     if expected is None:
         with pytest.raises(FitError, match="logistic fit failed"):
-            fit_logistic(data, rows, spec, response=response)
+            fit_logistic(design, response)
         return
-    fit = fit_logistic(data, rows, spec, response=response)
+    fit = fit_logistic(design, response)
     coefficients, kept, dropped, iterations = expected
     assert fit.coefficients.tobytes() == coefficients.tobytes()
     assert fit.kept.dtype == kept.dtype and np.array_equal(fit.kept, kept)
@@ -313,14 +322,14 @@ def test_fit_ols_is_bitwise_the_scipy_reference(seed, n, spec, resample):
     # columns must be those of the scipy front ends
     data = mixed_design_data(n=n, seed=seed)
     rows = np.random.default_rng(seed).integers(0, n, n) if resample else np.arange(n)
-    spec = parse_spec(LOGISTIC_SPECS[spec], "A")
-    Z, _ = build_design(data, rows, spec)
+    design = Design(data, rows, parse_spec(LOGISTIC_SPECS[spec], "A"))
+    Z = design.observed()
     if Z.shape[0] < Z.shape[1]:
         with pytest.raises(FitError, match="insufficient"):
-            fit_ols(data, rows, spec)
+            fit_ols(design, data.outcome[rows])
         return
     coefficients, kept, dropped = reference_ols(Z, data.outcome[rows])
-    fit = fit_ols(data, rows, spec)
+    fit = fit_ols(design, data.outcome[rows])
     assert fit.coefficients.tobytes() == coefficients.tobytes()
     assert fit.kept.dtype == kept.dtype and np.array_equal(fit.kept, kept)
     assert fit.dropped.dtype == dropped.dtype and np.array_equal(fit.dropped, dropped)
@@ -330,7 +339,8 @@ def test_fit_ols_is_bitwise_the_scipy_reference(seed, n, spec, resample):
 def test_fit_logistic_drops_a_duplicated_column():
     # the rank-deficient cases of the property above do reach the dropping
     data = mixed_design_data(n=60, seed=3)
-    fit = fit_logistic(data, full(data), parse_spec(LOGISTIC_SPECS["duplicate-column"], "A"))
+    fit = fit_logistic(Design(data, full(data), parse_spec(LOGISTIC_SPECS["duplicate-column"], "A")),
+                       data.treatment)
     assert len(fit.dropped) == 1 and fit.dropped[0] in (1, 3)
     assert fit.coefficients[fit.dropped[0]] == 0.0
 
@@ -371,23 +381,23 @@ def test_fit_logistic_singular_weighted_system_is_a_fit_error(x2_of_x1):
     x1 = np.linspace(-2.0, 2.0, 40)
     A = (np.sin(3.0 * x1) > 0).astype(int)
     data = make_data({"x1": x1, "x2": x2_of_x1(x1)}, A, np.zeros(40))
-    Z, _ = build_design(data, full(data), parse_spec("1 + x1 + x2", "A"))
-    assert reference_logistic(Z, A.astype(np.float64)) is None
+    design = Design(data, full(data), parse_spec("1 + x1 + x2", "A"))
+    assert reference_logistic(design.observed(), A.astype(np.float64)) is None
     with pytest.raises(FitError, match="singular weighted system"):
-        fit_logistic(data, full(data), parse_spec("1 + x1 + x2", "A"))
+        fit_logistic(design, A)
 
 
 def test_fit_logistic_rejects_boolean_rows():
     # a mask where rows are expected would index fine but count every row
     data = make_data({"x1": [0.5, 1.0, 2.0, 3.0, -1.0]}, [1, 0, 1, 0, 1], np.zeros(5))
     with pytest.raises(TypeError, match="integer index array"):
-        fit_logistic(data, np.array([True, True, True, True, False]), parse_spec("1", "A"))
+        Design(data, np.array([True, True, True, True, False]), parse_spec("1", "A"))
 
 
 def test_fit_logistic_recovers_generator_coefficients():
     # consistency check against the heterogeneous-design treatment model
     data, _ = generate(SimSetting("heterogeneous", n=50_000, seed=42))
-    fit = fit_logistic(data, full(data), parse_spec("1 + x1 + x2 + x3", "A"))
+    fit = fit_logistic(Design(data, full(data), parse_spec("1 + x1 + x2 + x3", "A")), data.treatment)
     assert fit.coefficients[1:] == pytest.approx([0.6, -0.6, 0.6], abs=0.05)
     assert abs(fit.coefficients[0]) < 0.05
 
@@ -399,9 +409,9 @@ def test_logistic_score_equations_hold():
     p = 1 / (1 + np.exp(-0.5 * x1))
     A = (rng.random(n) < p).astype(int)
     data = make_data({"x1": x1}, A, np.zeros(n))
-    spec = parse_spec("1 + x1", "A")
-    fit = fit_logistic(data, full(data), spec)
-    X, _ = build_design(data, full(data), spec)
+    design = Design(data, full(data), parse_spec("1 + x1", "A"))
+    fit = fit_logistic(design, A)
+    X = design.observed()
     e = predict_mean(fit, X)
     score = X.T @ (A - e)
     assert np.all(np.abs(score) < 1e-6)
@@ -412,17 +422,17 @@ def test_logistic_score_equations_hold():
 
 def test_predict_mean_linear_example():
     data = make_data({"x1": [3.0]}, [0], [0.0])
-    fit = fit_ols(make_data({"x1": [0.0, 1.0, 2.0]}, [0, 0, 0], [1.0, 3.0, 5.0]),
-                  np.arange(3), parse_spec("1 + x1", "A"))
-    pred = predict_mean(fit, build_design(data, full(data), fit.spec)[0])
+    base = make_data({"x1": [0.0, 1.0, 2.0]}, [0, 0, 0], [1.0, 3.0, 5.0])
+    fit = fit_ols(Design(base, np.arange(3), parse_spec("1 + x1", "A")), base.outcome)
+    pred = predict_mean(fit, Design(data, full(data), fit.spec).observed())
     assert pred[0] == pytest.approx(7.0, abs=1e-10)
 
 
 def test_predict_mean_logistic_intercept_zero():
     data = make_data({"x1": [1.0, -1.0, 4.0]}, [0, 1, 0], np.zeros(3))
     base = make_data({"x1": [0.0, 0.0, 0.0, 0.0]}, [1, 0, 1, 0], np.zeros(4))
-    fit = fit_logistic(base, np.arange(4), parse_spec("1", "A"))
-    pred = predict_mean(fit, build_design(data, full(data), fit.spec)[0])
+    fit = fit_logistic(Design(base, np.arange(4), parse_spec("1", "A")), base.treatment)
+    pred = predict_mean(fit, Design(data, full(data), fit.spec).observed())
     assert pred == pytest.approx([0.5, 0.5, 0.5], abs=1e-8)
 
 
@@ -435,9 +445,9 @@ def test_predict_mean_matches_dot_product_oracle():
     y = rng.standard_normal(n)
     data = make_data({"x1": x1, "x2": x2}, A, y)
     spec = parse_spec("1 + x1 + A + A:x2", "A")
-    fit = fit_ols(data, full(data), spec)
+    fit = fit_ols(Design(data, full(data), spec), y)
     rows = np.flatnonzero(np.arange(n) % 3 == 0)
-    pred = predict_mean(fit, arm_designs(data, rows, spec)[0])
+    pred = predict_mean(fit, Design(data, rows, spec).at_one)
     b = fit.coefficients
     expected = [b[0] + b[1] * x1[i] + b[2] * 1.0 + b[3] * 1.0 * x2[i] for i in rows]
     assert pred == pytest.approx(expected, abs=1e-10)
@@ -450,9 +460,9 @@ def test_predictions_invariant_to_row_order():
     A = rng.integers(0, 2, n)
     y = x1 + A + rng.standard_normal(n)
     data = make_data({"x1": x1}, A, y)
-    fit = fit_ols(data, full(data), parse_spec("1 + x1 + A", "A"))
+    fit = fit_ols(Design(data, full(data), parse_spec("1 + x1 + A", "A")), y)
     rows = np.flatnonzero(np.arange(n) < 10)
-    direct = predict_mean(fit, build_design(data, rows, fit.spec)[0])
+    direct = predict_mean(fit, Design(data, rows, fit.spec).observed())
     perm = np.concatenate([np.arange(10)[::-1], np.arange(10, n)])
     reordered = Dataset(
         data.schema,
@@ -460,18 +470,18 @@ def test_predictions_invariant_to_row_order():
         A[perm],
         y[perm],
     )
-    flipped = predict_mean(fit, build_design(reordered, rows, fit.spec)[0])
+    flipped = predict_mean(fit, Design(reordered, rows, fit.spec).observed())
     assert sorted(direct) == pytest.approx(sorted(flipped), abs=1e-12)
 
 
-def test_arm_designs_change_only_treatment_columns():
+def test_design_arms_change_only_treatment_columns():
     rng = np.random.default_rng(12)
     n = 15
     x1 = rng.standard_normal(n)
     data = make_data({"x1": x1}, rng.integers(0, 2, n), rng.standard_normal(n))
-    spec = parse_spec("1 + x1 + A + A:x1", "A")
-    Z1, Z0, diff = arm_designs(data, full(data), spec)
-    assert np.allclose(Z1 - Z0, diff)
+    design = Design(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
+    diff = design.difference()
+    assert np.allclose(design.at_one - design.at_zero(), diff)
     assert np.allclose(diff[:, 0], 0)  # intercept
     assert np.allclose(diff[:, 1], 0)  # x1 main effect
     assert np.allclose(diff[:, 2], 1)  # treatment main effect
@@ -497,12 +507,20 @@ def mixed_design_data(n=80, seed=14):
     return Dataset(schema, covariates, rng.integers(0, 2, n), rng.standard_normal(n))
 
 
+# the columns of ROOT_DESIGN_SPEC, in order
+ROOT_DESIGN_LABELS = [
+    "1", "A", "x1", "c[B]", "c[C]", "c[D]", "g[mid]", "g[hi]", "exp(x2)", "cube(x1)",
+    "gt(x2,0.1)", "lt(x1,-0.2)", "in(c,B,D)", "in(g,hi)", "A:x2", "A:c[B]", "A:c[C]",
+    "A:c[D]", "A:exp(x1)", "A:cube(x2)", "A:gt(x1,0)", "A:lt(x2,0.3)", "A:in(c,A,C)",
+]
+
+
 def design_at(data, rows, spec, override):
     """The design at the observed treatment (override None) or at A=override."""
+    design = Design(data, rows, spec)
     if override is None:
-        return build_design(data, rows, spec)[0]
-    Z1, Z0, _ = arm_designs(data, rows, spec)
-    return Z1 if override == 1 else Z0
+        return design.observed()
+    return design.at_one if override == 1 else design.at_zero()
 
 
 @pytest.mark.parametrize("override", [None, 0, 1])
@@ -518,18 +536,17 @@ def test_subgroup_design_equals_design_of_taken_rows(override):
         sub = data.take(rows)
         assert np.array_equal(design_at(data, rows, spec, override),
                               design_at(sub, full(sub), spec, override))
-        labels = build_design(data, rows, spec)[1]
-        assert labels == build_design(sub, full(sub), spec)[1]
-    assert labels[:3] == ["1", "A", "x1"]
-    assert "c[B]" in labels and "A:c[D]" in labels and "A:in(c,A,C)" in labels
+        assert np.array_equal(Design(data, rows, spec).difference(),
+                              Design(sub, full(sub), spec).difference())
 
 
 def test_design_columns_match_transforms_of_raw_columns():
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     rows = np.arange(5, 60, 3)
-    Z, labels = build_design(data, rows, spec)
-    col = dict(zip(labels, Z.T))
+    Z = Design(data, rows, spec).observed()
+    assert Z.shape == (len(rows), len(ROOT_DESIGN_LABELS))
+    col = dict(zip(ROOT_DESIGN_LABELS, Z.T))
     x1, x2 = data.covariates["x1"][rows], data.covariates["x2"][rows]
     c, g = data.covariates["c"][rows], data.covariates["g"][rows]
     a = data.treatment[rows].astype(float)
@@ -549,13 +566,13 @@ def test_design_difference_is_exact_difference_of_overrides():
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     rows = np.flatnonzero(np.arange(data.n) % 3 != 1)
-    Z1, Z0, D = arm_designs(data, rows, spec)
-    assert np.array_equal(D, Z1 - Z0)
+    design = Design(data, rows, spec)
+    assert np.array_equal(design.difference(), design.at_one - design.at_zero())
 
 
 def gathered_design(data, rows, spec, override):
     """Design and design difference by fancy indexing of the root design."""
-    F, _, treated = _root_design(data, spec)
+    F, treated = _root_design(data, spec)
     Z = F[rows]
     if override is None:
         Z[:, treated] *= data.treatment[rows].astype(np.float64)[:, None]
@@ -579,12 +596,13 @@ def assert_same_bytes(got, ref):
     np.arange(80, dtype=np.int32)[::-1],
 ], ids=["unsorted", "duplicated", "empty", "all-reversed-int32"])
 def test_designs_equal_fancy_indexing_of_the_root_design(rows, override):
-    # override None checks build_design; 1 and 0 check arm_designs' Z1 and Z0
+    # override None checks Design.observed, 1 and 0 check at_one and
+    # at_zero; each case also checks the difference
     data = mixed_design_data()
     spec = parse_spec(ROOT_DESIGN_SPEC, "A")
     Z_ref, D_ref = gathered_design(data, rows, spec, override)
     assert_same_bytes(design_at(data, rows, spec, override), Z_ref)
-    assert_same_bytes(arm_designs(data, rows, spec)[2], D_ref)
+    assert_same_bytes(Design(data, rows, spec).difference(), D_ref)
 
 
 def test_design_difference_keeps_a_negative_zero_factor():
@@ -593,18 +611,40 @@ def test_design_difference_keeps_a_negative_zero_factor():
     data = make_data({"x1": x1}, [1, 0, 0, 1, 1], np.zeros(5))
     spec = parse_spec("1 + A + x1 + A:x1", "A")
     rows = np.array([2, 0, 1, 4, 3, 0])
-    Z1, Z0, D = arm_designs(data, rows, spec)
+    design = Design(data, rows, spec)
+    D = design.difference()
     assert np.signbit(D[:, 3]).tolist() == np.signbit(x1[rows]).tolist()
-    for got, override in ((Z1, 1), (Z0, 0)):
-        assert_same_bytes(got, gathered_design(data, rows, spec, override)[0])
+    for override in (None, 1, 0):
+        assert_same_bytes(design_at(data, rows, spec, override),
+                          gathered_design(data, rows, spec, override)[0])
     assert_same_bytes(D, gathered_design(data, rows, spec, 1)[1])
 
 
-def test_arm_designs_without_a_treatment_column_are_the_observed_design():
+def test_design_without_a_treatment_column_is_the_observed_design_at_both_arms():
     data = mixed_design_data()
     spec = parse_spec("1 + x1 + c + exp(x2)", "A")
     rows = np.array([7, 3, 3, 60])
-    Z1, Z0, D = arm_designs(data, rows, spec)
-    assert_same_bytes(Z0, Z1)
-    assert_same_bytes(Z1, build_design(data, rows, spec)[0])
-    assert_same_bytes(D, np.zeros_like(Z1))
+    design = Design(data, rows, spec)
+    Z = design.observed()
+    assert_same_bytes(Z, gathered_design(data, rows, spec, None)[0])
+    assert_same_bytes(design.at_one, Z)
+    assert_same_bytes(design.at_zero(), Z)
+    assert_same_bytes(design.difference(), np.zeros_like(Z))
+
+
+def test_design_derives_a_new_matrix_on_each_call():
+    # at_one is read-only, and a caller may write into a derived matrix
+    # without changing the design; a treatment-free design's observed
+    # matrix is at_one itself
+    data = mixed_design_data()
+    rows = np.array([4, 9, 2])
+    design = Design(data, rows, parse_spec(ROOT_DESIGN_SPEC, "A"))
+    assert not design.at_one.flags.writeable
+    at_one = design.at_one.copy()
+    for derive in (design.observed, design.at_zero, design.difference):
+        first = derive()
+        first[...] = np.nan
+        assert np.array_equal(design.at_one, at_one)
+        assert not np.isnan(derive()).any()
+    free = Design(data, rows, parse_spec("1 + x1 + c", "A"))
+    assert free.observed() is free.at_one

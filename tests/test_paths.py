@@ -9,7 +9,7 @@ import pytest
 
 from efftree.data import SubgroupMask
 from efftree.estimators import NuisanceScope, VarianceMethod
-from efftree.glm import arm_designs, build_design, fit_logistic, parse_spec
+from efftree.glm import Design, fit_logistic, parse_spec
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import grow_max_tree
 from oracle import g_variance_pooled, split_contrast
@@ -19,16 +19,16 @@ def test_binomial_g_sandwich_matches_loop_oracle():
     data, _ = generate(SimSetting("binary-mixed-heterogeneous", n=400, seed=81))
     spec = parse_spec("1 + A + x2 + A:in(x4,B,D)", "A")
     full = np.arange(data.n)
-    fit = fit_logistic(data, full, spec, response=data.outcome)
+    design = Design(data, full, spec)
+    fit = fit_logistic(design, data.outcome)
     x1 = data.column("x1")
     in_l = x1 < 0
     got = g_variance_pooled(data, np.flatnonzero(in_l), np.flatnonzero(~in_l), fit)
 
     # loop oracle with the logistic-family score, information, and
     # prediction gradients
-    Z = build_design(data, full, spec)[0][:, fit.kept]
-    Z1, Z0, _ = arm_designs(data, full, spec)
-    Z1, Z0 = Z1[:, fit.kept], Z0[:, fit.kept]
+    Z = design.observed()[:, fit.kept]
+    Z1, Z0 = design.at_one[:, fit.kept], design.at_zero()[:, fit.kept]
     beta = fit.coefficients[fit.kept]
     expit = lambda v: 1 / (1 + np.exp(-v))
     g1 = expit(Z1 @ beta)

@@ -16,11 +16,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
-from efftree.estimators import EstimatorKind, NuisanceModels, NuisanceScope, contributions, node_effect
-from efftree.glm import FitError, fit_logistic, fit_ols, parse_spec
+from efftree.estimators import EstimatorKind, NuisanceModels, NuisanceScope, node_effect
+from efftree.glm import Design, FitError, fit_logistic, fit_ols, parse_spec
 from efftree.prune import weakest_link_sequence
 from efftree.select import select_final, validation_statistics
 from efftree.tree import GrowConfig, Tree, grow_max_tree
+from oracle import terms_of
 
 N = 60
 
@@ -43,8 +44,8 @@ OUTCOME_SPEC = parse_spec(
     " + A:x2 + A:exp(x1) + A:cube(x2) + A:in(c,A,C)", "A")
 PROPENSITY_SPEC = parse_spec("1 + x1 + exp(x2) + in(c,B,D)", "A")
 MODELS = NuisanceModels(
-    propensity=fit_logistic(DATA, np.arange(N), PROPENSITY_SPEC),
-    outcome=fit_ols(DATA, np.arange(N), OUTCOME_SPEC),
+    propensity=fit_logistic(Design(DATA, np.arange(N), PROPENSITY_SPEC), DATA.treatment),
+    outcome=fit_ols(Design(DATA, np.arange(N), OUTCOME_SPEC), DATA.outcome),
 )
 
 row_indices = st.lists(st.integers(0, N - 1), min_size=30, max_size=3 * N).map(
@@ -65,7 +66,7 @@ def on_rows_and_on_copy(fn, idx):
 
 @given(row_indices)
 def test_fit_ols_on_rows_equals_fit_on_copied_rows(idx):
-    a, b = on_rows_and_on_copy(lambda d, r: fit_ols(d, r, OUTCOME_SPEC), idx)
+    a, b = on_rows_and_on_copy(lambda d, r: fit_ols(Design(d, r, OUTCOME_SPEC), d.outcome[r]), idx)
     if isinstance(a, tuple):
         assert a == b
         return
@@ -76,7 +77,7 @@ def test_fit_ols_on_rows_equals_fit_on_copied_rows(idx):
 
 @given(row_indices)
 def test_fit_logistic_on_rows_equals_fit_on_copied_rows(idx):
-    a, b = on_rows_and_on_copy(lambda d, r: fit_logistic(d, r, PROPENSITY_SPEC), idx)
+    a, b = on_rows_and_on_copy(lambda d, r: fit_logistic(Design(d, r, PROPENSITY_SPEC), d.treatment[r]), idx)
     if isinstance(a, tuple):
         assert a == b
         return
@@ -86,7 +87,7 @@ def test_fit_logistic_on_rows_equals_fit_on_copied_rows(idx):
 
 @given(row_indices, st.sampled_from(list(EstimatorKind)))
 def test_contributions_on_rows_equal_contributions_on_copied_rows(idx, kind):
-    a, b = on_rows_and_on_copy(lambda d, r: contributions(kind, d, r, MODELS), idx)
+    a, b = on_rows_and_on_copy(lambda d, r: terms_of(kind, d, r, MODELS), idx)
     for field in ("A", "Y", "e", "g1", "g0", "zdiff", "d1", "d0", "delta"):
         x, y = getattr(a, field), getattr(b, field)
         assert (x is None and y is None) or np.array_equal(x, y), field

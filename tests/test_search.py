@@ -10,8 +10,6 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
-    contributions,
-    fit_nuisance,
 )
 from efftree.glm import parse_spec
 from efftree.search import (
@@ -87,10 +85,10 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
     for config, rows in ((dataclasses.replace(parent, scope=NuisanceScope.WHOLE),
                           np.flatnonzero(data.column("g") != 1)),
                          (parent, np.arange(data.n))):
-        models = fit_nuisance(data, np.arange(data.n) if config.scope == NuisanceScope.WHOLE
-                              else rows, config)
-        terms = contributions(kind, data, rows, models)
-        tables = node_tables(data, rows, config, models, terms)
+        models = oracle.fit_on(data, np.arange(data.n) if config.scope == NuisanceScope.WHOLE
+                               else rows, config)
+        terms = oracle.terms_of(kind, data, rows, models)
+        tables = node_tables(config, models, terms)
 
         checked = 0
         for block in iter_candidate_blocks(data, rows):
@@ -160,9 +158,9 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
     data = mixed_data(seed=67)
     rows = np.arange(data.n)
     config = parent_config(kind, variance)
-    models = fit_nuisance(data, rows, config)
-    terms = contributions(kind, data, rows, models)
-    best = find_best_split(data, rows, config, node_tables(data, rows, config, models, terms))
+    models = oracle.fit_on(data, rows, config)
+    terms = oracle.terms_of(kind, data, rows, models)
+    best = find_best_split(data, rows, config, node_tables(config, models, terms))
     assert best is not None
 
     top = -np.inf

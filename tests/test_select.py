@@ -9,7 +9,6 @@ from efftree.estimators import (
     EstimatorKind,
     InadmissibleSplitError,
     NuisanceScope,
-    fit_nuisance,
 )
 from efftree.glm import FitError
 from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
@@ -62,7 +61,7 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
     validation = data.take(rows)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
-        whole_models = fit_nuisance(validation, np.arange(validation.n), config)
+        whole_models = oracle.fit_on(validation, np.arange(validation.n), config)
 
     # oracle: walk the tree, routing a copy of the validation rows and
     # recomputing each internal statistic independently with the scalar
@@ -279,7 +278,7 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         try:
-            whole_models = fit_nuisance(sample, np.arange(sample.n), config)
+            whole_models = oracle.fit_on(sample, np.arange(sample.n), config)
         except FitError:
             return None
     effects = {}
@@ -291,7 +290,7 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
             models = whole_models
         else:
             try:
-                models = fit_nuisance(sample, rows, config)
+                models = oracle.fit_on(sample, rows, config)
             except FitError:
                 return None
         effect = ESTIMATE[config.estimator](sample, rows, models)

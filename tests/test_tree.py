@@ -12,14 +12,12 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
-    contributions,
-    fit_nuisance,
 )
-from efftree.glm import parse_spec
+from efftree.glm import FitError, parse_spec
 from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits, node_tables
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree, tree_from_dict
-from oracle import split_contrast
+from oracle import fit_on, split_contrast, terms_of
 from util_trees import leaf_effect
 
 
@@ -200,14 +198,14 @@ def test_whole_scope_singular_child_information_leaves_node_terminal():
     )
     tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
     assert tree.n_internal() >= 1
-    whole = fit_nuisance(data, np.arange(data.n), config)
+    whole = fit_on(data, np.arange(data.n), config)
     reach = tree.rows_by_node(data, np.arange(data.n))
     singular = []
     for node_id in tree.terminal_ids():
         rows = reach[node_id]
-        terms = contributions(config.estimator, data, rows, whole)
+        terms = terms_of(config.estimator, data, rows, whole)
         try:
-            node_tables(data, rows, config, whole, terms)
+            node_tables(config, whole, terms)
         except InadmissibleSplitError:
             singular.append(node_id)
     assert singular
@@ -418,9 +416,19 @@ def test_grow_config_validation():
     with pytest.raises(ValueError):
         GrowConfig(estimator="g", outcome_spec=spec,
                    variance_method=VarianceMethod.PER_CHILD_SANDWICH)
+    for propensity in ("1 + A + x1", "1 + x1 + A:x2"):
+        with pytest.raises(ValueError, match="propensity spec"):
+            GrowConfig(estimator="ipw", propensity_spec=parse_spec(propensity, "A"))
     cfg = GrowConfig(estimator="dr", outcome_spec=spec, propensity_spec=parse_spec("1", "A"),
                      variance_method=VarianceMethod.POOLED_SANDWICH)
     assert cfg.variance_method == VarianceMethod.INFLUENCE
+
+
+def test_binomial_outcome_model_of_a_continuous_outcome_is_a_fit_error():
+    data, _ = generate(SimSetting("heterogeneous", n=600, seed=3))
+    config = GrowConfig.from_strings("g", "A", outcome="1 + A + x1", outcome_family="binomial")
+    with pytest.raises(FitError, match="root node"):
+        grow_max_tree(data, SubgroupMask.full(data.n), config)
 
 
 def test_grow_config_is_frozen_and_replace_revalidates():

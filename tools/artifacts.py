@@ -18,8 +18,9 @@ same bytes. The matrix:
 * child-scope ipw and dr with ``--max-depth 2`` on the 1000-row file, where
   the validation fits succeed, so the tree splits and its validation
   statistics are nonzero;
-* child-scope g-formula with ``--max-depth 2`` on the binomial outcome, so
-  every child refits a logistic outcome model and predicts at both arms;
+* child-scope g-formula and dr with ``--max-depth 2`` on the binomial
+  outcome, so every child refits a logistic outcome model and predicts at
+  both arms, and under dr also refits the propensity;
 * g-formula on a file whose effect jumps between levels of the ordinal
   ``g``, so an ``ordinal_cut`` rule is written, loaded and routed;
 * DR with ``--bootstrap 20`` and a propensity design that is rank-deficient
@@ -145,9 +146,11 @@ def fit_runs() -> list[tuple[str, list[str]]]:
         runs.append((f"fit-{estimator}-child-growth-gaussian",
                      ["--data", "gaussian.csv", "--estimator", estimator, "--scope", "child",
                       "--max-depth", "2"] + specs(estimator)))
-    runs.append(("fit-g-child-growth-binomial",
-                 ["--data", "binomial.csv", "--estimator", "g", "--outcome-family", "binomial",
-                  "--scope", "child", "--max-depth", "2"] + specs("g")))
+    for estimator in ("g", "dr"):
+        runs.append((f"fit-{estimator}-child-growth-binomial",
+                     ["--data", "binomial.csv", "--estimator", estimator,
+                      "--outcome-family", "binomial", "--scope", "child", "--max-depth", "2"]
+                     + specs(estimator)))
     return runs
 
 

@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 standard output closed by its reader before every
 line was written (``efftree predict ... | head``; no traceback), 2
 configuration error (including a ``simulate --n`` whose training rows are
 fewer than ``--min-node``), 3 data error (including a categorical column with
-too many levels to split on, and a model-spec transform that is not finite
-on some row, such as ``exp(x1)`` overflowing), 4 fit failure (including a
+too many levels to split on, a model-spec transform that is not finite on
+some row, such as ``exp(x1)`` overflowing, and a model-spec column too large
+to square, such as an ``x1`` of 1e308), 4 fit failure (including a
 bootstrap that drops every replicate and a simulation whose every replicate
 fails).
 JSON artifacts go to files or stdout; logs and progress go to stderr, at
@@ -29,7 +30,6 @@ from .data import DataError, SubgroupMask, load_csv, text_blocks
 from .estimators import EstimatorKind, NuisanceScope, VarianceMethod
 from .glm import FitError, check_factor
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
-from .search import CategoricalCardinalityError
 from .select import bootstrap_effects, select_final
 from .simulate import MODEL_VARIANTS, SimSetting, check_sample_size, make_config, run_experiment
 from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
@@ -222,7 +222,7 @@ def cmd_fit(args) -> int:
         tree = grow_max_tree(data, SubgroupMask.from_indices(data.n, build_rows), config)
         sequence = weakest_link_sequence(tree)
         final, trace = select_final(sequence, data, validation_rows, args.lam)
-    except (CategoricalCardinalityError, DataError) as err:
+    except DataError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
     except FitError as err:
         raise CliError(f"fit failed: {err}", EXIT_FIT)

@@ -49,7 +49,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset
-from .glm import Design, FitError, ModelFit, fit_logistic, fit_ols, predict_mean
+from .glm import Design, DesignSpec, FitError, ModelFit, fit_logistic, fit_ols, predict_mean
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
@@ -276,7 +276,8 @@ def sandwich_terms(kind: EstimatorKind, models: NuisanceModels, terms: Contribut
         g1, g0 = terms.g1, terms.g0
         Z1, Z0 = built.at_one[:, fit.kept], built.at_zero()[:, fit.kept]
         grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
-        ghat = predict_mean(fit, Z)
+        # Z's rows are at_one's (A=1) or at_zero()'s (A=0): predicted as g1 or g0
+        ghat = np.where(terms.A == 1.0, g1, g0)
         weight = ghat * (1 - ghat)
         residual = terms.Y - ghat
     else:
@@ -346,15 +347,16 @@ def ipw_variance_per_child(
     return _checked_variance(var, (sq_l + sq_r) / n_p, n_p)
 
 
+def model_specs(config: GrowConfig) -> tuple[Optional[DesignSpec], Optional[DesignSpec]]:
+    """``(propensity, outcome)`` specs of the estimator's models, None for one it does not use."""
+    return (None if config.estimator == EstimatorKind.GFORMULA else config.propensity_spec,
+            None if config.estimator == EstimatorKind.IPW else config.outcome_spec)
+
+
 def model_designs(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Designs:
     """``(propensity, outcome)`` designs of the given rows, one gather per
-    model the configured estimator uses and None for the other."""
-    propensity = outcome = None
-    if config.estimator != EstimatorKind.GFORMULA:
-        propensity = Design(data, rows, config.propensity_spec)
-    if config.estimator != EstimatorKind.IPW:
-        outcome = Design(data, rows, config.outcome_spec)
-    return propensity, outcome
+    ``model_specs`` spec and None for the other."""
+    return tuple(None if spec is None else Design(data, rows, spec) for spec in model_specs(config))
 
 
 def fit_nuisance(data: Dataset, rows: np.ndarray, config: GrowConfig,

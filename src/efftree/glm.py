@@ -211,6 +211,13 @@ def _factor_columns(factor: Factor, data: Dataset) -> np.ndarray:
     return np.isin(values, codes).astype(np.float64)[:, None]
 
 
+def _design_blocks(data: Dataset, spec: DesignSpec) -> tuple[list[np.ndarray], list[Term]]:
+    """One column block of every dataset row per term, and the term behind each column."""
+    blocks = [np.ones((data.n, 1)) if t.factor is None else _factor_columns(t.factor, data)
+              for t in spec.terms]
+    return blocks, [t for t, block in zip(spec.terms, blocks) for _ in range(block.shape[1])]
+
+
 def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarray]:
     """Treatment-free design of every dataset row, built once per (dataset, spec).
 
@@ -218,31 +225,38 @@ def _root_design(data: Dataset, spec: DesignSpec) -> tuple[np.ndarray, np.ndarra
     of this matrix. The treatment column holds 1 and each treatment
     interaction column holds its factor; ``treated`` marks those columns,
     which a subgroup's design scales by A. Returns ``(F, treated)``,
-    memoized read-only in ``data.derived``. DataError when a column is not
-    finite, as a transform such as ``exp`` can make it.
+    memoized read-only in ``data.derived``; ``check_columns`` vets it.
     """
     cached = data.derived.get(spec)
     if cached is not None:
         return cached
-    blocks: list[np.ndarray] = []
-    owners: list[Term] = []  # the term behind each column
-    for term in spec.terms:
-        block = np.ones((data.n, 1)) if term.factor is None else _factor_columns(term.factor, data)
-        blocks.append(block)
-        owners.extend([term] * block.shape[1])
+    blocks, owners = _design_blocks(data, spec)
     F = np.hstack(blocks)
-    bad = np.count_nonzero(~np.isfinite(F), axis=0)
-    if bad.any():
-        # a categorical block is 0/1, so a non-finite column is its term's only one
-        j = int(np.argmax(bad > 0))
-        label = owners[j].label(data.schema.treatment)
-        raise DataError(f"design column {label!r} is not finite on {bad[j]} of {data.n} rows")
     treated = np.array([t.kind in ("treatment", "interaction") for t in owners])
     F.setflags(write=False)
     treated.setflags(write=False)
     cached = (F, treated)
     data.derived[spec] = cached
     return cached
+
+
+def check_columns(data: Dataset, spec: DesignSpec) -> None:
+    """DataError naming the first column of the spec's design that is not
+    finite on some dataset row, as ``exp`` can make it, or whose sum of
+    squares over the rows is not, as a value near 1e308 makes it. Growth
+    checks each spec in use once: every fit and split variance squares the
+    columns of a subgroup, whose sums are at most these."""
+    F, _ = _root_design(data, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(np.einsum("ij,ij->j", F, F))
+    if bad.any():
+        j = int(np.argmax(bad))
+        label = _design_blocks(data, spec)[1][j].label(data.schema.treatment)
+        n_bad = np.count_nonzero(~np.isfinite(F[:, j]))
+        if n_bad:
+            raise DataError(f"design column {label!r} is not finite on {n_bad} of {data.n} rows")
+        raise DataError(f"design column {label!r} is too large: its sum of squares "
+                        f"over the {data.n} rows is not finite")
 
 
 def check_rows(rows: np.ndarray) -> np.ndarray:

@@ -23,10 +23,10 @@ the one scorer of a realized split given as two children's rows: in whole
 and parent scope it builds the tables on the union of the children and
 scores that batch; in child scope it refits the models per child. Child-
 scope fitting cannot be batched (each candidate refits its own models), so
-a child-scope node has no tables and the same candidate loop scores its
-blocks one partition at a time (``partition_statistic``; inadmissible:
--inf, as in the kernel). The search takes the fit's ``tree.GrowConfig``;
-the candidate kernel reads the variance method from the node's tables.
+a child-scope node has no tables and the candidate loop scores each
+partition once with ``split_contrast`` (inadmissible: -inf, as in the
+kernel). The search takes the fit's ``tree.GrowConfig``; the candidate
+kernel reads the variance method from the node's tables.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
 
-from .data import Categorical, Continuous, Dataset, Ordinal, Schema, json_value
+from .data import Categorical, Continuous, DataError, Dataset, Ordinal, Schema, json_value
 from .estimators import (
     Contributions,
     EstimatorKind,
@@ -63,7 +63,7 @@ if TYPE_CHECKING:
 MAX_CATEGORICAL_LEVELS = 15
 
 
-class CategoricalCardinalityError(ValueError):
+class CategoricalCardinalityError(DataError):
     """Categorical covariate has too many levels to enumerate subsets."""
 
 
@@ -179,6 +179,13 @@ def _categorical_subsets(present: list[int], column: str) -> list[tuple[int, ...
     return subsets
 
 
+def _level_sums(values: np.ndarray, mat: np.ndarray, n_levels: int) -> np.ndarray:
+    """(n_levels x m) column sums of ``mat``'s rows per level code in
+    ``values``, each level's rows added in row order."""
+    return np.column_stack([np.bincount(values, weights=col, minlength=n_levels)
+                            for col in mat.T])
+
+
 def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_CovariateBlock]:
     """Per-covariate candidate blocks in deterministic enumeration order:
     column order, then ascending threshold / canonical subset order / cut."""
@@ -222,9 +229,7 @@ def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_Covariat
                     )
 
                 def agg_cat(mat, values=values, sel=sel, n_levels=len(kind.levels)):
-                    level_sums = np.zeros((n_levels, mat.shape[1]))
-                    np.add.at(level_sums, values, mat)
-                    return sel @ level_sums
+                    return sel @ _level_sums(values, mat, n_levels)
 
                 yield _CovariateBlock(len(subsets), rule_cat, agg_cat)
             else:
@@ -234,9 +239,7 @@ def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_Covariat
                     return SplitRule(name, col_idx, "ordinal_cut", cut=int(cuts[j]))
 
                 def agg_ord(mat, values=values, cuts=cuts, n_levels=len(kind.levels)):
-                    level_sums = np.zeros((n_levels, mat.shape[1]))
-                    np.add.at(level_sums, values, mat)
-                    return np.cumsum(level_sums, axis=0)[cuts]
+                    return np.cumsum(_level_sums(values, mat, n_levels), axis=0)[cuts]
 
                 yield _CovariateBlock(len(cuts), rule_ord, agg_ord)
 
@@ -371,11 +374,15 @@ def candidate_statistics(
         t_r = (total_delta - left_delta) / n_r
         t_hat = t_l - t_r
 
+        if not sandwich or tables.centered:
+            # squared deviations of delta from its child mean, each child's
+            # scaled by 1 / p^2: the influence centered within each child
+            within_sq = (
+                (left_delta_sq - n_l * t_l**2) / p_l**2
+                + ((total_delta_sq - left_delta_sq) - n_r * t_r**2) / p_r**2
+            )
         if not sandwich:
-            ss_l = left_delta_sq - n_l * t_l**2
-            ss_r = (total_delta_sq - left_delta_sq) - n_r * t_r**2
-            pooled_ss = ss_l / p_l**2 + ss_r / p_r**2
-            variance = pooled_ss / (n_p - 1) / n_p
+            variance = within_sq / (n_p - 1) / n_p
         else:
             left_grad = left_agg[:, 4:4 + q]
             left_dscore = left_agg[:, 4 + q:4 + 2 * q]
@@ -391,12 +398,6 @@ def candidate_statistics(
             corr_sq = np.einsum("cq,cq->c", work, d_diff)  # c S c', row by row
             np.subtract(tables.dscore_total, left_dscore, out=work)  # right dscore
             if tables.centered:
-                # base influence centered within each child: nonnegative
-                # mean of squares, no explicit centering subtraction
-                base_sq = (
-                    (left_delta_sq - n_l * t_l**2) / p_l**2
-                    + ((total_delta_sq - left_delta_sq) - n_r * t_r**2) / p_r**2
-                )
                 left_score = left_agg[:, 4 + 2 * q:4 + 3 * q]
                 # (left dscore - t_l left score) / p_l
                 #   - (right dscore - t_r right score) / p_r
@@ -409,7 +410,7 @@ def candidate_statistics(
                 base_score /= p_l[:, None]
                 base_score -= work
                 cross = np.einsum("cq,cq->c", base_score, c)
-                variance = (base_sq + 2.0 * tables.corr_sign * cross + corr_sq) / n_p / n_p
+                variance = (within_sq + 2.0 * tables.corr_sign * cross + corr_sq) / n_p / n_p
             else:
                 base_sq = (
                     left_delta_sq / p_l**2
@@ -444,10 +445,13 @@ def find_best_split(
     """Best admissible candidate split of the node, or None.
 
     Whole and parent scope score each candidate block from the node's
-    ``tables``; child scope has none and refits per candidate
-    (``partition_statistic``). Ties on the statistic keep the earlier candidate
-    in enumeration order (column order, then threshold / canonical subset /
-    cut order).
+    ``tables`` and rescore the winner's realized partition with
+    ``score_partition``. Child scope has no tables: each candidate whose
+    children both reach ``min_node`` is scored once by ``split_contrast``,
+    which refits the models per child, and the winner keeps that statistic.
+    Inadmissible candidates score -inf. Ties on the statistic keep the
+    earlier candidate in enumeration order (column order, then threshold /
+    canonical subset / cut order).
     """
     min_node, min_per_arm = config.min_node, config.min_per_arm
     best = None  # (stat, rule)
@@ -455,28 +459,37 @@ def find_best_split(
     n_adm = 0
     for block in iter_candidate_blocks(data, rows):
         if tables is None:
-            stats = np.array([partition_statistic(data, rows, rule.goes_left(data, rows), config,
-                                                  None, min_node, min_per_arm)
-                              for rule in block.rules()])
+            stats = np.full(block.n_rules, -np.inf)
+            for j, rule in enumerate(block.rules()):
+                left = rule.goes_left(data, rows)
+                if not min_node <= left.sum() <= len(rows) - min_node:
+                    continue
+                try:
+                    stats[j] = split_contrast(data, rows[left], rows[~left], config,
+                                              min_per_arm=min_per_arm).statistic
+                except InadmissibleSplitError:
+                    pass
         else:
             stats = candidate_statistics(tables, block.aggregate(tables.packed), len(rows),
                                          min_node, min_per_arm)[0]
         n_cand += block.n_rules
-        n_adm += int(np.isfinite(stats).sum())  # inadmissible candidates score -inf
+        n_adm += int(np.isfinite(stats).sum())
         j = int(np.argmax(stats))
         if stats[j] > 0.0 and (best is None or stats[j] > best[0]):
             best = (float(stats[j]), block.make_rule(j))
     if best is None:
         return None
 
-    rule = best[1]
-    # Rebuild the winner from its rule and rescore from the realized
-    # partition, so the stored values match the partition exactly even if a
-    # midpoint threshold rounded onto a data value.
+    statistic, rule = best
     left_local = rule.goes_left(data, rows)
-    statistic = partition_statistic(data, rows, left_local, config, tables, min_node, min_per_arm)
-    if statistic <= 0.0:
-        return None
+    if tables is not None:
+        # Rescore the winner from its realized partition, so the stored
+        # values match the partition exactly even if a midpoint threshold
+        # rounded onto a data value.
+        scored = score_partition(tables, left_local, min_node, min_per_arm)
+        if scored is None or scored.statistic <= 0.0:
+            return None
+        statistic = scored.statistic
     return BestSplit(rule, statistic, left_local, n_cand, n_adm)
 
 
@@ -485,44 +498,18 @@ def score_partition(
     left_local: np.ndarray,
     min_node: int,
     min_per_arm: int,
-) -> Optional[tuple[float, float, float]]:
-    """(statistic, t_hat, variance) of one realized partition of the node's
-    rows (``left_local`` is left membership over them), scored as a
-    1-candidate batch; None when the partition is inadmissible."""
+) -> Optional[SplitContrast]:
+    """The contrast of one realized partition of the node's rows
+    (``left_local`` is left membership over them), scored from the node's
+    ``tables`` as a 1-candidate batch; None when it is inadmissible."""
     left_agg = tables.packed[left_local].sum(axis=0)[None, :]
     stats, adm, t_hats, variances = candidate_statistics(
         tables, left_agg, len(left_local), min_node, min_per_arm,
     )
     if not adm[0]:
         return None
-    return float(stats[0]), float(t_hats[0]), float(variances[0])
-
-
-def partition_statistic(
-    data: Dataset,
-    rows: np.ndarray,
-    left_local: np.ndarray,
-    config: GrowConfig,
-    tables: Optional[_NodeTables],
-    min_node: int,
-    min_per_arm: int,
-) -> float:
-    """Statistic of one realized partition of the node's ``rows``
-    (``left_local`` is left membership over them); -inf where the partition
-    is inadmissible. With the node's ``tables`` (whole and parent scope) it
-    is scored as a 1-candidate batch; without them (child scope) by
-    ``split_contrast`` with per-child nuisance refits."""
-    if tables is not None:
-        scored = score_partition(tables, left_local, min_node, min_per_arm)
-        return -np.inf if scored is None else scored[0]
-    n_l = int(left_local.sum())
-    if n_l < min_node or len(rows) - n_l < min_node:
-        return -np.inf
-    try:
-        return split_contrast(data, rows[left_local], rows[~left_local], config,
-                              min_per_arm=min_per_arm).statistic
-    except InadmissibleSplitError:
-        return -np.inf
+    return SplitContrast(t_hat=float(t_hats[0]), variance=float(variances[0]),
+                         statistic=float(stats[0]))
 
 
 def split_contrast(
@@ -563,8 +550,7 @@ def split_contrast(
                                  in_left[rows], 1, min_per_arm)
         if scored is None:
             raise InadmissibleSplitError("inadmissible split")
-        statistic, t_hat, variance = scored
-        return SplitContrast(t_hat=t_hat, variance=variance, statistic=statistic)
+        return scored
 
     fitted_l = subgroup_terms(data, rows_l, config)
     fitted_r = subgroup_terms(data, rows_r, config)

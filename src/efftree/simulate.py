@@ -307,8 +307,8 @@ def pairwise_similarity_labels(labels_a: np.ndarray, labels_b: np.ndarray) -> fl
 
     _, ia = np.unique(labels_a, return_inverse=True)
     _, ib = np.unique(labels_b, return_inverse=True)
-    joint = np.zeros((ia.max() + 1, ib.max() + 1), dtype=np.int64)
-    np.add.at(joint, (ia, ib), 1)
+    n_b = ib.max() + 1
+    joint = np.bincount(ia * n_b + ib, minlength=(ia.max() + 1) * n_b).reshape(-1, n_b)
     same_a = int(pairs(joint.sum(axis=1)).sum())
     same_b = int(pairs(joint.sum(axis=0)).sum())
     same_both = int(pairs(joint).sum())

@@ -5,7 +5,8 @@ statistic, stopping when no admissible candidate remains, the depth cap is
 reached, or children would fall below the node- or arm-size minimums. Node
 effects are computed with the configured estimator on the models that
 ``estimators.subgroup_terms`` gives each node; a node whose own models are
-inadmissible takes its parent's and, outside child scope, is not split.
+inadmissible takes its parent's and is not split; in child scope only the
+root can fail, as every other node is a child whose fit the search admitted.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from .estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
+    model_specs,
     node_effect,
     shared_models,
     subgroup_terms,
 )
-from .glm import DesignSpec, FitError, parse_spec
+from .glm import DesignSpec, FitError, check_columns, parse_spec
 from .search import SplitRule, find_best_split, node_tables
 
 logger = logging.getLogger(__name__)
@@ -367,10 +369,13 @@ def tree_from_dict(payload: dict) -> Tree:
 
 
 def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree:
-    """Grow the maximum-sized tree by repeatedly taking the largest-statistic split."""
+    """Grow the maximum-sized tree by repeatedly taking the largest-statistic
+    split; DataError first if a model column fails ``glm.check_columns``."""
     rows = mask.indices()
     if len(rows) < config.min_node:
         raise ValueError("root below min_node")
+    for spec in filter(None, model_specs(config)):
+        check_columns(data, spec)
     shared = shared_models(data, rows, config)
 
     nodes: dict[int, TreeNode] = {}
@@ -395,7 +400,7 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
             depth < config.max_depth
             and len(node_rows) >= 2 * config.min_node
             and terms.smaller_arm >= 2 * config.min_per_arm
-            and (models is not None or config.scope == NuisanceScope.CHILD)
+            and models is not None
         )
         if not can_split:
             return node_id

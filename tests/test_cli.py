@@ -118,6 +118,34 @@ def test_fit_spec_column_that_overflows_is_a_data_error(spec_args, tmp_path, cap
     assert not out.exists()
 
 
+OUTCOME_WITH_X1 = ["--outcome-spec", "1 + A + x1 + x3 + A:x2"]
+
+
+@pytest.mark.parametrize("spec_args,code", [
+    (["--estimator", "ipw", "--propensity-spec", "1 + x1 + x2 + x3"], 3),
+    (["--estimator", "g", *OUTCOME_WITH_X1], 3),
+    (["--estimator", "dr", "--propensity-spec", "1 + x2 + x3", *OUTCOME_WITH_X1], 3),
+    (["--estimator", "ipw", "--propensity-spec", "1 + x2 + x3"], 0),
+], ids=["ipw", "g", "dr", "ipw-without-x1"])
+def test_fit_spec_column_too_large_to_square_is_a_data_error(spec_args, code, tmp_path, capsys):
+    # finite, but its square overflows, and so would every fit's normal
+    # equations or information matrix
+    data, _ = generate(SimSetting("heterogeneous", n=400, seed=51))
+    x1 = data.covariates["x1"].copy()
+    x1[123] = 1e308
+    data = Dataset(data.schema, {**data.covariates, "x1": x1}, data.treatment, data.outcome)
+    csv_path = tmp_path / "huge.csv"
+    write_csv(data, csv_path)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema_to_dict(data.schema)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli(["fit", "--data", csv_path, "--schema", schema_path, *spec_args,
+                    "--max-depth", 2, "--out", out]) == code
+    if code == 3:
+        assert "bad data: design column 'x1' is too large" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsys):
     # Two-row terminals with one row per arm: every resample leaves some
     # terminal without an arm, so every replicate is dropped.

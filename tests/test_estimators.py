@@ -291,6 +291,26 @@ def test_a_parent_scope_node_gathers_each_model_design_once(monkeypatch, estimat
     assert len(calls) == lookups
 
 
+@pytest.mark.parametrize("scope", [NuisanceScope.WHOLE, NuisanceScope.PARENT],
+                         ids=lambda v: v.value)
+def test_binomial_outcome_at_the_observed_arm_is_g1_or_g0_bitwise(scope):
+    # the pooled sandwich takes each row's observed-arm prediction from g1
+    # (treated) or g0 (control); A:x1 with negative x1 gives -0.0 in a
+    # control row, in the observed design and at A=0 alike
+    rng = np.random.default_rng(43)
+    x1 = rng.standard_normal(300)
+    A = (rng.random(300) < 1 / (1 + np.exp(-x1))).astype(int)
+    Y = (rng.random(300) < 1 / (1 + np.exp(-0.5 * x1 - A + A * x1))).astype(float)
+    data = make_data({"x1": x1}, A, Y)
+    config = GrowConfig(EstimatorKind.GFORMULA, scope=scope, outcome_family="binomial",
+                        outcome_spec=parse_spec("1 + A + x1 + A:x1", "A"))
+    shared = shared_models(data, full(data), config)
+    for rows in (full(data), np.flatnonzero(x1 > -0.5), rng.permutation(data.n)[:120]):
+        models, terms = subgroup_terms(data, rows, config, shared)
+        observed = predict_mean(models.outcome, terms.designs[1].observed())
+        assert np.where(terms.A == 1, terms.g1, terms.g0).tobytes() == observed.tobytes()
+
+
 # ---------------------------------------------------------------- influence variance
 
 

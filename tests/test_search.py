@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
+from efftree import search
 from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.estimators import (
     EstimatorKind,
@@ -13,6 +14,7 @@ from efftree.estimators import (
 )
 from efftree.glm import parse_spec
 from efftree.search import (
+    _level_sums,
     candidate_statistics,
     enumerate_splits,
     find_best_split,
@@ -191,6 +193,50 @@ def test_child_scope_search_uses_per_child_fits():
     left = best.rule.goes_left(data, rows)
     contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=8)
     assert best.statistic == pytest.approx(contrast.statistic, rel=1e-10)
+
+
+def test_child_scope_search_scores_each_candidate_partition_once(monkeypatch):
+    # one split_contrast per candidate whose children reach min_node, and
+    # none more for the winner, which keeps its scan statistic
+    data = mixed_data(seed=71)
+    rows = np.arange(data.n)
+    config = GrowConfig(EstimatorKind.IPW, propensity_spec=parse_spec("1 + x1", "A"),
+                        scope=NuisanceScope.CHILD,
+                        variance_method=VarianceMethod.PER_CHILD_SANDWICH,
+                        min_node=40, min_per_arm=8)
+    calls = []
+    scorer = search.split_contrast
+    monkeypatch.setattr(search, "split_contrast",
+                        lambda *args, **kwargs: calls.append(1) or scorer(*args, **kwargs))
+    best = find_best_split(data, rows, config, None)
+    assert best is not None
+    sizes = [rule.goes_left(data, rows).sum() for rule in enumerate_splits(data, rows)]
+    assert len(calls) == sum(1 for n_l in sizes if 40 <= n_l <= data.n - 40)
+    left = best.rule.goes_left(data, rows)
+    assert np.array_equal(best.left_local, left)
+    assert best.statistic == scorer(data, rows[left], rows[~left], config,
+                                    min_per_arm=8).statistic
+
+
+def test_constant_continuous_covariate_yields_no_candidates():
+    data = mixed_data()
+    data = Dataset(data.schema, {**data.covariates, "x1": np.full(data.n, 0.5)},
+                   data.treatment, data.outcome)
+    rules = enumerate_splits(data, np.arange(data.n))
+    assert {rule.column for rule in rules} == {"x2", "c", "g"}
+
+
+@pytest.mark.parametrize("n,width", [(1, 1), (1, 46), (300, 1), (300, 46)])
+def test_level_sums_equal_add_at_bitwise(n, width):
+    rng = np.random.default_rng(n + width)
+    n_levels = 7
+    values = rng.choice([0, 2, 3, 6], size=n)  # levels 1, 4 and 5 absent
+    mat = rng.standard_normal((n, width)) * 10.0 ** rng.integers(-8, 8, (n, width))
+    expected = np.zeros((n_levels, width))
+    np.add.at(expected, values, mat)
+    got = _level_sums(values, mat, n_levels)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("variance", [None, *VarianceMethod], ids=lambda v: getattr(v, "value", v))

@@ -356,13 +356,16 @@ def _pivoted_qr(
 
 def _factored_design(design: Design, with_q: bool = False):
     """The prologue of both fits: the observed design, FitError unless it
-    has at least as many rows as columns, then its ``_pivoted_qr``. Returns
-    ``(Z, Q, R, piv, kept, dropped)``, the kept and dropped columns sorted;
-    ``piv[:len(kept)]`` orders the kept columns as R does."""
+    has at least as many rows as columns, then its ``_pivoted_qr``, FitError
+    if that keeps no column. Returns ``(Z, Q, R, piv, kept, dropped)``, the
+    kept and dropped columns sorted; ``piv[:len(kept)]`` orders the kept
+    columns as R does."""
     Z = design.observed()
     if Z.shape[0] < Z.shape[1]:
         raise FitError("insufficient data: fewer rows than design columns")
     Q, R, piv, rank = _pivoted_qr(Z, with_q)
+    if rank == 0:  # only when the rank rule's tolerance overflows
+        raise FitError("design matrix rank is 0: a column is too large to factor")
     return Z, Q, R, piv, np.sort(piv[:rank]), np.sort(piv[rank:])
 
 

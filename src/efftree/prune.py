@@ -7,7 +7,8 @@ a nested sequence of candidate subtrees that ends at the root-only tree.
 The sequence is a prune order (the max tree and the node pruned at each
 step), built with O(K depth) updates of bottom-up branch sums for K
 internal nodes (Breiman et al. 1984) and no tree copy; selection
-materializes only the chosen candidate.
+materializes only the chosen candidate. Every walk is ``Tree.preorder``:
+the branch sums read it reversed, so no depth of tree exhausts the stack.
 """
 
 from __future__ import annotations
@@ -64,33 +65,27 @@ def weakest_link_sequence(tree: Tree) -> PruneSequence:
     parent: dict[int, int] = {}
     total: dict[int, float] = {}
     count: dict[int, int] = {}  # only internal nodes have a count
-
-    def visit(h: int) -> None:  # post-order
+    for h, _ in reversed(list(tree.preorder())):  # children before their parent
         nd = tree.node(h)
         if not nd.is_terminal:
-            for child in (nd.left, nd.right):
-                parent[child] = h
-                visit(child)
+            parent[nd.left] = parent[nd.right] = h
             total[h] = nd.statistic + total.get(nd.left, 0.0) + total.get(nd.right, 0.0)
             count[h] = 1 + count.get(nd.left, 0) + count.get(nd.right, 0)
-
-    visit(tree.root_id)
 
     # A heap entry is current while its node is internal (still in count)
     # with the count it was pushed with; every prune below a node lowers it.
     heap = [(total[h] / count[h], h, count[h]) for h in count]
     heapq.heapify(heap)
     pruned: list[int] = []
+    done: set[int] = set()  # the walk below stops at earlier prunes: O(K) in all
     while heap:
         _, h, c = heapq.heappop(heap)
         if count.get(h) != c:
             continue
         pruned.append(h)
-        below = [h]
-        while below:  # h and its internal descendants stop being internal
-            d = below.pop()
-            if count.pop(d, None) is not None:
-                below += (tree.node(d).left, tree.node(d).right)
+        for d, _ in tree.preorder(h, stop=done):
+            count.pop(d, None)  # h and its internal descendants stop being internal
+        done.add(h)
         a = parent.get(h)
         while a is not None:
             total[a] -= total[h]

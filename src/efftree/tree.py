@@ -1,12 +1,14 @@
 """Greedy growth of the maximum-sized effect tree, prediction, and serialization.
 
-Growth recursively splits nodes on the candidate with the largest splitting
-statistic, stopping when no admissible candidate remains, the depth cap is
-reached, or children would fall below the node- or arm-size minimums. Node
-effects are computed with the configured estimator on the models that
-``estimators.subgroup_terms`` gives each node; a node whose own models are
-inadmissible takes its parent's and is not split; in child scope only the
-root can fail, as every other node is a child whose fit the search admitted.
+Growth splits nodes on the candidate with the largest splitting statistic,
+one node at a time in preorder from a stack of pending children, stopping
+when no admissible candidate remains, the depth cap is reached, or children
+would fall below the node- or arm-size minimums. Node effects are computed
+with the configured estimator on the models that ``estimators.subgroup_terms``
+gives each node; a node whose own models are inadmissible takes its parent's
+and is not split; in child scope only the root can fail, as every other node
+is a child whose fit the search admitted. No walk of a tree recurses, so its
+depth is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from typing import Optional, get_type_hints
+from typing import Container, Iterator, Optional, get_type_hints
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .estimators import (
     EstimatorKind,
     InadmissibleSplitError,
     NodeEffect,
-    NuisanceModels,
     NuisanceScope,
     VarianceMethod,
     model_specs,
@@ -203,32 +204,32 @@ class Tree:
     def n_internal(self) -> int:
         return sum(1 for nd in self.nodes.values() if not nd.is_terminal)
 
+    def preorder(self, node_id: Optional[int] = None,
+                 stop: Container[int] = ()) -> Iterator[tuple[int, int]]:
+        """Each node id of the subtree rooted at node_id (the root by
+        default) with its level below it, parent before children and left
+        subtree before right; a node in ``stop`` is yielded but not descended."""
+        stack = [(self.root_id if node_id is None else node_id, 0)]
+        while stack:
+            i, level = stack.pop()
+            yield i, level
+            nd = self.nodes[i]
+            if not nd.is_terminal and i not in stop:
+                stack += ((nd.right, level + 1), (nd.left, level + 1))
+
     def branch_internal(self, node_id: int) -> list[int]:
         """Internal nodes of the subtree rooted at node_id, itself included, preorder."""
-        out: list[int] = []
-        stack = [node_id]
-        while stack:
-            i = stack.pop()
-            nd = self.nodes[i]
-            if not nd.is_terminal:
-                out.append(i)
-                stack += (nd.right, nd.left)
-        return out
+        return [i for i, _ in self.preorder(node_id) if not self.nodes[i].is_terminal]
 
     def prune_at(self, *node_ids: int) -> "Tree":
         """Copy of the tree with all descendants of each given node removed;
         those nodes keep their effect estimates and become terminal."""
         cut = set(node_ids)
         nodes = {}
-        order = [self.root_id]
-        for i in order:
+        for i, _ in self.preorder(stop=cut):
             nd = self.nodes[i]
-            if i in cut:
-                nodes[i] = replace(nd, rule=None, statistic=None, left=None, right=None)
-                continue
-            nodes[i] = replace(nd)
-            if not nd.is_terminal:
-                order += (nd.left, nd.right)
+            nodes[i] = (replace(nd, rule=None, statistic=None, left=None, right=None)
+                        if i in cut else replace(nd))
         return Tree(nodes, self.root_id, self.config, self.schema)
 
     def rows_by_node(self, data: Dataset, rows: np.ndarray) -> dict[int, np.ndarray]:
@@ -241,8 +242,7 @@ class Tree:
         if data.schema != self.schema:
             raise ValueError("dataset schema does not match the tree's schema")
         reach = {self.root_id: rows}
-        order = [self.root_id]
-        for node_id in order:
+        for node_id, _ in self.preorder():
             nd = self.nodes[node_id]
             if nd.is_terminal:
                 continue
@@ -258,7 +258,6 @@ class Tree:
                 left = np.where(known, left, bigger_left)
             reach[nd.left] = rows[left]
             reach[nd.right] = rows[~left]
-            order.extend([nd.left, nd.right])
         return reach
 
     def route(self, data: Dataset) -> np.ndarray:
@@ -271,9 +270,9 @@ class Tree:
 
     def predict(self, data: Dataset) -> np.ndarray:
         """Estimated subgroup effect of the terminal node reached by each row."""
-        terminal = self.route(data)
-        effects = {i: self.nodes[i].effect.effect for i in self.terminal_ids()}
-        return np.vectorize(effects.get, otypes=[np.float64])(terminal)
+        ids = self.terminal_ids()
+        effects = np.array([self.nodes[i].effect.effect for i in ids])
+        return effects[np.searchsorted(ids, self.route(data))]
 
     # ------------------------------------------------------------------
     # serialization
@@ -290,18 +289,12 @@ class Tree:
 
     def render_text(self) -> str:
         lines: list[str] = []
-
-        def walk(node_id: int, prefix: str) -> None:
+        for node_id, level in self.preorder():
             nd = self.nodes[node_id]
             head = f"node {nd.id}: n={nd.n} effect={nd.effect.effect:.4f}"
             if not nd.is_terminal:
                 head += f" | split {nd.rule.describe()} (G={nd.statistic:.3f})"
-            lines.append(prefix + head)
-            if not nd.is_terminal:
-                walk(nd.left, prefix + "  ")
-                walk(nd.right, prefix + "  ")
-
-        walk(self.root_id, "")
+            lines.append("  " * level + head)
         return "\n".join(lines) + "\n"
 
 
@@ -379,12 +372,13 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
     shared = shared_models(data, rows, config)
 
     nodes: dict[int, TreeNode] = {}
-    counter = [0]
-
-    def build(node_rows: np.ndarray, depth: int,
-              parent_models: Optional[NuisanceModels]) -> int:
-        node_id = counter[0]
-        counter[0] += 1
+    # a child's rows, depth and inherited models, and the parent field its id goes to
+    pending = [(rows, 0, None, None, None)]
+    while pending:  # the left child is popped first, so ids are in preorder
+        node_rows, depth, parent_models, parent, side = pending.pop()
+        node_id = len(nodes)
+        if parent is not None:
+            setattr(parent, side, node_id)
         try:
             models, terms = subgroup_terms(data, node_rows, config, shared)
         except InadmissibleSplitError as err:
@@ -402,28 +396,21 @@ def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree
             and terms.smaller_arm >= 2 * config.min_per_arm
             and models is not None
         )
-        if not can_split:
-            return node_id
-
         tables = None
-        if config.scope != NuisanceScope.CHILD:
+        if can_split and config.scope != NuisanceScope.CHILD:
             try:
                 tables = node_tables(config, models, terms)
             except InadmissibleSplitError:
-                return node_id  # e.g. a singular information matrix on the node's rows
+                can_split = False  # e.g. a singular information matrix on the node's rows
         del terms  # neither the terms nor the tables may stay alive while children grow
-        best = find_best_split(data, node_rows, config, tables)
+        best = find_best_split(data, node_rows, config, tables) if can_split else None
         del tables
-        node.n_candidates = 0 if best is None else best.n_candidates
-        node.n_admissible = 0 if best is None else best.n_admissible
         if best is None:
-            return node_id
-
+            continue
+        node.n_candidates = best.n_candidates
+        node.n_admissible = best.n_admissible
         node.rule = best.rule
         node.statistic = best.statistic
-        node.left = build(node_rows[best.left_local], depth + 1, effect_models)
-        node.right = build(node_rows[~best.left_local], depth + 1, effect_models)
-        return node_id
-
-    root_id = build(rows, 0, None)
-    return Tree(nodes, root_id, config, data.schema)
+        pending.append((node_rows[~best.left_local], depth + 1, effect_models, node, "right"))
+        pending.append((node_rows[best.left_local], depth + 1, effect_models, node, "left"))
+    return Tree(nodes, 0, config, data.schema)

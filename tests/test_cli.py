@@ -63,6 +63,29 @@ def test_fit_g_homogeneous_single_node(tmp_path, capsys):
     assert "terminal" in out and "effect" in out
 
 
+def test_fit_grows_prunes_and_renders_a_tree_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # sorted x, alternating arms and an effect exp(5x): each node splits off
+    # one pair of rows at its end, so the tree is a chain over the rows
+    rng = np.random.default_rng(7)
+    n = 3000
+    x = np.sort(rng.random(n))
+    A = np.arange(n) % 2
+    y = A * np.exp(5.0 * x) + 0.001 * rng.standard_normal(n)
+    csv_path = tmp_path / "chain.csv"
+    csv_path.write_text("x,A,Y\n" + "".join(f"{float(x[i])!r},{A[i]},{float(y[i])!r}\n"
+                                            for i in range(n)), encoding="utf-8")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"covariates": [{"name": "x", "kind": "continuous"}],
+                                       "treatment": "A", "outcome": "Y"}), encoding="utf-8")
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path, "--estimator", "g",
+                    "--outcome-spec", "1 + A + x + A:x", "--min-node", 2, "--min-per-arm", 1,
+                    "--max-depth", 5000, "--train-frac", 1, "--out", tmp_path / "fit"])
+    capsys.readouterr()
+    assert code == 0
+    tree = json.loads((tmp_path / "fit" / "tree.json").read_text())
+    assert max(node["depth"] for node in tree["nodes"]) >= max(1000, sys.getrecursionlimit())
+
+
 def test_fit_requires_propensity_for_ipw(heterog_csv):
     base, csv_path, schema_path, _ = heterog_csv
     code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,

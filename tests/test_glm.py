@@ -387,6 +387,20 @@ def test_fit_logistic_singular_weighted_system_is_a_fit_error(x2_of_x1):
         fit_logistic(design, A)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("fit", [fit_ols, fit_logistic])
+def test_a_design_of_rank_0_is_a_fit_error(fit):
+    # |R_00| = 1e308 overflows the rank tolerance, so the rule keeps no column
+    x1 = np.linspace(-2.0, 2.0, 100)
+    x1[17] = 1e308
+    A = (np.sin(3.0 * np.arange(100)) > 0).astype(int)
+    data = make_data({"x1": x1}, A, np.zeros(100))
+    design = Design(data, full(data), parse_spec("1 + x1", "A"))
+    assert _pivoted_qr(design.observed())[3] == 0
+    with pytest.raises(FitError, match="rank is 0"):
+        fit(design, A)
+
+
 def test_fit_logistic_rejects_boolean_rows():
     # a mask where rows are expected would index fine but count every row
     data = make_data({"x1": [0.5, 1.0, 2.0, 3.0, -1.0]}, [1, 0, 1, 0, 1], np.zeros(5))

@@ -14,11 +14,12 @@ from efftree.estimators import (
     VarianceMethod,
 )
 from efftree.glm import FitError, parse_spec
+from efftree.prune import weakest_link_sequence
 from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits, node_tables
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree, tree_from_dict
 from oracle import fit_on, split_contrast, terms_of
-from util_trees import leaf_effect
+from util_trees import build_tree, leaf_effect, random_tree, recursive_preorder
 
 
 def make_data(x: dict, A, Y, kinds=None) -> Dataset:
@@ -341,6 +342,53 @@ def test_rows_by_node_match_route():
     for node_id in tree.terminal_ids():
         np.testing.assert_array_equal(reach[node_id], np.nonzero(terminal == node_id)[0])
     np.testing.assert_array_equal(reach[1], [1, 2, 3])  # unseen C rows join the larger child
+
+
+# ---------------------------------------------------------------- walks
+
+
+def test_preorder_matches_the_recursive_reference_on_random_trees():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        tree = random_tree(rng, max_internal=12)
+        stop = set(rng.choice(sorted(tree.nodes), size=2).tolist())
+        assert list(tree.preorder()) == recursive_preorder(tree)
+        assert list(tree.preorder(stop=stop)) == recursive_preorder(tree, stop=stop)
+        for h in tree.nodes:
+            assert list(tree.preorder(h)) == recursive_preorder(tree, h)
+
+
+def test_grown_node_ids_are_in_preorder_and_depths_are_levels():
+    data, _, config = grow_setting(n=600, seed=43)
+    tree = grow_max_tree(data, SubgroupMask(np.ones(data.n, dtype=bool)), config)
+    assert tree.n_internal() >= 3
+    walk = list(tree.preorder())
+    assert [i for i, _ in walk] == sorted(tree.nodes)
+    assert all(tree.node(i).depth == level for i, level in walk)
+
+
+def test_a_3000_deep_chain_walks_without_recursion():
+    # internal nodes 0..2999 each split into the next one (left, x1 < 0) and
+    # a leaf 3001 + i (right); node 3000 is the leftmost leaf
+    depth = 3000
+    tree = build_tree({i: 10.0 if i < 1500 else 1.0 for i in range(depth)},
+                      {i: (i + 1, depth + 1 + i) for i in range(depth)})
+    # branch means are exact: 1 from node 1500 down, 10 above once it is pruned
+    assert weakest_link_sequence(tree).pruned_node_per_step == [1500, 0]
+    lines = tree.render_text().splitlines()
+    assert len(lines) == 2 * depth + 1
+    assert lines[depth] == "  " * depth + "node 3000: n=10 effect=1.0000"
+    assert lines[-1] == "  " + "node 3001: n=10 effect=1.0000"
+    assert tree.branch_internal(0) == list(range(depth))
+    pruned = tree.prune_at(1500)
+    assert sorted(pruned.nodes) == list(range(1501)) + list(range(depth + 1, depth + 1501))
+    assert pruned.node(1500).is_terminal and pruned.n_internal() == 1500
+    data = Dataset(tree.schema, {"x1": np.array([-1.0, 1.0, -2.0, 2.0])},
+                   np.array([0, 1, 0, 1]), np.zeros(4))
+    reach = tree.rows_by_node(data, np.arange(4))
+    np.testing.assert_array_equal(reach[depth], [0, 2])
+    np.testing.assert_array_equal(reach[depth + 1], [1, 3])
+    assert len(reach) == 2 * depth + 1
 
 
 # ---------------------------------------------------------------- serialization

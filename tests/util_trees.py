@@ -74,3 +74,14 @@ def brute_force_sequence(tree: Tree):
         pruned.append(h_star)
         trees.append(current)
     return trees, pruned
+
+
+def recursive_preorder(tree: Tree, node_id=None, stop=(), level=0):
+    """Reference for ``Tree.preorder``: (node id, level) pairs by recursion."""
+    node_id = tree.root_id if node_id is None else node_id
+    nd = tree.node(node_id)
+    out = [(node_id, level)]
+    if not nd.is_terminal and node_id not in stop:
+        for child in (nd.left, nd.right):
+            out += recursive_preorder(tree, child, stop, level + 1)
+    return out

@@ -31,6 +31,11 @@ same bytes. The matrix:
   again as ``tree.reloaded.json`` in the form ``efftree fit`` writes, so
   ``cmp tree.json tree.reloaded.json`` checks the reader's round trip;
 * ``fit --train-frac 1``, so selection scores the build rows themselves;
+* g-formula with ``--max-depth 900 --min-node 2 --min-per-arm 1`` on a
+  2000-row chain file (sorted ``x``, alternating arms, an effect of
+  ``exp(5x)``), where each node splits one pair of rows off its end, so
+  growth, pruning, selection and rendering run on a tree hundreds of
+  levels deep;
 * ``simulate --threads 1`` on every setting, including a misspecified
   DR model, and a child-scope IPW cell.
 
@@ -65,7 +70,8 @@ SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog",
 
 def write_inputs(out: Path) -> None:
     """schema.json, gaussian.csv and binomial.csv (1000 rows), small.csv (300 rows),
-    ordinal.csv (1000 rows, the effect set by ``g``)."""
+    ordinal.csv (1000 rows, the effect set by ``g``); chain-schema.json and
+    chain.csv (2000 rows)."""
     rng = np.random.default_rng(20201)
     n = 1000
     x1, x2, x3 = rng.standard_normal((3, n))
@@ -97,6 +103,20 @@ def write_inputs(out: Path) -> None:
                 writer.writerow([repr(float(x1[i])), repr(float(x2[i])), repr(float(x3[i])),
                                  "ABCD"[c[i]], ("lo", "mid", "hi")[g[i]], int(A[i]),
                                  repr(float(outcome[i]))])
+    rng = np.random.default_rng(20203)
+    n = 2000
+    x = np.sort(rng.random(n))
+    A = np.arange(n) % 2
+    y = A * np.exp(5.0 * x) + 0.001 * rng.standard_normal(n)
+    chain_schema = {"covariates": [{"name": "x", "kind": "continuous"}],
+                    "treatment": "A", "outcome": "Y"}
+    (out / "chain-schema.json").write_text(json.dumps(chain_schema, indent=2) + "\n",
+                                           encoding="utf-8")
+    with open(out / "chain.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "A", "Y"])
+        for i in range(n):
+            writer.writerow([repr(float(x[i])), int(A[i]), repr(float(y[i]))])
 
 
 def fit_runs() -> list[tuple[str, list[str]]]:
@@ -146,6 +166,10 @@ def fit_runs() -> list[tuple[str, list[str]]]:
         runs.append((f"fit-{estimator}-child-growth-gaussian",
                      ["--data", "gaussian.csv", "--estimator", estimator, "--scope", "child",
                       "--max-depth", "2"] + specs(estimator)))
+    runs.append(("fit-g-deep-chain",
+                 ["--data", "chain.csv", "--schema", "chain-schema.json", "--estimator", "g",
+                  "--outcome-spec", "1 + A + x + A:x", "--max-depth", "900", "--min-node", "2",
+                  "--min-per-arm", "1"]))
     for estimator in ("g", "dr"):
         runs.append((f"fit-{estimator}-child-growth-binomial",
                      ["--data", "binomial.csv", "--estimator", estimator,
@@ -189,8 +213,8 @@ def main(argv: list[str]) -> int:
         run_dir = out / name
         run_dir.mkdir(exist_ok=True)
         print(name, file=sys.stderr)
-        run(src, out, [*CLI, "fit", "--schema", "schema.json", "--out", name, *args],
-            run_dir / "fit.stdout")
+        schema = [] if "--schema" in args else ["--schema", "schema.json"]
+        run(src, out, [*CLI, "fit", *schema, "--out", name, *args], run_dir / "fit.stdout")
         if (run_dir / "tree.json").exists():
             data = args[args.index("--data") + 1]
             run(src, out, [*CLI, "predict", "--tree", f"{name}/tree.json", "--data", data],

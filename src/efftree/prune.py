@@ -74,11 +74,16 @@ def weakest_link_sequence(tree: Tree) -> PruneSequence:
 
     # A heap entry is current while its node is internal (still in count)
     # with the count it was pushed with; every prune below a node lowers it.
-    heap = [(total[h] / count[h], h, count[h]) for h in count]
-    heapq.heapify(heap)
+    # Each internal node has exactly one current entry, so the heap is built
+    # from them at the start and again once stale entries outnumber them:
+    # the pop order is the same, and the heap stays O(K) on any tree.
+    heap: list[tuple[float, int, int]] = []
     pruned: list[int] = []
     done: set[int] = set()  # the walk below stops at earlier prunes: O(K) in all
-    while heap:
+    while count:
+        if not heap or len(heap) > 2 * len(count) + 16:
+            heap = [(total[a] / count[a], a, count[a]) for a in count]
+            heapq.heapify(heap)
         _, h, c = heapq.heappop(heap)
         if count.get(h) != c:
             continue

@@ -2,12 +2,14 @@
 
 For a node with fixed nuisance models (whole or parent scope), the splitting
 statistic of every threshold / level-subset / ordinal-cut candidate is a
-function of left-child aggregates of a small set of per-row quantities.
-Those aggregates come from cumulative sums along each covariate's sort order
-(or per-level sums for categorical covariates), so a node with n rows and C
-candidates costs O(n log n + C) for the influence variance and
-O(n log n + n q^2 + C q^2) for the sandwich variances (q = design width),
-instead of O(n C). For the sandwich variances the node takes its per-row
+function of left-child aggregates of a small set of per-row quantities (the
+node tables' ``packed`` columns) and of their node totals (one ``totals``
+row, each column summed once): a right child's sums are the totals minus
+the left child's. The left aggregates come from cumulative sums along each
+covariate's sort order (or per-level sums for categorical covariates), so a
+node with n rows and C candidates costs O(n log n + C) for the influence
+variance and O(n log n + n q^2 + C q^2) for the sandwich variances (q =
+design width), instead of O(n C). For the sandwich variances the node takes its per-row
 design, residual and gradient from ``estimators.sandwich_terms``, inverts
 its q x q information matrix I once (``estimators.solve_information``; a
 singular I raises InadmissibleSplitError) and precomputes I^-1 S I^-1, S
@@ -94,7 +96,9 @@ class SplitRule:
     def from_dict(cls, payload: dict, schema: Schema) -> "SplitRule":
         """The rule written by ``to_dict``; ValueError unless it names a schema
         covariate at its index, its kind fits that covariate, and its values
-        pass ``data.json_value`` and lie within the covariate's levels."""
+        pass ``data.json_value`` and lie within the covariate's levels. A
+        subset rule's two sides must be non-empty, disjoint and free of
+        repeats, as growth writes them."""
         column, kind = payload["column"], payload["kind"]
         index = json_value(payload, "column_index", int)
         if column not in schema.covariate_names or index != schema.column_index(column):
@@ -106,7 +110,8 @@ class SplitRule:
         if kind == "subset" and isinstance(covariate, Categorical):
             left = json_value(payload, "left_levels", tuple)
             right = json_value(payload, "right_levels", tuple)
-            if set(left + right) <= set(covariate.levels):
+            both = left + right
+            if left and right and len(set(both)) == len(both) and set(both) <= set(covariate.levels):
                 return cls(column, index, kind, left_levels=left, right_levels=right)
         if kind == "ordinal_cut" and isinstance(covariate, Ordinal):
             cut = json_value(payload, "cut", int)
@@ -273,23 +278,19 @@ class SplitContrast:
 @dataclass
 class _NodeTables:
     """Per-row quantities entering every candidate statistic at one node,
-    plus the node-level sums and matrices every candidate batch reuses."""
+    their column sums, and the matrices every candidate batch reuses."""
 
     # per row: 1, A, delta, delta^2, then for the sandwich the gradient,
     # score * delta and (centered only) the score; left-child column sums
     # of this matrix drive every statistic
     packed: np.ndarray
+    # column sums of packed, each column summed on its own (totals[0] is
+    # the row count); a right child's sums are totals - its left child's
+    totals: np.ndarray
+    score_total: Optional[np.ndarray]     # IPW sandwich: the scores' sum, not in packed
     info_inv: Optional[np.ndarray]        # I^-1, inverse information matrix
     sandwich_form: Optional[np.ndarray]   # I^-1 S I^-1, S the score outer product
-    score_total: Optional[np.ndarray]
-    dscore_total: Optional[np.ndarray]
-    grad_total: Optional[np.ndarray]
-    total_treated: float
-    total_delta: float
-    total_delta_sq: float
-    corr_sign: float
     centered: bool                 # center the base influence within children
-    msq: float                     # mean(delta^2), degeneracy scale
 
 
 def node_tables(config: GrowConfig, models: NuisanceModels, terms: Contributions) -> _NodeTables:
@@ -298,66 +299,53 @@ def node_tables(config: GrowConfig, models: NuisanceModels, terms: Contributions
     Only the pooled sandwich needs the information matrix, so ``info_inv``
     is None exactly when the variance is the influence one."""
     A, delta = terms.A, terms.delta
-
-    grad = score = info_inv = sandwich_form = score_total = None
-    corr_sign = 0.0
+    delta_sq = delta**2
+    centered = config.estimator != EstimatorKind.IPW
+    columns = [np.ones(len(delta)), A, delta, delta_sq]
+    info_inv = sandwich_form = score_total = None
     if config.variance_method == VarianceMethod.POOLED_SANDWICH:
         design, residual, grad, info = sandwich_terms(config.estimator, models, terms)
         score = residual[:, None] * design
-        corr_sign = -1.0 if config.estimator == EstimatorKind.IPW else 1.0
         # Precomputed once per node so that each candidate batch needs only
         # two GEMMs: c = d I^-1 and the quadratic form d I^-1 S I^-1 d.
         info_inv = solve_information(info, np.eye(len(info)))
         sandwich_form = info_inv @ (score.T @ score) @ info_inv
-        score_total = score.sum(axis=0)
-
-    delta_sq = delta**2
-    centered = config.estimator != EstimatorKind.IPW
-    columns = [np.ones(len(delta)), A, delta, delta_sq]
-    dscore = None
-    if score is not None:
         dscore = score * delta[:, None]
         columns += [grad, dscore, score] if centered else [grad, dscore]
+        score_total = None if centered else score.sum(axis=0)
     return _NodeTables(
         packed=np.column_stack(columns),
+        totals=np.hstack([column.sum(axis=0) for column in columns]),
+        score_total=score_total,
         info_inv=info_inv,
         sandwich_form=sandwich_form,
-        score_total=score_total,
-        dscore_total=dscore.sum(axis=0) if dscore is not None else None,
-        grad_total=grad.sum(axis=0) if grad is not None else None,
-        total_treated=float(A.sum()),
-        total_delta=float(delta.sum()),
-        total_delta_sq=float(delta_sq.sum()),
-        corr_sign=corr_sign,
         centered=centered,
-        msq=float(np.mean(delta_sq)),
     )
 
 
 def candidate_statistics(
     tables: _NodeTables,
     left_agg: np.ndarray,
-    n_p: int,
     min_node: int,
     min_per_arm: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(statistic, admissible, t_hat, variance) arrays for one candidate batch."""
+    """(statistic, ok, t_hat, variance) arrays for one candidate batch, from
+    its left-child column sums of ``tables.packed`` (``left_agg``); a right
+    child's sums are ``tables.totals`` minus them. ``ok`` marks the scored
+    candidates (both children and all four child arms reach the minimum
+    sizes, the variance is finite and above ``variance_floor`` and the
+    statistic finite); the others score -inf."""
+    totals = tables.totals
+    n_p = totals[0]
     sandwich = tables.info_inv is not None
-    q = len(tables.grad_total) if sandwich else 0
+    q = len(tables.info_inv) if sandwich else 0
 
-    left_counts = left_agg[:, 0]
-    left_treated = left_agg[:, 1]
+    n_l = left_agg[:, 0]
+    n_r = n_p - n_l
+    m1_l = left_agg[:, 1]
+    m1_r = totals[1] - m1_l
     left_delta = left_agg[:, 2]
     left_delta_sq = left_agg[:, 3]
-
-    total_treated = tables.total_treated
-    total_delta = tables.total_delta
-    total_delta_sq = tables.total_delta_sq
-
-    n_l = left_counts
-    n_r = n_p - n_l
-    m1_l = left_treated
-    m1_r = total_treated - m1_l
     admissible = (
         (n_l >= min_node)
         & (n_r >= min_node)
@@ -371,7 +359,7 @@ def candidate_statistics(
         p_l = n_l / n_p
         p_r = n_r / n_p
         t_l = left_delta / n_l
-        t_r = (total_delta - left_delta) / n_r
+        t_r = (totals[2] - left_delta) / n_r
         t_hat = t_l - t_r
 
         if not sandwich or tables.centered:
@@ -379,7 +367,7 @@ def candidate_statistics(
             # scaled by 1 / p^2: the influence centered within each child
             within_sq = (
                 (left_delta_sq - n_l * t_l**2) / p_l**2
-                + ((total_delta_sq - left_delta_sq) - n_r * t_r**2) / p_r**2
+                + ((totals[3] - left_delta_sq) - n_r * t_r**2) / p_r**2
             )
         if not sandwich:
             variance = within_sq / (n_p - 1) / n_p
@@ -390,18 +378,18 @@ def candidate_statistics(
             # the operations and their order are those of the expression in
             # each comment, so the rounding is too.
             d_diff = left_grad / n_l[:, None]
-            work = tables.grad_total - left_grad
+            work = totals[4:4 + q] - left_grad
             work /= n_r[:, None]
             d_diff -= work  # left mean gradient - right mean gradient
             c = d_diff @ tables.info_inv
             np.matmul(d_diff, tables.sandwich_form, out=work)
             corr_sq = np.einsum("cq,cq->c", work, d_diff)  # c S c', row by row
-            np.subtract(tables.dscore_total, left_dscore, out=work)  # right dscore
+            np.subtract(totals[4 + q:4 + 2 * q], left_dscore, out=work)  # right dscore
             if tables.centered:
                 left_score = left_agg[:, 4 + 2 * q:4 + 3 * q]
                 # (left dscore - t_l left score) / p_l
                 #   - (right dscore - t_r right score) / p_r
-                right_score = tables.score_total - left_score
+                right_score = totals[4 + 2 * q:4 + 3 * q] - left_score
                 right_score *= t_r[:, None]
                 work -= right_score
                 work /= p_r[:, None]
@@ -409,15 +397,15 @@ def candidate_statistics(
                 np.subtract(left_dscore, base_score, out=base_score)
                 base_score /= p_l[:, None]
                 base_score -= work
-                cross = np.einsum("cq,cq->c", base_score, c)
-                variance = (within_sq + 2.0 * tables.corr_sign * cross + corr_sq) / n_p / n_p
+                cross = np.einsum("cq,cq->c", base_score, c)  # g-formula: enters with +
+                variance = (within_sq + 2.0 * cross + corr_sq) / n_p / n_p
             else:
                 base_sq = (
                     left_delta_sq / p_l**2
                     - 2.0 * t_hat * left_delta / p_l
                     + n_l * t_hat**2
-                    + (total_delta_sq - left_delta_sq) / p_r**2
-                    + 2.0 * t_hat * (total_delta - left_delta) / p_r
+                    + (totals[3] - left_delta_sq) / p_r**2
+                    + 2.0 * t_hat * (totals[2] - left_delta) / p_r
                     + n_r * t_hat**2
                 )
                 # left dscore / p_l - right dscore / p_r - t_hat score total
@@ -425,11 +413,12 @@ def candidate_statistics(
                 base_score = left_dscore / p_l[:, None]
                 base_score -= work
                 base_score -= t_hat[:, None] * tables.score_total[None, :]
-                cross = np.einsum("cq,cq->c", base_score, c)
-                sum_sq = base_sq + 2.0 * tables.corr_sign * cross + corr_sq
+                cross = np.einsum("cq,cq->c", base_score, c)  # IPW: enters with -
+                sum_sq = base_sq - 2.0 * cross + corr_sq
                 variance = uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
 
-        ok = admissible & np.isfinite(variance) & (variance > variance_floor(tables.msq, n_p))
+        msq = totals[3] / n_p  # mean(delta^2), the degeneracy scale
+        ok = admissible & np.isfinite(variance) & (variance > variance_floor(msq, n_p))
         statistic = np.where(ok, t_hat**2 / np.where(ok, variance, 1.0), -np.inf)
     ok &= np.isfinite(statistic)
     statistic = np.where(ok, statistic, -np.inf)
@@ -470,7 +459,7 @@ def find_best_split(
                 except InadmissibleSplitError:
                     pass
         else:
-            stats = candidate_statistics(tables, block.aggregate(tables.packed), len(rows),
+            stats = candidate_statistics(tables, block.aggregate(tables.packed),
                                          min_node, min_per_arm)[0]
         n_cand += block.n_rules
         n_adm += int(np.isfinite(stats).sum())
@@ -503,9 +492,7 @@ def score_partition(
     (``left_local`` is left membership over them), scored from the node's
     ``tables`` as a 1-candidate batch; None when it is inadmissible."""
     left_agg = tables.packed[left_local].sum(axis=0)[None, :]
-    stats, adm, t_hats, variances = candidate_statistics(
-        tables, left_agg, len(left_local), min_node, min_per_arm,
-    )
+    stats, adm, t_hats, variances = candidate_statistics(tables, left_agg, min_node, min_per_arm)
     if not adm[0]:
         return None
     return SplitContrast(t_hat=float(t_hats[0]), variance=float(variances[0]),

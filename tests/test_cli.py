@@ -383,6 +383,8 @@ TREE_CORRUPTIONS = {
         kind="subset", left_levels=["a"], right_levels=["b"]),
     "subset-with-undeclared-level": lambda p: _rekind(p, "categorical", kind="subset",
                                                       left_levels=["a"], right_levels=["z"]),
+    "subset-sides-share-a-level": lambda p: _rekind(p, "categorical", kind="subset",
+                                                    left_levels=["a"], right_levels=["a"]),
     "ordinal-cut-on-categorical": lambda p: _rekind(p, "categorical", kind="ordinal_cut", cut=0),
     "ordinal-cut-outside-levels": lambda p: _rekind(p, "ordinal", kind="ordinal_cut", cut=2),
     "effect-a-string": lambda p: _leaf(p).update(effect="1.5"),

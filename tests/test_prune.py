@@ -133,3 +133,13 @@ def test_complete_depth_10_tree_prunes_every_internal_node():
     assert sizes[0] == 1023
     assert all(a - b >= 1 for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] == 0
+
+
+def test_2000_deep_chain_weakest_at_the_bottom_prunes_deepest_first():
+    # internal nodes 0..1999 each split into the next one (left) and a leaf
+    # 2001 + i (right), with statistic 2000 - i: the deepest branch is the
+    # weakest at every step, so each prune updates every remaining ancestor
+    depth = 2000
+    tree = build_tree({i: float(depth - i) for i in range(depth)},
+                      {i: (i + 1, depth + 1 + i) for i in range(depth)})
+    assert weakest_link_sequence(tree).pruned_node_per_step == list(range(depth - 1, -1, -1))

@@ -95,7 +95,7 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
         checked = 0
         for block in iter_candidate_blocks(data, rows):
             left_agg = block.aggregate(tables.packed)
-            stats, adm, t_hats, variances = candidate_statistics(tables, left_agg, len(rows), 20, 5)
+            stats, adm, t_hats, variances = candidate_statistics(tables, left_agg, 20, 5)
             # sample a handful of admissible candidates per covariate
             idx = np.nonzero(adm)[0]
             for j in idx[:: max(1, len(idx) // 5)]:
@@ -108,6 +108,30 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
                 assert variances[j] == pytest.approx(contrast.variance, rel=1e-8)
                 checked += 1
         assert checked >= 10, config.scope
+
+
+@pytest.mark.parametrize("kind,variance,family", [
+    pytest.param(EstimatorKind.IPW, VarianceMethod.POOLED_SANDWICH, "gaussian", id="ipw-sandwich"),
+    pytest.param(EstimatorKind.GFORMULA, VarianceMethod.POOLED_SANDWICH, "gaussian",
+                 id="g-sandwich-gaussian"),
+    pytest.param(EstimatorKind.GFORMULA, VarianceMethod.POOLED_SANDWICH, "binomial",
+                 id="g-sandwich-binomial"),
+    pytest.param(EstimatorKind.DR, VarianceMethod.INFLUENCE, "gaussian", id="dr-influence"),
+])
+def test_totals_row_is_the_column_sums_of_packed(kind, variance, family):
+    # every right-child sum is totals - left, so each total must be its
+    # column's own sum, bit for bit
+    data = mixed_data(binomial=family == "binomial")
+    config = parent_config(kind, variance, family)
+    rows = np.arange(data.n)
+    models = oracle.fit_on(data, rows, config)
+    terms = oracle.terms_of(kind, data, rows, models)
+    tables = node_tables(config, models, terms)
+    column_sums = np.array([np.ascontiguousarray(col).sum() for col in tables.packed.T])
+    assert tables.totals.shape == column_sums.shape
+    assert tables.totals.tobytes() == column_sums.tobytes()
+    assert tables.totals[0] == len(rows)
+    assert tables.totals[3] / tables.totals[0] == np.mean(terms.delta**2)
 
 
 def oracle_partitions(data):
@@ -224,6 +248,20 @@ def test_constant_continuous_covariate_yields_no_candidates():
                    data.treatment, data.outcome)
     rules = enumerate_splits(data, np.arange(data.n))
     assert {rule.column for rule in rules} == {"x2", "c", "g"}
+
+
+@pytest.mark.parametrize("left,right", [(["A"], ["A"]), ([], ["A", "B"]), (["A", "B"], []),
+                                        (["A", "A"], ["B"])],
+                         ids=["sides-share-a-level", "empty-left", "empty-right", "repeated-level"])
+def test_subset_rule_from_dict_rejects_malformed_sides(left, right):
+    schema = mixed_data(n=10).schema
+    payload = {"column": "c", "column_index": 2, "kind": "subset",
+               "left_levels": left, "right_levels": right}
+    with pytest.raises(ValueError):
+        search.SplitRule.from_dict(payload, schema)
+    payload.update(left_levels=["A", "C"], right_levels=["B"])
+    rule = search.SplitRule.from_dict(payload, schema)
+    assert (rule.left_levels, rule.right_levels) == (("A", "C"), ("B",))
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (1, 46), (300, 1), (300, 46)])

@@ -28,12 +28,11 @@ from .estimators import (
     estimate_dr,
     estimate_g,
     estimate_ipw,
-    if_variance,
-    ipw_variance_per_child,
 )
 from .glm import Design, DesignSpec, FitError, ModelFit, fit_logistic, fit_ols, parse_spec, predict_mean
 from .prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
-from .search import CategoricalCardinalityError, SplitContrast, SplitRule, enumerate_splits, split_contrast
+from .search import (CategoricalCardinalityError, SplitContrast, SplitRule, if_variance,
+                     ipw_variance_per_child, split_contrast)
 from .select import bootstrap_effects, select_final
 from .simulate import (
     ExperimentSummary,

@@ -3,12 +3,12 @@
 Exit codes: 0 success, 1 standard output closed by its reader before every
 line was written (``efftree predict ... | head``; no traceback), 2
 configuration error (including a ``simulate --n`` whose training rows are
-fewer than ``--min-node``), 3 data error (including a categorical column with
-too many levels to split on, a model-spec transform that is not finite on
-some row, such as ``exp(x1)`` overflowing, and a model-spec column too large
-to square, such as an ``x1`` of 1e308), 4 fit failure (including a
-bootstrap that drops every replicate and a simulation whose every replicate
-fails).
+fewer than ``--min-node``), 3 data error (including build rows that hold
+one treatment arm only, a categorical column with too many levels to split
+on, a model-spec transform that is not finite on some row, such as
+``exp(x1)`` overflowing, and a model-spec column too large to square, such
+as an ``x1`` of 1e308), 4 fit failure (including a bootstrap that drops
+every replicate and a simulation whose every replicate fails).
 JSON artifacts go to files or stdout; logs and progress go to stderr, at
 the level the environment variable EFFTREE_LOGLEVEL names (default
 WARNING; an unknown level is a configuration error).
@@ -137,7 +137,7 @@ def _unreadable(what: str, path, err: OSError) -> CliError:
 
 def _load_schema(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return schema_from_dict(json.load(fh))
     except OSError as err:
         raise _unreadable("schema", path, err)
@@ -213,6 +213,9 @@ def cmd_fit(args) -> int:
     if n_build < config.min_node:
         raise CliError("training split smaller than --min-node", EXIT_DATA)
     build_rows = np.sort(perm[:n_build])
+    if int(data.treatment[build_rows].sum()) in (0, n_build):
+        raise CliError(f"bad data: treatment column {schema.treatment!r} holds one arm only "
+                       f"on the {n_build} build rows", EXIT_DATA)
     validation_rows = np.sort(perm[n_build:])
     if n_build == data.n:
         validation_rows = build_rows

@@ -186,16 +186,6 @@ class Dataset:
     def column(self, name: str) -> np.ndarray:
         return self.covariates[name]
 
-    def take(self, indices: np.ndarray) -> "Dataset":
-        """New dataset holding a copy of the selected rows. The package passes
-        row indices instead; this copy is the reference its tests compare to."""
-        return Dataset(
-            self.schema,
-            {name: arr[indices] for name, arr in self.covariates.items()},
-            self.treatment[indices],
-            self.outcome[indices],
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -262,11 +252,11 @@ def load_csv(path, schema: Schema, missing_policy: str = "drop_rows") -> Dataset
     ``MISSING_TOKENS`` count as missing; under ``drop_rows`` such rows are
     removed (count logged), under ``reject`` any missing cell raises
     :class:`DataError`. A file that is not UTF-8 text raises
-    :class:`DataError` too.
+    :class:`DataError` too; a leading UTF-8 byte-order mark is skipped.
     """
     if missing_policy not in ("reject", "drop_rows"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         try:
             return _load_csv_stream(fh, schema, missing_policy)
         except UnicodeDecodeError as err:

@@ -1,4 +1,4 @@
-"""Subgroup potential-outcome-mean estimators and the parts of split variances.
+"""Subgroup potential-outcome-mean estimators and their per-row terms.
 
 Three estimators of the pair (mu1, mu0) inside a subgroup w are provided:
 
@@ -16,25 +16,12 @@ arrays (integer indices into the dataset, order kept, duplicates allowed;
 see ``glm``), so a bootstrap replicate is estimated on its resampled
 indices without copying the data.
 
-A candidate split of a parent into children (l, r) is scored by the squared
-standardized contrast  statistic = t_hat^2 / var_hat  where t_hat is the
-difference of the two child effects. Variances come either from sandwich
-(M-estimation) formulas that account for nuisance estimation, or from the
-empirical variance of pooled per-observation influence contributions.
-
 The nuisance scope (which rows fit the models behind a subgroup's estimate)
 is decided here alone: ``shared_models`` is the whole-scope fit on every
 row in play, and ``subgroup_terms`` gives a subgroup's models and per-row
 terms, or InadmissibleSplitError on a failed fit or an IPW or DR empty arm.
-
-Splits are scored in ``search``: its batched kernel scores every whole- and
-parent-scope split, and ``search.split_contrast`` scores one realized
-split in any scope. The sandwich parts it shares with this module have one
-owner each here: ``sandwich_terms`` (per-row design, residual and contrast
-gradient, and the information matrix), ``solve_information`` (the one
-Cholesky solve, which decides singularity) and ``variance_floor`` (the one
-degeneracy floor). Child scope, whose models are refit per child, takes
-its variance from ``if_variance`` or ``ipw_variance_per_child``.
+Splits are scored, and their variances computed, in ``search`` from these
+models and terms.
 Fitting and scoring take the fit's ``tree.GrowConfig``, the one place that
 decides which (estimator, scope, variance) combinations are valid.
 """
@@ -46,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .data import Dataset
 from .glm import Design, DesignSpec, FitError, ModelFit, fit_logistic, fit_ols, predict_mean
@@ -56,11 +42,6 @@ if TYPE_CHECKING:
 
 # A subgroup's (propensity, outcome) designs, None for a model not in use.
 Designs = tuple[Optional[Design], Optional[Design]]
-
-# Relative floor distinguishing true degenerate contrasts (identical
-# contributions, variance exactly zero up to rounding) from genuinely tiny
-# but meaningful variances.
-REL_VAR_TOL = 1e-12
 
 
 class EstimatorKind(str, enum.Enum):
@@ -226,125 +207,6 @@ ESTIMATE = {
     EstimatorKind.GFORMULA: estimate_g,
     EstimatorKind.DR: estimate_dr,
 }
-
-
-def variance_floor(scale: float, n: int) -> float:
-    """Degeneracy floor of a split variance: with ``scale`` the mean of
-    delta^2 over the n scored rows, a variance at or below it is rounding
-    noise of identical contributions, and the split is inadmissible."""
-    return REL_VAR_TOL * scale / n
-
-
-def _checked_variance(var: float, scale: float, n: int) -> float:
-    if not np.isfinite(var) or var <= variance_floor(scale, n):
-        raise InadmissibleSplitError("degenerate variance")
-    return var
-
-
-def solve_information(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """info^-1 rhs by Cholesky; a singular information matrix makes the
-    split (or every split of the node) inadmissible."""
-    try:
-        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), rhs)
-    except scipy.linalg.LinAlgError:
-        raise InadmissibleSplitError("singular information matrix")
-
-
-def sandwich_terms(kind: EstimatorKind, models: NuisanceModels, terms: Contributions):
-    """Per-row pieces of the sandwich variance on the rows of ``terms``, the
-    estimator's contributions: ``(design, residual, grad, info)``.
-
-    ``design`` holds the nuisance model's kept design columns (the
-    propensity model for IPW, the outcome model for g-formula), and
-    ``residual * design`` is each row's score: A - e for IPW, Y - g_hat (or
-    Y - Z beta) for g-formula. ``grad`` is the per-row gradient of the
-    contrast in the model coefficients, and ``info`` the information matrix
-    over the rows. The model matrices come from the design that ``terms``
-    carries, so no row is gathered again.
-    """
-    fit = models.propensity if kind == EstimatorKind.IPW else models.outcome
-    built = terms.designs[0 if kind == EstimatorKind.IPW else 1]
-    Z = built.observed()
-    design = Z[:, fit.kept]
-    if kind == EstimatorKind.IPW:
-        A, Y, e = terms.A, terms.Y, terms.e
-        h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
-        grad = h[:, None] * design
-        weight = e * (1.0 - e)
-        residual = A - e
-    elif fit.family == "binomial":
-        g1, g0 = terms.g1, terms.g0
-        Z1, Z0 = built.at_one[:, fit.kept], built.at_zero()[:, fit.kept]
-        grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
-        # Z's rows are at_one's (A=1) or at_zero()'s (A=0): predicted as g1 or g0
-        ghat = np.where(terms.A == 1.0, g1, g0)
-        weight = ghat * (1 - ghat)
-        residual = terms.Y - ghat
-    else:
-        info = design.T @ design / len(Z)
-        residual = terms.Y - design @ fit.coefficients[fit.kept]
-        return design, residual, terms.zdiff, info
-    info = (design * weight[:, None]).T @ design / len(Z)
-    return design, residual, grad, info
-
-
-def if_variance(terms_l: Contributions, terms_r: Contributions, n_union: int) -> float:
-    """Variance of t_hat from pooled per-observation influence contributions.
-
-    A child's contribution is delta_i - effect, both read from its terms.
-    Left contributions are scaled by 1/p_l, right by -1/p_r (p_s the child
-    share of the union); the sample variance of the pooled vector divided by
-    n_union estimates Var[t_hat]. Degenerate pools (fewer than two
-    contributions, or variance at the rounding floor) are inadmissible.
-    """
-    n_l, n_r = len(terms_l.delta), len(terms_r.delta)
-    if n_l + n_r < 2:
-        raise InadmissibleSplitError("fewer than 2 influence contributions")
-    pooled = np.concatenate([
-        (terms_l.delta - node_effect(terms_l).effect) * (n_union / n_l),
-        -(terms_r.delta - node_effect(terms_r).effect) * (n_union / n_r),
-    ])
-    var = float(pooled.var(ddof=1)) / n_union
-    scale = (n_l * float(np.mean(terms_l.delta**2))
-             + n_r * float(np.mean(terms_r.delta**2))) / n_union
-    return _checked_variance(var, scale, n_union)
-
-
-def uncentered_sandwich(sum_sq_infl, n_p, p_l, p_r, t_l, t_r):
-    """Sandwich variance from the sum of squared uncentered influences:
-    subtract the subgroup-share centering term; elementwise on arrays."""
-    return (sum_sq_infl / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
-
-
-def ipw_variance_per_child(
-    fitted_l: tuple[NuisanceModels, Contributions],
-    fitted_r: tuple[NuisanceModels, Contributions],
-) -> float:
-    """Sandwich variance of the IPW contrast with separate propensity fits per
-    child, each child's (models, terms) from ``subgroup_terms``.
-
-    Each child's score correction is scaled by that child's share of the
-    union and enters with the sign of the child's term in the contrast, so
-    the per-observation influence is antisymmetric under relabeling the
-    children (the child score blocks of the estimating-equation Jacobian
-    carry the subgroup shares).
-    """
-    n_l, n_r = len(fitted_l[1].delta), len(fitted_r[1].delta)
-    n_p = n_l + n_r
-    p_l, p_r = n_l / n_p, n_r / n_p
-
-    parts = []
-    for models, terms in (fitted_l, fitted_r):
-        X, residual, grad, info = sandwich_terms(EstimatorKind.IPW, models, terms)
-        c = solve_information(info, grad.mean(axis=0))
-        delta = terms.delta
-        parts.append((float(delta.mean()), delta - residual * (X @ c), float(np.sum(delta**2))))
-    (t_l, infl_l, sq_l), (t_r, infl_r, sq_r) = parts
-
-    t_hat = t_l - t_r
-    sum_sq = float(np.sum((infl_l / p_l - t_hat)**2) + np.sum((-infl_r / p_r - t_hat)**2))
-    var = uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
-    return _checked_variance(var, (sq_l + sq_r) / n_p, n_p)
 
 
 def model_specs(config: GrowConfig) -> tuple[Optional[DesignSpec], Optional[DesignSpec]]:

@@ -1,4 +1,14 @@
-"""Vectorized split search: scores every candidate split of a node in batch.
+"""The split statistic, and the vectorized search that scores every candidate split of a node.
+
+A candidate split of a parent into children (l, r) is scored by the squared
+standardized contrast  statistic = t_hat^2 / var_hat,  t_hat the difference
+of the two child effects. Its variance comes from sandwich (M-estimation)
+formulas that account for nuisance estimation, or from the empirical
+variance of pooled per-observation influence contributions. Every formula
+lives here, and ``variance_admissible`` is the one test, against the one
+floor ``variance_floor``, of whether a variance can be scored. Child scope,
+whose models are refit per child, takes its variance from ``if_variance``
+or ``ipw_variance_per_child``.
 
 For a node with fixed nuisance models (whole or parent scope), the splitting
 statistic of every threshold / level-subset / ordinal-cut candidate is a
@@ -9,11 +19,11 @@ the left child's. The left aggregates come from cumulative sums along each
 covariate's sort order (or per-level sums for categorical covariates), so a
 node with n rows and C candidates costs O(n log n + C) for the influence
 variance and O(n log n + n q^2 + C q^2) for the sandwich variances (q =
-design width), instead of O(n C). For the sandwich variances the node takes its per-row
-design, residual and gradient from ``estimators.sandwich_terms``, inverts
-its q x q information matrix I once (``estimators.solve_information``; a
-singular I raises InadmissibleSplitError) and precomputes I^-1 S I^-1, S
-the outer product of the per-row scores. Each candidate batch then needs
+design width), instead of O(n C). For the sandwich variances the node takes
+its per-row design, residual and gradient from ``sandwich_terms``, inverts
+its q x q information matrix I once (``solve_information``; a singular I
+raises InadmissibleSplitError) and precomputes I^-1 S I^-1, S the outer
+product of the per-row scores. Each candidate batch then needs
 two (C x q)(q x q) matrix products, c = d I^-1 and the quadratic form
 d I^-1 S I^-1 d', with d the candidates' differences of child-mean
 gradients, and no solve per candidate.
@@ -38,6 +48,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .data import Categorical, Continuous, DataError, Dataset, Ordinal, Schema, json_value
 from .estimators import (
@@ -47,15 +58,9 @@ from .estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
-    if_variance,
-    ipw_variance_per_child,
     node_effect,
-    sandwich_terms,
     shared_models,
-    solve_information,
     subgroup_terms,
-    uncentered_sandwich,
-    variance_floor,
 )
 from .glm import FitError, check_rows
 
@@ -63,6 +68,11 @@ if TYPE_CHECKING:
     from .tree import GrowConfig
 
 MAX_CATEGORICAL_LEVELS = 15
+
+# Relative floor distinguishing true degenerate contrasts (identical
+# contributions, variance exactly zero up to rounding) from genuinely tiny
+# but meaningful variances.
+REL_VAR_TOL = 1e-12
 
 
 class CategoricalCardinalityError(DataError):
@@ -249,14 +259,6 @@ def iter_candidate_blocks(data: Dataset, rows: np.ndarray) -> Iterator[_Covariat
                 yield _CovariateBlock(len(cuts), rule_ord, agg_ord)
 
 
-def enumerate_splits(data: Dataset, rows: np.ndarray) -> list[SplitRule]:
-    """All permissible split rules for the given rows, in scan order."""
-    rules: list[SplitRule] = []
-    for block in iter_candidate_blocks(data, rows):
-        rules.extend(block.rules())
-    return rules
-
-
 @dataclass
 class BestSplit:
     rule: SplitRule
@@ -273,6 +275,131 @@ class SplitContrast:
     t_hat: float
     variance: float
     statistic: float
+
+
+def variance_floor(scale: float, n: int) -> float:
+    """Degeneracy floor of a split variance: with ``scale`` the mean of
+    delta^2 over the n scored rows, a variance at or below it is rounding
+    noise of identical contributions, and the split is inadmissible."""
+    return REL_VAR_TOL * scale / n
+
+
+def variance_admissible(variance, scale, n):
+    """The one admissibility test of a split variance: True where it is
+    finite and above ``variance_floor(scale, n)``; elementwise on arrays."""
+    return np.isfinite(variance) & (variance > variance_floor(scale, n))
+
+
+def _checked_variance(var: float, scale: float, n: int) -> float:
+    if not variance_admissible(var, scale, n):
+        raise InadmissibleSplitError("degenerate variance")
+    return var
+
+
+def solve_information(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """info^-1 rhs by Cholesky; a singular information matrix makes the
+    split (or every split of the node) inadmissible."""
+    try:
+        return scipy.linalg.cho_solve(scipy.linalg.cho_factor(info), rhs)
+    except scipy.linalg.LinAlgError:
+        raise InadmissibleSplitError("singular information matrix")
+
+
+def sandwich_terms(kind: EstimatorKind, models: NuisanceModels, terms: Contributions):
+    """Per-row pieces of the sandwich variance on the rows of ``terms``, the
+    estimator's contributions: ``(design, residual, grad, info)``.
+
+    ``design`` holds the nuisance model's kept design columns (the
+    propensity model for IPW, the outcome model for g-formula), and
+    ``residual * design`` is each row's score: A - e for IPW, Y - g_hat (or
+    Y - Z beta) for g-formula. ``grad`` is the per-row gradient of the
+    contrast in the model coefficients, and ``info`` the information matrix
+    over the rows. The model matrices come from the design that ``terms``
+    carries, so no row is gathered again.
+    """
+    fit = models.propensity if kind == EstimatorKind.IPW else models.outcome
+    built = terms.designs[0 if kind == EstimatorKind.IPW else 1]
+    Z = built.observed()
+    design = Z[:, fit.kept]
+    if kind == EstimatorKind.IPW:
+        A, Y, e = terms.A, terms.Y, terms.e
+        h = A * Y * (1.0 - e) / e + (1.0 - A) * Y * e / (1.0 - e)
+        grad = h[:, None] * design
+        weight = e * (1.0 - e)
+        residual = A - e
+    elif fit.family == "binomial":
+        g1, g0 = terms.g1, terms.g0
+        Z1, Z0 = built.at_one[:, fit.kept], built.at_zero()[:, fit.kept]
+        grad = (g1 * (1 - g1))[:, None] * Z1 - (g0 * (1 - g0))[:, None] * Z0
+        # Z's rows are at_one's (A=1) or at_zero()'s (A=0): predicted as g1 or g0
+        ghat = np.where(terms.A == 1.0, g1, g0)
+        weight = ghat * (1 - ghat)
+        residual = terms.Y - ghat
+    else:
+        info = design.T @ design / len(Z)
+        residual = terms.Y - design @ fit.coefficients[fit.kept]
+        return design, residual, terms.zdiff, info
+    info = (design * weight[:, None]).T @ design / len(Z)
+    return design, residual, grad, info
+
+
+def if_variance(terms_l: Contributions, terms_r: Contributions, n_union: int) -> float:
+    """Variance of t_hat from pooled per-observation influence contributions.
+
+    A child's contribution is delta_i - effect, both read from its terms.
+    Left contributions are scaled by 1/p_l, right by -1/p_r (p_s the child
+    share of the union); the sample variance of the pooled vector divided by
+    n_union estimates Var[t_hat]. Degenerate pools (fewer than two
+    contributions, or variance at the rounding floor) are inadmissible.
+    """
+    n_l, n_r = len(terms_l.delta), len(terms_r.delta)
+    if n_l + n_r < 2:
+        raise InadmissibleSplitError("fewer than 2 influence contributions")
+    pooled = np.concatenate([
+        (terms_l.delta - node_effect(terms_l).effect) * (n_union / n_l),
+        -(terms_r.delta - node_effect(terms_r).effect) * (n_union / n_r),
+    ])
+    var = float(pooled.var(ddof=1)) / n_union
+    scale = (n_l * float(np.mean(terms_l.delta**2))
+             + n_r * float(np.mean(terms_r.delta**2))) / n_union
+    return _checked_variance(var, scale, n_union)
+
+
+def uncentered_sandwich(sum_sq_infl, n_p, p_l, p_r, t_l, t_r):
+    """Sandwich variance from the sum of squared uncentered influences:
+    subtract the subgroup-share centering term; elementwise on arrays."""
+    return (sum_sq_infl / n_p - (p_r * t_l + p_l * t_r) ** 2 / (p_l * p_r)) / n_p
+
+
+def ipw_variance_per_child(
+    fitted_l: tuple[NuisanceModels, Contributions],
+    fitted_r: tuple[NuisanceModels, Contributions],
+) -> float:
+    """Sandwich variance of the IPW contrast with separate propensity fits per
+    child, each child's (models, terms) from ``subgroup_terms``.
+
+    Each child's score correction is scaled by that child's share of the
+    union and enters with the sign of the child's term in the contrast, so
+    the per-observation influence is antisymmetric under relabeling the
+    children (the child score blocks of the estimating-equation Jacobian
+    carry the subgroup shares).
+    """
+    n_l, n_r = len(fitted_l[1].delta), len(fitted_r[1].delta)
+    n_p = n_l + n_r
+    p_l, p_r = n_l / n_p, n_r / n_p
+
+    parts = []
+    for models, terms in (fitted_l, fitted_r):
+        X, residual, grad, info = sandwich_terms(EstimatorKind.IPW, models, terms)
+        c = solve_information(info, grad.mean(axis=0))
+        delta = terms.delta
+        parts.append((float(delta.mean()), delta - residual * (X @ c), float(np.sum(delta**2))))
+    (t_l, infl_l, sq_l), (t_r, infl_r, sq_r) = parts
+
+    t_hat = t_l - t_r
+    sum_sq = float(np.sum((infl_l / p_l - t_hat)**2) + np.sum((-infl_r / p_r - t_hat)**2))
+    var = uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
+    return _checked_variance(var, (sq_l + sq_r) / n_p, n_p)
 
 
 @dataclass
@@ -333,8 +460,8 @@ def candidate_statistics(
     its left-child column sums of ``tables.packed`` (``left_agg``); a right
     child's sums are ``tables.totals`` minus them. ``ok`` marks the scored
     candidates (both children and all four child arms reach the minimum
-    sizes, the variance is finite and above ``variance_floor`` and the
-    statistic finite); the others score -inf."""
+    sizes, ``variance_admissible`` holds and the statistic is finite); the
+    others score -inf."""
     totals = tables.totals
     n_p = totals[0]
     sandwich = tables.info_inv is not None
@@ -418,7 +545,7 @@ def candidate_statistics(
                 variance = uncentered_sandwich(sum_sq, n_p, p_l, p_r, t_l, t_r)
 
         msq = totals[3] / n_p  # mean(delta^2), the degeneracy scale
-        ok = admissible & np.isfinite(variance) & (variance > variance_floor(msq, n_p))
+        ok = admissible & variance_admissible(variance, msq, n_p)
         statistic = np.where(ok, t_hat**2 / np.where(ok, variance, 1.0), -np.inf)
     ok &= np.isfinite(statistic)
     statistic = np.where(ok, statistic, -np.inf)

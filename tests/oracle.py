@@ -5,10 +5,12 @@ terms: whole and parent scope share one nuisance fit, take the child
 effects from each child's own rows and the variance from the pooled
 sandwich on the union of the children (``ipw_variance_pooled``,
 ``g_variance_pooled``) or from the influence contributions
-(``estimators.if_variance``); child scope refits per child. The package
+(``search.if_variance``); child scope refits per child. The package
 scores realized splits with ``efftree.search.split_contrast``, which runs
 the batched kernel in whole and parent scope; these functions are the
-independent arithmetic its tests compare against.
+independent arithmetic its tests compare against. ``take`` (a row copy of
+a dataset) and ``enumerate_splits`` (every candidate rule of a node) are
+the references for row-index and candidate-order tests.
 """
 
 from __future__ import annotations
@@ -24,20 +26,43 @@ from efftree.estimators import (
     NuisanceModels,
     NuisanceScope,
     VarianceMethod,
-    _checked_variance,
     contributions,
     fit_nuisance,
-    if_variance,
-    ipw_variance_per_child,
     model_designs,
     node_effect,
+)
+from efftree.glm import Design, FitError, ModelFit, check_rows
+from efftree.search import (
+    SplitContrast,
+    SplitRule,
+    _checked_variance,
+    if_variance,
+    ipw_variance_per_child,
+    iter_candidate_blocks,
     sandwich_terms,
     solve_information,
     uncentered_sandwich,
 )
-from efftree.glm import Design, FitError, ModelFit, check_rows
-from efftree.search import SplitContrast
 from efftree.tree import GrowConfig
+
+
+def take(data: Dataset, rows: np.ndarray) -> Dataset:
+    """New dataset holding a copy of the selected rows. The package passes
+    row indices instead; this copy is the reference its tests compare to."""
+    return Dataset(
+        data.schema,
+        {name: arr[rows] for name, arr in data.covariates.items()},
+        data.treatment[rows],
+        data.outcome[rows],
+    )
+
+
+def enumerate_splits(data: Dataset, rows: np.ndarray) -> list[SplitRule]:
+    """All permissible split rules for the given rows, in scan order."""
+    rules: list[SplitRule] = []
+    for block in iter_candidate_blocks(data, rows):
+        rules.extend(block.rules())
+    return rules
 
 
 def designs_of(data: Dataset, rows: np.ndarray, models: NuisanceModels) -> tuple:

@@ -282,6 +282,56 @@ def test_fit_train_frac_1_selects_on_every_row(heterog_csv, tmp_path, caplog):
     assert (tmp_path / "selection.json").read_text(encoding="utf-8") == expected
 
 
+@pytest.mark.parametrize("estimator,specs", [
+    ("g", ["--outcome-spec", "1 + A + x1"]),
+    ("ipw", ["--propensity-spec", "1 + x1"]),
+    ("dr", ["--propensity-spec", "1 + x1", "--outcome-spec", "1 + A + x1"]),
+])
+def test_fit_on_build_rows_of_one_treatment_arm_is_a_data_error(estimator, specs, tmp_path,
+                                                                capsys):
+    rng = np.random.default_rng(3)
+    n = 200
+    schema = Schema((("x1", Continuous()),), treatment="A", outcome="Y")
+    data = Dataset(schema, {"x1": rng.standard_normal(n)}, np.ones(n, dtype=int),
+                   rng.standard_normal(n))
+    csv_path = tmp_path / "treated.csv"
+    write_csv(data, csv_path)
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps(schema_to_dict(schema)), encoding="utf-8")
+    code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,
+                    "--estimator", estimator, *specs, "--out", tmp_path / "out"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'A'" in err and "160 build rows" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_fit_reads_data_and_schema_files_that_start_with_a_byte_order_mark(heterog_csv,
+                                                                         tmp_path, capsys):
+    base, csv_path, schema_path, _ = heterog_csv
+    bom_csv, bom_schema = tmp_path / "bom.csv", tmp_path / "bom.json"
+    bom_csv.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+    bom_schema.write_bytes(b"\xef\xbb\xbf" + schema_path.read_bytes())
+    fits = {}
+    for name, data_path, schema_file in (("plain", csv_path, schema_path),
+                                         ("bom", bom_csv, bom_schema)):
+        code = run_cli(["fit", "--data", data_path, "--schema", schema_file, "--estimator", "g",
+                        "--outcome-spec", "1 + A + x1", "--out", tmp_path / name])
+        assert code == 0
+        fits[name] = (tmp_path / name / "tree.json").read_bytes()
+    assert fits["bom"] == fits["plain"]
+
+
+def test_fit_schema_that_is_not_utf8_is_a_configuration_error(heterog_csv, tmp_path, capsys):
+    base, csv_path, schema_path, _ = heterog_csv
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff" + schema_path.read_bytes())
+    code = run_cli(["fit", "--data", csv_path, "--schema", latin, "--estimator", "g",
+                    "--outcome-spec", "1 + A + x1", "--out", tmp_path / "out"])
+    assert code == 2
+    assert "bad schema file" in capsys.readouterr().err
+
+
 def test_fit_binomial_family_rejects_non_binary_outcome(heterog_csv, tmp_path, capsys):
     base, csv_path, schema_path, _ = heterog_csv
     code = run_cli(["fit", "--data", csv_path, "--schema", schema_path,

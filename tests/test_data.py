@@ -73,6 +73,13 @@ def test_load_csv_header_mismatch(tmp_path):
         load_csv(path, schema_simple())
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    plain = write(tmp_path, "x1,color,A,Y\n1.0,red,0,2.5\n2.0,green,1,3.5\n")
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_csv(bom, schema_simple()) == load_csv(plain, schema_simple())
+
+
 def test_load_csv_rejects_duplicated_header_column(tmp_path):
     # the header's column set matches the schema, but x1 appears twice
     path = write(tmp_path, "x1,x1,color,A,Y\n1.0,2.0,red,1,1.0\n")

@@ -13,14 +13,12 @@ from efftree.estimators import (
     estimate_dr,
     estimate_g,
     estimate_ipw,
-    if_variance,
-    ipw_variance_per_child,
     node_effect,
     shared_models,
     subgroup_terms,
 )
 from efftree.glm import Design, fit_logistic, fit_ols, parse_spec, predict_mean
-from efftree.search import node_tables, split_contrast
+from efftree.search import if_variance, ipw_variance_per_child, node_tables, split_contrast
 from efftree.tree import GrowConfig
 from oracle import fit_on, g_variance_pooled, ipw_variance_pooled, terms_of
 

@@ -1,8 +1,10 @@
 """Coverage for the less-traveled configuration paths: binomial-family
-g-formula sandwich, child-scope growth, and the installed console script."""
+g-formula sandwich, child-scope growth, and the console script."""
 
+import importlib
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -95,10 +97,21 @@ def test_child_scope_growth_small():
     assert tree_ipw.n_internal() <= 1
 
 
-def test_console_script_entry_point():
+def test_console_script_entry_point(capsys):
+    # the declared target runs in process; an install also runs it from PATH
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["efftree"]
+    assert target == "efftree.cli:main"
+    module, _, attr = target.partition(":")
+    with pytest.raises(SystemExit) as exc:
+        getattr(importlib.import_module(module), attr)(["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in ("fit", "predict", "simulate"))
+
     exe = shutil.which("efftree")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    out = subprocess.run([exe, "--help"], capture_output=True, text=True)
-    assert out.returncode == 0
-    assert "fit" in out.stdout and "simulate" in out.stdout
+    if exe is not None:
+        out = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        assert out.returncode == 0
+        assert all(command in out.stdout for command in ("fit", "predict", "simulate"))

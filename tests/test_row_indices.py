@@ -1,5 +1,5 @@
 """Row-index subgroups: fitting and estimating on ``(data, idx)`` equals
-doing so on the copied rows ``(data.take(idx), arange(len(idx)))``, exactly,
+doing so on the copied rows ``(take(data, idx), arange(len(idx)))``, exactly,
 for any index order and any duplicates. This is what lets the bootstrap
 estimate a replicate on its resampled indices without copying the data.
 Likewise routing and selection on ascending validation rows ``(data, rows)``
@@ -21,7 +21,7 @@ from efftree.glm import Design, FitError, fit_logistic, fit_ols, parse_spec
 from efftree.prune import weakest_link_sequence
 from efftree.select import select_final, validation_statistics
 from efftree.tree import GrowConfig, Tree, grow_max_tree
-from oracle import terms_of
+from oracle import take, terms_of
 
 N = 60
 
@@ -56,7 +56,7 @@ def on_rows_and_on_copy(fn, idx):
     """``fn(data, rows)`` on the indexed rows and on a copy of them; a
     FitError counts as a result, so both sides must raise it alike."""
     results = []
-    for data, rows in ((DATA, idx), (DATA.take(idx), np.arange(len(idx)))):
+    for data, rows in ((DATA, idx), (take(DATA, idx), np.arange(len(idx)))):
         try:
             results.append(fn(data, rows))
         except FitError as err:
@@ -135,7 +135,7 @@ validation_rows = st.tuples(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0)).map
 
 
 def assert_selection_on_rows_equals_selection_on_copy(sequence, rows):
-    copy, copy_rows = SEL.take(rows), np.arange(len(rows))
+    copy, copy_rows = take(SEL, rows), np.arange(len(rows))
     assert (validation_statistics(sequence[0], SEL, rows)
             == validation_statistics(sequence[0], copy, copy_rows))
     final, trace = select_final(sequence, SEL, rows, 3.84)
@@ -173,7 +173,7 @@ def test_rows_by_node_on_rows_equals_routing_a_copy(rows):
     root = tree.node(tree.root_id)
     assert root.rule.kind == "subset" and "D" not in root.rule.left_levels + root.rule.right_levels
     reach = tree.rows_by_node(SEL, rows)
-    reach_on_copy = tree.rows_by_node(SEL.take(rows), np.arange(len(rows)))
+    reach_on_copy = tree.rows_by_node(take(SEL, rows), np.arange(len(rows)))
     assert sorted(reach) == sorted(reach_on_copy) == sorted(tree.nodes)
     for node_id in tree.nodes:
         assert np.array_equal(reach[node_id], rows[reach_on_copy[node_id]])

@@ -11,18 +11,19 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
+    subgroup_terms,
 )
 from efftree.glm import parse_spec
 from efftree.search import (
     _level_sums,
     candidate_statistics,
-    enumerate_splits,
     find_best_split,
     iter_candidate_blocks,
     node_tables,
     split_contrast,
 )
 from efftree.tree import GrowConfig
+from oracle import enumerate_splits
 
 
 def mixed_data(n=260, seed=61, binomial=False):
@@ -240,6 +241,44 @@ def test_child_scope_search_scores_each_candidate_partition_once(monkeypatch):
     assert np.array_equal(best.left_local, left)
     assert best.statistic == scorer(data, rows[left], rows[~left], config,
                                     min_per_arm=8).statistic
+
+
+def test_variance_admissible_refuses_the_floor_and_non_finite_variances():
+    scale, n = 2.5, 40
+    floor = search.variance_floor(scale, n)
+    above = np.nextafter(floor, np.inf)
+    variances = np.array([floor, above, np.nan, np.inf, -np.inf, 0.0, 1.0])
+    assert search.variance_admissible(variances, scale, n).tolist() == [
+        False, True, False, False, False, False, True]
+    assert not search.variance_admissible(floor, scale, n)
+    assert search.variance_admissible(float(above), scale, n)
+    for variance in (np.nan, np.inf, -np.inf):
+        assert not search.variance_admissible(variance, scale, n)
+    with pytest.raises(InadmissibleSplitError):
+        search._checked_variance(floor, scale, n)
+    assert search._checked_variance(float(above), scale, n) == above
+
+
+@pytest.mark.parametrize("scope,kind,variance", [
+    (NuisanceScope.PARENT, EstimatorKind.IPW, VarianceMethod.POOLED_SANDWICH),
+    (NuisanceScope.CHILD, EstimatorKind.IPW, VarianceMethod.PER_CHILD_SANDWICH),
+    (NuisanceScope.CHILD, EstimatorKind.GFORMULA, VarianceMethod.INFLUENCE),
+], ids=["parent-ipw", "child-ipw-per-child", "child-g-influence"])
+def test_every_scope_decides_admissibility_with_variance_admissible(scope, kind, variance,
+                                                                    monkeypatch):
+    data = mixed_data(seed=71)
+    rows = np.arange(data.n)
+    config = GrowConfig(kind, propensity_spec=P_SPEC, outcome_spec=O_SPEC, scope=scope,
+                        variance_method=variance, min_node=40, min_per_arm=8)
+    tables = None
+    if scope != NuisanceScope.CHILD:
+        tables = node_tables(config, *subgroup_terms(data, rows, config))
+    calls = []
+    admissible = search.variance_admissible
+    monkeypatch.setattr(search, "variance_admissible",
+                        lambda *args: calls.append(1) or admissible(*args))
+    assert find_best_split(data, rows, config, tables) is not None
+    assert calls
 
 
 def test_constant_continuous_covariate_yields_no_candidates():

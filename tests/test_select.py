@@ -58,7 +58,7 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
         n=900, seed=11, estimator=estimator, scope=NuisanceScope(scope))
     candidate = seq[0]
     stats = validation_statistics(candidate, data, rows)
-    validation = data.take(rows)
+    validation = oracle.take(data, rows)
     whole_models = None
     if config.scope == NuisanceScope.WHOLE:
         whole_models = oracle.fit_on(validation, np.arange(validation.n), config)
@@ -257,7 +257,7 @@ def take_based_bootstrap(tree, data, B, level, seed, config):
         effects = None
         for _ in range(10):
             idx = rng.integers(0, data.n, size=data.n)
-            effects = take_based_terminal_effects(tree, data.take(idx), config, terminal_ids)
+            effects = take_based_terminal_effects(tree, oracle.take(data, idx), config, terminal_ids)
             if effects is not None:
                 break
         if effects is None:

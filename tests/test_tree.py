@@ -15,10 +15,10 @@ from efftree.estimators import (
 )
 from efftree.glm import FitError, parse_spec
 from efftree.prune import weakest_link_sequence
-from efftree.search import CategoricalCardinalityError, SplitRule, enumerate_splits, node_tables
+from efftree.search import CategoricalCardinalityError, SplitRule, node_tables
 from efftree.simulate import SimSetting, generate, make_config
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree, tree_from_dict
-from oracle import fit_on, split_contrast, terms_of
+from oracle import enumerate_splits, fit_on, split_contrast, terms_of
 from util_trees import build_tree, leaf_effect, random_tree, recursive_preorder
 
 

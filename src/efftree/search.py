@@ -44,6 +44,7 @@ kernel reads the variance method from the node's tables.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
@@ -66,6 +67,8 @@ from .glm import FitError, check_rows
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
+
+logger = logging.getLogger(__name__)
 
 MAX_CATEGORICAL_LEVELS = 15
 
@@ -136,26 +139,26 @@ class SplitRule:
             return f"{self.column} in {{{','.join(self.left_levels)}}}"
         return f"{self.column} <= {self.cut}"
 
-    def goes_left(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
-        """Left membership for the given rows; a categorical level matching
-        neither side (unseen during training) is reported as right here and
-        rerouted by the tree's larger-child policy."""
+    def goes_left(self, data: Dataset, rows: np.ndarray, unseen_left: bool = False) -> np.ndarray:
+        """Left membership of the given rows: the one decision of a row's side.
+        A subset rule reads each row's side from one per-level table: its left
+        levels, its right levels, and ``unseen_left`` for a level on neither
+        side, one absent from the rows the rule was made on; how many rows
+        took that side is logged at INFO."""
         values = data.covariates[self.column][rows]
         if self.kind == "threshold":
             return values < self.threshold
         if self.kind == "ordinal_cut":
             return values <= self.cut
-        kind = data.schema.kind_of(self.column)
-        left_codes = [kind.levels.index(lv) for lv in self.left_levels]
-        return np.isin(values, left_codes)
-
-    def is_known(self, data: Dataset, rows: np.ndarray) -> np.ndarray:
-        """False for rows whose level matched neither recorded side."""
-        if self.kind != "subset":
-            return np.ones(len(rows), dtype=bool)
-        kind = data.schema.kind_of(self.column)
-        codes = [kind.levels.index(lv) for lv in self.left_levels + self.right_levels]
-        return np.isin(data.covariates[self.column][rows], codes)
+        levels = data.schema.kind_of(self.column).levels
+        seen = self.left_levels + self.right_levels
+        side = np.array([lv in self.left_levels if lv in seen else unseen_left for lv in levels])
+        unseen = [c for c, lv in enumerate(levels) if lv not in seen]
+        n_unseen = int(np.bincount(values, minlength=len(levels))[unseen].sum())
+        if n_unseen:
+            logger.info("%d rows with unseen level for %s routed %s", n_unseen, self.column,
+                        "left" if unseen_left else "right")
+        return side[values]
 
 
 @dataclass

@@ -7,13 +7,14 @@ would fall below the node- or arm-size minimums. Node effects are computed
 with the configured estimator on the models that ``estimators.subgroup_terms``
 gives each node; a node whose own models are inadmissible takes its parent's
 and is not split; in child scope only the root can fail, as every other node
-is a child whose fit the search admitted. No walk of a tree recurses, so its
-depth is not bounded by Python's recursion limit.
+is a child whose fit the search admitted. Every walk of a built tree is
+``Tree.preorder``, which does not recurse, so depth is not bounded by
+Python's recursion limit; routing takes each row's side at a split from
+``SplitRule.goes_left`` alone.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Container, Iterator, Optional, get_type_hints
@@ -34,8 +35,6 @@ from .estimators import (
 )
 from .glm import DesignSpec, FitError, check_columns, parse_spec
 from .search import SplitRule, find_best_split, node_tables
-
-logger = logging.getLogger(__name__)
 
 TREE_FORMAT = "cit-tree/1"
 
@@ -236,8 +235,9 @@ class Tree:
         """The indices in ``rows`` of the rows of ``data`` reaching each node,
         kept in the order given, so ascending ``rows`` give ascending subsets.
 
-        Rows with a categorical level unseen at a split are sent to the
-        child with the larger training membership.
+        The walk is ``preorder``, and each split's rule decides its rows'
+        sides (``SplitRule.goes_left``); a categorical level unseen at a split
+        goes to the child with more training rows.
         """
         if data.schema != self.schema:
             raise ValueError("dataset schema does not match the tree's schema")
@@ -247,15 +247,7 @@ class Tree:
             if nd.is_terminal:
                 continue
             rows = reach[node_id]
-            left = nd.rule.goes_left(data, rows)
-            known = nd.rule.is_known(data, rows)
-            if not known.all():
-                bigger_left = self.nodes[nd.left].n >= self.nodes[nd.right].n
-                logger.info(
-                    "%d rows with unseen level for %s routed to the larger child",
-                    int((~known).sum()), nd.rule.column,
-                )
-                left = np.where(known, left, bigger_left)
+            left = nd.rule.goes_left(data, rows, self.nodes[nd.left].n >= self.nodes[nd.right].n)
             reach[nd.left] = rows[left]
             reach[nd.right] = rows[~left]
         return reach
@@ -327,7 +319,9 @@ def schema_from_dict(payload: dict) -> Schema:
 def tree_from_dict(payload: dict) -> Tree:
     """Rebuild a tree from its JSON document (effects only, no models);
     ValueError unless its nodes form one binary tree from the root and
-    every value passes ``data.json_value``."""
+    every value passes ``data.json_value``. The check walks ``Tree.preorder``
+    and vets each node before the walk reads its children, so a cycle or a
+    shared child fails at its first repeat."""
     if not isinstance(payload, dict):
         raise ValueError("a tree document must be a JSON object")
     if payload.get("format") != TREE_FORMAT:
@@ -340,21 +334,18 @@ def tree_from_dict(payload: dict) -> Tree:
         if node.id in nodes:
             raise ValueError(f"duplicate tree node id {node.id!r}")
         nodes[node.id] = node
-    root_id = json_value(payload, "root", int)
+    tree = Tree(nodes, json_value(payload, "root", int), config, schema)
     reached = set()
-    order = [root_id]
-    for i in order:
+    for i, _ in tree.preorder():
         if i not in nodes or i in reached:
             raise ValueError(f"tree node {i!r} is missing or reached twice")
         reached.add(i)
         nd = nodes[i]
         if (nd.left is None, nd.right is None) != (nd.is_terminal, nd.is_terminal):
             raise ValueError(f"tree node {i!r} must have two children exactly when it has a rule")
-        if not nd.is_terminal:
-            order += (nd.left, nd.right)
     if len(reached) != len(nodes):
         raise ValueError("some tree nodes are not reached from the root")
-    return Tree(nodes, root_id, config, schema)
+    return tree
 
 
 # ----------------------------------------------------------------------
@@ -363,12 +354,16 @@ def tree_from_dict(payload: dict) -> Tree:
 
 def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree:
     """Grow the maximum-sized tree by repeatedly taking the largest-statistic
-    split; DataError first if a model column fails ``glm.check_columns``."""
+    split; DataError first if a model column fails ``glm.check_columns``, then
+    FitError, before any fit, if the rows hold one treatment arm."""
     rows = mask.indices()
     if len(rows) < config.min_node:
         raise ValueError("root below min_node")
     for spec in filter(None, model_specs(config)):
         check_columns(data, spec)
+    if int(data.treatment[rows].sum()) in (0, len(rows)):
+        raise FitError(f"treatment column {data.schema.treatment!r} holds one arm only "
+                       f"on the {len(rows)} root rows")
     shared = shared_models(data, rows, config)
 
     nodes: dict[int, TreeNode] = {}

@@ -12,7 +12,7 @@ from efftree.data import Categorical, Continuous, Dataset, Schema, SubgroupMask,
 from efftree.prune import weakest_link_sequence
 from efftree.select import select_final
 from efftree.simulate import SimSetting, generate
-from efftree.tree import GrowConfig, grow_max_tree, schema_to_dict
+from efftree.tree import GrowConfig, grow_max_tree, schema_to_dict, tree_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -377,8 +377,6 @@ def test_predict_round_trip(heterog_csv, tmp_path, capsys):
     assert header[-2:] == ["effect", "terminal_id"]
     assert len(lines) == data.n + 1
 
-    from efftree.tree import tree_from_dict
-
     tree = tree_from_dict(json.loads((out / "tree.json").read_text()))
     expected = tree.predict(data)
     got = np.array([float(line.split(",")[-2]) for line in lines[1:]])
@@ -411,6 +409,15 @@ def _rekind(payload, covariate_kind, **rule):
     col = next(c for c in payload["schema"]["covariates"] if c["name"] == nd["rule"]["column"])
     col.update(kind=covariate_kind, levels=["a", "b", "c"])
     nd["rule"] = {"column": col["name"], "column_index": nd["rule"]["column_index"], **rule}
+
+
+def _child_splits_to_the_root(payload):
+    """Give the first split's left child that split's rule, with the root as
+    its left child: a cycle through the root."""
+    nd = _split(payload)
+    child = next(c for c in payload["nodes"] if c["id"] == nd["left"])
+    child.update(rule=nd["rule"], statistic=nd["statistic"], left=payload["root"],
+                 right=nd["right"])
 
 
 def _ids_as_strings(payload):
@@ -456,6 +463,11 @@ TREE_CORRUPTIONS = {
     "effect-beyond-float-range": lambda p: _leaf(p).update(effect=10**400),
     "seed-negative": lambda p: p["config"].update(seed=-1),
     "propensity-spec-with-treatment": lambda p: p["config"].update(propensity_spec="1 + A + x1"),
+    "child-an-ancestor": _child_splits_to_the_root,
+    "children-the-same-node": lambda p: _split(p).update(right=_split(p)["left"]),
+    "node-not-under-the-root": lambda p: p["nodes"].append(
+        {**_leaf(p), "id": max(nd["id"] for nd in p["nodes"]) + 1}),
+    "node-id-duplicated": lambda p: p["nodes"].append(copy.deepcopy(_leaf(p))),
 }
 
 
@@ -470,6 +482,19 @@ def test_predict_rejects_a_malformed_tree_file(fitted_tree, heterog_csv, tmp_pat
     assert result.returncode == 2
     assert "bad tree file" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name, message", [
+    ("child-an-ancestor", "reached twice"),
+    ("children-the-same-node", "reached twice"),
+    ("node-not-under-the-root", "not reached from the root"),
+    ("node-id-duplicated", "duplicate tree node id"),
+])
+def test_tree_reader_names_the_structure_fault(fitted_tree, name, message):
+    payload = copy.deepcopy(fitted_tree)
+    TREE_CORRUPTIONS[name](payload)
+    with pytest.raises(ValueError, match=message):
+        tree_from_dict(payload)
 
 
 def test_predict_rejects_a_tree_file_that_is_not_an_object(heterog_csv, tmp_path):

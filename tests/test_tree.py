@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -310,8 +311,9 @@ def test_predict_matches_hand_traced_paths():
 UNSEEN_KINDS = {"c": Categorical(("A", "B", "C"))}
 
 
-def unseen_level_tree():
-    """Split on c in {A} vs {B}: level C was unseen at the split."""
+def unseen_level_tree(left_n=20, right_n=10):
+    """Split on c in {A} vs {B} of left_n and right_n training rows: level C
+    was unseen at the split."""
     data = make_data({"c": [0, 1, 0, 1]}, [0, 1, 0, 1], [0.0] * 4, UNSEEN_KINDS)
     config = GrowConfig(estimator=EstimatorKind.GFORMULA,
                         outcome_spec=parse_spec("1 + A", "A"),
@@ -320,8 +322,8 @@ def unseen_level_tree():
         0: TreeNode(id=0, depth=0, n=30, effect=leaf_effect(1.0),
                     rule=SplitRule("c", 0, "subset", left_levels=("A",), right_levels=("B",)),
                     statistic=5.0, left=1, right=2),
-        1: TreeNode(id=1, depth=1, n=20, effect=leaf_effect(1.0)),
-        2: TreeNode(id=2, depth=1, n=10, effect=leaf_effect(9.0)),
+        1: TreeNode(id=1, depth=1, n=left_n, effect=leaf_effect(1.0)),
+        2: TreeNode(id=2, depth=1, n=right_n, effect=leaf_effect(9.0)),
     }
     return Tree(nodes, 0, config, data.schema)
 
@@ -342,6 +344,52 @@ def test_rows_by_node_match_route():
     for node_id in tree.terminal_ids():
         np.testing.assert_array_equal(reach[node_id], np.nonzero(terminal == node_id)[0])
     np.testing.assert_array_equal(reach[1], [1, 2, 3])  # unseen C rows join the larger child
+
+
+@pytest.mark.parametrize("left_n, right_n, unseen_to", [(10, 20, 2), (15, 15, 1)])
+def test_rows_by_node_sends_unseen_rows_to_the_child_with_more_training_rows(left_n, right_n,
+                                                                              unseen_to):
+    tree = unseen_level_tree(left_n, right_n)
+    scoring = make_data({"c": [1, 2, 0, 2, 1]}, [0, 1, 0, 1, 1], [0.0] * 5, UNSEEN_KINDS)
+    reach = tree.rows_by_node(scoring, np.arange(scoring.n))
+    expected = {1: [2], 2: [0, 4]}  # the rows of the seen levels A and B
+    expected[unseen_to] = sorted(expected[unseen_to] + [1, 3])
+    np.testing.assert_array_equal(reach[1], expected[1])
+    np.testing.assert_array_equal(reach[2], expected[2])
+
+
+def test_goes_left_decides_the_side_of_an_unseen_level_for_subset_rules_only(caplog):
+    kinds = {"c": Categorical(("A", "B", "C")), "g": Ordinal(("lo", "hi"))}
+    data = make_data({"x": [0.0, 2.0, 0.0, 2.0], "c": [0, 1, 2, 2], "g": [0, 1, 0, 1]},
+                     [0, 1, 0, 1], [0.0] * 4, kinds)
+    rows = np.arange(4)
+    subset = SplitRule("c", 1, "subset", left_levels=("A",), right_levels=("B",))
+    with caplog.at_level(logging.INFO, logger="efftree.search"):
+        assert subset.goes_left(data, rows, unseen_left=True).tolist() == [True, False, True, True]
+        assert subset.goes_left(data, rows).tolist() == [True, False, False, False]
+        assert subset.goes_left(data, rows[:2], unseen_left=True).tolist() == [True, False]
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "2 rows with unseen level for c routed left"),
+        (logging.INFO, "2 rows with unseen level for c routed right"),
+    ]  # rows of seen levels only: no record
+    for rule in (SplitRule("x", 0, "threshold", threshold=1.0),
+                 SplitRule("g", 2, "ordinal_cut", cut=0)):
+        assert rule.goes_left(data, rows, unseen_left=True).tolist() == [True, False, True, False]
+        assert rule.goes_left(data, rows).tolist() == [True, False, True, False]
+
+
+@pytest.mark.parametrize("estimator", ["ipw", "g", "dr"])
+def test_grow_refuses_rows_holding_one_treatment_arm_before_any_fit(estimator, monkeypatch):
+    data, _, config = grow_setting(n=400, seed=3, estimator=estimator)
+    treated = np.nonzero(data.treatment == 1)[0]
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fitted")
+
+    monkeypatch.setattr("efftree.tree.shared_models", no_fit)
+    monkeypatch.setattr("efftree.tree.subgroup_terms", no_fit)
+    with pytest.raises(FitError, match=f"'A' holds one arm only on the {len(treated)} root rows"):
+        grow_max_tree(data, SubgroupMask.from_indices(data.n, treated), config)
 
 
 # ---------------------------------------------------------------- walks

@@ -26,7 +26,8 @@ same bytes. The matrix:
 * DR with ``--bootstrap 20`` and a propensity design that is rank-deficient
   on every node (``in(c,B,C,D)`` is the sum of the ``c`` dummies), so each
   propensity fit drops a column;
-* ``predict`` with every fitted ``tree.json``;
+* ``predict`` with every fitted ``tree.json``, on the run's fit data unless
+  ``PREDICT_DATA`` names other rows;
 * every fitted ``tree.json`` loaded with ``tree_from_dict`` and written
   again as ``tree.reloaded.json`` in the form ``efftree fit`` writes, so
   ``cmp tree.json tree.reloaded.json`` checks the reader's round trip;
@@ -36,6 +37,10 @@ same bytes. The matrix:
   ``exp(5x)``), where each node splits one pair of rows off its end, so
   growth, pruning, selection and rendering run on a tree hundreds of
   levels deep;
+* g-formula, parent scope, on the binomial rows whose ``c`` is not ``D``
+  (``binomial-no-d.csv``) with ``--lambda 0``, so the final tree keeps its
+  split on ``c``; its predict runs on the full ``binomial.csv``, so level
+  ``D``, unseen at that split, is routed (and logged at INFO);
 * ``simulate --threads 1`` on every setting, including a misspecified
   DR model, and a child-scope IPW cell.
 
@@ -63,6 +68,8 @@ CLI = ["-m", "efftree.cli"]
 RELOAD = ("import json, sys; from efftree.tree import tree_from_dict; "
           "tree = tree_from_dict(json.loads(open(sys.argv[1], encoding='utf-8').read())); "
           "sys.stdout.write(json.dumps(tree.to_dict(), sort_keys=True, indent=2) + '\\n')")
+# predict data of the runs that do not predict on their fit data
+PREDICT_DATA = {"fit-g-unseen-level-binomial": "binomial.csv"}
 SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
                ("heterog", "dr:mis-func,true"), ("binary-mixed-homog", "g"),
                ("binary-mixed", "g")]
@@ -70,7 +77,8 @@ SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog",
 
 def write_inputs(out: Path) -> None:
     """schema.json, gaussian.csv and binomial.csv (1000 rows), small.csv (300 rows),
-    ordinal.csv (1000 rows, the effect set by ``g``); chain-schema.json and
+    ordinal.csv (1000 rows, the effect set by ``g``), binomial-no-d.csv (the
+    rows of binomial.csv whose ``c`` is not ``D``); chain-schema.json and
     chain.csv (2000 rows)."""
     rng = np.random.default_rng(20201)
     n = 1000
@@ -103,6 +111,10 @@ def write_inputs(out: Path) -> None:
                 writer.writerow([repr(float(x1[i])), repr(float(x2[i])), repr(float(x3[i])),
                                  "ABCD"[c[i]], ("lo", "mid", "hi")[g[i]], int(A[i]),
                                  repr(float(outcome[i]))])
+    with open(out / "binomial.csv", encoding="utf-8") as src, \
+            open(out / "binomial-no-d.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerows(row for row in csv.reader(src) if row[3] != "D")
     rng = np.random.default_rng(20203)
     n = 2000
     x = np.sort(rng.random(n))
@@ -175,6 +187,9 @@ def fit_runs() -> list[tuple[str, list[str]]]:
                      ["--data", "binomial.csv", "--estimator", estimator,
                       "--outcome-family", "binomial", "--scope", "child", "--max-depth", "2"]
                      + specs(estimator)))
+    runs.append(("fit-g-unseen-level-binomial",
+                 ["--data", "binomial-no-d.csv", "--estimator", "g", "--scope", "parent",
+                  "--outcome-family", "binomial", "--outcome-spec", OUTCOME, "--lambda", "0"]))
     return runs
 
 
@@ -216,7 +231,7 @@ def main(argv: list[str]) -> int:
         schema = [] if "--schema" in args else ["--schema", "schema.json"]
         run(src, out, [*CLI, "fit", *schema, "--out", name, *args], run_dir / "fit.stdout")
         if (run_dir / "tree.json").exists():
-            data = args[args.index("--data") + 1]
+            data = PREDICT_DATA.get(name, args[args.index("--data") + 1])
             run(src, out, [*CLI, "predict", "--tree", f"{name}/tree.json", "--data", data],
                 run_dir / "predict.csv")
             run(src, out, ["-c", RELOAD, f"{name}/tree.json"], run_dir / "tree.reloaded.json")

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, SubgroupMask, load_csv, text_blocks
+from .data import DataError, SubgroupMask, csv_blocks, load_csv
 from .estimators import EstimatorKind, NuisanceScope, VarianceMethod
 from .glm import FitError, check_factor
 from .prune import DEFAULT_LAMBDA, weakest_link_sequence
@@ -274,14 +274,10 @@ def cmd_predict(args) -> int:
 
     terminal = tree.route(data)
     effect_text = {t: repr(float(tree.node(t).effect.effect)) for t in tree.terminal_ids()}
-    writer = csv.writer(sys.stdout)
     names = list(tree.schema.covariate_names)
-    writer.writerow(names + [tree.schema.treatment, tree.schema.outcome, "effect", "terminal_id"])
-    for start, stop, columns in text_blocks(data):
-        reached = terminal[start:stop].tolist()
-        columns.append([effect_text[t] for t in reached])
-        columns.append(list(map(str, reached)))
-        writer.writerows(zip(*columns))
+    csv.writer(sys.stdout).writerow(
+        names + [tree.schema.treatment, tree.schema.outcome, "effect", "terminal_id"])
+    sys.stdout.writelines(csv_blocks(data, [(terminal, effect_text.__getitem__), (terminal, str)]))
     return 0
 
 

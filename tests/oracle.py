@@ -10,16 +10,28 @@ scores realized splits with ``efftree.search.split_contrast``, which runs
 the batched kernel in whole and parent scope; these functions are the
 independent arithmetic its tests compare against. ``take`` (a row copy of
 a dataset) and ``enumerate_splits`` (every candidate rule of a node) are
-the references for row-index and candidate-order tests.
+the references for row-index and candidate-order tests, and
+``load_csv_rows`` (a CSV reader that checks one row at a time) is the
+reference the column-wise ``efftree.data.load_csv`` is tested against.
 """
 
 from __future__ import annotations
 
+import array
+import csv
 from typing import Optional
 
 import numpy as np
 
-from efftree.data import Dataset
+from efftree.data import (
+    MISSING_TOKENS,
+    Continuous,
+    Dataset,
+    DataError,
+    Schema,
+    _level_parser,
+    _parse_continuous,
+)
 from efftree.estimators import (
     EstimatorKind,
     InadmissibleSplitError,
@@ -55,6 +67,62 @@ def take(data: Dataset, rows: np.ndarray) -> Dataset:
         data.treatment[rows],
         data.outcome[rows],
     )
+
+
+def load_csv_rows(path, schema: Schema, missing_policy: str = "drop_rows") -> Dataset:
+    """``efftree.data.load_csv`` one row at a time: every row is stripped,
+    checked for missing cells and parsed cell by cell, in file order."""
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        try:
+            return _load_rows(fh, schema, missing_policy)
+        except UnicodeDecodeError as err:
+            raise DataError(f"not UTF-8 text: {err}") from None
+
+
+def _load_rows(fh, schema: Schema, missing_policy: str) -> Dataset:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("empty CSV file")
+    expected = set(schema.covariate_names) | {schema.treatment, schema.outcome}
+    duplicated = sorted({name for name in header if header.count(name) > 1})
+    if duplicated:
+        raise DataError(f"duplicated header column(s) {duplicated!r}")
+    if set(header) != expected:
+        raise DataError(f"header {header!r} does not match schema columns {sorted(expected)!r}")
+    pos = {name: header.index(name) for name in expected}
+    columns = {
+        name: array.array("d" if isinstance(kind, Continuous) else "q")
+        for name, kind in schema.columns
+    }
+    treatment = array.array("b")
+    outcome = array.array("d")
+    a_pos = pos[schema.treatment]
+    cells = [(pos[schema.outcome], outcome.append, _parse_continuous, schema.outcome)] + [
+        (pos[name], columns[name].append,
+         _parse_continuous if isinstance(kind, Continuous) else _level_parser(kind.levels), name)
+        for name, kind in schema.columns
+    ]
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"line {line_no}: expected {len(header)} fields, found {len(row)}")
+        row = [token.strip() for token in row]
+        if not MISSING_TOKENS.isdisjoint(row):
+            if missing_policy == "reject":
+                raise DataError(f"line {line_no}: missing cell")
+            continue
+        a_token = row[a_pos]
+        if a_token not in ("0", "1"):
+            raise DataError(f"line {line_no}: invalid treatment value {a_token!r}")
+        treatment.append(int(a_token))
+        for p, append, parse, name in cells:
+            append(parse(row[p], name, line_no))
+    arrays = {
+        name: np.asarray(vals, dtype=np.float64 if isinstance(schema.kind_of(name), Continuous) else np.int64)
+        for name, vals in columns.items()
+    }
+    return Dataset(schema, arrays, np.asarray(treatment), np.asarray(outcome))
 
 
 def enumerate_splits(data: Dataset, rows: np.ndarray) -> list[SplitRule]:

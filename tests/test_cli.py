@@ -558,6 +558,21 @@ SCHEMA_NAME_CORRUPTIONS = {
 def test_schema_names_and_levels_must_be_strings(heterog_csv, fitted_tree, tmp_path, corrupt):
     # a name or level that is not a string is a bad schema (exit 2), for fit
     # and for predict, never a traceback while the CSV is read
+    _assert_bad_schema(heterog_csv, fitted_tree, tmp_path, corrupt)
+
+
+@pytest.mark.parametrize("level", [" B", "B ", "", "NA", "nan"])
+def test_schema_levels_no_csv_can_hold_are_bad_schemas(heterog_csv, fitted_tree, tmp_path,
+                                                       level):
+    # a padded level reads back stripped and a missing-token level as a
+    # missing cell, so neither survives a CSV round trip
+    _assert_bad_schema(heterog_csv, fitted_tree, tmp_path, lambda s: s["covariates"].append(
+        {"name": "site", "kind": "categorical", "levels": ["A", level]}))
+
+
+def _assert_bad_schema(heterog_csv, fitted_tree, tmp_path, corrupt):
+    """``efftree fit`` with the corrupted schema file and ``efftree predict``
+    with a tree file holding it both exit 2 without a traceback."""
     schema = schema_to_dict(heterog_csv[3].schema)
     corrupt(schema)
     schema_path = tmp_path / "schema.json"
@@ -675,6 +690,22 @@ def test_predict_schema_mismatch(heterog_csv, tmp_path, capsys):
     bad.write_text("a,b\n1,2\n", encoding="utf-8")
     code = run_cli(["predict", "--tree", out / "tree.json", "--data", bad])
     assert code == 3
+
+
+def test_predict_names_the_line_of_an_infinite_outcome(heterog_csv, fitted_tree, tmp_path):
+    # row 300 is past the first block of rows, so the row loop reads its block
+    # after the column-wise pass has read the blocks before it
+    base, csv_path, schema_path, _ = heterog_csv
+    lines = csv_path.read_bytes().split(b"\r\n")
+    lines[300] = lines[300].rsplit(b",", 1)[0] + b",inf"
+    bad = tmp_path / "inf.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    tree_path = tmp_path / "tree.json"
+    tree_path.write_text(json.dumps(fitted_tree), encoding="utf-8")
+    result = _run_module("predict", "--tree", tree_path, "--data", bad)
+    assert result.returncode == 3
+    assert "line 301: non-finite value in column 'Y'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_simulate_single_replicate(capsys):

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,9 @@ from efftree.data import (
     Ordinal,
     Schema,
     SubgroupMask,
+    _BLOCK_ROWS,
+    csv_blocks,
     load_csv,
-    text_blocks,
     write_csv,
 )
 
@@ -107,35 +111,37 @@ def test_csv_round_trip(tmp_path):
     assert again == data
 
 
-def test_text_blocks_match_per_cell_text_across_block_edges():
+def test_csv_blocks_match_csv_writer_across_block_edges():
+    # the rows span three blocks; the levels need quoting, and the extra
+    # column maps codes to text the way predict's effect column does
     rng = np.random.default_rng(5)
-    n = 11
+    n = 2 * _BLOCK_ROWS + 88
+    colors = ("red", "a,b", 'say "hi"', "two\nlines", "cr\rlf")
     schema = Schema(
-        (("x1", Continuous()), ("color", Categorical(("red", "green", "blue"))),
+        (("x1", Continuous()), ("color", Categorical(colors)),
          ("grade", Ordinal(("low", "mid", "high")))),
         treatment="A",
         outcome="Y",
     )
     data = Dataset(
         schema,
-        {"x1": rng.standard_normal(n) * 1e3, "color": rng.integers(0, 3, n),
+        {"x1": rng.standard_normal(n) * 1e3, "color": rng.integers(0, 5, n),
          "grade": rng.integers(0, 3, n)},
         rng.integers(0, 2, n),
         rng.standard_normal(n) / 7.0,
     )
-    expected = [
-        [repr(float(data.covariates["x1"][i])),
-         schema.kind_of("color").levels[data.covariates["color"][i]],
+    extra = rng.integers(0, 3, n)
+    names = ("zero", "one", "two")
+    out = io.StringIO()
+    csv.writer(out).writerows(
+        [repr(float(data.covariates["x1"][i])), colors[data.covariates["color"][i]],
          schema.kind_of("grade").levels[data.covariates["grade"][i]],
-         str(int(data.treatment[i])), repr(float(data.outcome[i]))]
+         str(int(data.treatment[i])), repr(float(data.outcome[i])), names[extra[i]]]
         for i in range(n)
-    ]
-    got, spans = [], []
-    for start, stop, columns in text_blocks(data, block=4):
-        spans.append((start, stop))
-        got.extend(list(row) for row in zip(*columns))
-    assert spans == [(0, 4), (4, 8), (8, 11)]
-    assert got == expected
+    )
+    blocks = list(csv_blocks(data, [(extra, names.__getitem__)]))
+    assert len(blocks) == 3
+    assert "".join(blocks) == out.getvalue()
 
 
 def test_load_csv_strips_cells_and_drops_padded_missing(tmp_path):
@@ -145,6 +151,16 @@ def test_load_csv_strips_cells_and_drops_padded_missing(tmp_path):
     assert data.covariates["x1"][0] == 1.5
     assert data.covariates["color"][0] == 0
     assert data.treatment[0] == 1 and data.outcome[0] == 2.0
+
+
+def test_load_csv_names_the_line_of_a_bad_outcome(tmp_path):
+    rows = "x1,color,A,Y\n1.0,red,0,2.5\n2.0,green,0,{}\n"
+    path = write(tmp_path, rows.format("inf"))
+    with pytest.raises(DataError, match=r"^line 3: non-finite value in column 'Y'$"):
+        load_csv(path, schema_simple())
+    path = write(tmp_path, rows.format("x"))
+    with pytest.raises(DataError, match=r"^line 3: unparseable value 'x' for continuous column 'Y'$"):
+        load_csv(path, schema_simple())
 
 
 def test_dataset_rejects_bad_treatment():
@@ -171,6 +187,14 @@ def test_kind_level_validation():
         Categorical(())
     with pytest.raises(DataError):
         Ordinal(("a", "a"))
+
+
+@pytest.mark.parametrize("level", [" B", "B ", "\tB", "", "NA", "NaN", "nan"])
+def test_levels_no_csv_can_hold_are_rejected(level):
+    # a cell is read stripped, and a missing token is a missing cell
+    for kind in (Categorical, Ordinal):
+        with pytest.raises(DataError, match="cannot be read from CSV"):
+            kind(("A", level))
 
 
 def test_dataset_immutable():

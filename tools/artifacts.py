@@ -28,6 +28,11 @@ same bytes. The matrix:
   propensity fit drops a column;
 * ``predict`` with every fitted ``tree.json``, on the run's fit data unless
   ``PREDICT_DATA`` names other rows;
+* one more ``predict`` (``MESSY_PREDICT``) on ``binomial-messy.csv``, the
+  rows of ``binomial.csv`` with the columns in reverse order, every cell
+  quoted, and padded cells and ``NA`` cells spread over every row but
+  512-767, so the CSV reader's column-wise pass reads the clean blocks,
+  its row loop the others, and the output's column order is the schema's;
 * every fitted ``tree.json`` loaded with ``tree_from_dict`` and written
   again as ``tree.reloaded.json`` in the form ``efftree fit`` writes, so
   ``cmp tree.json tree.reloaded.json`` checks the reader's round trip;
@@ -70,6 +75,8 @@ RELOAD = ("import json, sys; from efftree.tree import tree_from_dict; "
           "sys.stdout.write(json.dumps(tree.to_dict(), sort_keys=True, indent=2) + '\\n')")
 # predict data of the runs that do not predict on their fit data
 PREDICT_DATA = {"fit-g-unseen-level-binomial": "binomial.csv"}
+# the run whose tree also predicts on binomial-messy.csv, into predict-messy.csv
+MESSY_PREDICT = "fit-dr-whole-binomial"
 SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog", "dr"),
                ("heterog", "dr:mis-func,true"), ("binary-mixed-homog", "g"),
                ("binary-mixed", "g")]
@@ -78,8 +85,8 @@ SIMULATIONS = [("homog", "g"), ("heterog", "ipw"), ("heterog", "g"), ("heterog",
 def write_inputs(out: Path) -> None:
     """schema.json, gaussian.csv and binomial.csv (1000 rows), small.csv (300 rows),
     ordinal.csv (1000 rows, the effect set by ``g``), binomial-no-d.csv (the
-    rows of binomial.csv whose ``c`` is not ``D``); chain-schema.json and
-    chain.csv (2000 rows)."""
+    rows of binomial.csv whose ``c`` is not ``D``), binomial-messy.csv (see
+    ``write_messy``); chain-schema.json and chain.csv (2000 rows)."""
     rng = np.random.default_rng(20201)
     n = 1000
     x1, x2, x3 = rng.standard_normal((3, n))
@@ -115,6 +122,7 @@ def write_inputs(out: Path) -> None:
             open(out / "binomial-no-d.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerows(row for row in csv.reader(src) if row[3] != "D")
+    write_messy(out / "binomial.csv", out / "binomial-messy.csv")
     rng = np.random.default_rng(20203)
     n = 2000
     x = np.sort(rng.random(n))
@@ -129,6 +137,26 @@ def write_inputs(out: Path) -> None:
         writer.writerow(["x", "A", "Y"])
         for i in range(n):
             writer.writerow([repr(float(x[i])), int(A[i]), repr(float(y[i]))])
+
+
+def write_messy(src: Path, dst: Path) -> None:
+    """The rows of ``src`` in reverse column order with every cell quoted.
+    Outside rows 512-767, which stay clean, every 7th row is padded with
+    spaces and every 150th has one ``NA`` cell, in a column that moves with
+    the row."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(dst, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
+        writer.writerow(header[::-1])
+        for i, row in enumerate(rows):
+            row = row[::-1]
+            if not 512 <= i < 768:
+                if i % 7 == 0:
+                    row = [f" {cell} " for cell in row]
+                if i % 150 == 0:
+                    row[i // 150 % len(row)] = "NA"
+            writer.writerow(row)
 
 
 def fit_runs() -> list[tuple[str, list[str]]]:
@@ -234,6 +262,9 @@ def main(argv: list[str]) -> int:
             data = PREDICT_DATA.get(name, args[args.index("--data") + 1])
             run(src, out, [*CLI, "predict", "--tree", f"{name}/tree.json", "--data", data],
                 run_dir / "predict.csv")
+            if name == MESSY_PREDICT:
+                run(src, out, [*CLI, "predict", "--tree", f"{name}/tree.json",
+                               "--data", "binomial-messy.csv"], run_dir / "predict-messy.csv")
             run(src, out, ["-c", RELOAD, f"{name}/tree.json"], run_dir / "tree.reloaded.json")
     for name, args in simulate_runs():
         print(name, file=sys.stderr)

@@ -14,7 +14,6 @@ from .data import (
     Dataset,
     Ordinal,
     Schema,
-    SubgroupMask,
     load_csv,
     write_csv,
 )
@@ -33,7 +32,7 @@ from .glm import Design, DesignSpec, FitError, ModelFit, fit_logistic, fit_ols, 
 from .prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from .search import (CategoricalCardinalityError, SplitContrast, SplitRule, if_variance,
                      ipw_variance_per_child, split_contrast)
-from .select import bootstrap_effects, select_final
+from .select import bootstrap_effects, check_lambda, fit_tree, select_final
 from .simulate import (
     ExperimentSummary,
     SimSetting,

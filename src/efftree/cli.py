@@ -26,13 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, SubgroupMask, csv_blocks, load_csv
+from .data import DataError, csv_blocks, load_csv
 from .estimators import EstimatorKind, NuisanceScope, VarianceMethod
 from .glm import FitError, check_factor
-from .prune import DEFAULT_LAMBDA, weakest_link_sequence
-from .select import bootstrap_effects, select_final
+from .prune import DEFAULT_LAMBDA
+from .select import bootstrap_effects, check_lambda, fit_tree
 from .simulate import MODEL_VARIANTS, SimSetting, check_sample_size, make_config, run_experiment
-from .tree import GrowConfig, grow_max_tree, schema_from_dict, tree_from_dict
+from .tree import GrowConfig, schema_from_dict, tree_from_dict
 
 EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
@@ -146,7 +146,9 @@ def _load_schema(path: str):
 
 
 def _check_lambda(lam: float) -> None:
-    if not (np.isfinite(lam) and lam >= 0.0):
+    try:
+        check_lambda(lam)
+    except ValueError:
         raise CliError("--lambda must be finite and >= 0", EXIT_CONFIG)
 
 
@@ -222,9 +224,7 @@ def cmd_fit(args) -> int:
         logger.warning("no held-out rows; selection reused the training rows")
 
     try:
-        tree = grow_max_tree(data, SubgroupMask.from_indices(data.n, build_rows), config)
-        sequence = weakest_link_sequence(tree)
-        final, trace = select_final(sequence, data, validation_rows, args.lam)
+        _, final, trace = fit_tree(data, build_rows, validation_rows, config, args.lam)
     except DataError as err:
         raise CliError(f"bad data: {err}", EXIT_DATA)
     except FitError as err:

@@ -10,8 +10,8 @@ from the rows (see ``Dataset.derived``).
 Inside the package a subgroup is a row-index array: integer indices into
 the dataset's rows, kept in the order given, duplicates allowed (a
 bootstrap replicate is the resampled indices themselves, and so are the
-held-out rows that select the final tree). ``SubgroupMask`` is only the
-public entry to ``grow_max_tree``, which takes its indices once.
+held-out rows that select the final tree). No code in the package uses
+``SubgroupMask``; it exists only for the benchmark tracer in ``perfbench``.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ class Dataset:
 
 
 class SubgroupMask:
-    """Boolean membership of the rows to grow a tree on; `size` counts them."""
+    """Boolean row membership; `size` counts the rows."""
 
     __slots__ = ("bits", "size")
 
@@ -219,10 +219,6 @@ class SubgroupMask:
         bits.setflags(write=False)
         self.bits = bits
         self.size = int(bits.sum())
-
-    @classmethod
-    def full(cls, n: int) -> "SubgroupMask":
-        return cls(np.ones(n, dtype=bool))
 
     @classmethod
     def from_indices(cls, n: int, indices: Iterable[int]) -> "SubgroupMask":
@@ -262,20 +258,23 @@ def load_csv(path, schema: Schema, missing_policy: str = "drop_rows") -> Dataset
     free; extra or repeated columns rejected). Cells equal to one of
     ``MISSING_TOKENS`` count as missing; under ``drop_rows`` such rows are
     removed (count logged), under ``reject`` any missing cell raises
-    :class:`DataError`. A file that is not UTF-8 text raises
+    :class:`DataError`. A file that is not UTF-8 text, or that the ``csv``
+    reader refuses (such as a cell over its field size limit), raises
     :class:`DataError` too; a leading UTF-8 byte-order mark is skipped.
     """
     if missing_policy not in ("reject", "drop_rows"):
         raise ValueError(f"unknown missing_policy {missing_policy!r}")
     with open(path, "r", newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
         try:
-            return _load_csv_stream(fh, schema, missing_policy)
+            return _load_csv_stream(reader, schema, missing_policy)
         except UnicodeDecodeError as err:
             raise DataError(f"not UTF-8 text: {err}") from None
+        except csv.Error as err:
+            raise DataError(f"line {reader.line_num}: {err}") from None
 
 
-def _load_csv_stream(fh, schema: Schema, missing_policy: str) -> Dataset:
-    reader = csv.reader(fh)
+def _load_csv_stream(reader, schema: Schema, missing_policy: str) -> Dataset:
     try:
         header = next(reader)
     except StopIteration:

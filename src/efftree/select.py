@@ -1,4 +1,4 @@
-"""Final tree selection on held-out rows, and bootstrap intervals for a fixed tree.
+"""The fit pipeline, final tree selection on held-out rows, and bootstrap intervals.
 
 Each candidate subtree is scored by recomputing its internal-node splitting
 statistics from validation rows routed down the tree and penalizing the
@@ -24,17 +24,36 @@ import numpy as np
 from .data import Dataset
 from .estimators import InadmissibleSplitError, node_effect, shared_models, subgroup_terms
 from .glm import FitError
-from .prune import PruneSequence
+from .prune import PruneSequence, weakest_link_sequence
 from .search import split_contrast
-from .tree import GrowConfig, Tree
+from .tree import GrowConfig, Tree, grow_max_tree
 
 __all__ = [
+    "check_lambda",
+    "fit_tree",
     "validation_statistics",
     "select_final",
     "SelectionTrace",
     "bootstrap_effects",
     "TerminalInterval",
 ]
+
+
+def check_lambda(lam: float) -> None:
+    """ValueError unless the penalty per internal node ``lam`` is finite and >= 0."""
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+
+
+def fit_tree(data: Dataset, build_rows: np.ndarray, validation_rows: np.ndarray,
+             config: GrowConfig, lam: float) -> tuple[Tree, Tree, SelectionTrace]:
+    """Grow the max tree on row indices ``build_rows``, prune it weakest link first
+    and select on ``validation_rows``; returns (max tree, final tree, trace). A
+    bad ``lam`` raises ValueError before any growth."""
+    check_lambda(lam)
+    max_tree = grow_max_tree(data, build_rows, config)
+    final, trace = select_final(weakest_link_sequence(max_tree), data, validation_rows, lam)
+    return max_tree, final, trace
 
 
 def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[int, float]:
@@ -101,8 +120,7 @@ def select_final(
     ``split_complexity``, over each candidate's internal nodes, which follow
     from the prune order. Only the chosen candidate is materialized.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam!r}")
+    check_lambda(lam)
     max_tree = sequence[0]
     stats = validation_statistics(max_tree, data, rows)
     kept = max_tree.internal_ids()

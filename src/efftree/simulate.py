@@ -23,13 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Categorical, Continuous, Dataset, Schema, SubgroupMask
+from .data import Categorical, Continuous, Dataset, Schema
 from .estimators import EstimatorKind, NuisanceScope
 from .glm import FitError
-from .prune import DEFAULT_LAMBDA, weakest_link_sequence
+from .prune import DEFAULT_LAMBDA
 from .search import SplitRule
-from .select import select_final
-from .tree import GrowConfig, Tree, grow_max_tree
+from .select import check_lambda, fit_tree
+from .tree import GrowConfig, Tree, grow_max_tree  # noqa: F401 (perfbench's tracer tests read it)
 
 HOMOGENEOUS = "homogeneous"
 HETEROGENEOUS = "heterogeneous"
@@ -400,12 +400,8 @@ def run_replicate(
     test, _ = generate(test_setting)
 
     n_build = build_size(train.n)
-    build_mask = SubgroupMask(np.arange(train.n) < n_build)
-
     t0 = time.perf_counter()
-    max_tree = grow_max_tree(train, build_mask, config)
-    sequence = weakest_link_sequence(max_tree)
-    final, _ = select_final(sequence, train, np.arange(n_build, train.n), lam)
+    max_tree, final, _ = fit_tree(train, np.arange(n_build), np.arange(n_build, train.n), config, lam)
     fit_seconds = time.perf_counter() - t0
 
     return ReplicateResult(
@@ -441,12 +437,14 @@ def run_experiment(
     A replicate that cannot be fit (FitError) is excluded and counted, and
     FitError is raised if no replicate is left; any other error propagates.
     ValueError, before any replicate runs, for fewer than one replication or
-    thread, or a sample too small for ``min_node`` (``check_sample_size``).
+    thread, a ``lam`` that is not finite and >= 0, or a sample too small for
+    ``min_node`` (``check_sample_size``).
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     if threads is not None and threads < 1:
         raise ValueError("threads must be >= 1")
+    check_lambda(lam)
     check_sample_size(setting, config)
     jobs = [(setting, config, i, seed, lam) for i in range(replications)]
     results: list[Optional[ReplicateResult]] = [None] * replications

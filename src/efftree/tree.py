@@ -21,7 +21,7 @@ from typing import Container, Iterator, Optional, get_type_hints
 
 import numpy as np
 
-from .data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask, json_value
+from .data import Categorical, Continuous, Dataset, Ordinal, Schema, json_value
 from .estimators import (
     EstimatorKind,
     InadmissibleSplitError,
@@ -33,7 +33,7 @@ from .estimators import (
     shared_models,
     subgroup_terms,
 )
-from .glm import DesignSpec, FitError, check_columns, parse_spec
+from .glm import DesignSpec, FitError, check_columns, check_rows, parse_spec
 from .search import SplitRule, find_best_split, node_tables
 
 TREE_FORMAT = "cit-tree/1"
@@ -352,11 +352,11 @@ def tree_from_dict(payload: dict) -> Tree:
 # growth
 
 
-def grow_max_tree(data: Dataset, mask: SubgroupMask, config: GrowConfig) -> Tree:
-    """Grow the maximum-sized tree by repeatedly taking the largest-statistic
-    split; DataError first if a model column fails ``glm.check_columns``, then
-    FitError, before any fit, if the rows hold one treatment arm."""
-    rows = mask.indices()
+def grow_max_tree(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Tree:
+    """Grow the maximum-sized tree on row indices ``rows`` by repeatedly taking
+    the largest-statistic split; DataError first if a model column fails
+    ``glm.check_columns``, then FitError, before any fit, if the rows hold one arm."""
+    rows = check_rows(rows)
     if len(rows) < config.min_node:
         raise ValueError("root below min_node")
     for spec in filter(None, model_specs(config)):

@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from efftree.data import SubgroupMask
 from efftree.estimators import (
     EstimatorKind,
     NuisanceModels,
@@ -25,7 +24,7 @@ from efftree.estimators import (
 from efftree.glm import Design, fit_logistic, fit_ols, parse_spec
 from efftree.prune import weakest_link_sequence
 from efftree.search import split_contrast
-from efftree.select import select_final
+from efftree.select import fit_tree
 from efftree.simulate import (
     SimSetting,
     generate,
@@ -33,7 +32,7 @@ from efftree.simulate import (
     pairwise_similarity_labels,
     run_experiment,
 )
-from efftree.tree import GrowConfig, grow_max_tree
+from efftree.tree import GrowConfig
 from util_trees import brute_force_sequence, random_tree
 
 ACCEPT_SEED = 2024
@@ -249,12 +248,10 @@ def test_criterion_8_relative_fit_speed():
     for name, config in configs.items():
         times = []
         for data in datasets:
-            build = SubgroupMask(np.arange(data.n) < 800)
+            build = np.arange(800)
             validation = np.arange(800, data.n)
             t0 = time.perf_counter()
-            tree = grow_max_tree(data, build, config)
-            seq = weakest_link_sequence(tree)
-            select_final(seq, data, validation, 3.84)
+            fit_tree(data, build, validation, config, 3.84)
             times.append(time.perf_counter() - t0)
         mean_seconds[name] = float(np.mean(times))
     factor_ipw = mean_seconds["ipw"] / mean_seconds["dr"]

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from efftree.cli import main
-from efftree.data import Categorical, Continuous, Dataset, Schema, SubgroupMask, load_csv, write_csv
-from efftree.prune import weakest_link_sequence
-from efftree.select import select_final
+from efftree.data import Categorical, Continuous, Dataset, Schema, load_csv, write_csv
+from efftree.select import fit_tree
 from efftree.simulate import SimSetting, generate
-from efftree.tree import GrowConfig, grow_max_tree, schema_to_dict, tree_from_dict
+from efftree.tree import GrowConfig, schema_to_dict, tree_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -188,12 +187,12 @@ def test_fit_bootstrap_dropping_every_replicate_is_a_fit_failure(tmp_path, capsy
 
 def test_fit_lets_a_bug_in_growth_propagate(heterog_csv, tmp_path, monkeypatch):
     # only FitError is a fit failure (exit 4); any other error is a bug
-    from efftree import cli
+    from efftree import select
 
     def unfinished(*args, **kwargs):
         raise NotImplementedError("unfinished growth")
 
-    monkeypatch.setattr(cli, "grow_max_tree", unfinished)
+    monkeypatch.setattr(select, "grow_max_tree", unfinished)
     base, csv_path, schema_path, _ = heterog_csv
     with pytest.raises(NotImplementedError, match="unfinished growth"):
         run_cli(["fit", "--data", csv_path, "--schema", schema_path,
@@ -275,8 +274,7 @@ def test_fit_train_frac_1_selects_on_every_row(heterog_csv, tmp_path, caplog):
 
     data = load_csv(csv_path, generated.schema)
     config = GrowConfig.from_strings("g", "A", outcome=spec)
-    seq = weakest_link_sequence(grow_max_tree(data, SubgroupMask.full(data.n), config))
-    _, trace = select_final(seq, data, np.arange(data.n), 2.0)
+    _, _, trace = fit_tree(data, np.arange(data.n), np.arange(data.n), config, 2.0)
     assert len(trace.complexities) > 1
     expected = json.dumps(trace.to_dict(), sort_keys=True, indent=2) + "\n"
     assert (tmp_path / "selection.json").read_text(encoding="utf-8") == expected
@@ -706,6 +704,28 @@ def test_predict_names_the_line_of_an_infinite_outcome(heterog_csv, fitted_tree,
     assert result.returncode == 3
     assert "line 301: non-finite value in column 'Y'" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_a_cell_over_the_csv_field_limit_is_a_data_error(heterog_csv, fitted_tree, tmp_path,
+                                                        command):
+    base, csv_path, schema_path, _ = heterog_csv
+    lines = csv_path.read_bytes().split(b"\r\n")
+    lines[300] = lines[300].rsplit(b",", 1)[0] + b"," + b"1" * 200_000
+    bad = tmp_path / "long.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    if command == "fit":
+        args = ("fit", "--data", bad, "--schema", schema_path, "--estimator", "g",
+                "--outcome-spec", "1 + A + x1", "--out", tmp_path / "out")
+    else:
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(json.dumps(fitted_tree), encoding="utf-8")
+        args = ("predict", "--tree", tree_path, "--data", bad)
+    result = _run_module(*args)
+    assert result.returncode == 3, result.stderr
+    assert "line 301: field larger than field limit" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_single_replicate(capsys):

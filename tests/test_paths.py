@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from efftree.data import SubgroupMask
 from efftree.estimators import NuisanceScope, VarianceMethod
 from efftree.glm import Design, fit_logistic, parse_spec
 from efftree.simulate import SimSetting, generate, make_config
@@ -70,7 +69,7 @@ def test_binomial_g_batch_matches_scalar():
     setting = SimSetting("binary-mixed-heterogeneous", n=500, seed=83)
     config = make_config(setting, "g")
     assert config.outcome_family == "binomial"
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     root = tree.node(tree.root_id)
     if root.rule is None:
         pytest.skip("no admissible split on this draw")
@@ -86,14 +85,14 @@ def test_child_scope_growth_small():
     config = make_config(setting, "g", scope=NuisanceScope.CHILD,
                          min_node=60, min_per_arm=15, max_depth=2)
     assert config.variance_method == VarianceMethod.INFLUENCE
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     for node_id in tree.internal_ids():
         assert tree.node(node_id).statistic > 0
     # child-scope IPW defaults to the per-child sandwich
     config_ipw = make_config(setting, "ipw", scope=NuisanceScope.CHILD,
                              min_node=60, min_per_arm=15, max_depth=1)
     assert config_ipw.variance_method == VarianceMethod.PER_CHILD_SANDWICH
-    tree_ipw = grow_max_tree(data, SubgroupMask.full(data.n), config_ipw)
+    tree_ipw = grow_max_tree(data, np.arange(data.n), config_ipw)
     assert tree_ipw.n_internal() <= 1
 
 

@@ -124,8 +124,54 @@ def grown(estimator, scope):
         outcome=None if estimator == "ipw" else "1 + A + x1 + x2 + c + A:x1",
         scope=scope, max_depth=3, min_node=30, min_per_arm=5,
     )
-    tree = grow_max_tree(SEL, SubgroupMask(SEL.column("c") != LEVEL_D), config)
+    tree = grow_max_tree(SEL, np.flatnonzero(SEL.column("c") != LEVEL_D), config)
     return config, weakest_link_sequence(tree)
+
+
+# The parent-scope DR tree of ``grown`` as ``grow_max_tree`` gave it when it
+# took a ``SubgroupMask`` of the same rows: each node's size, rule and effect.
+MASK_GROWN_DR_TREE = [
+    (458, {"column": "c", "kind": "subset", "left_levels": ["B"], "right_levels": ["A", "C"]},
+     4.02348895534228),
+    (158, {"column": "x1", "kind": "threshold", "threshold": -0.04212469394360442},
+     1.9596600377584037),
+    (78, {"column": "x2", "kind": "threshold", "threshold": 0.2014921701277711},
+     0.8150486932845772),
+    (48, None, 1.1237005415518688),
+    (30, None, 0.16150586812948076),
+    (80, {"column": "x2", "kind": "threshold", "threshold": -0.18101917314521687},
+     3.036564444348938),
+    (31, None, 2.1099614609634476),
+    (49, None, 3.3062211033152864),
+    (300, {"column": "x1", "kind": "threshold", "threshold": -0.0037725129127441255},
+     5.097889542603826),
+    (142, {"column": "x1", "kind": "threshold", "threshold": -0.6697915356453511},
+     4.203059752167336),
+    (71, None, 4.472694122151204),
+    (71, None, 3.995853508799376),
+    (158, {"column": "x1", "kind": "threshold", "threshold": 0.5434185067015997},
+     5.819459475916015),
+    (73, None, 5.527726797934856),
+    (85, None, 6.1228995628210745),
+]
+
+
+def test_grow_max_tree_takes_row_indices_and_refuses_a_mask():
+    config, sequence = grown("dr", "parent")
+    mask = SEL.column("c") != LEVEL_D
+    for not_rows in (mask, SubgroupMask(mask)):
+        with pytest.raises(TypeError, match="integer index array"):
+            grow_max_tree(SEL, not_rows, config)
+    tree = sequence[0]
+    assert sorted(tree.nodes) == list(range(len(MASK_GROWN_DR_TREE)))
+    for node_id, (n, rule, effect) in enumerate(MASK_GROWN_DR_TREE):
+        nd = tree.node(node_id)
+        assert nd.n == n
+        got = nd.rule.to_dict() if nd.rule is not None else None
+        if got is not None:
+            del got["column_index"]
+        assert got == rule
+        assert nd.effect.effect == pytest.approx(effect, rel=1e-9)
 
 
 # Ascending validation rows of every density, down to a few rows, where

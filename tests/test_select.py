@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import oracle
-from efftree import estimators
-from efftree.data import Continuous, Dataset, Schema, SubgroupMask
+from efftree import estimators, select
+from efftree.data import Continuous, Dataset, Schema
 from efftree.estimators import (
     ESTIMATE,
     EstimatorKind,
@@ -14,11 +14,12 @@ from efftree.glm import FitError
 from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
 from efftree.select import (
     bootstrap_effects,
+    fit_tree,
     select_final,
     validation_statistics,
 )
 from efftree.search import SplitRule
-from efftree.simulate import SimSetting, generate, make_config
+from efftree.simulate import SimSetting, generate, make_config, run_experiment
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree
 from util_trees import leaf_effect
 
@@ -28,8 +29,7 @@ def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overr
     data, oracle = generate(setting)
     config = make_config(setting, estimator, **overrides)
     n_build = int(0.8 * n)
-    build = SubgroupMask(np.arange(n) < n_build)
-    tree = grow_max_tree(data, build, config)
+    tree = grow_max_tree(data, np.arange(n_build), config)
     return data, np.arange(n_build, n), config, tree, weakest_link_sequence(tree)
 
 
@@ -128,6 +128,20 @@ def test_select_final_rejects_a_non_finite_or_negative_lambda():
     for lam in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="lambda"):
             select_final(seq, data, rows, lam)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), -1.0])
+def test_a_bad_lambda_is_refused_before_any_growth(lam, monkeypatch):
+    grown = []
+    monkeypatch.setattr(select, "grow_max_tree", lambda *args: grown.append(args))
+    setting = SimSetting("heterogeneous", n=300, seed=5)
+    config = make_config(setting, "dr")
+    data, _ = generate(setting)
+    with pytest.raises(ValueError, match="lambda"):
+        fit_tree(data, np.arange(240), np.arange(240, 300), config, lam)
+    with pytest.raises(ValueError, match="lambda"):
+        run_experiment(setting, config, replications=1, seed=5, lam=lam, threads=1)
+    assert grown == []
 
 
 def test_select_final_tie_breaks_toward_smaller_tree():
@@ -317,7 +331,7 @@ def test_bootstrap_matches_take_based_reference_dr_binomial_parent_scope():
         outcome="1 + A + x2 + A:in(x4,B,D)", outcome_family="binomial",
         variance_method="influence", scope="parent", min_node=100, max_depth=2,
     )
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     assert len(tree.terminal_ids()) >= 2
     assert_bootstrap_matches_take_based(tree, data, B=20, seed=3, config=config)
 
@@ -328,7 +342,7 @@ def test_bootstrap_matches_take_based_reference_g_whole_scope():
         "g", "A", outcome="1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)",
         scope="whole", max_depth=2,
     )
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     assert len(tree.terminal_ids()) >= 2
     assert_bootstrap_matches_take_based(tree, data, B=20, seed=4, config=config)
 

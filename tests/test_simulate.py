@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from efftree.data import Dataset, SubgroupMask
-from efftree.prune import weakest_link_sequence
+from efftree.data import Dataset
 from efftree.search import SplitRule
-from efftree.select import select_final
+from efftree.select import fit_tree
 from efftree.simulate import (
     SimSetting,
     TruthOracle,
@@ -20,7 +19,7 @@ from efftree.simulate import (
     run_experiment,
     run_replicate,
 )
-from efftree.tree import Tree, TreeNode, grow_max_tree
+from efftree.tree import Tree, TreeNode
 from oracle import take
 from util_trees import leaf_effect
 
@@ -535,10 +534,7 @@ def test_binary_mixed_end_to_end_fit():
     data, oracle = generate(setting)
     config = make_config(setting, "dr")
     assert config.outcome_family == "binomial"
-    build = SubgroupMask(np.arange(data.n) < 800)
-    tree = grow_max_tree(data, build, config)
-    seq = weakest_link_sequence(tree)
-    final, _ = select_final(seq, data, np.arange(800, 1000), 3.84)
+    _, final, _ = fit_tree(data, np.arange(800), np.arange(800, 1000), config, 3.84)
     # the fitted tree routes and predicts without error
     pred = final.predict(data)
     assert np.isfinite(pred).all()

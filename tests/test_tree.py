@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
+from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema
 from efftree.estimators import (
     EstimatorKind,
     InadmissibleSplitError,
@@ -98,14 +98,13 @@ def grow_setting(n=400, seed=3, estimator="dr", **overrides):
 
 def test_grow_root_only_when_below_min_node():
     data, _, config = grow_setting(n=40)
-    mask = SubgroupMask(np.arange(data.n) < 20)
     with pytest.raises(ValueError):
         # root itself below min_node is a precondition violation
-        grow_max_tree(data, SubgroupMask(np.arange(data.n) < 20), GrowConfig(
+        grow_max_tree(data, np.arange(20), GrowConfig(
             estimator=config.estimator, propensity_spec=config.propensity_spec,
             outcome_spec=config.outcome_spec, min_node=25, min_per_arm=2))
     # and a root that satisfies min_node but cannot produce two children stays root-only
-    tree = grow_max_tree(data, SubgroupMask(np.arange(40) < 40 // 1), GrowConfig(
+    tree = grow_max_tree(data, np.arange(40), GrowConfig(
         estimator=config.estimator, propensity_spec=config.propensity_spec,
         outcome_spec=config.outcome_spec, min_node=25, min_per_arm=2))
     assert tree.n_internal() == 0
@@ -114,15 +113,14 @@ def test_grow_root_only_when_below_min_node():
 
 def test_grow_deterministic_serialization():
     data, _, config = grow_setting(n=500, seed=9)
-    mask = SubgroupMask.full(data.n)
-    t1 = grow_max_tree(data, mask, config)
-    t2 = grow_max_tree(data, mask, config)
+    t1 = grow_max_tree(data, np.arange(data.n), config)
+    t2 = grow_max_tree(data, np.arange(data.n), config)
     assert json.dumps(t1.to_dict(), sort_keys=True) == json.dumps(t2.to_dict(), sort_keys=True)
 
 
 def test_grow_first_split_on_effect_variable():
     data, oracle, config = grow_setting(n=1000, seed=11, estimator="g")
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     root = tree.node(tree.root_id)
     assert root.rule.column == "x4"
     assert abs(root.rule.threshold) < 0.3
@@ -138,7 +136,7 @@ def test_grow_respects_min_node_and_min_per_arm():
             estimator=config.estimator, propensity_spec=config.propensity_spec,
             outcome_spec=config.outcome_spec, min_node=min_node,
             min_per_arm=min_per_arm, max_depth=6)
-        tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+        tree = grow_max_tree(data, np.arange(data.n), config)
         reach = tree.rows_by_node(data, np.arange(data.n))
         for node_id, node in tree.nodes.items():
             assert node.n >= min_node
@@ -152,7 +150,7 @@ def test_chosen_split_maximizes_statistic_exhaustively():
     config = GrowConfig(
         estimator=config.estimator, propensity_spec=config.propensity_spec,
         outcome_spec=config.outcome_spec, min_node=40, min_per_arm=10, max_depth=1)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     root = tree.node(tree.root_id)
     assert root.rule is not None
     best = root.statistic
@@ -183,7 +181,7 @@ def test_equal_statistics_tie_break_to_first_column():
         outcome_spec=parse_spec("1 + A + A:gt(x1,0)", "A"),
         min_node=30, min_per_arm=10, max_depth=1,
     )
-    tree = grow_max_tree(data, SubgroupMask.full(n), config)
+    tree = grow_max_tree(data, np.arange(n), config)
     root = tree.node(tree.root_id)
     assert root.rule is not None
     assert root.rule.column == "x1"
@@ -198,7 +196,7 @@ def test_whole_scope_singular_child_information_leaves_node_terminal():
         "g", "A", outcome="1 + A + x1 + gt(x1,2.5) + A:x2",
         scope=NuisanceScope.WHOLE, variance_method=VarianceMethod.POOLED_SANDWICH,
     )
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     assert tree.n_internal() >= 1
     whole = fit_on(data, np.arange(data.n), config)
     reach = tree.rows_by_node(data, np.arange(data.n))
@@ -215,7 +213,7 @@ def test_whole_scope_singular_child_information_leaves_node_terminal():
 
 def test_internal_nodes_carry_positive_statistic():
     data, _, config = grow_setting(n=800, seed=19)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     for i in tree.internal_ids():
         assert tree.node(i).statistic > 0
     for i in tree.terminal_ids():
@@ -224,7 +222,7 @@ def test_internal_nodes_carry_positive_statistic():
 
 def test_children_partition_parent():
     data, _, config = grow_setting(n=700, seed=23)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     reach = tree.rows_by_node(data, np.arange(data.n))
     assert all(len(reach[i]) == node.n for i, node in tree.nodes.items())
     for i in tree.internal_ids():
@@ -238,7 +236,7 @@ def test_children_partition_parent():
 
 def test_ipw_whole_scope_child_means_reconstruct_parent():
     data, _, config = grow_setting(n=900, seed=29, estimator="ipw", scope=NuisanceScope.WHOLE)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     assert tree.n_internal() >= 1
     for i in tree.internal_ids():
         node = tree.node(i)
@@ -273,7 +271,7 @@ def test_predict_root_only_constant():
     data, _, config = grow_setting(n=400, seed=31)
     config = GrowConfig(estimator=config.estimator, propensity_spec=config.propensity_spec,
                         outcome_spec=config.outcome_spec, min_node=300, min_per_arm=10)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     assert tree.n_internal() == 0
     pred = tree.predict(data)
     assert np.allclose(pred, tree.node(tree.root_id).effect.effect)
@@ -389,7 +387,7 @@ def test_grow_refuses_rows_holding_one_treatment_arm_before_any_fit(estimator, m
     monkeypatch.setattr("efftree.tree.shared_models", no_fit)
     monkeypatch.setattr("efftree.tree.subgroup_terms", no_fit)
     with pytest.raises(FitError, match=f"'A' holds one arm only on the {len(treated)} root rows"):
-        grow_max_tree(data, SubgroupMask.from_indices(data.n, treated), config)
+        grow_max_tree(data, treated, config)
 
 
 # ---------------------------------------------------------------- walks
@@ -408,7 +406,7 @@ def test_preorder_matches_the_recursive_reference_on_random_trees():
 
 def test_grown_node_ids_are_in_preorder_and_depths_are_levels():
     data, _, config = grow_setting(n=600, seed=43)
-    tree = grow_max_tree(data, SubgroupMask(np.ones(data.n, dtype=bool)), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     assert tree.n_internal() >= 3
     walk = list(tree.preorder())
     assert [i for i, _ in walk] == sorted(tree.nodes)
@@ -444,7 +442,7 @@ def test_a_3000_deep_chain_walks_without_recursion():
 
 def test_json_round_trip_preserves_structure_and_predictions():
     data, _, config = grow_setting(n=600, seed=43)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     payload = json.loads(json.dumps(tree.to_dict(), sort_keys=True))
     assert payload["format"] == "cit-tree/1"
     again = tree_from_dict(payload)
@@ -480,7 +478,7 @@ def test_json_round_trip_keeps_the_bytes_routing_and_predictions(seed, estimator
         outcome=None if estimator == "ipw" else "1 + A + x + c + g + A:x + A:c + A:g",
         max_depth=3, min_node=30, min_per_arm=5,
     )
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     text = json.dumps(tree.to_dict(), sort_keys=True)
     again = tree_from_dict(json.loads(text))
     assert json.dumps(again.to_dict(), sort_keys=True) == text
@@ -493,7 +491,7 @@ def test_loaded_tree_has_the_grown_effects_and_predictions(estimator):
     # A node's effect is exactly the three numbers tree.json stores, so a
     # loaded node equals the grown one; arm counts are not part of it.
     data, _, config = grow_setting(n=600, seed=43, estimator=estimator)
-    tree = grow_max_tree(data, SubgroupMask.full(data.n), config)
+    tree = grow_max_tree(data, np.arange(data.n), config)
     again = tree_from_dict(json.loads(json.dumps(tree.to_dict(), sort_keys=True)))
     assert sorted(again.nodes) == sorted(tree.nodes)
     for node_id, node in tree.nodes.items():
@@ -524,7 +522,7 @@ def test_binomial_outcome_model_of_a_continuous_outcome_is_a_fit_error():
     data, _ = generate(SimSetting("heterogeneous", n=600, seed=3))
     config = GrowConfig.from_strings("g", "A", outcome="1 + A + x1", outcome_family="binomial")
     with pytest.raises(FitError, match="root node"):
-        grow_max_tree(data, SubgroupMask.full(data.n), config)
+        grow_max_tree(data, np.arange(data.n), config)
 
 
 def test_grow_config_is_frozen_and_replace_revalidates():

@@ -29,7 +29,7 @@ from .estimators import (
     estimate_ipw,
 )
 from .glm import Design, DesignSpec, FitError, ModelFit, fit_logistic, fit_ols, parse_spec, predict_mean
-from .prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
+from .prune import DEFAULT_LAMBDA, split_complexity, weakest_link_sequence
 from .search import (CategoricalCardinalityError, SplitContrast, SplitRule, if_variance,
                      ipw_variance_per_child, split_contrast)
 from .select import bootstrap_effects, check_lambda, fit_tree, select_final

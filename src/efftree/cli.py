@@ -74,6 +74,11 @@ def _add_growth_flags(parser: argparse.ArgumentParser) -> None:
                         help=f"split complexity penalty (default {DEFAULT_LAMBDA})")
 
 
+def _add_missing_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--missing", default="drop_rows", choices=["drop_rows", "reject"],
+                        help="missing-cell policy (default drop_rows)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="efftree",
@@ -103,14 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="bootstrap replicates for terminal intervals (default 0 = off)")
     fit.add_argument("--level", type=float, default=0.95,
                      help="bootstrap interval level (default 0.95)")
-    fit.add_argument("--missing", default="drop_rows", choices=["drop_rows", "reject"],
-                     help="missing-cell policy (default drop_rows)")
+    _add_missing_flag(fit)
     fit.add_argument("--out", default=".", help="output directory (default current)")
 
     predict = sub.add_parser("predict", help="route a CSV through a fitted tree")
     predict.add_argument("--tree", required=True, help="tree.json from a previous fit")
     predict.add_argument("--data", required=True, help="CSV file to score")
-    predict.add_argument("--missing", default="drop_rows", choices=["drop_rows", "reject"])
+    _add_missing_flag(predict)
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     sim.add_argument("--setting", required=True, choices=list(_SETTING_ALIASES),

@@ -1,14 +1,16 @@
 """The fit pipeline, final tree selection on held-out rows, and bootstrap intervals.
 
-Each candidate subtree is scored by recomputing its internal-node splitting
-statistics from validation rows routed down the tree and penalizing the
-internal-node count (lambda per node, finite and >= 0); the candidate
-maximizing this validation split complexity wins, ties going to the smaller
-tree. Selection and the bootstrap use the tree's own config. The
-validation rows are a row-index array into the dataset the tree was grown
-on, so selection copies no data and reuses that dataset's root designs.
-A node's validation statistic comes from the one scorer of a realized
-split, ``search.split_contrast``. Bootstrap intervals
+A fit grows the max tree and selects from it: the candidates are the max
+tree and its weakest-link prunes, taken from the prune order, and only the
+winner is built. Each candidate subtree is scored by recomputing its
+internal-node splitting statistics from validation rows routed down the
+tree and penalizing the internal-node count (lambda per node, finite and
+>= 0); the candidate maximizing this validation split complexity wins,
+ties going to the smaller tree. Selection and the bootstrap use the tree's
+own config. The validation rows are a row-index array into the dataset
+the tree was grown on, so selection copies no data and reuses that
+dataset's root designs. A node's validation statistic comes from the one
+scorer of a realized split, ``search.split_contrast``. Bootstrap intervals
 re-estimate terminal effects on resampled row indices, with the structure
 and the routing of the rows fixed and no copy of the data.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .estimators import InadmissibleSplitError, node_effect, shared_models, subgroup_terms
 from .glm import FitError
-from .prune import PruneSequence, weakest_link_sequence
+from .prune import weakest_link_sequence
 from .search import split_contrast
 from .tree import GrowConfig, Tree, grow_max_tree
 
@@ -47,12 +49,12 @@ def check_lambda(lam: float) -> None:
 
 def fit_tree(data: Dataset, build_rows: np.ndarray, validation_rows: np.ndarray,
              config: GrowConfig, lam: float) -> tuple[Tree, Tree, SelectionTrace]:
-    """Grow the max tree on row indices ``build_rows``, prune it weakest link first
-    and select on ``validation_rows``; returns (max tree, final tree, trace). A
-    bad ``lam`` raises ValueError before any growth."""
+    """Grow the max tree on row indices ``build_rows``, then select among its
+    weakest-link prunes on ``validation_rows`` (``select_final``); returns (max
+    tree, final tree, trace). A bad ``lam`` raises ValueError before any growth."""
     check_lambda(lam)
     max_tree = grow_max_tree(data, build_rows, config)
-    final, trace = select_final(weakest_link_sequence(max_tree), data, validation_rows, lam)
+    final, trace = select_final(max_tree, data, validation_rows, lam)
     return max_tree, final, trace
 
 
@@ -104,36 +106,34 @@ class SelectionTrace:
         }
 
 
-def select_final(
-    sequence: PruneSequence,
-    data: Dataset,
-    rows: np.ndarray,
-    lam: float,
-) -> tuple[Tree, SelectionTrace]:
+def select_final(max_tree: Tree, data: Dataset, rows: np.ndarray,
+                 lam: float) -> tuple[Tree, SelectionTrace]:
     """Candidate maximizing split complexity on validation ``rows``; ties prefer fewer internal nodes.
 
-    ``lam`` is the penalty per internal node, finite and >= 0.
-
-    A node's validation statistic is the same in every candidate that
-    contains it (pruning preserves ancestors), so the statistics are
-    computed once on the max tree and summed in ascending id order, as in
-    ``split_complexity``, over each candidate's internal nodes, which follow
-    from the prune order. Only the chosen candidate is materialized.
+    The candidates are ``max_tree`` and its weakest-link prunes
+    (``weakest_link_sequence``); ``lam`` is the penalty per internal node,
+    finite and >= 0. A node's validation statistic is the same in every
+    candidate that contains it (pruning preserves ancestors), so the
+    statistics are computed once on the max tree and summed in ascending id
+    order, as in ``split_complexity``, over each candidate's internal nodes,
+    which follow from the prune order. Only the chosen candidate is
+    materialized: ``max_tree`` itself when it wins.
     """
     check_lambda(lam)
-    max_tree = sequence[0]
+    order = weakest_link_sequence(max_tree)
     stats = validation_statistics(max_tree, data, rows)
     kept = max_tree.internal_ids()
     sizes: list[int] = []
     complexities: list[float] = []
-    for h in sequence.pruned_node_per_step + [None]:
+    for h in order + [None]:
         sizes.append(len(kept))
         complexities.append(sum(stats[i] for i in kept) - lam * len(kept))
         if h is not None:
             gone = set(max_tree.branch_internal(h))
             kept = [i for i in kept if i not in gone]
     chosen = max(range(len(sizes)), key=lambda k: (complexities[k], -sizes[k]))
-    return sequence[chosen], SelectionTrace(sizes, complexities, chosen)
+    final = max_tree.prune_at(*order[:chosen]) if chosen else max_tree
+    return final, SelectionTrace(sizes, complexities, chosen)
 
 
 @dataclass

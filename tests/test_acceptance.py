@@ -33,7 +33,7 @@ from efftree.simulate import (
     run_experiment,
 )
 from efftree.tree import GrowConfig
-from util_trees import brute_force_sequence, random_tree
+from util_trees import brute_force_sequence, prune_candidates, random_tree
 
 ACCEPT_SEED = 2024
 TABLE1_REPS = 200
@@ -195,12 +195,13 @@ def test_criterion_6_pruning_brute_force_equivalence():
     mismatches = 0
     for _ in range(100):
         tree = random_tree(rng, max_internal=5)
-        seq = weakest_link_sequence(tree)
+        order = weakest_link_sequence(tree)
         expected_trees, expected_pruned = brute_force_sequence(tree)
-        if seq.pruned_node_per_step != expected_pruned:
+        if order != expected_pruned:
             mismatches += 1
             continue
-        if [sorted(t.nodes) for t in seq] != [sorted(t.nodes) for t in expected_trees]:
+        if ([sorted(t.nodes) for t in prune_candidates(tree, order)]
+                != [sorted(t.nodes) for t in expected_trees]):
             mismatches += 1
     passed = mismatches == 0
     report("criterion 6 (pruning oracle equivalence)", passed,

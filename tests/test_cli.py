@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from efftree.cli import main
+from efftree.cli import build_parser, main
 from efftree.data import Categorical, Continuous, Dataset, Schema, load_csv, write_csv
 from efftree.select import fit_tree
 from efftree.simulate import SimSetting, generate
@@ -39,6 +40,16 @@ def test_help_lists_every_fit_flag(capsys):
                  "--max-depth", "--epsilon", "--seed", "--bootstrap", "--out"):
         assert flag in text
     assert "default" in text
+
+
+def test_every_option_with_a_default_value_shows_the_default_in_help():
+    subcommands = next(a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    silent = [f"{name} {action.option_strings[0]}"
+              for name, sub in subcommands.choices.items() for action in sub._actions
+              if action.option_strings and not action.required and action.nargs != 0
+              and action.default is not None and "(default" not in (action.help or "")]
+    assert silent == []
 
 
 def test_fit_g_homogeneous_single_node(tmp_path, capsys):

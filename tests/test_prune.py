@@ -3,7 +3,7 @@ import pytest
 
 from efftree.prune import DEFAULT_LAMBDA, split_complexity, weakest_link_sequence
 
-from util_trees import brute_force_sequence, build_tree, random_tree
+from util_trees import brute_force_sequence, build_tree, prune_candidates, random_tree
 
 
 def test_split_complexity_root_only():
@@ -29,35 +29,30 @@ def test_split_complexity_with_external_values():
 
 def test_sequence_root_only_input():
     tree = build_tree({}, {})
-    seq = weakest_link_sequence(tree)
-    assert len(seq) == 1
-    assert seq.pruned_node_per_step == []
-    assert seq[0].n_internal() == 0
+    order = weakest_link_sequence(tree)
+    assert order == []
+    assert [t.n_internal() for t in prune_candidates(tree, order)] == [0]
 
 
 def test_sequence_single_internal_node():
     tree = build_tree({0: 4.2}, {0: (1, 2)})
-    seq = weakest_link_sequence(tree)
-    assert len(seq) == 2
-    assert seq.pruned_node_per_step == [0]
-    assert seq[0].n_internal() == 1
-    assert seq[1].n_internal() == 0
+    order = weakest_link_sequence(tree)
+    assert order == [0]
+    assert [t.n_internal() for t in prune_candidates(tree, order)] == [1, 0]
 
 
 def test_sequence_three_internal_hand_oracle():
     # statistics: root 10, left child 2, right child 8
     tree = build_tree({0: 10.0, 1: 2.0, 2: 8.0}, {0: (1, 2), 1: (3, 4), 2: (5, 6)})
-    seq = weakest_link_sequence(tree)
+    order = weakest_link_sequence(tree)
     # prune left (g=2), then right (g(root)=9 vs g(right)=8), then root
-    assert seq.pruned_node_per_step == [1, 2, 0]
-    assert len(seq) == 4
-    assert [t.n_internal() for t in seq] == [3, 2, 1, 0]
+    assert order == [1, 2, 0]
+    assert [t.n_internal() for t in prune_candidates(tree, order)] == [3, 2, 1, 0]
 
 
 def test_pruned_node_keeps_effect_loses_split():
     tree = build_tree({0: 10.0, 1: 2.0}, {0: (1, 2), 1: (3, 4)})
-    seq = weakest_link_sequence(tree)
-    pruned = seq[1]
+    pruned = prune_candidates(tree, weakest_link_sequence(tree))[1]
     assert pruned.node(1).is_terminal
     assert pruned.node(1).effect.effect == tree.node(1).effect.effect
     assert 3 not in pruned.nodes and 4 not in pruned.nodes
@@ -69,17 +64,39 @@ def test_sequence_matches_brute_force_on_random_trees():
     rng = np.random.default_rng(71)
     for _ in range(60):
         tree = random_tree(rng)
-        seq = weakest_link_sequence(tree)
+        order = weakest_link_sequence(tree)
         expected_trees, expected_pruned = brute_force_sequence(tree)
-        assert seq.pruned_node_per_step == expected_pruned
-        assert [sorted(t.nodes) for t in seq] == [sorted(t.nodes) for t in expected_trees]
+        assert order == expected_pruned
+        assert ([sorted(t.nodes) for t in prune_candidates(tree, order)]
+                == [sorted(t.nodes) for t in expected_trees])
+
+
+def test_ties_on_integer_statistics_prune_the_smaller_id_as_brute_force_does():
+    # Statistics in {1, 2, 3} make every branch sum exact, so the pruner's
+    # incremental totals and the brute force's fresh sums tie exactly; ids
+    # are in creation order, each split made at a random leaf.
+    rng = np.random.default_rng(103)
+    for _ in range(300):
+        statistics, children, leaves = {}, {}, [0]
+        for _ in range(int(rng.integers(1, 26))):
+            h = leaves.pop(int(rng.integers(len(leaves))))
+            n = 2 * len(children) + 1
+            statistics[h] = float(rng.choice([1.0, 2.0, 3.0]))
+            children[h] = (n, n + 1)
+            leaves += [n, n + 1]
+        tree = build_tree(statistics, children)
+        order = weakest_link_sequence(tree)
+        expected_trees, expected_pruned = brute_force_sequence(tree)
+        assert order == expected_pruned
+        assert ([sorted(t.nodes) for t in prune_candidates(tree, order)]
+                == [sorted(t.nodes) for t in expected_trees])
 
 
 def test_internal_count_strictly_decreases():
     rng = np.random.default_rng(73)
     for _ in range(20):
-        seq = weakest_link_sequence(random_tree(rng))
-        sizes = [t.n_internal() for t in seq]
+        tree = random_tree(rng)
+        sizes = [t.n_internal() for t in prune_candidates(tree, weakest_link_sequence(tree))]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] == 0
 
@@ -87,19 +104,21 @@ def test_internal_count_strictly_decreases():
 def test_rerunning_from_middle_reproduces_tail():
     rng = np.random.default_rng(79)
     for _ in range(20):
-        seq = weakest_link_sequence(random_tree(rng))
-        if len(seq) < 3:
+        tree = random_tree(rng)
+        order = weakest_link_sequence(tree)
+        candidates = prune_candidates(tree, order)
+        if len(candidates) < 3:
             continue
-        k = len(seq) // 2
-        tail = weakest_link_sequence(seq[k])
-        assert tail.pruned_node_per_step == seq.pruned_node_per_step[k:]
-        assert [sorted(t.nodes) for t in tail] == [sorted(t.nodes) for t in list(seq)[k:]]
+        k = len(candidates) // 2
+        tail = weakest_link_sequence(candidates[k])
+        assert tail == order[k:]
+        assert ([sorted(t.nodes) for t in prune_candidates(candidates[k], tail)]
+                == [sorted(t.nodes) for t in candidates[k:]])
 
 
 def test_ties_prune_smaller_node_id():
     tree = build_tree({0: 9.0, 1: 3.0, 2: 3.0}, {0: (1, 2), 1: (3, 4), 2: (5, 6)})
-    seq = weakest_link_sequence(tree)
-    assert seq.pruned_node_per_step[0] == 1
+    assert weakest_link_sequence(tree)[0] == 1
 
 
 def complete_tree(statistics, depth):
@@ -113,11 +132,12 @@ def complete_tree(statistics, depth):
 def test_complete_depth_8_tree_matches_brute_force():
     rng = np.random.default_rng(83)
     tree = complete_tree(lambda i: float(rng.uniform(0.1, 12.0)), 8)
-    seq = weakest_link_sequence(tree)
+    order = weakest_link_sequence(tree)
     expected_trees, expected_pruned = brute_force_sequence(tree)
     assert tree.n_internal() == 255
-    assert seq.pruned_node_per_step == expected_pruned
-    assert [sorted(t.nodes) for t in seq] == [sorted(t.nodes) for t in expected_trees]
+    assert order == expected_pruned
+    assert ([sorted(t.nodes) for t in prune_candidates(tree, order)]
+            == [sorted(t.nodes) for t in expected_trees])
 
 
 def test_complete_depth_10_tree_prunes_every_internal_node():
@@ -127,9 +147,9 @@ def test_complete_depth_10_tree_prunes_every_internal_node():
     rng = np.random.default_rng(89)
     tree = complete_tree(
         lambda i: 12.0 * (11 - (i + 1).bit_length()) + float(rng.uniform(0.0, 12.0)), 10)
-    seq = weakest_link_sequence(tree)
-    assert len(seq.pruned_node_per_step) == 1023
-    sizes = [t.n_internal() for t in seq]
+    order = weakest_link_sequence(tree)
+    assert len(order) == 1023
+    sizes = [t.n_internal() for t in prune_candidates(tree, order)]
     assert sizes[0] == 1023
     assert all(a - b >= 1 for a, b in zip(sizes, sizes[1:]))
     assert sizes[-1] == 0
@@ -142,4 +162,4 @@ def test_2000_deep_chain_weakest_at_the_bottom_prunes_deepest_first():
     depth = 2000
     tree = build_tree({i: float(depth - i) for i in range(depth)},
                       {i: (i + 1, depth + 1 + i) for i in range(depth)})
-    assert weakest_link_sequence(tree).pruned_node_per_step == list(range(depth - 1, -1, -1))
+    assert weakest_link_sequence(tree) == list(range(depth - 1, -1, -1))

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from efftree.data import Categorical, Continuous, Dataset, Ordinal, Schema, SubgroupMask
 from efftree.estimators import EstimatorKind, NuisanceModels, NuisanceScope, node_effect
 from efftree.glm import Design, FitError, fit_logistic, fit_ols, parse_spec
-from efftree.prune import weakest_link_sequence
 from efftree.select import select_final, validation_statistics
 from efftree.tree import GrowConfig, Tree, grow_max_tree
 from oracle import take, terms_of
@@ -117,7 +116,7 @@ SEL = selection_data()
 
 @lru_cache(maxsize=None)
 def grown(estimator, scope):
-    """Config and prune sequence of a depth-3 tree grown on the rows without level D."""
+    """Config and max tree of depth 3 grown on the rows without level D."""
     config = GrowConfig.from_strings(
         estimator, "A",
         propensity=None if estimator == "g" else "1 + x1 + in(c,B,D)",
@@ -125,7 +124,7 @@ def grown(estimator, scope):
         scope=scope, max_depth=3, min_node=30, min_per_arm=5,
     )
     tree = grow_max_tree(SEL, np.flatnonzero(SEL.column("c") != LEVEL_D), config)
-    return config, weakest_link_sequence(tree)
+    return config, tree
 
 
 # The parent-scope DR tree of ``grown`` as ``grow_max_tree`` gave it when it
@@ -157,12 +156,11 @@ MASK_GROWN_DR_TREE = [
 
 
 def test_grow_max_tree_takes_row_indices_and_refuses_a_mask():
-    config, sequence = grown("dr", "parent")
+    config, tree = grown("dr", "parent")
     mask = SEL.column("c") != LEVEL_D
     for not_rows in (mask, SubgroupMask(mask)):
         with pytest.raises(TypeError, match="integer index array"):
             grow_max_tree(SEL, not_rows, config)
-    tree = sequence[0]
     assert sorted(tree.nodes) == list(range(len(MASK_GROWN_DR_TREE)))
     for node_id, (n, rule, effect) in enumerate(MASK_GROWN_DR_TREE):
         nd = tree.node(node_id)
@@ -180,12 +178,12 @@ validation_rows = st.tuples(st.integers(0, 2**32 - 1), st.floats(0.01, 1.0)).map
     lambda t: np.flatnonzero(np.random.default_rng(t[0]).random(M) < t[1]))
 
 
-def assert_selection_on_rows_equals_selection_on_copy(sequence, rows):
+def assert_selection_on_rows_equals_selection_on_copy(tree, rows):
     copy, copy_rows = take(SEL, rows), np.arange(len(rows))
-    assert (validation_statistics(sequence[0], SEL, rows)
-            == validation_statistics(sequence[0], copy, copy_rows))
-    final, trace = select_final(sequence, SEL, rows, 3.84)
-    final_copy, trace_copy = select_final(sequence, copy, copy_rows, 3.84)
+    assert (validation_statistics(tree, SEL, rows)
+            == validation_statistics(tree, copy, copy_rows))
+    final, trace = select_final(tree, SEL, rows, 3.84)
+    final_copy, trace_copy = select_final(tree, copy, copy_rows, 3.84)
     assert trace.to_dict() == trace_copy.to_dict()
     assert (json.dumps(final.to_dict(), sort_keys=True)
             == json.dumps(final_copy.to_dict(), sort_keys=True))
@@ -197,25 +195,24 @@ def assert_selection_on_rows_equals_selection_on_copy(sequence, rows):
 @example(np.arange(M))  # every row in order, as `efftree fit --train-frac 1` selects
 @example(np.arange(480, M))
 def test_selection_on_rows_equals_selection_on_copied_rows(estimator, scope, rows):
-    config, sequence = grown(estimator, scope)
-    assert_selection_on_rows_equals_selection_on_copy(sequence, rows)
+    config, tree = grown(estimator, scope)
+    assert_selection_on_rows_equals_selection_on_copy(tree, rows)
 
 
 def test_child_scope_selection_on_rows_equals_selection_on_copied_rows():
     # Child-scope growth is slow, so the parent-scope tree is given a
     # child-scope config: selection reads the scope from the tree's config.
-    config, sequence = grown("dr", "parent")
-    grown_tree = sequence[0]
+    config, grown_tree = grown("dr", "parent")
     child_tree = Tree(grown_tree.nodes, grown_tree.root_id,
                       replace(config, scope=NuisanceScope.CHILD), grown_tree.schema)
     rows = np.flatnonzero(np.random.default_rng(5).random(M) < 0.4)
-    assert_selection_on_rows_equals_selection_on_copy(replace(sequence, tree=child_tree), rows)
+    assert_selection_on_rows_equals_selection_on_copy(child_tree, rows)
 
 
 @given(validation_rows)
 @example(np.arange(M))
 def test_rows_by_node_on_rows_equals_routing_a_copy(rows):
-    tree = grown("dr", "parent")[1][0]
+    tree = grown("dr", "parent")[1]
     root = tree.node(tree.root_id)
     assert root.rule.kind == "subset" and "D" not in root.rule.left_levels + root.rule.right_levels
     reach = tree.rows_by_node(SEL, rows)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from efftree.estimators import (
     NuisanceScope,
 )
 from efftree.glm import FitError
-from efftree.prune import DEFAULT_LAMBDA, PruneSequence, split_complexity, weakest_link_sequence
+from efftree.prune import DEFAULT_LAMBDA, split_complexity, weakest_link_sequence
 from efftree.select import (
     bootstrap_effects,
     fit_tree,
@@ -21,7 +23,7 @@ from efftree.select import (
 from efftree.search import SplitRule
 from efftree.simulate import SimSetting, generate, make_config, run_experiment
 from efftree.tree import GrowConfig, Tree, TreeNode, grow_max_tree
-from util_trees import leaf_effect
+from util_trees import leaf_effect, prune_candidates
 
 
 def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overrides):
@@ -30,7 +32,8 @@ def fit_sequence(n=1000, seed=5, estimator="dr", design="heterogeneous", **overr
     config = make_config(setting, estimator, **overrides)
     n_build = int(0.8 * n)
     tree = grow_max_tree(data, np.arange(n_build), config)
-    return data, np.arange(n_build, n), config, tree, weakest_link_sequence(tree)
+    candidates = prune_candidates(tree, weakest_link_sequence(tree))
+    return data, np.arange(n_build, n), config, tree, candidates
 
 
 def test_validation_complexity_root_only_is_zero():
@@ -117,8 +120,7 @@ def test_incomputable_node_counts_in_penalty():
 def test_select_final_single_candidate():
     data, rows, config, tree, seq = fit_sequence(n=400, seed=15)
     root_only = seq[-1]
-    single = PruneSequence(root_only, [])
-    final, trace = select_final(single, data, rows, DEFAULT_LAMBDA)
+    final, trace = select_final(root_only, data, rows, DEFAULT_LAMBDA)
     assert final is root_only
     assert trace.chosen == 0
 
@@ -127,7 +129,7 @@ def test_select_final_rejects_a_non_finite_or_negative_lambda():
     data, rows, config, tree, seq = fit_sequence(n=400, seed=15)
     for lam in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="lambda"):
-            select_final(seq, data, rows, lam)
+            select_final(tree, data, rows, lam)
 
 
 @pytest.mark.parametrize("lam", [float("nan"), -1.0])
@@ -148,26 +150,36 @@ def test_select_final_tie_breaks_toward_smaller_tree():
     data, rows, config, tree, seq = fit_sequence(n=1000, seed=17, estimator="g",
                                                        design="homogeneous")
     # homogeneous truth: all candidates should collapse to the root-only tree
-    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA)
+    final, trace = select_final(tree, data, rows, DEFAULT_LAMBDA)
     assert final.n_internal() == 0
     best = max(trace.complexities)
     ties = [i for i, c in enumerate(trace.complexities) if c == best]
     assert trace.chosen == min(ties, key=lambda i: trace.n_internal[i])
 
 
-def test_select_final_output_is_sequence_element():
+@pytest.mark.parametrize("lam", [0.0, DEFAULT_LAMBDA])
+def test_select_final_returns_the_max_tree_or_builds_only_its_chosen_prune(lam):
+    # scored on its own build rows, the max tree wins with no penalty and a
+    # middle candidate wins with the default one
     data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
-    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA)
-    expected = seq[trace.chosen]
-    assert sorted(final.nodes) == sorted(expected.nodes)
-    assert all(final.node(i).rule == expected.node(i).rule for i in final.nodes)
+    before = json.dumps(tree.to_dict(), sort_keys=True)
+    order = weakest_link_sequence(tree)
+    final, trace = select_final(tree, data, np.arange(720), lam)
+    if lam == 0.0:
+        assert trace.chosen == 0
+        assert final is tree
+    else:
+        assert 0 < trace.chosen < len(order)
+        assert sorted(final.nodes) == sorted(tree.prune_at(*order[:trace.chosen]).nodes)
+    assert json.dumps(tree.to_dict(), sort_keys=True) == before
+    assert len(trace.complexities) == len(order) + 1
     assert trace.n_internal[trace.chosen] == final.n_internal()
 
 
 def test_select_final_complexities_match_split_complexity():
     data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
     assert len(seq) >= 3
-    final, trace = select_final(seq, data, rows, DEFAULT_LAMBDA)
+    final, trace = select_final(tree, data, rows, DEFAULT_LAMBDA)
     stats = validation_statistics(seq[0], data, rows)
     for k, candidate in enumerate(seq):
         assert trace.complexities[k] == split_complexity(candidate, DEFAULT_LAMBDA, stats)
@@ -176,7 +188,7 @@ def test_select_final_complexities_match_split_complexity():
 
 def test_select_final_heterogeneous_keeps_true_split():
     data, rows, config, tree, seq = fit_sequence(n=1000, seed=21, estimator="g")
-    final, _ = select_final(seq, data, rows, DEFAULT_LAMBDA)
+    final, _ = select_final(tree, data, rows, DEFAULT_LAMBDA)
     assert final.n_internal() >= 1
     assert final.node(final.root_id).rule.column == "x4"
 

@@ -420,7 +420,7 @@ def test_a_3000_deep_chain_walks_without_recursion():
     tree = build_tree({i: 10.0 if i < 1500 else 1.0 for i in range(depth)},
                       {i: (i + 1, depth + 1 + i) for i in range(depth)})
     # branch means are exact: 1 from node 1500 down, 10 above once it is pruned
-    assert weakest_link_sequence(tree).pruned_node_per_step == [1500, 0]
+    assert weakest_link_sequence(tree) == [1500, 0]
     lines = tree.render_text().splitlines()
     assert len(lines) == 2 * depth + 1
     assert lines[depth] == "  " * depth + "node 3000: n=10 effect=1.0000"

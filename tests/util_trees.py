@@ -57,6 +57,11 @@ def random_tree(rng, max_internal=5) -> Tree:
     return build_tree(statistics, children)
 
 
+def prune_candidates(tree: Tree, order: list[int]) -> list[Tree]:
+    """Candidate k of a prune order: ``tree`` with its first k prunes made."""
+    return [tree.prune_at(*order[:k]) for k in range(len(order) + 1)]
+
+
 def brute_force_sequence(tree: Tree):
     """Weakest-link re-derivation scanning all internal nodes every step."""
     pruned = []

@@ -31,14 +31,15 @@ gradients, and no solve per candidate.
 A realized partition, such as the winner of a search or a split of a
 fitted tree recomputed on validation rows, is scored as a 1-candidate
 batch (``score_partition``) from the node's tables. ``split_contrast`` is
-the one scorer of a realized split given as two children's rows: in whole
-and parent scope it builds the tables on the union of the children and
-scores that batch; in child scope it refits the models per child. Child-
-scope fitting cannot be batched (each candidate refits its own models), so
-a child-scope node has no tables and the candidate loop scores each
-partition once with ``split_contrast`` (inadmissible: -inf, as in the
-kernel). The search takes the fit's ``tree.GrowConfig``; the candidate
-kernel reads the variance method from the node's tables.
+the one scorer of a realized split, given as the node's rows and a left
+mask over them, as growth holds it: in whole and parent scope it builds
+the node's tables and scores that batch; in child scope it refits the
+models per child. Child-scope fitting cannot be batched (each candidate
+refits its own models), so a child-scope node has no tables and the
+candidate loop scores each partition once with ``split_contrast``
+(inadmissible: -inf, as in the kernel). The search takes the fit's
+``tree.GrowConfig``; the candidate kernel reads the variance method from
+the node's tables.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ from .estimators import (
     NuisanceScope,
     VarianceMethod,
     node_effect,
-    shared_models,
     subgroup_terms,
 )
-from .glm import FitError, check_rows
+from .glm import check_rows
 
 if TYPE_CHECKING:
     from .tree import GrowConfig
@@ -584,7 +584,7 @@ def find_best_split(
                 if not min_node <= left.sum() <= len(rows) - min_node:
                     continue
                 try:
-                    stats[j] = split_contrast(data, rows[left], rows[~left], config,
+                    stats[j] = split_contrast(data, rows, left, config,
                                               min_per_arm=min_per_arm).statistic
                 except InadmissibleSplitError:
                     pass
@@ -631,53 +631,48 @@ def score_partition(
 
 def split_contrast(
     data: Dataset,
-    rows_l: np.ndarray,
-    rows_r: np.ndarray,
+    rows: np.ndarray,
+    left: np.ndarray,
     config: GrowConfig,
     min_per_arm: int = 1,
-    whole_models: Optional[NuisanceModels] = None,
+    shared: Optional[NuisanceModels] = None,
 ) -> SplitContrast:
-    """Score one realized split under ``config``'s estimator, scope and
-    variance method; raises InadmissibleSplitError when it cannot be scored.
+    """Score one realized split of the node's row indices ``rows``
+    (``glm.check_rows``), ``left`` the boolean mask over them of its left
+    child, under ``config``'s estimator, scope and variance method; raises
+    InadmissibleSplitError when it cannot be scored, an empty side included.
 
-    Whole and parent scope score the split as the kernel does: the
-    ``estimators.subgroup_terms`` of the union of the children's rows
-    (whole scope shares ``whole_models``, else a fit on all rows of
-    ``data``), then the node's tables on that union and ``score_partition``
-    with one row per child as the minimum. A row listed twice within a
-    child counts once there. Child scope fits each child's rows, duplicates
-    included, and takes the influence or per-child sandwich variance.
+    Whole and parent scope score the split as the kernel does: the node's
+    ``estimators.subgroup_terms`` (whole scope shares ``shared``, the fit of
+    ``estimators.shared_models``), then its tables and ``score_partition``
+    with one row per child as the minimum. Child scope fits ``rows[left]``
+    and ``rows[~left]`` and takes the influence or per-child sandwich
+    variance. In every scope a row counts as often as ``rows`` lists it.
     """
-    rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
-    in_left = np.zeros(data.n, dtype=bool)
-    in_left[rows_l] = True
-    if in_left[rows_r].any():
-        raise ValueError("child rows must be disjoint")
-    if len(rows_l) == 0 or len(rows_r) == 0:
+    rows, left = check_rows(rows), np.asarray(left)
+    if left.dtype != bool or left.shape != rows.shape:
+        raise TypeError("left must be a boolean mask over rows")
+    if config.scope == NuisanceScope.WHOLE and shared is None:
+        raise ValueError("whole scope scores a split on the shared models")
+    if left.all() or not left.any():
         raise InadmissibleSplitError("empty child")
 
     if config.scope != NuisanceScope.CHILD:
-        try:
-            shared = whole_models or shared_models(data, np.arange(data.n), config)
-        except FitError as err:
-            raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
-        rows = np.union1d(rows_l, rows_r)
         models, terms = subgroup_terms(data, rows, config, shared)
-        scored = score_partition(node_tables(config, models, terms),
-                                 in_left[rows], 1, min_per_arm)
+        scored = score_partition(node_tables(config, models, terms), left, 1, min_per_arm)
         if scored is None:
             raise InadmissibleSplitError("inadmissible split")
         return scored
 
-    fitted_l = subgroup_terms(data, rows_l, config)
-    fitted_r = subgroup_terms(data, rows_r, config)
+    fitted_l = subgroup_terms(data, rows[left], config)
+    fitted_r = subgroup_terms(data, rows[~left], config)
     terms_l, terms_r = fitted_l[1], fitted_r[1]
     if min(terms_l.smaller_arm, terms_r.smaller_arm) < min_per_arm:
         raise InadmissibleSplitError("child arm below minimum size")
 
     t_hat = node_effect(terms_l).effect - node_effect(terms_r).effect
     if config.variance_method == VarianceMethod.INFLUENCE:
-        variance = if_variance(terms_l, terms_r, len(rows_l) + len(rows_r))
+        variance = if_variance(terms_l, terms_r, len(rows))
     else:
         variance = ipw_variance_per_child(fitted_l, fitted_r)
     statistic = t_hat**2 / variance

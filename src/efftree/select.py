@@ -61,10 +61,11 @@ def fit_tree(data: Dataset, build_rows: np.ndarray, validation_rows: np.ndarray,
 def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[int, float]:
     """Splitting statistic of each internal node recomputed on validation ``rows``.
 
-    Each node's realized partition of the rows reaching it is scored by
-    ``search.split_contrast``, which fits the nuisance models per the scope
-    of the tree's config: on the rows reaching the node (parent) or per
-    child (child). In whole scope every node shares the one fit that
+    Each node's split is scored by ``search.split_contrast`` from the rows
+    reaching it and the mask of those reaching its left child (routing is
+    ``Tree.rows_by_node``'s alone), with the nuisance models fit per the
+    tree config's scope: on the node's rows (parent) or per child (child).
+    In whole scope every node shares the one fit that
     ``estimators.shared_models`` makes on all the validation rows, and if
     that fit fails every node contributes 0. A node whose statistic cannot
     be computed (empty child or arm, failed fit, singular information
@@ -79,10 +80,10 @@ def validation_statistics(tree: Tree, data: Dataset, rows: np.ndarray) -> dict[i
 
     stats: dict[int, float] = {}
     for node_id in tree.internal_ids():
-        nd = tree.node(node_id)
+        node_rows = reach[node_id]
+        left = np.isin(node_rows, reach[tree.node(node_id).left])
         try:
-            stats[node_id] = split_contrast(data, reach[nd.left], reach[nd.right], config,
-                                            whole_models=shared).statistic
+            stats[node_id] = split_contrast(data, node_rows, left, config, shared=shared).statistic
         except InadmissibleSplitError:
             stats[node_id] = 0.0
     return stats

@@ -318,8 +318,9 @@ def schema_from_dict(payload: dict) -> Schema:
 
 def tree_from_dict(payload: dict) -> Tree:
     """Rebuild a tree from its JSON document (effects only, no models);
-    ValueError unless its nodes form one binary tree from the root and
-    every value passes ``data.json_value``. The check walks ``Tree.preorder``
+    ValueError unless its nodes form one binary tree from the root, a node
+    has a statistic exactly when it has a rule, and every value passes
+    ``data.json_value``. The check walks ``Tree.preorder``
     and vets each node before the walk reads its children, so a cycle or a
     shared child fails at its first repeat."""
     if not isinstance(payload, dict):
@@ -341,8 +342,9 @@ def tree_from_dict(payload: dict) -> Tree:
             raise ValueError(f"tree node {i!r} is missing or reached twice")
         reached.add(i)
         nd = nodes[i]
-        if (nd.left is None, nd.right is None) != (nd.is_terminal, nd.is_terminal):
-            raise ValueError(f"tree node {i!r} must have two children exactly when it has a rule")
+        if (nd.left is None, nd.right is None, nd.statistic is None) != (nd.is_terminal,) * 3:
+            raise ValueError(f"tree node {i!r} must have two children and a statistic "
+                             "exactly when it has a rule")
     if len(reached) != len(nodes):
         raise ValueError("some tree nodes are not reached from the root")
     return tree
@@ -381,7 +383,6 @@ def grow_max_tree(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Tree:
                 raise FitError("cannot fit nuisance models on the root node") from err
             models = None  # the effect uses the parent's models; parent scope stops here
             terms = subgroup_terms(data, node_rows, config, parent_models)[1]
-        effect_models = models if models is not None else parent_models
         node = TreeNode(id=node_id, depth=depth, n=len(node_rows), effect=node_effect(terms))
         nodes[node_id] = node
 
@@ -406,6 +407,6 @@ def grow_max_tree(data: Dataset, rows: np.ndarray, config: GrowConfig) -> Tree:
         node.n_admissible = best.n_admissible
         node.rule = best.rule
         node.statistic = best.statistic
-        pending.append((node_rows[~best.left_local], depth + 1, effect_models, node, "right"))
-        pending.append((node_rows[best.left_local], depth + 1, effect_models, node, "left"))
+        pending.append((node_rows[~best.left_local], depth + 1, models, node, "right"))
+        pending.append((node_rows[best.left_local], depth + 1, models, node, "left"))
     return Tree(nodes, 0, config, data.schema)

@@ -221,36 +221,37 @@ def g_variance_pooled(
 
 def split_contrast(
     data: Dataset,
-    rows_l: np.ndarray,
-    rows_r: np.ndarray,
+    rows: np.ndarray,
+    left: np.ndarray,
     config: GrowConfig,
     min_per_arm: int = 1,
-    whole_models: Optional[NuisanceModels] = None,
+    shared: Optional[NuisanceModels] = None,
 ) -> SplitContrast:
-    """Score one candidate split under ``config``'s estimator, scope and
+    """Score one candidate split, ``left`` the boolean mask over the node's
+    ``rows`` of its left child, under ``config``'s estimator, scope and
     variance method; raises InadmissibleSplitError when it cannot be scored.
 
     ``GrowConfig`` has already decided that the variance method fits the
-    estimator and scope.
+    estimator and scope; whole scope scores on ``shared``.
     """
-    rows_l, rows_r = check_rows(rows_l), check_rows(rows_r)
-    in_left = np.zeros(data.n, dtype=bool)
-    in_left[rows_l] = True
-    if in_left[rows_r].any():
-        raise ValueError("child rows must be disjoint")
+    rows, left = check_rows(rows), np.asarray(left)
+    if left.dtype != bool or left.shape != rows.shape:
+        raise TypeError("left must be a boolean mask over rows")
+    if config.scope == NuisanceScope.WHOLE and shared is None:
+        raise ValueError("whole scope scores a split on the shared models")
+    rows_l, rows_r = rows[left], rows[~left]
     if len(rows_l) == 0 or len(rows_r) == 0:
         raise InadmissibleSplitError("empty child")
     kind = config.estimator
-    n_union = len(rows_l) + len(rows_r)
 
     try:
         if config.scope == NuisanceScope.CHILD:
             models_l = fit_on(data, rows_l, config)
             models_r = fit_on(data, rows_r, config)
         elif config.scope == NuisanceScope.WHOLE:
-            models_l = models_r = whole_models or fit_on(data, np.arange(data.n), config)
+            models_l = models_r = shared
         else:
-            models_l = models_r = fit_on(data, np.union1d(rows_l, rows_r), config)
+            models_l = models_r = fit_on(data, rows, config)
     except FitError as err:
         raise InadmissibleSplitError(f"nuisance fit failed: {err}") from err
 
@@ -265,7 +266,7 @@ def split_contrast(
     t_hat = node_effect(terms_l).effect - node_effect(terms_r).effect
 
     if config.variance_method == VarianceMethod.INFLUENCE:
-        variance = if_variance(terms_l, terms_r, n_union)
+        variance = if_variance(terms_l, terms_r, len(rows))
     elif config.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
         variance = ipw_variance_per_child((models_l, terms_l), (models_r, terms_r))
     elif kind == EstimatorKind.IPW:

@@ -110,10 +110,9 @@ def test_criterion_3_null_calibration():
     exceed_ipw = exceed_dr = 0
     for rep in range(R):
         data, _ = generate(SimSetting("homogeneous", 1000, seed=37_000_000 + rep))
-        in_l = data.column("x4") > 0
-        rows_l, rows_r = np.flatnonzero(in_l), np.flatnonzero(~in_l)
-        ipw = split_contrast(data, rows_l, rows_r, ipw_config)
-        dr = split_contrast(data, rows_l, rows_r, dr_config)
+        rows, in_l = np.arange(data.n), data.column("x4") > 0
+        ipw = split_contrast(data, rows, in_l, ipw_config)
+        dr = split_contrast(data, rows, in_l, dr_config)
         exceed_ipw += ipw.statistic > 3.84
         exceed_dr += dr.statistic > 3.84
     rate_ipw = exceed_ipw / R
@@ -138,14 +137,13 @@ def test_criterion_4_variance_estimator_fidelity():
     t_pooled, v_pooled, t_child, v_child = [], [], [], []
     for rep in range(R):
         data, _ = generate(SimSetting("heterogeneous", n, seed=41_000_000 + rep))
-        in_l = data.column("x4") < 0
-        rows_l, rows_r = np.flatnonzero(in_l), np.flatnonzero(~in_l)
+        rows, in_l = np.arange(data.n), data.column("x4") < 0
 
-        pooled = split_contrast(data, rows_l, rows_r, pooled_config)
+        pooled = split_contrast(data, rows, in_l, pooled_config)
         t_pooled.append(pooled.t_hat)
         v_pooled.append(pooled.variance)
 
-        per_child = split_contrast(data, rows_l, rows_r, child_config)
+        per_child = split_contrast(data, rows, in_l, child_config)
         t_child.append(per_child.t_hat)
         v_child.append(per_child.variance)
 

@@ -440,6 +440,8 @@ TREE_CORRUPTIONS = {
     "child-not-a-node": lambda p: _split(p).update(left=999),
     "internal-node-without-a-child": lambda p: _split(p).update(right=None),
     "terminal-node-with-a-child": lambda p: _leaf(p).update(left=p["root"]),
+    "split-without-statistic": lambda p: _split(p).update(statistic=None),
+    "leaf-with-statistic": lambda p: _leaf(p).update(statistic=1.0),
     "rule-column-not-a-covariate": lambda p: _split(p)["rule"].update(column="nope"),
     "rule-column-index-wrong": lambda p: _split(p)["rule"].update(
         column_index=_split(p)["rule"]["column_index"] + 1),
@@ -498,6 +500,8 @@ def test_predict_rejects_a_malformed_tree_file(fitted_tree, heterog_csv, tmp_pat
     ("children-the-same-node", "reached twice"),
     ("node-not-under-the-root", "not reached from the root"),
     ("node-id-duplicated", "duplicate tree node id"),
+    ("split-without-statistic", "a statistic exactly when it has a rule"),
+    ("leaf-with-statistic", "a statistic exactly when it has a rule"),
 ])
 def test_tree_reader_names_the_structure_fault(fitted_tree, name, message):
     payload = copy.deepcopy(fitted_tree)

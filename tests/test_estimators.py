@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from efftree import glm
 from efftree.data import Continuous, Dataset, Schema
 from efftree.estimators import (
@@ -542,7 +543,7 @@ def test_split_contrast_identical_children_zero_statistic():
     data = make_data({"x1": x}, A, Y)
     left = np.arange(8) < 4
     contrast = split_contrast(
-        data, np.flatnonzero(left), np.flatnonzero(~left),
+        data, np.arange(8), left,
         GrowConfig(EstimatorKind.IPW, propensity_spec=parse_spec("1", "A"),
                    scope=NuisanceScope.PARENT, variance_method=VarianceMethod.POOLED_SANDWICH),
     )
@@ -558,7 +559,7 @@ def test_split_contrast_statistic_definition():
     # statistic = t^2 / var by construction
     data, left, right = fixture_40(seed=37)
     contrast = split_contrast(
-        data, left, right,
+        data, full(data), np.isin(full(data), left),
         GrowConfig(EstimatorKind.DR, propensity_spec=parse_spec("1 + x1", "A"),
                    outcome_spec=parse_spec("1 + x1 + A", "A"), scope=NuisanceScope.PARENT),
     )
@@ -569,7 +570,7 @@ def test_split_contrast_matches_manual_pipeline():
     data, left, right = fixture_40(seed=38)
     spec = parse_spec("1 + x1 + x2", "A")
     contrast = split_contrast(
-        data, left, right,
+        data, full(data), np.isin(full(data), left),
         GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.PARENT,
                    variance_method=VarianceMethod.POOLED_SANDWICH),
     )
@@ -585,65 +586,107 @@ def test_split_contrast_matches_manual_pipeline():
 
 def test_split_contrast_statistic_symmetric_under_relabeling():
     data, left, right = fixture_40(seed=39)
+    in_l = np.isin(full(data), left)
     kwargs = dict(
         propensity_spec=parse_spec("1 + x1", "A"),
         outcome_spec=parse_spec("1 + x1 + A + A:x1", "A"),
     )
     for kind in (EstimatorKind.IPW, EstimatorKind.GFORMULA, EstimatorKind.DR):
         config = GrowConfig(kind, scope=NuisanceScope.PARENT, **kwargs)
-        a = split_contrast(data, left, right, config)
-        b = split_contrast(data, right, left, config)
+        a = split_contrast(data, full(data), in_l, config)
+        b = split_contrast(data, full(data), ~in_l, config)
         assert a.statistic == pytest.approx(b.statistic, rel=1e-9)
         assert a.t_hat == pytest.approx(-b.t_hat, rel=1e-9)
 
 
-def test_split_contrast_rejects_overlapping_children():
-    data, left, right = fixture_40(seed=40)
-    with pytest.raises(ValueError, match="disjoint"):
-        split_contrast(data, left, left, GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
-                                                    propensity_spec=parse_spec("1", "A")))
-
-
-@pytest.mark.parametrize("shared", ["one-row", "one-row-repeated-in-left", "last-row-first"])
-def test_split_contrast_rejects_children_that_share_a_row(shared):
-    # unsorted children, duplicates allowed within a child, one row in both
-    data, left, right = fixture_40(seed=40)
-    rng = np.random.default_rng(41)
-    left, right = rng.permutation(left), rng.permutation(right)
-    if shared == "one-row":
-        right = np.append(right, left[3])
-    elif shared == "one-row-repeated-in-left":
-        left = np.append(left, [left[3], left[3]])
-        right = np.insert(right, 2, left[3])
-    else:
-        left = np.append(left, data.n - 1)
-        right = np.insert(right[right != data.n - 1], 0, data.n - 1)
-    config = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
-                        propensity_spec=parse_spec("1", "A"))
-    with pytest.raises(ValueError, match="disjoint"):
-        split_contrast(data, left, right, config)
-    with pytest.raises(ValueError, match="disjoint"):
-        split_contrast(data, right, left, config)
-
-
 def test_split_contrast_accepts_duplicates_within_a_child():
-    # whole and parent scope score the union of the children, so a row
-    # listed twice within a child counts once, in t_hat and in the variance
+    # the node's rows unsorted, five left rows listed twice: every scope
+    # counts a row as often as it is listed, in t_hat and in the variance,
+    # as the oracle does on the same inputs
     data, left, right = fixture_40(seed=40)
-    for scope in (NuisanceScope.WHOLE, NuisanceScope.PARENT):
-        config = GrowConfig(EstimatorKind.IPW, scope=scope,
+    rows = np.concatenate([left, left[:5], right[::-1]])
+    in_l = np.arange(len(rows)) < len(left) + 5
+    for scope in NuisanceScope:
+        config = GrowConfig(EstimatorKind.IPW, scope=scope, variance_method=VarianceMethod.INFLUENCE,
                             propensity_spec=parse_spec("1 + x1", "A"))
-        contrast = split_contrast(data, np.concatenate([left, left[:5]]), right[::-1], config)
+        shared = shared_models(data, full(data), config)
+        contrast = split_contrast(data, rows, in_l, config, shared=shared)
+        expected = oracle.split_contrast(data, rows, in_l, config, shared=shared)
         assert np.isfinite(contrast.statistic)
-        assert contrast == split_contrast(data, left, right, config)
+        assert contrast.t_hat == pytest.approx(expected.t_hat, rel=1e-9)
+        assert contrast.variance == pytest.approx(expected.variance, rel=1e-9)
+        once = split_contrast(data, full(data), np.isin(full(data), left), config, shared=shared)
+        assert contrast.t_hat != pytest.approx(once.t_hat, rel=1e-6)
+
+
+def test_split_contrast_counts_each_listed_row_in_every_scope():
+    # listing every node row twice keeps t_hat and doubles each sum: the
+    # pooled and per-child sandwich variances halve, and the influence
+    # variance, a ddof=1 sample variance over the listed rows divided by
+    # their count, scales by (n - 1) / (2n - 1)
+    from efftree.simulate import SimSetting, generate, make_config
+
+    setting = SimSetting("heterogeneous", 600, seed=5)
+    data, _ = generate(setting)
+    rows = np.arange(0, data.n, 2)
+    left = data.column("x4")[rows] > 0
+    n = len(rows)
+    checked = set()
+    for kind in EstimatorKind:
+        for scope in NuisanceScope:
+            for variance in VarianceMethod:
+                try:
+                    config = make_config(setting, kind, outcome_variant="mis-func", scope=scope,
+                                         variance_method=variance)
+                except ValueError:
+                    continue
+                shared = shared_models(data, rows, config)
+                once = split_contrast(data, rows, left, config, shared=shared)
+                twice = split_contrast(data, np.repeat(rows, 2), np.repeat(left, 2), config,
+                                       shared=shared)
+                label = (kind.value, scope.value, config.variance_method.value)
+                influence = config.variance_method == VarianceMethod.INFLUENCE
+                ratio = (n - 1) / (2 * n - 1) if influence else 0.5
+                assert twice.t_hat == pytest.approx(once.t_hat, rel=1e-12), label
+                assert twice.variance == pytest.approx(ratio * once.variance, rel=1e-9), label
+                checked.add(label)
+    assert len(checked) == 14
 
 
 def test_split_contrast_rejects_boolean_rows():
     data, left, right = fixture_40(seed=40)
     in_l = np.isin(np.arange(data.n), left)
     with pytest.raises(TypeError, match="integer index array"):
-        split_contrast(data, in_l, ~in_l, GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
-                                                     propensity_spec=parse_spec("1", "A")))
+        split_contrast(data, in_l, in_l, GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                                                    propensity_spec=parse_spec("1", "A")))
+
+
+@pytest.mark.parametrize("left", [
+    pytest.param(lambda rows: np.flatnonzero(rows < 20), id="indices"),
+    pytest.param(lambda rows: (rows < 20).astype(float), id="floats"),
+    pytest.param(lambda rows: rows[:-1] < 20, id="shorter-than-rows"),
+    pytest.param(lambda rows: (rows < 20)[None, :], id="two-dimensional"),
+])
+def test_split_contrast_left_is_a_boolean_mask_over_rows(left):
+    data, _, _ = fixture_40(seed=40)
+    config = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                        propensity_spec=parse_spec("1", "A"))
+    with pytest.raises(TypeError, match="boolean mask over rows"):
+        split_contrast(data, full(data), left(full(data)), config)
+
+
+def test_split_contrast_refuses_an_empty_side_and_whole_scope_without_shared_models():
+    data, left, _ = fixture_40(seed=40)
+    rows = full(data)
+    config = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
+                        propensity_spec=parse_spec("1", "A"))
+    for side in (np.ones(data.n, dtype=bool), np.zeros(data.n, dtype=bool)):
+        with pytest.raises(InadmissibleSplitError, match="empty child"):
+            split_contrast(data, rows, side, config)
+    whole = GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.WHOLE,
+                       propensity_spec=parse_spec("1", "A"))
+    with pytest.raises(ValueError, match="shared models"):
+        split_contrast(data, rows, np.isin(rows, left), whole)
 
 
 def test_split_contrast_empty_arm_inadmissible():
@@ -653,7 +696,7 @@ def test_split_contrast_empty_arm_inadmissible():
     data = make_data({"x1": x}, A, Y)
     left = x < 10
     with pytest.raises(InadmissibleSplitError):
-        split_contrast(data, np.flatnonzero(left), np.flatnonzero(~left),
+        split_contrast(data, np.arange(20), left,
                        GrowConfig(EstimatorKind.IPW, scope=NuisanceScope.PARENT,
                                   propensity_spec=parse_spec("1", "A")),
                        min_per_arm=1)
@@ -672,7 +715,7 @@ def test_dr_influence_variance_tracks_monte_carlo():
     for rep in range(R):
         data, _ = generate(SimSetting("heterogeneous", 1000, seed=11_000_000 + rep))
         x4 = data.column("x4")
-        contrast = split_contrast(data, np.flatnonzero(x4 > 0), np.flatnonzero(x4 <= 0), config)
+        contrast = split_contrast(data, np.arange(data.n), x4 > 0, config)
         t_hats.append(contrast.t_hat)
         variances.append(contrast.variance)
     ratio = np.mean(variances) / np.var(t_hats)
@@ -680,10 +723,19 @@ def test_dr_influence_variance_tracks_monte_carlo():
 
 
 def test_ipw_whole_scope_reuses_models():
+    # whole scope scores on exactly the models it is given: the shared fit
+    # on every row scores as the oracle does with it, and a fit on other
+    # rows changes the statistic
     data, left, right = fixture_40(seed=41)
     spec = parse_spec("1 + x1", "A")
     whole = NuisanceModels(propensity=propensity_fit(data, full(data), spec), epsilon=0.01)
     config = GrowConfig(EstimatorKind.IPW, propensity_spec=spec, scope=NuisanceScope.WHOLE)
-    a = split_contrast(data, left, right, config, whole_models=whole)
-    b = split_contrast(data, left, right, config)
-    assert a.statistic == pytest.approx(b.statistic, rel=1e-12)
+    rows, in_l = full(data), np.isin(full(data), left)
+    a = split_contrast(data, rows, in_l, config, shared=whole)
+    assert a.statistic == split_contrast(data, rows, in_l, config,
+                                         shared=shared_models(data, rows, config)).statistic
+    expected = oracle.split_contrast(data, rows, in_l, config, shared=whole)
+    assert a.statistic == pytest.approx(expected.statistic, rel=1e-8)
+    other = shared_models(data, rows[:30], config)
+    assert a.statistic != pytest.approx(
+        split_contrast(data, rows, in_l, config, shared=other).statistic, rel=1e-6)

@@ -75,7 +75,7 @@ def test_binomial_g_batch_matches_scalar():
         pytest.skip("no admissible split on this draw")
     rows = np.arange(data.n)
     left = root.rule.goes_left(data, rows)
-    contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=config.min_per_arm)
+    contrast = split_contrast(data, rows, left, config, min_per_arm=config.min_per_arm)
     assert root.statistic == pytest.approx(contrast.statistic, rel=1e-8)
 
 

@@ -11,6 +11,7 @@ from efftree.estimators import (
     InadmissibleSplitError,
     NuisanceScope,
     VarianceMethod,
+    shared_models,
     subgroup_terms,
 )
 from efftree.glm import parse_spec
@@ -92,6 +93,7 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
                                else rows, config)
         terms = oracle.terms_of(kind, data, rows, models)
         tables = node_tables(config, models, terms)
+        shared = shared_models(data, np.arange(data.n), config)
 
         checked = 0
         for block in iter_candidate_blocks(data, rows):
@@ -102,8 +104,8 @@ def test_batched_statistics_match_scalar_split_contrast(kind, variance, family):
             for j in idx[:: max(1, len(idx) // 5)]:
                 rule = block.make_rule(int(j))
                 left = rule.goes_left(data, rows)
-                contrast = oracle.split_contrast(data, rows[left], rows[~left], config,
-                                                 min_per_arm=5)
+                contrast = oracle.split_contrast(data, rows, left, config, min_per_arm=5,
+                                                 shared=shared)
                 assert stats[j] == pytest.approx(contrast.statistic, rel=1e-8), rule.describe()
                 assert t_hats[j] == pytest.approx(contrast.t_hat, rel=1e-8)
                 assert variances[j] == pytest.approx(contrast.variance, rel=1e-8)
@@ -136,7 +138,7 @@ def test_totals_row_is_the_column_sums_of_packed(kind, variance, family):
 
 
 def oracle_partitions(data):
-    """(left rows, right rows) pairs: sampled rules on all rows and on a
+    """(node rows, left mask) pairs: sampled rules on all rows and on a
     node's rows given out of order, and splits with an empty child arm."""
     rng = np.random.default_rng(73)
     rows = np.arange(data.n)
@@ -146,10 +148,10 @@ def oracle_partitions(data):
         rules = enumerate_splits(data, subset)
         for rule in rules[:: max(1, len(rules) // 8)]:
             left = rule.goes_left(data, subset)
-            pairs.append((subset[left], subset[~left]))
+            pairs.append((subset, left))
     treated = np.flatnonzero(data.treatment == 1)
-    pairs.append((treated[:3], np.setdiff1d(rows, treated[:3])))  # left has no control row
-    pairs.append((np.setdiff1d(node, treated), np.intersect1d(node, treated)))
+    pairs.append((rows, np.isin(rows, treated[:3])))  # left has no control row
+    pairs.append((node, data.treatment[node] == 0))
     return pairs
 
 
@@ -163,15 +165,16 @@ def test_split_contrast_matches_scalar_oracle(kind, scope, family):
     scored = refused = 0
     for variance in variances:
         config = dataclasses.replace(parent_config(kind, variance, family), scope=scope)
-        for rows_l, rows_r in oracle_partitions(data):
+        shared = shared_models(data, np.arange(data.n), config)
+        for rows, left in oracle_partitions(data):
             try:
-                expected = oracle.split_contrast(data, rows_l, rows_r, config)
+                expected = oracle.split_contrast(data, rows, left, config, shared=shared)
             except InadmissibleSplitError:
                 with pytest.raises(InadmissibleSplitError):
-                    split_contrast(data, rows_l, rows_r, config)
+                    split_contrast(data, rows, left, config, shared=shared)
                 refused += 1
                 continue
-            got = split_contrast(data, rows_l, rows_r, config)
+            got = split_contrast(data, rows, left, config, shared=shared)
             assert got.t_hat == pytest.approx(expected.t_hat, rel=1e-8)
             assert got.variance == pytest.approx(expected.variance, rel=1e-8)
             assert got.statistic == pytest.approx(expected.statistic, rel=1e-8)
@@ -196,7 +199,7 @@ def test_best_split_is_argmax_of_scalar_evaluation(kind, variance):
         if min(left.sum(), (~left).sum()) < 20:
             continue
         try:
-            contrast = oracle.split_contrast(data, rows[left], rows[~left], config, min_per_arm=5)
+            contrast = oracle.split_contrast(data, rows, left, config, min_per_arm=5)
         except InadmissibleSplitError:
             continue
         top = max(top, contrast.statistic)
@@ -216,7 +219,7 @@ def test_child_scope_search_uses_per_child_fits():
     if best is None:
         pytest.skip("no admissible child-scope split on this fixture")
     left = best.rule.goes_left(data, rows)
-    contrast = split_contrast(data, rows[left], rows[~left], config, min_per_arm=8)
+    contrast = split_contrast(data, rows, left, config, min_per_arm=8)
     assert best.statistic == pytest.approx(contrast.statistic, rel=1e-10)
 
 
@@ -239,8 +242,7 @@ def test_child_scope_search_scores_each_candidate_partition_once(monkeypatch):
     assert len(calls) == sum(1 for n_l in sizes if 40 <= n_l <= data.n - 40)
     left = best.rule.goes_left(data, rows)
     assert np.array_equal(best.left_local, left)
-    assert best.statistic == scorer(data, rows[left], rows[~left], config,
-                                    min_per_arm=8).statistic
+    assert best.statistic == scorer(data, rows, left, config, min_per_arm=8).statistic
 
 
 def test_variance_admissible_refuses_the_floor_and_non_finite_variances():
@@ -331,8 +333,9 @@ def test_grow_config_alone_decides_which_combinations_are_valid(kind, scope, var
     data = mixed_data()
     rows = np.arange(data.n)
     left = data.column("x1") < 0
-    contrast = split_contrast(data, rows[left], rows[~left], config)
-    expected = oracle.split_contrast(data, rows[left], rows[~left], config)
+    shared = shared_models(data, rows, config)
+    contrast = split_contrast(data, rows, left, config, shared=shared)
+    expected = oracle.split_contrast(data, rows, left, config, shared=shared)
     assert contrast.statistic == pytest.approx(expected.statistic, rel=1e-8)
     assert contrast.t_hat == pytest.approx(expected.t_hat, rel=1e-8)
     assert contrast.variance == pytest.approx(expected.variance, rel=1e-8)

@@ -74,20 +74,20 @@ def test_validation_statistics_match_route_and_recompute_oracle(estimator, scope
         if node.is_terminal:
             return
         left = node.rule.goes_left(validation, rows)
-        out[node_id] = (rows[left], rows[~left])
+        out[node_id] = (rows, left)
         assign(node.left, rows[left], out)
         assign(node.right, rows[~left], out)
 
     split_rows = {}
     assign(candidate.root_id, np.arange(validation.n), split_rows)
     assert set(split_rows) == set(stats)
-    for node_id, (left_rows, right_rows) in split_rows.items():
-        if len(left_rows) == 0 or len(right_rows) == 0:
+    for node_id, (node_rows, left) in split_rows.items():
+        if left.all() or not left.any():
             assert stats[node_id] == 0.0
             continue
         try:
-            contrast = oracle.split_contrast(validation, left_rows, right_rows, config,
-                                             min_per_arm=1, whole_models=whole_models)
+            contrast = oracle.split_contrast(validation, node_rows, left, config,
+                                             min_per_arm=1, shared=whole_models)
             expected = contrast.statistic
         except InadmissibleSplitError:
             expected = 0.0

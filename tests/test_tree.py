@@ -160,8 +160,7 @@ def test_chosen_split_maximizes_statistic_exhaustively():
         if min(left.sum(), (~left).sum()) < 40:
             continue
         try:
-            contrast = split_contrast(data, rows[left], rows[~left], config,
-                                      min_per_arm=config.min_per_arm)
+            contrast = split_contrast(data, rows, left, config, min_per_arm=config.min_per_arm)
         except InadmissibleSplitError:
             continue
         assert contrast.statistic <= best * (1 + 1e-6)

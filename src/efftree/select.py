@@ -12,14 +12,22 @@ the tree was grown on, so selection copies no data and reuses that
 dataset's root designs. A node's validation statistic comes from the one
 scorer of a realized split, ``search.split_contrast``. Bootstrap intervals
 re-estimate terminal effects on resampled row indices, with the structure
-and the routing of the rows fixed and no copy of the data.
+and the routing of the rows fixed and no copy of the data. Replicates,
+here and in ``simulate.run_experiment``, run through ``parallel_map``: in
+this process with one worker, else on a process pool.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +39,8 @@ from .search import split_contrast
 from .tree import GrowConfig, Tree, grow_max_tree
 
 __all__ = [
+    "available_cores",
+    "parallel_map",
     "check_lambda",
     "fit_tree",
     "validation_statistics",
@@ -39,6 +49,73 @@ __all__ = [
     "bootstrap_effects",
     "TerminalInterval",
 ]
+
+
+def available_cores() -> int:
+    """CPUs this process may run on: its affinity set (``taskset``) where the
+    platform has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# glibc mallopt parameters, and the heap a pool worker keeps: the largest
+# mmap threshold every glibc accepts (DEFAULT_MMAP_THRESHOLD_MAX, 32 MiB on
+# 64-bit; older versions refuse more).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_KEPT_HEAP_BYTES = 4 * 1024 * 1024 * ctypes.sizeof(ctypes.c_long)
+
+_worker_task: Optional[Callable] = None
+
+
+def _keep_heap() -> bool:
+    """Keep freed memory in this process's heap, below 32 MiB a block on
+    64-bit: a replicate's n x q temporaries then reuse the pages of the one
+    before instead of faulting in fresh ones. True if the C library took
+    both thresholds; a no-op returning False without glibc's ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    trim = mallopt(_M_TRIM_THRESHOLD, _KEPT_HEAP_BYTES)
+    mmap = mallopt(_M_MMAP_THRESHOLD, _KEPT_HEAP_BYTES)
+    return trim == 1 and mmap == 1
+
+
+def _start_worker(task: Callable) -> None:
+    global _worker_task
+    _worker_task = task
+    _keep_heap()
+
+
+def _run_task(job):
+    return _worker_task(job)
+
+
+def parallel_map(task: Callable, jobs: Sequence, workers: Optional[int] = None) -> list:
+    """``[task(job) for job in jobs]``, in job order, on up to ``workers``
+    processes (default ``available_cores()``), never more than one per job.
+
+    With one worker, or in a daemonic process (a ``multiprocessing.Pool``
+    worker, which may not have children), the jobs run in this process.
+    Otherwise the pool's workers are forked on Linux (the platform's default
+    start method elsewhere); each receives ``task`` once, through the pool
+    initializer (so data bound into it, e.g. with ``functools.partial``, is
+    not sent per job), keeps its freed heap (``_keep_heap``), and takes
+    contiguous chunks of about a quarter of its share of the jobs. Every
+    worker is joined before this returns or raises; an error in a job
+    propagates with its type.
+    """
+    workers = min(workers if workers is not None else available_cores(), len(jobs))
+    if workers <= 1 or multiprocessing.current_process().daemon:
+        return [task(job) for job in jobs]
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context,
+                             initializer=_start_worker, initargs=(task,)) as pool:
+        return list(pool.map(_run_task, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
 
 
 def check_lambda(lam: float) -> None:
@@ -167,24 +244,21 @@ def bootstrap_effects(
     unfittable model) is redrawn up to 10 times, then dropped and counted;
     FitError if every replicate is dropped.
     Replicate b draws from an independent substream of (seed, b), so results
-    do not depend on evaluation order.
+    do not depend on evaluation order: the replicates run through
+    ``parallel_map``, on a process pool of up to ``available_cores()``
+    workers (a CPU affinity mask such as ``taskset`` limits them), and every
+    worker has exited before this returns.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
     terminal_ids = tree.terminal_ids()
-    terminal = tree.route(data)
+    replicate = partial(_replicate_effects, data, tree.route(data), tree.config,
+                        terminal_ids, seed)
     draws: dict[int, list[float]] = {t: [] for t in terminal_ids}
     n_dropped = 0
-    for b in range(B):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
-        effects = None
-        for _ in range(10):
-            idx = rng.integers(0, data.n, size=data.n)
-            effects = _terminal_effects(data, idx, terminal[idx], tree.config, terminal_ids)
-            if effects is not None:
-                break
+    for effects in parallel_map(replicate, range(B)):
         if effects is None:
             n_dropped += 1
             continue
@@ -208,6 +282,20 @@ def bootstrap_effects(
             )
         )
     return out
+
+
+def _replicate_effects(data: Dataset, terminal: np.ndarray, config: GrowConfig,
+                       terminal_ids: list[int], seed: int, b: int) -> Optional[dict[int, float]]:
+    """Terminal effects of bootstrap replicate ``b``, ``terminal`` the terminal
+    each row of ``data`` reaches: draws from substream (seed, b) until a
+    resample is usable, at most 10 times; None if none is."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+    for _ in range(10):
+        idx = rng.integers(0, data.n, size=data.n)
+        effects = _terminal_effects(data, idx, terminal[idx], config, terminal_ids)
+        if effects is not None:
+            return effects
+    return None
 
 
 def _terminal_effects(data: Dataset, idx: np.ndarray, reached: np.ndarray, config: GrowConfig,

@@ -14,11 +14,10 @@ compares a fitted tree with that record.
 
 from __future__ import annotations
 
-import os
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -28,7 +27,7 @@ from .estimators import EstimatorKind, NuisanceScope
 from .glm import FitError
 from .prune import DEFAULT_LAMBDA
 from .search import SplitRule
-from .select import check_lambda, fit_tree
+from .select import check_lambda, fit_tree, parallel_map
 from .tree import GrowConfig, Tree, grow_max_tree  # noqa: F401 (perfbench's tracer tests read it)
 
 HOMOGENEOUS = "homogeneous"
@@ -414,8 +413,7 @@ def run_replicate(
     )
 
 
-def _run_replicate_packed(args):
-    setting, config, index, seed, lam = args
+def _run_replicate_or_error(setting, config, seed, lam, index):
     try:
         return index, run_replicate(setting, config, index, seed, lam), None
     except FitError as err:  # a replicate that cannot be fit; bugs propagate
@@ -433,7 +431,9 @@ def run_experiment(
     """Aggregate metrics over independent replicates.
 
     Replicate i draws from substreams of (seed, i), so results are identical
-    for any thread count; at most one worker process starts per replicate.
+    for any thread count. The replicates run through ``select.parallel_map``
+    on ``threads`` worker processes (default ``select.available_cores()``),
+    at most one per replicate.
     A replicate that cannot be fit (FitError) is excluded and counted, and
     FitError is raised if no replicate is left; any other error propagates.
     ValueError, before any replicate runs, for fewer than one replication or
@@ -446,16 +446,10 @@ def run_experiment(
         raise ValueError("threads must be >= 1")
     check_lambda(lam)
     check_sample_size(setting, config)
-    jobs = [(setting, config, i, seed, lam) for i in range(replications)]
+    replicate = partial(_run_replicate_or_error, setting, config, seed, lam)
     results: list[Optional[ReplicateResult]] = [None] * replications
     errors: list[str] = []
-    workers = min(threads if threads is not None else (os.cpu_count() or 1), replications)
-    if workers <= 1:
-        outputs = list(map(_run_replicate_packed, jobs))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_run_replicate_packed, jobs))
-    for index, result, error in outputs:
+    for index, result, error in parallel_map(replicate, range(replications), threads):
         if error is not None:
             errors.append(f"replicate {index}: {error}")
         else:

@@ -3,7 +3,7 @@
 ``split_contrast`` here scores one split at a time with explicit per-child
 terms: whole and parent scope share one nuisance fit, take the child
 effects from each child's own rows and the variance from the pooled
-sandwich on the union of the children (``ipw_variance_pooled``,
+sandwich on the node's rows (``ipw_variance_pooled``,
 ``g_variance_pooled``) or from the influence contributions
 (``search.if_variance``); child scope refits per child. The package
 scores realized splits with ``efftree.search.split_contrast``, which runs
@@ -150,15 +150,15 @@ def terms_of(kind: EstimatorKind, data: Dataset, rows: np.ndarray, models: Nuisa
     return contributions(kind, data, rows, models, designs_of(data, rows, models))
 
 
-def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows_l: np.ndarray,
-                     rows_r: np.ndarray, models: NuisanceModels) -> float:
+def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows: np.ndarray,
+                     left: np.ndarray, models: NuisanceModels) -> float:
     """Pooled sandwich variance of the contrast with one nuisance fit on the
-    union of the children's rows (the IPW propensity or the g-formula
-    outcome model): each row's base influence plus its score projected
+    node's ``rows`` (the IPW propensity or the g-formula outcome model),
+    ``left`` the boolean mask over them of the left child; a row listed
+    twice counts twice. Each row's base influence plus its score projected
     through the inverse information matrix onto the difference of the
     child-mean gradients."""
-    rows = np.union1d(rows_l, rows_r)
-    in_l = np.isin(rows, rows_l)
+    in_l = np.asarray(left)
     n_p = len(rows)
     n_l = int(in_l.sum())
     if n_l == 0 or n_l == n_p:
@@ -182,29 +182,29 @@ def _pooled_sandwich(kind: EstimatorKind, data: Dataset, rows_l: np.ndarray,
 
 def ipw_variance_pooled(
     data: Dataset,
-    rows_l: np.ndarray,
-    rows_r: np.ndarray,
+    rows: np.ndarray,
+    left: np.ndarray,
     fit: ModelFit,
     epsilon: float,
 ) -> float:
-    """Sandwich variance of the IPW contrast with one propensity fit on the union.
+    """Sandwich variance of the IPW contrast with one propensity fit on the node.
 
     Each observation's influence combines its inverse-weighted outcome terms
     with a correction for propensity estimation: the score (A - e)X is
     projected through the inverse information matrix onto the difference of
     the child-specific outcome-by-score means.
     """
-    return _pooled_sandwich(EstimatorKind.IPW, data, rows_l, rows_r,
+    return _pooled_sandwich(EstimatorKind.IPW, data, rows, left,
                             NuisanceModels(propensity=fit, epsilon=epsilon))
 
 
 def g_variance_pooled(
     data: Dataset,
-    rows_l: np.ndarray,
-    rows_r: np.ndarray,
+    rows: np.ndarray,
+    left: np.ndarray,
     fit: ModelFit,
 ) -> float:
-    """Sandwich variance of the g-formula contrast with one outcome fit on the union.
+    """Sandwich variance of the g-formula contrast with one outcome fit on the node.
 
     Mirrors the pooled IPW sandwich: the outcome-model score Z(Y - g) is
     projected through the inverse of the information matrix onto the
@@ -215,7 +215,7 @@ def g_variance_pooled(
     g-formula contrast has little per-row noise relative to the between-
     child separation).
     """
-    return _pooled_sandwich(EstimatorKind.GFORMULA, data, rows_l, rows_r,
+    return _pooled_sandwich(EstimatorKind.GFORMULA, data, rows, left,
                             NuisanceModels(outcome=fit))
 
 
@@ -270,9 +270,9 @@ def split_contrast(
     elif config.variance_method == VarianceMethod.PER_CHILD_SANDWICH:
         variance = ipw_variance_per_child((models_l, terms_l), (models_r, terms_r))
     elif kind == EstimatorKind.IPW:
-        variance = ipw_variance_pooled(data, rows_l, rows_r, models_l.propensity, config.epsilon)
+        variance = ipw_variance_pooled(data, rows, left, models_l.propensity, config.epsilon)
     else:
-        variance = g_variance_pooled(data, rows_l, rows_r, models_l.outcome)
+        variance = g_variance_pooled(data, rows, left, models_l.outcome)
 
     statistic = t_hat**2 / variance
     if not np.isfinite(statistic):

@@ -350,10 +350,14 @@ def test_fit_binomial_family_rejects_non_binary_outcome(heterog_csv, tmp_path, c
     assert "'Y'" in capsys.readouterr().err
 
 
-def test_fit_deterministic_artifacts(heterog_csv, tmp_path):
+def test_fit_deterministic_artifacts(heterog_csv, tmp_path, monkeypatch):
+    # the bootstrap runs in this process for "a" and on 2 workers for "b"
+    from efftree import select
+
     base, csv_path, schema_path, _ = heterog_csv
     outs = []
-    for name in ("a", "b"):
+    for name, cores in (("a", 1), ("b", 2)):
+        monkeypatch.setattr(select, "available_cores", lambda: cores)
         out = tmp_path / name
         code = run_cli([
             "fit", "--data", csv_path, "--schema", schema_path,

@@ -403,7 +403,7 @@ def test_ipw_pooled_variance_matches_oracle():
     data, left, right = fixture_40()
     spec = parse_spec("1 + x1 + x2", "A")
     fit = propensity_fit(data, full(data), spec)
-    got = ipw_variance_pooled(data, left, right, fit, 0.01)
+    got = ipw_variance_pooled(data, full(data), np.isin(full(data), left), fit, 0.01)
     expected = theorem_pooled_variance_oracle(data, left, right, fit, 0.01)
     assert got == pytest.approx(expected, abs=1e-8)
 
@@ -411,8 +411,9 @@ def test_ipw_pooled_variance_matches_oracle():
 def test_ipw_pooled_variance_swap_invariant():
     data, left, right = fixture_40(seed=32)
     fit = propensity_fit(data, full(data), parse_spec("1 + x1 + x2", "A"))
-    a = ipw_variance_pooled(data, left, right, fit, 0.01)
-    b = ipw_variance_pooled(data, right, left, fit, 0.01)
+    in_l = np.isin(full(data), left)
+    a = ipw_variance_pooled(data, full(data), in_l, fit, 0.01)
+    b = ipw_variance_pooled(data, full(data), ~in_l, fit, 0.01)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -519,7 +520,7 @@ def g_pooled_variance_oracle(data, rows_l, rows_r, fit):
 def test_g_pooled_variance_matches_oracle():
     data, left, right = fixture_40(seed=35)
     fit = ols(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
-    got = g_variance_pooled(data, left, right, fit)
+    got = g_variance_pooled(data, full(data), np.isin(full(data), left), fit)
     expected = g_pooled_variance_oracle(data, left, right, fit)
     assert got == pytest.approx(expected, abs=1e-10)
 
@@ -527,8 +528,9 @@ def test_g_pooled_variance_matches_oracle():
 def test_g_pooled_variance_swap_invariant():
     data, left, right = fixture_40(seed=36)
     fit = ols(data, full(data), parse_spec("1 + x1 + A + A:x1", "A"))
-    a = g_variance_pooled(data, left, right, fit)
-    b = g_variance_pooled(data, right, left, fit)
+    in_l = np.isin(full(data), left)
+    a = g_variance_pooled(data, full(data), in_l, fit)
+    b = g_variance_pooled(data, full(data), ~in_l, fit)
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -651,6 +653,23 @@ def test_split_contrast_counts_each_listed_row_in_every_scope():
                 assert twice.variance == pytest.approx(ratio * once.variance, rel=1e-9), label
                 checked.add(label)
     assert len(checked) == 14
+
+
+@pytest.mark.parametrize("estimator", ["ipw", "g"])
+def test_oracle_pooled_sandwich_counts_each_listed_row(estimator):
+    # the scalar reference, like the package, counts a row as often as it
+    # is listed: doubling every parent-scope node row halves both variances
+    from efftree.simulate import SimSetting, generate, make_config
+
+    setting = SimSetting("heterogeneous", 600, seed=5)
+    data, _ = generate(setting)
+    config = make_config(setting, estimator, scope="parent", variance_method="pooled-sandwich")
+    rows = np.arange(0, data.n, 2)
+    left = data.column("x4")[rows] > 0
+    for scorer in (split_contrast, oracle.split_contrast):
+        once = scorer(data, rows, left, config)
+        twice = scorer(data, np.repeat(rows, 2), np.repeat(left, 2), config)
+        assert twice.variance == pytest.approx(0.5 * once.variance, rel=1e-9)
 
 
 def test_split_contrast_rejects_boolean_rows():

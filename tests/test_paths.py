@@ -24,7 +24,7 @@ def test_binomial_g_sandwich_matches_loop_oracle():
     fit = fit_logistic(design, data.outcome)
     x1 = data.column("x1")
     in_l = x1 < 0
-    got = g_variance_pooled(data, np.flatnonzero(in_l), np.flatnonzero(~in_l), fit)
+    got = g_variance_pooled(data, full, in_l, fit)
 
     # loop oracle with the logistic-family score, information, and
     # prediction gradients

@@ -157,6 +157,18 @@ def test_select_final_tie_breaks_toward_smaller_tree():
     assert trace.chosen == min(ties, key=lambda i: trace.n_internal[i])
 
 
+def test_select_final_all_zero_statistics_at_lambda_zero_choose_the_root(monkeypatch):
+    # every candidate's complexity is exactly 0: the tie goes to the root-only tree
+    data, rows, config, tree, seq = fit_sequence(n=900, seed=19)
+    assert tree.n_internal() >= 2
+    monkeypatch.setattr(select, "validation_statistics",
+                        lambda tree, data, rows: dict.fromkeys(tree.internal_ids(), 0.0))
+    final, trace = select_final(tree, data, rows, 0.0)
+    assert set(trace.complexities) == {0.0}
+    assert trace.chosen == len(trace.complexities) - 1
+    assert final.n_internal() == 0
+
+
 @pytest.mark.parametrize("lam", [0.0, DEFAULT_LAMBDA])
 def test_select_final_returns_the_max_tree_or_builds_only_its_chosen_prune(lam):
     # scored on its own build rows, the max tree wins with no penalty and a
@@ -328,15 +340,18 @@ def take_based_terminal_effects(tree, sample, config, terminal_ids):
     return effects
 
 
-def assert_bootstrap_matches_take_based(tree, data, B, seed, config):
-    got = bootstrap_effects(tree, data, B=B, level=0.9, seed=seed)
+def assert_bootstrap_matches_take_based(tree, data, B, seed, config, monkeypatch):
+    # in this process (1 worker) and on a pool of 2 workers alike
     expected = take_based_bootstrap(tree, data, B, 0.9, seed, config)
-    assert [(iv.node_id, iv.lower, iv.upper, iv.n_replicates, iv.n_dropped)
-            for iv in got] == expected
+    for cores in (1, 2):
+        monkeypatch.setattr(select, "available_cores", lambda: cores)
+        got = bootstrap_effects(tree, data, B=B, level=0.9, seed=seed)
+        assert [(iv.node_id, iv.lower, iv.upper, iv.n_replicates, iv.n_dropped)
+                for iv in got] == expected, cores
     return got
 
 
-def test_bootstrap_matches_take_based_reference_dr_binomial_parent_scope():
+def test_bootstrap_matches_take_based_reference_dr_binomial_parent_scope(monkeypatch):
     data, _ = generate(SimSetting("binary-mixed-heterogeneous", 2000, seed=31))
     config = GrowConfig.from_strings(
         "dr", "A", propensity="1 + x2 + x3 + in(x6,B,C)",
@@ -345,10 +360,11 @@ def test_bootstrap_matches_take_based_reference_dr_binomial_parent_scope():
     )
     tree = grow_max_tree(data, np.arange(data.n), config)
     assert len(tree.terminal_ids()) >= 2
-    assert_bootstrap_matches_take_based(tree, data, B=20, seed=3, config=config)
+    assert_bootstrap_matches_take_based(tree, data, B=20, seed=3, config=config,
+                                        monkeypatch=monkeypatch)
 
 
-def test_bootstrap_matches_take_based_reference_g_whole_scope():
+def test_bootstrap_matches_take_based_reference_g_whole_scope(monkeypatch):
     data, _ = generate(SimSetting("heterogeneous", 1000, seed=33))
     config = GrowConfig.from_strings(
         "g", "A", outcome="1 + A + lt(x1,0) + exp(x2) + A:gt(x4,0) + cube(x5)",
@@ -356,10 +372,11 @@ def test_bootstrap_matches_take_based_reference_g_whole_scope():
     )
     tree = grow_max_tree(data, np.arange(data.n), config)
     assert len(tree.terminal_ids()) >= 2
-    assert_bootstrap_matches_take_based(tree, data, B=20, seed=4, config=config)
+    assert_bootstrap_matches_take_based(tree, data, B=20, seed=4, config=config,
+                                        monkeypatch=monkeypatch)
 
 
-def test_bootstrap_matches_take_based_reference_with_redraws_and_drops():
+def test_bootstrap_matches_take_based_reference_with_redraws_and_drops(monkeypatch):
     # Two 2-row terminals, each with one treated and one control row: a
     # resample keeps both arms of both only about 16% of the time, so
     # replicates are redrawn and some are dropped after ten tries.
@@ -385,5 +402,112 @@ def test_bootstrap_matches_take_based_reference_with_redraws_and_drops():
         4: node(4, 2, 2),
     }
     tree = Tree(nodes, 0, config, schema)
-    got = assert_bootstrap_matches_take_based(tree, data, B=40, seed=6, config=config)
+    got = assert_bootstrap_matches_take_based(tree, data, B=40, seed=6, config=config,
+                                              monkeypatch=monkeypatch)
     assert 0 < got[0].n_dropped < 40
+
+
+# ---------------------------------------------------------------- replicate pool
+
+
+def small_bootstrap_tree():
+    data, rows, config, tree, seq = fit_sequence(n=500, seed=27, estimator="g")
+    return (seq[-2] if len(seq) > 1 else seq[-1]), data
+
+
+def test_bootstrap_on_two_workers_leaves_no_process_and_keeps_this_heap(monkeypatch):
+    import multiprocessing
+
+    kept = []
+    monkeypatch.setattr(select, "_keep_heap", lambda: kept.append(1))
+    monkeypatch.setattr(select, "available_cores", lambda: 2)
+    final, data = small_bootstrap_tree()
+    bootstrap_effects(final, data, B=6, seed=5)
+    assert multiprocessing.active_children() == []
+    # heap settings belong to the pool's workers, never to the caller
+    assert kept == []
+
+
+def test_an_error_in_a_pooled_replicate_propagates_and_leaves_no_process(monkeypatch):
+    import multiprocessing
+    import os
+
+    def broken(*args):
+        raise RuntimeError(f"a bug in a replicate in process {os.getpid()}")
+
+    monkeypatch.setattr(select, "_replicate_effects", broken)
+    monkeypatch.setattr(select, "available_cores", lambda: 2)
+    final, data = small_bootstrap_tree()
+    with pytest.raises(RuntimeError, match="a bug in a replicate") as err:
+        bootstrap_effects(final, data, B=6, seed=5)
+    assert str(err.value) != f"a bug in a replicate in process {os.getpid()}"
+    assert multiprocessing.active_children() == []
+
+
+def job_and_process(job):
+    import os
+
+    return job, os.getpid()
+
+
+def test_parallel_map_returns_pool_results_in_job_order():
+    import multiprocessing
+    import os
+
+    out = select.parallel_map(job_and_process, range(20), workers=2)
+    assert [j for j, _ in out] == list(range(20))
+    assert os.getpid() not in {pid for _, pid in out}
+    assert multiprocessing.active_children() == []
+
+
+def parallel_map_in_this_process(jobs):
+    return select.parallel_map(job_and_process, jobs, workers=2)
+
+
+def test_parallel_map_in_a_daemonic_worker_runs_in_that_worker():
+    # a multiprocessing.Pool worker may not start children of its own
+    import multiprocessing
+
+    with multiprocessing.Pool(1) as outer:
+        out = outer.apply(parallel_map_in_this_process, (range(5),))
+    assert [j for j, _ in out] == list(range(5))
+    assert len({pid for _, pid in out}) == 1
+
+
+@pytest.mark.parametrize("cores, jobs, pool_size", [(1, 5, None), (8, 3, 3), (8, 20, 8)])
+def test_parallel_map_pool_size_is_the_available_cores_at_most_one_per_job(
+        monkeypatch, pool_sizes, cores, jobs, pool_size):
+    monkeypatch.setattr(select, "available_cores", lambda: cores)
+    assert select.parallel_map(lambda j: 2 * j, range(jobs)) == [2 * j for j in range(jobs)]
+    assert pool_sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_available_cores_honours_the_affinity_mask(monkeypatch):
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert select.available_cores() == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert select.available_cores() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert select.available_cores() == 1
+
+
+def test_keep_heap_is_a_no_op_without_mallopt(monkeypatch):
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(select.ctypes, "CDLL", NoMallopt)
+    assert select._keep_heap() is False
+
+
+def keep_heap_here(job):
+    return select._keep_heap()
+
+
+@pytest.mark.skipif(not hasattr(select.ctypes.CDLL(None), "mallopt"), reason="no glibc mallopt")
+def test_keep_heap_sets_both_thresholds_in_a_pool_worker():
+    # glibc refuses an mmap threshold above DEFAULT_MMAP_THRESHOLD_MAX
+    assert select.parallel_map(keep_heap_here, range(2), workers=2) == [True, True]

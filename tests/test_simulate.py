@@ -410,48 +410,27 @@ def test_run_experiment_thread_count_does_not_change_results():
     assert serial.to_dict(include_timing=False) == pooled.to_dict(include_timing=False)
 
 
-@pytest.mark.parametrize("threads", [3, None])
-def test_run_experiment_starts_at_most_one_worker_per_replicate(monkeypatch, threads):
-    import efftree.simulate as simulate
+@pytest.mark.parametrize("threads", [3, None, 1])
+def test_run_experiment_starts_at_most_one_worker_per_replicate(monkeypatch, pool_sizes, threads):
+    # run_experiment passes ``threads`` to the shared pool (whose own sizing
+    # rule is tested in test_select.py); 8 cores, 4 replicates
+    import efftree.select as select
 
-    pool_sizes = []
-
-    class InProcessPool:
-        """Records the pool size it is asked for and maps in this process."""
-
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(select, "available_cores", lambda: 8)
     setting = SimSetting("heterogeneous", n=300, seed=0)
     config = make_config(setting, "g")
-    pooled = run_experiment(setting, config, replications=2, seed=5, threads=threads)
-    serial = run_experiment(setting, config, replications=2, seed=5, threads=1)
-    assert pool_sizes == [2]
+    pooled = run_experiment(setting, config, replications=4, seed=5, threads=threads)
+    assert pool_sizes == {3: [3], None: [4], 1: []}[threads]
+    serial = run_experiment(setting, config, replications=4, seed=5, threads=1)
     assert pooled.to_dict(include_timing=False) == serial.to_dict(include_timing=False)
 
 
-def test_run_experiment_rejects_a_sample_too_small_before_any_worker_starts(monkeypatch):
-    import efftree.simulate as simulate
-
-    def no_pool(max_workers):
-        raise AssertionError("a worker pool started")
-
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", no_pool)
+def test_run_experiment_rejects_a_sample_too_small_before_any_worker_starts(pool_sizes):
     setting = SimSetting("homogeneous", n=50, seed=0)
     config = make_config(setting, "g", min_node=100)
     with pytest.raises(ValueError, match="40 build rows, fewer than min_node=100"):
         run_experiment(setting, config, replications=2, seed=5, threads=2)
+    assert pool_sizes == []
 
 
 @pytest.mark.parametrize("threads", [0, -3])

@@ -145,6 +145,35 @@ def test_grow_respects_min_node_and_min_per_arm():
             assert node.depth <= 6
 
 
+def boundary_data(n, cut, seed=0):
+    """x1 = 0..n-1, alternating arms, and an effect of 10 only where x1 < cut."""
+    rng = np.random.default_rng(seed)
+    x1 = np.arange(n, dtype=float)
+    A = np.arange(n) % 2
+    Y = np.where(x1 < cut, 10.0 * A, 0.0) + rng.standard_normal(n)
+    config = GrowConfig(estimator=EstimatorKind.IPW, propensity_spec=parse_spec("1", "A"),
+                        min_node=cut, min_per_arm=2, max_depth=1)
+    return make_data({"x1": x1}, A, Y), config
+
+
+def test_a_child_of_exactly_min_node_rows_is_admissible():
+    # every threshold leaving both children min_node rows or more is scored,
+    # and the true split's left child has exactly min_node rows
+    data, config = boundary_data(n=200, cut=40)
+    tree = grow_max_tree(data, np.arange(data.n), config)
+    root = tree.node(tree.root_id)
+    assert root.n_admissible == 200 - 2 * 40 + 1
+    assert tree.node(root.left).n == 40
+
+
+def test_a_node_of_exactly_twice_min_node_rows_is_split():
+    data, config = boundary_data(n=80, cut=40)
+    tree = grow_max_tree(data, np.arange(data.n), config)
+    root = tree.node(tree.root_id)
+    assert root.rule is not None
+    assert (tree.node(root.left).n, tree.node(root.right).n) == (40, 40)
+
+
 def test_chosen_split_maximizes_statistic_exhaustively():
     data, _, config = grow_setting(n=220, seed=17, estimator="dr")
     config = GrowConfig(
